@@ -7,16 +7,14 @@ residuals, the deformed exterior algebra, the quantum metric and its
 connection, and phase-space evolution identities.
 """
 
-from .lambda_core import LAMBDA, Jet, LJet, LambdaScalar, jet_arith, jet_einsum, lambda_arith
+from .lambda_core import LAMBDA, Jet, LJet, LambdaScalar, jet_einsum
 
 __all__ = [
     "LAMBDA",
     "Jet",
     "LJet",
     "LambdaScalar",
-    "jet_arith",
     "jet_einsum",
-    "lambda_arith",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,14 +41,6 @@ def build_geometry(name: str, n: int = 1, hbar: float = 1.0,
     return G
 
 
-def default_suites(G: GeometryData) -> list:
-    if G.name.startswith("cpn"):
-        return ["classical-compat", "dga", "metric", "qlc", "cpn-catalogue"]
-    if G.name == "flat-torsion":
-        return ["classical-compat", "qlc"]
-    return ["classical-compat", "dga", "metric", "evolution"]
-
-
 def _report_path(path: str) -> str:
     base = os.environ.get("SEMIQ_REPORT_DIR")
     if base and not os.path.isabs(path):
@@ -57,7 +50,7 @@ def _report_path(path: str) -> str:
 
 def cmd_check(args) -> int:
     G = build_geometry(args.geometry, args.n, args.hbar, args.lambda_im)
-    suites = args.suite or default_suites(G)
+    suites = args.suite or G.suites
     seed = G.default_seed if args.seed is None else args.seed
     results = []
     for s in suites:
@@ -83,7 +76,12 @@ def cmd_check(args) -> int:
 
 
 def _parse_point(text: str, dim: int):
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"point {text!r} has a non-numeric coordinate")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"point {text!r} has a non-finite coordinate")
     if len(vals) != dim:
         raise ConfigError(f"point has {len(vals)} coordinates, chart has {dim}")
     return tuple(vals)
@@ -110,27 +108,18 @@ def cmd_eval(args) -> int:
         return 0
     if args.op == "wedge":
         b = ScalarField.from_expr(G.chart, args.b)
-        da = sq.QTensor.from_oneform(G, lambda p: _grad(a, p))
-        db = sq.QTensor.from_oneform(G, lambda p: _grad(b, p))
-        v = sq.wedge1(da, db, G).at(pt)
+        v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b), G).at(pt)
         c, l = v.values()
         print("da wedge1 db components:")
         print(_fmt_pair(np.array_str(c, precision=12), np.array_str(l, precision=12)))
         return 0
     if args.op == "nablaQ":
-        da = sq.QTensor.from_oneform(G, lambda p: _grad(a, p))
-        v = sq.nabla_Q(da, G).at(pt)
+        v = sq.nabla_Q(sq.QTensor.differential(G, a), G).at(pt)
         c, l = v.values()
         print("nabla_Q(da) coefficients (direction slot first):")
         print(_fmt_pair(np.array_str(c, precision=12), np.array_str(l, precision=12)))
         return 0
     raise ConfigError(f"unknown eval op {args.op!r}")
-
-
-def _grad(a: ScalarField, pt):
-    from .lambda_core import LJet
-    v = a.at(pt)
-    return LJet(v.c.grad(), None if v.l is None else v.l.grad())
 
 
 def cmd_evolve(args) -> int:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GeometryData, ScalarField, TensorField, cov_deriv_jet
+from .geometry import GeometryData, ScalarField, TensorField, cov_deriv_jet, poisson_bracket
 from .lambda_core import Jet, LJet, jet_einsum
 
 
@@ -58,8 +58,7 @@ def ham_vf(H: ScalarField, G: GeometryData) -> TensorField:
 
 def evolve_scalar(a: ScalarField, H: ScalarField, G: GeometryData) -> ScalarField:
     """adot = {a, H}."""
-    from .geometry import poisson_bracket
-    return poisson_bracket(a, H, G.omega_field)
+    return poisson_bracket(a, H, G)
 
 
 def evolve_oneform(xi: TensorField, H: ScalarField, G: GeometryData) -> TensorField:
@@ -78,7 +77,7 @@ def evolve_oneform(xi: TensorField, H: ScalarField, G: GeometryData) -> TensorFi
 
         return LJet(rate(xv.c), None if xv.l is None else rate(xv.l))
 
-    return TensorField(G.chart, 0, 1, fn, form=True, graded=xi.graded)
+    return TensorField(G.chart, 0, 1, fn, form=True)
 
 
 def evolution_defect(a: ScalarField, H: ScalarField, G: GeometryData) -> TensorField:

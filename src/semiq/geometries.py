@@ -19,14 +19,17 @@ violates the compatibility conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import UnknownCheckError
-from .geometry import Chart, GeometryData, ScalarField, TensorField
-from .lambda_core import Jet, LJet, jet_einsum
+from .errors import ConfigError, UnknownCheckError
+from .geometry import Chart, GeometryData, ScalarField
+from .lambda_core import Jet, LJet, LambdaScalar, jet_apply, jet_einsum
+from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
+                        wedge1)
+
+CPN_SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue")
 
 
 # -- index folding for CP^n -----------------------------------------------------
@@ -84,7 +87,7 @@ def canonical_omega(n: int) -> np.ndarray:
 def make_flat(n: int, hbar: float = 1.0) -> GeometryData:
     """Flat R^{2n} with canonical coordinates and trivial connection."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
     names = tuple([f"q{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)])
     chart = Chart(d, names=names, pairing=True, box=1.5)
@@ -99,6 +102,7 @@ def make_flat(n: int, hbar: float = 1.0) -> GeometryData:
         levi_civita=True,
         lam=1j * hbar,
         name=f"flat(n={n})",
+        parallel_cobasis=True,
     )
 
 
@@ -132,6 +136,7 @@ def make_flat_torsion() -> GeometryData:
         levi_civita=False,
         lam=1j,
         name="flat-torsion",
+        suites=("classical-compat", "qlc"),
     )
 
 
@@ -212,7 +217,7 @@ def make_cpn(n: int, order: int = 3) -> GeometryData:
     checks on high-dimensional charts.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
     chart = Chart(d, pairing=True, box=0.75)
     return GeometryData(
@@ -224,11 +229,8 @@ def make_cpn(n: int, order: int = 3) -> GeometryData:
         levi_civita=True,
         lam=1j,
         name=f"cpn(n={n})",
+        suites=CPN_SUITES,
     )
-
-
-def cpn_complex_dim(G: GeometryData) -> int:
-    return G.dim // 2
 
 
 # -- complex frame on CP^n --------------------------------------------------------
@@ -275,14 +277,14 @@ class CPnFrame:
         return jet_einsum(",i->i", self.t_jet(pt), self.z_jets(pt))
 
     def z_field(self, i: int, conj: bool = False) -> ScalarField:
-        def fn(pt):
-            j = jet_einsum("i,i->", self.z_jets(pt), _unit(self.n, i))
-            return LJet(j.conj() if conj else j)
-        return ScalarField(self.G.chart, fn)
+        return self._entry_field(self.z_jets, i, conj)
 
     def w_field(self, i: int, conj: bool = False) -> ScalarField:
+        return self._entry_field(self.w_jets, i, conj)
+
+    def _entry_field(self, jets, i: int, conj: bool) -> ScalarField:
         def fn(pt):
-            j = jet_einsum("i,i->", self.w_jets(pt), _unit(self.n, i))
+            j = jet_einsum("i,i->", jets(pt), _unit(self.n, i))
             return LJet(j.conj() if conj else j)
         return ScalarField(self.G.chart, fn)
 
@@ -293,12 +295,6 @@ class CPnFrame:
         cm = np.stack([self.cvec(i) for i in range(self.n)])
         zbar_c = jet_einsum("i,ia->a", z.conj(), cm)
         return jet_einsum(",a->a", t2, zbar_c)
-
-    def tau_field(self, conj: bool = False) -> TensorField:
-        def fn(pt):
-            t = self.tau_jet(pt)
-            return LJet(t.conj() if conj else t)
-        return TensorField(self.G.chart, 0, 1, fn, form=True)
 
     def gamma_jet(self, pt, bar: bool = False) -> Jet:
         """gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau (bar swaps all)."""
@@ -319,16 +315,9 @@ class CPnFrame:
         oml = _cpn_omega_lower(self.n, tuple(pt))
         return -2.0 * oml
 
-    def varpi_field(self) -> TensorField:
-        return TensorField.from_jet_fn(self.G.chart, 0, 2,
-                                       lambda pt: self.varpi_jet(pt), form=True)
-
     def kahler_potential(self) -> ScalarField:
-        def fn(pt):
-            t2 = self.t2_jet(pt)
-            # K0 = ln(1 + |z|^2) = -ln t^2
-            return LJet(-t2.compose(_ln_derivs(t2.value)))
-        return ScalarField(self.G.chart, fn)
+        # K0 = ln(1 + |z|^2) = -ln t^2
+        return ScalarField(self.G.chart, lambda pt: LJet(-jet_apply("ln", self.t2_jet(pt))))
 
     def g_hermitian(self, pt) -> np.ndarray:
         """g_{i jbar} = t^2 delta_{ij} - t^4 zbar^i z^j at a point."""
@@ -343,448 +332,261 @@ def _unit(n: int, i: int) -> np.ndarray:
     return v
 
 
-def _ln_derivs(v: complex):
-    return (np.log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
-
-
 def cpn_frame(G: GeometryData) -> CPnFrame:
     """Complex frame fields for a geometry built by make_cpn."""
-    return CPnFrame(G, cpn_complex_dim(G))
+    return CPnFrame(G, G.dim // 2)
 
 
 # -- expected-value catalogue for the projective space -----------------------------
+#
+# Each check pairs an engine and an expected callable. Both take one
+# evaluation context and return (classical, first-order) value arrays of
+# identical shape, so suites can report both residual slots per check.
+# Most checks are an n x n grid of cells indexed by the complex frame.
 
-def _zero_pair(shape):
-    z = np.zeros(shape, dtype=np.complex128)
-    return z, z.copy()
+class _At:
+    """A catalogue evaluation: geometry, complex frame and chart point,
+    with the closed-form data the expected values read."""
 
+    def __init__(self, G: GeometryData, pt: tuple):
+        self.G, self.pt = G, pt
+        self.F = cpn_frame(G)
+        self.n, self.d = self.F.n, G.dim
 
-class _Catalogue:
-    """Closed-form checks on the projective-space chart.
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self.F.z_jets(self.pt).val
 
-    Each entry provides ``engine`` and ``expected`` callables returning
-    (classical, first-order) value arrays of identical shape at a point,
-    so suites can report both residual slots per check.
-    """
+    @cached_property
+    def t2(self) -> complex:
+        return complex(self.F.t2_jet(self.pt).value)
 
-    def __init__(self):
-        self.entries: dict = {}
-        self.aliases: dict = {}
+    @cached_property
+    def tau(self) -> np.ndarray:
+        return self.F.tau_jet(self.pt).val
 
-    def register(self, name: str, engine, expected, alias: Optional[str] = None):
-        self.entries[name] = (engine, expected)
-        if alias:
-            self.aliases[alias] = name
+    @cached_property
+    def taub(self) -> np.ndarray:
+        return np.conjugate(self.tau)
 
-    def resolve(self, name: str) -> str:
-        if name in self.entries:
-            return name
-        if name in self.aliases:
-            return self.aliases[name]
-        raise UnknownCheckError(f"unknown catalogue check {name!r}")
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.F.w_jets(self.pt).val
 
-    def names(self):
-        return sorted(self.entries)
-
-
-CATALOGUE = _Catalogue()
-
-
-def _ctx(G: GeometryData, pt):
-    F = cpn_frame(G)
-    n = F.n
-    z = F.z_jets(pt).val
-    t2 = complex(F.t2_jet(pt).value)
-    tau = F.tau_jet(pt).val
-    return F, n, z, t2, tau, np.conjugate(tau)
+    @cached_property
+    def dw(self) -> np.ndarray:
+        return self.F.w_jets(self.pt).grad().val        # [i, a]
 
 
-def _star_comm_grid(G, pt, left_fields, right_fields):
-    from .semiquant import star_product
-    n = len(left_fields)
-    c = np.zeros((n, n), dtype=np.complex128)
-    l = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            ab = star_product(left_fields[i], right_fields[j], G).at(pt)
-            ba = star_product(right_fields[j], left_fields[i], G).at(pt)
-            v = ab - ba
-            c[i, j] = complex(v.c.value)
-            l[i, j] = complex(v.lam().value)
+def _grid(x: _At, rank: int, cell, dims: int = 2):
+    """Stack cell(i, j) = (classical, first-order) over the n x n grid, or
+    cell(i) over i alone when dims=1; each cell has shape (dim,)*rank."""
+    shape = (x.n,) * dims + (x.d,) * rank
+    c = np.zeros(shape, dtype=np.complex128)
+    l = np.zeros(shape, dtype=np.complex128)
+    for idx in np.ndindex((x.n,) * dims):
+        c[idx], l[idx] = cell(*idx)
     return c, l
 
 
-def _form_comm_grid(G, pt, fields, forms):
-    from .semiquant import module_action
-    n = len(fields)
-    d = G.dim
-    c = np.zeros((n, n, d), dtype=np.complex128)
-    l = np.zeros((n, n, d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            lft = module_action(fields[i], forms[j], "left", G).at(pt)
-            rgt = module_action(fields[i], forms[j], "right", G).at(pt)
-            v = lft - rgt
-            c[i, j] = v.c.val
-            l[i, j] = v.lam().val
-    return c, l
+def _vals(v: LJet):
+    return v.c.val, v.lam().val
 
 
-def _z_fields(G, F, conj=False):
-    return [F.z_field(i, conj=conj) for i in range(F.n)]
+def _lam_cells(rank: int, cell):
+    """Expected grid with a vanishing classical slot; cell(x, i, j) gives
+    the first-order slot."""
+    return lambda x: _grid(x, rank, lambda i, j: (0, cell(x, i, j)))
 
 
-def _w_fields(G, F, conj=False):
-    return [F.w_field(i, conj=conj) for i in range(F.n)]
+def _zero(rank: int):
+    return _lam_cells(rank, lambda x, i, j: 0)
 
 
-def _dz_forms(G, F, conj=False):
-    from .semiquant import QTensor
-    return [QTensor.constant_oneform(G, np.conjugate(F.cvec(i)) if conj else F.cvec(i))
-            for i in range(F.n)]
+# families of functions and one-forms indexed by the complex frame
+
+def _zs(x: _At, conj: bool = False) -> list:
+    return [x.F.z_field(i, conj=conj) for i in range(x.n)]
 
 
-def _dw_forms(G, F, conj=False):
-    from .semiquant import QTensor
+def _ws(x: _At, conj: bool = False) -> list:
+    return [x.F.w_field(i, conj=conj) for i in range(x.n)]
 
+
+def _dzs(x: _At, conj: bool = False) -> list:
+    return [QTensor.constant_oneform(x.G, np.conjugate(x.F.cvec(i)) if conj else x.F.cvec(i))
+            for i in range(x.n)]
+
+
+def _dws(x: _At, conj: bool = False) -> list:
     def mk(i):
         def fn(pt):
-            w = F.w_jets(pt)
-            comps = w.grad()                     # [i, a]
-            ji = jet_einsum("ia,i->a", comps, _unit(F.n, i))
+            comps = x.F.w_jets(pt).grad()            # [i, a]
+            ji = jet_einsum("ia,i->a", comps, _unit(x.n, i))
             return LJet(ji.conj() if conj else ji)
         return fn
 
-    return [QTensor.from_oneform(G, mk(i)) for i in range(F.n)]
+    return [QTensor.from_oneform(x.G, mk(i)) for i in range(x.n)]
 
 
-# engine/expected builders
-
-def _eng_z_z(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _star_comm_grid(G, pt, _z_fields(G, F), _z_fields(G, F))
+_zbars, _wbars, _dzbars, _dwbars = (partial(f, conj=True) for f in (_zs, _ws, _dzs, _dws))
 
 
-def _exp_zero_nn(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _zero_pair((n, n))
+def _q_factor(x: _At, inverse: bool = False) -> ScalarField:
+    """q = 1 + i lam t^-2 (or its inverse) as a graded scalar field."""
+    sgn = -1.0 if inverse else 1.0
+
+    def fn(pt):
+        t2 = x.F.t2_jet(pt)
+        return LJet(Jet.const(x.d, 1.0, 3), t2.reciprocal().scale(sgn * 1j))
+
+    return ScalarField(x.G.chart, fn)
 
 
-def _eng_z_zbar(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _star_comm_grid(G, pt, _z_fields(G, F), _z_fields(G, F, conj=True))
+# engines
+
+def _star_comm(left, right, q=None):
+    """a_i . b_j - b_j . a_i, or q . (a_i . b_j) - b_j . a_i."""
+    def eng(x):
+        A, B, qf = left(x), right(x), q(x) if q else None
+
+        def cell(i, j):
+            lhs = star_product(A[i], B[j], x.G)
+            if qf:
+                lhs = star_product(qf, lhs, x.G)
+            return _vals(lhs.at(x.pt) - star_product(B[j], A[i], x.G).at(x.pt))
+        return _grid(x, 0, cell)
+    return eng
 
 
-def _exp_z_zbar(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c = np.zeros((n, n), dtype=np.complex128)
-    l = 1j / t2 * (np.eye(n) + np.einsum("i,j->ij", z, np.conjugate(z)))
-    return c, l
+def _form_comm(left, right, q=None):
+    """a_i . xi_j - xi_j . a_i, or q . (a_i . xi_j) - xi_j . a_i."""
+    def eng(x):
+        A, X, qf = left(x), right(x), q(x) if q else None
+
+        def cell(i, j):
+            lhs = module_action(A[i], X[j], "left", x.G)
+            if qf:
+                lhs = module_action(qf, lhs, "left", x.G)
+            return _vals(lhs.at(x.pt) - module_action(A[i], X[j], "right", x.G).at(x.pt))
+        return _grid(x, 1, cell)
+    return eng
 
 
-def _eng_w_w(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _star_comm_grid(G, pt, _w_fields(G, F), _w_fields(G, F))
+def _eng_dz_dz_wedge(x):
+    dz = _dzs(x)
+
+    def cell(i, j):
+        v = wedge1(dz[i], dz[j], x.G).at(x.pt)
+        return v.c.val - _wedge_of(x.F.cvec(i), x.F.cvec(j)), v.lam().val
+    return _grid(x, 2, cell)
 
 
-def _eng_w_wbar(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _star_comm_grid(G, pt, _w_fields(G, F), _w_fields(G, F, conj=True))
+def _anticomm(qinv: bool):
+    """dz^i ^ dzbar^j + dzbar^j ^ dz^i, the first term times q^-1 if qinv."""
+    def eng(x):
+        dz, dzb = _dzs(x), _dzbars(x)
+
+        def cell(i, j):
+            w1 = wedge1(dz[i], dzb[j], x.G).at(x.pt)
+            w2 = wedge1(dzb[j], dz[i], x.G).at(x.pt)
+            if qinv:    # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
+                w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2))
+            return _vals(w1 + w2)
+        return _grid(x, 2, cell)
+    return eng
 
 
-def _exp_w_wbar(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return np.zeros((n, n), dtype=np.complex128), 1j * np.eye(n, dtype=np.complex128)
+def _nablaq_dz(sgn: int):
+    def eng(x):
+        dz = _dzs(x, conj=sgn < 0)
+        return _grid(x, 2, lambda i: _vals(nabla_Q(dz[i], x.G).at(x.pt)), dims=1)
+    return eng
 
 
-def _eng_z_dz(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _form_comm_grid(G, pt, _z_fields(G, F), _dz_forms(G, F))
-
-
-def _eng_zbar_dzbar(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _form_comm_grid(G, pt, _z_fields(G, F, conj=True), _dz_forms(G, F, conj=True))
-
-
-def _exp_zero_nnd(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _zero_pair((n, n, G.dim))
-
-
-def _eng_z_dzbar(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _form_comm_grid(G, pt, _z_fields(G, F), _dz_forms(G, F, conj=True))
-
-
-def _exp_z_dzbar(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim))
-    for i in range(n):
-        for j in range(n):
-            delta = 1.0 if i == j else 0.0
-            l[i, j] = 1j / t2 * ((delta + z[i] * np.conjugate(z[j])) * taub
-                                 + z[i] * np.conjugate(F.cvec(j)))
-    return c, l
-
-
-def _eng_zbar_dz(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _form_comm_grid(G, pt, _z_fields(G, F, conj=True), _dz_forms(G, F))
-
-
-def _exp_zbar_dz(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim))
-    for i in range(n):
-        for j in range(n):
-            delta = 1.0 if i == j else 0.0
-            l[i, j] = -1j / t2 * ((delta + np.conjugate(z[i]) * z[j]) * tau
-                                  + np.conjugate(z[i]) * F.cvec(j))
-    return c, l
-
+# expected values
 
 def _wedge_of(u, v):
     return np.einsum("a,b->ab", u, v) - np.einsum("a,b->ab", v, u)
 
 
-def _eng_dz_dz_wedge(G, pt):
-    from .semiquant import wedge1
-    F, n, *_ = _ctx(G, pt)
-    d = G.dim
-    c = np.zeros((n, n, d, d), dtype=np.complex128)
-    l = np.zeros((n, n, d, d), dtype=np.complex128)
-    forms = _dz_forms(G, F)
-    for i in range(n):
-        for j in range(n):
-            v = wedge1(forms[i], forms[j], G).at(pt)
-            c[i, j] = v.c.val - _wedge_of(F.cvec(i), F.cvec(j))
-            l[i, j] = v.lam().val
-    return c, l
-
-
-def _exp_zero_nndd(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _zero_pair((n, n, G.dim, G.dim))
-
-
-def _anticomm_bracket(F, n, z, t2, tau, taub, i, j):
+def _anticomm_bracket(x: _At, i: int, j: int):
     """The shared two-form bracket in the wedge anticommutator displays."""
-    d = 2 * n
-    delta = 1.0 if i == j else 0.0
-    dzk = np.zeros((d, d), dtype=np.complex128)
-    for k in range(n):
+    F, z = x.F, x.z
+    dzk = np.zeros((x.d, x.d), dtype=np.complex128)
+    for k in range(x.n):
         dzk += _wedge_of(F.cvec(k), np.conjugate(F.cvec(k)))
     ci, cbj = F.cvec(i), np.conjugate(F.cvec(j))
-    return ((delta + z[i] * np.conjugate(z[j])) * t2 * dzk
-            + _wedge_of(tau, z[i] * cbj) + _wedge_of(np.conjugate(z[j]) * ci, taub))
+    return ((float(i == j) + z[i] * np.conjugate(z[j])) * x.t2 * dzk
+            + _wedge_of(x.tau, z[i] * cbj) + _wedge_of(np.conjugate(z[j]) * ci, x.taub))
 
 
-def _eng_dz_dzbar_anticomm(G, pt):
-    from .semiquant import wedge1
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    d = G.dim
-    c = np.zeros((n, n, d, d), dtype=np.complex128)
-    l = np.zeros((n, n, d, d), dtype=np.complex128)
-    dzs, dzbs = _dz_forms(G, F), _dz_forms(G, F, conj=True)
-    for i in range(n):
-        for j in range(n):
-            v = (wedge1(dzs[i], dzbs[j], G) + wedge1(dzbs[j], dzs[i], G)).at(pt)
-            c[i, j] = v.c.val
-            l[i, j] = v.lam().val
-    return c, l
+def _exp_z_zbar(x):
+    n, z = x.n, x.z
+    return (np.zeros((n, n), dtype=np.complex128),
+            1j / x.t2 * (np.eye(n) + np.einsum("i,j->ij", z, np.conjugate(z))))
 
 
-def _exp_dz_dzbar_anticomm(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim, G.dim))
-    for i in range(n):
-        for j in range(n):
-            l[i, j] = 1j / t2 * (_anticomm_bracket(F, n, z, t2, tau, taub, i, j)
-                                 + _wedge_of(F.cvec(i), np.conjugate(F.cvec(j))))
-    return c, l
+def _exp_w_wbar(x):
+    return np.zeros((x.n, x.n), dtype=np.complex128), 1j * np.eye(x.n, dtype=np.complex128)
 
 
-def _q_factor_fields(G, F, inverse=False):
-    """q = 1 + i lam t^-2 (or its inverse) as a graded scalar field."""
-    from .geometry import ScalarField
-    sgn = -1.0 if inverse else 1.0
-
-    def fn(pt):
-        t2 = F.t2_jet(pt)
-        return LJet(Jet.const(G.dim, 1.0, 3), t2.reciprocal().scale(sgn * 1j))
-
-    return ScalarField(G.chart, fn, graded=True)
-
-
-def _eng_q_comm_scalar(G, pt):
-    from .semiquant import star_product
-    F, n, *_ = _ctx(G, pt)
-    q = _q_factor_fields(G, F)
-    c = np.zeros((n, n), dtype=np.complex128)
-    l = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            zbi, zj = F.z_field(i, conj=True), F.z_field(j)
-            v = star_product(q, star_product(zbi, zj, G), G).at(pt) - \
-                star_product(zj, zbi, G).at(pt)
-            c[i, j] = complex(v.c.value)
-            l[i, j] = complex(v.lam().value)
-    return c, l
-
-
-def _exp_q_comm_scalar(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
+def _exp_q_comm_scalar(x):
     # (lam t^-2 / i) delta_ij
-    return np.zeros((n, n), dtype=np.complex128), -1j / t2 * np.eye(n)
+    return np.zeros((x.n, x.n), dtype=np.complex128), -1j / x.t2 * np.eye(x.n)
 
 
-def _scalar_left_on_form(G, a, xi):
-    from .semiquant import module_action
-    return module_action(a, xi, "left", G)
+def _exp_z_dzbar(x, i, j):
+    z = x.z
+    return 1j / x.t2 * ((float(i == j) + z[i] * np.conjugate(z[j])) * x.taub
+                        + z[i] * np.conjugate(x.F.cvec(j)))
 
 
-def _eng_q_comm_form(G, pt):
-    from .semiquant import module_action
-    F, n, *_ = _ctx(G, pt)
-    q = _q_factor_fields(G, F)
-    d = G.dim
-    c = np.zeros((n, n, d), dtype=np.complex128)
-    l = np.zeros((n, n, d), dtype=np.complex128)
-    dzs = _dz_forms(G, F)
-    for i in range(n):
-        for j in range(n):
-            zbi = F.z_field(i, conj=True)
-            lhs = _scalar_left_on_form(G, q, _scalar_left_on_form(G, zbi, dzs[j]))
-            rhs = module_action(zbi, dzs[j], "right", G)
-            v = lhs.at(pt) - rhs.at(pt)
-            c[i, j] = v.c.val
-            l[i, j] = v.lam().val
-    return c, l
+def _exp_zbar_dz(x, i, j):
+    z = x.z
+    return -1j / x.t2 * ((float(i == j) + np.conjugate(z[i]) * z[j]) * x.tau
+                         + np.conjugate(z[i]) * x.F.cvec(j))
 
 
-def _exp_q_comm_form(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim))
-    for i in range(n):
-        for j in range(n):
-            delta = 1.0 if i == j else 0.0
-            l[i, j] = -1j / t2 * (delta + np.conjugate(z[i]) * z[j]) * tau
-    return c, l
+def _exp_dz_dzbar_anticomm(x, i, j):
+    return 1j / x.t2 * (_anticomm_bracket(x, i, j)
+                        + _wedge_of(x.F.cvec(i), np.conjugate(x.F.cvec(j))))
 
 
-def _eng_qinv_comm_form(G, pt):
-    from .semiquant import module_action
-    F, n, *_ = _ctx(G, pt)
-    qi = _q_factor_fields(G, F, inverse=True)
-    d = G.dim
-    c = np.zeros((n, n, d), dtype=np.complex128)
-    l = np.zeros((n, n, d), dtype=np.complex128)
-    dzbs = _dz_forms(G, F, conj=True)
-    for i in range(n):
-        for j in range(n):
-            zi = F.z_field(i)
-            lhs = _scalar_left_on_form(G, qi, _scalar_left_on_form(G, zi, dzbs[j]))
-            rhs = module_action(zi, dzbs[j], "right", G)
-            v = lhs.at(pt) - rhs.at(pt)
-            c[i, j] = v.c.val
-            l[i, j] = v.lam().val
-    return c, l
+def _exp_q_comm_form(x, i, j):
+    return -1j / x.t2 * (float(i == j) + np.conjugate(x.z[i]) * x.z[j]) * x.tau
 
 
-def _exp_qinv_comm_form(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim))
-    for i in range(n):
-        for j in range(n):
-            delta = 1.0 if i == j else 0.0
-            l[i, j] = 1j / t2 * (delta + z[i] * np.conjugate(z[j])) * taub
-    return c, l
+def _exp_qinv_comm_form(x, i, j):
+    return 1j / x.t2 * (float(i == j) + x.z[i] * np.conjugate(x.z[j])) * x.taub
 
 
-def _eng_qinv_wedge_anticomm(G, pt):
-    from .semiquant import wedge1
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    d = G.dim
-    c = np.zeros((n, n, d, d), dtype=np.complex128)
-    l = np.zeros((n, n, d, d), dtype=np.complex128)
-    dzs, dzbs = _dz_forms(G, F), _dz_forms(G, F, conj=True)
-    for i in range(n):
-        for j in range(n):
-            w1 = wedge1(dzs[i], dzbs[j], G).at(pt)
-            w2 = wedge1(dzbs[j], dzs[i], G).at(pt)
-            # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
-            qc = w1.c
-            ql = w1.lam() - w1.c.scale(1j / t2)
-            v_c = qc + w2.c
-            v_l = ql + w2.lam()
-            c[i, j] = v_c.val
-            l[i, j] = v_l.val
-    return c, l
+def _exp_qinv_wedge_anticomm(x, i, j):
+    return 1j / x.t2 * _anticomm_bracket(x, i, j)
 
 
-def _exp_qinv_wedge_anticomm(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim, G.dim))
-    for i in range(n):
-        for j in range(n):
-            l[i, j] = 1j / t2 * _anticomm_bracket(F, n, z, t2, tau, taub, i, j)
-    return c, l
+def _exp_w_dwbar(x, i, j):
+    w, dw = x.w, x.dw
+    wb, dwb = np.conjugate(w), np.conjugate(dw)
+    return 0.5j * ((2 * float(i == j) + w[i] * wb[j] * (1.0 / x.t2 - 2.0))
+                   * (x.taub - x.tau) / 2.0
+                   + w[i] * dwb[j] - wb[j] * dw[i])
 
 
-def _eng_w_dwbar(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _form_comm_grid(G, pt, _w_fields(G, F), _dw_forms(G, F, conj=True))
+def _exp_w_dw(x, i, j):
+    w, dw, tau, taub = x.w, x.dw, x.tau, x.taub
+    return -0.5j * (w[i] * w[j] * (2 * taub + (taub - tau) / (2 * x.t2))
+                    + w[i] * dw[j] + w[j] * dw[i])
 
 
-def _exp_w_dwbar(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim))
-    w = F.w_jets(pt).val
-    wb = np.conjugate(w)
-    dw = F.w_jets(pt).grad().val              # [i, a]
-    dwb = np.conjugate(dw)
-    for i in range(n):
-        for j in range(n):
-            delta = 1.0 if i == j else 0.0
-            l[i, j] = 0.5j * ((2 * delta + w[i] * wb[j] * (1.0 / t2 - 2.0))
-                              * (taub - tau) / 2.0
-                              + w[i] * dwb[j] - wb[j] * dw[i])
-    return c, l
-
-
-def _eng_w_dw(G, pt):
-    F, n, *_ = _ctx(G, pt)
-    return _form_comm_grid(G, pt, _w_fields(G, F), _dw_forms(G, F))
-
-
-def _exp_w_dw(G, pt):
-    F, n, z, t2, tau, taub = _ctx(G, pt)
-    c, l = _zero_pair((n, n, G.dim))
-    w = F.w_jets(pt).val
-    dw = F.w_jets(pt).grad().val
-    for i in range(n):
-        for j in range(n):
-            l[i, j] = -0.5j * (w[i] * w[j] * (2 * taub + (taub - tau) / (2 * t2))
-                               + w[i] * dw[j] + w[j] * dw[i])
-    return c, l
-
-
-def _eng_g1(G, pt):
-    from .semiquant import g1_build
-    v = g1_build(G).at(pt)
-    return v.c.val, v.lam().val
-
-
-def _exp_g1(G, pt):
+def _exp_g1(x):
     """The corrected complex-frame display of the wedge-killing quantum metric.
 
     The correction term is -(lam/2)(n+1) i (gammabar - gamma) in deformed
     tensor-product form; the sign is the one that annihilates the deformed
     wedge, consistent with the commutation-relation closed forms.
     """
-    from .semiquant import QTensor, otimes1
-    F, n, z, t2, tau, taub = _ctx(G, pt)
+    G, F, n, pt = x.G, x.F, x.n, x.pt
 
     def hermitian_row(jj):
         def fn(p):
@@ -820,73 +622,70 @@ def _exp_g1(G, pt):
     return v.c.val, v.lam().val + 0.5 * (n + 1) * 1j * (gam_ - gamb)
 
 
-def _eng_nablaq_dz(G, pt, sgn):
-    from .semiquant import QTensor, nabla_Q
-    F, n, *_ = _ctx(G, pt)
-    d = G.dim
-    c = np.zeros((n, d, d), dtype=np.complex128)
-    l = np.zeros((n, d, d), dtype=np.complex128)
-    for i in range(n):
-        cv = F.cvec(i) if sgn > 0 else np.conjugate(F.cvec(i))
-        v = nabla_Q(QTensor.constant_oneform(G, cv), G).at(pt)
-        c[i] = v.c.val
-        l[i] = v.lam().val
-    return c, l
+def _exp_nablaq_dz(sgn: int):
+    def exp(x):
+        tau = QTensor.from_oneform(
+            x.G, lambda p: LJet(x.F.tau_jet(p).conj() if sgn < 0 else x.F.tau_jet(p)))
+        dz = _dzs(x, conj=sgn < 0)
+        return _grid(x, 2, lambda i: _vals((otimes1(tau, dz[i]) + otimes1(dz[i], tau)).scale(
+            LambdaScalar(1, sgn * 1j)).at(x.pt)), dims=1)
+    return exp
 
 
-def _exp_nablaq_dz(G, pt, sgn):
-    from .semiquant import QTensor, otimes1
-    from .lambda_core import LambdaScalar
-    F, n, *_ = _ctx(G, pt)
-    d = G.dim
-    c = np.zeros((n, d, d), dtype=np.complex128)
-    l = np.zeros((n, d, d), dtype=np.complex128)
-    tau_f = QTensor.from_oneform(
-        G, lambda p: LJet(F.tau_jet(p).conj() if sgn < 0 else F.tau_jet(p)))
-    for i in range(n):
-        cv = F.cvec(i) if sgn > 0 else np.conjugate(F.cvec(i))
-        dzi = QTensor.constant_oneform(G, cv)
-        v = (otimes1(tau_f, dzi) + otimes1(dzi, tau_f)).scale(
-            LambdaScalar(1, sgn * 1j)).at(pt)
-        c[i] = v.c.val
-        l[i] = v.lam().val
-    return c, l
+class _Catalogue:
+    """Closed-form checks on the projective-space chart, by name."""
+
+    def __init__(self, entries: dict, aliases: dict):
+        self.entries = entries
+        self.aliases = aliases
+
+    def resolve(self, name: str) -> str:
+        if name in self.entries:
+            return name
+        if name in self.aliases:
+            return self.aliases[name]
+        raise UnknownCheckError(f"unknown catalogue check {name!r}")
+
+    def names(self):
+        return sorted(self.entries)
 
 
-CATALOGUE.register("z-z-comm", _eng_z_z, _exp_zero_nn)
-CATALOGUE.register("z-zbar-comm", _eng_z_zbar, _exp_z_zbar, alias="z-comm")
-CATALOGUE.register("z-dz-comm", _eng_z_dz, _exp_zero_nnd)
-CATALOGUE.register("zbar-dzbar-comm", _eng_zbar_dzbar, _exp_zero_nnd)
-CATALOGUE.register("z-dzbar-comm", _eng_z_dzbar, _exp_z_dzbar)
-CATALOGUE.register("zbar-dz-comm", _eng_zbar_dz, _exp_zbar_dz)
-CATALOGUE.register("dz-dz-wedge", _eng_dz_dz_wedge, _exp_zero_nndd)
-CATALOGUE.register("dz-dzbar-anticomm", _eng_dz_dzbar_anticomm, _exp_dz_dzbar_anticomm)
-CATALOGUE.register("q-comm-scalar", _eng_q_comm_scalar, _exp_q_comm_scalar)
-CATALOGUE.register("q-comm-form", _eng_q_comm_form, _exp_q_comm_form)
-CATALOGUE.register("qinv-comm-form", _eng_qinv_comm_form, _exp_qinv_comm_form)
-CATALOGUE.register("qinv-wedge-anticomm", _eng_qinv_wedge_anticomm, _exp_qinv_wedge_anticomm)
-CATALOGUE.register("w-w-comm", _eng_w_w, _exp_zero_nn)
-CATALOGUE.register("w-wbar-comm", _eng_w_wbar, _exp_w_wbar, alias="w-comm")
-CATALOGUE.register("w-dwbar-comm", _eng_w_dwbar, _exp_w_dwbar)
-CATALOGUE.register("w-dw-comm", _eng_w_dw, _exp_w_dw)
-CATALOGUE.register("g1", _eng_g1, _exp_g1)
-CATALOGUE.register("nablaQ-dz+", lambda G, p: _eng_nablaq_dz(G, p, +1),
-                   lambda G, p: _exp_nablaq_dz(G, p, +1))
-CATALOGUE.register("nablaQ-dz-", lambda G, p: _eng_nablaq_dz(G, p, -1),
-                   lambda G, p: _exp_nablaq_dz(G, p, -1))
+CATALOGUE = _Catalogue({
+    "z-z-comm": (_star_comm(_zs, _zs), _zero(0)),
+    "z-zbar-comm": (_star_comm(_zs, _zbars), _exp_z_zbar),
+    "z-dz-comm": (_form_comm(_zs, _dzs), _zero(1)),
+    "zbar-dzbar-comm": (_form_comm(_zbars, _dzbars), _zero(1)),
+    "z-dzbar-comm": (_form_comm(_zs, _dzbars), _lam_cells(1, _exp_z_dzbar)),
+    "zbar-dz-comm": (_form_comm(_zbars, _dzs), _lam_cells(1, _exp_zbar_dz)),
+    "dz-dz-wedge": (_eng_dz_dz_wedge, _zero(2)),
+    "dz-dzbar-anticomm": (_anticomm(False), _lam_cells(2, _exp_dz_dzbar_anticomm)),
+    "q-comm-scalar": (_star_comm(_zbars, _zs, _q_factor), _exp_q_comm_scalar),
+    "q-comm-form": (_form_comm(_zbars, _dzs, _q_factor), _lam_cells(1, _exp_q_comm_form)),
+    "qinv-comm-form": (_form_comm(_zs, _dzbars, partial(_q_factor, inverse=True)),
+                       _lam_cells(1, _exp_qinv_comm_form)),
+    "qinv-wedge-anticomm": (_anticomm(True), _lam_cells(2, _exp_qinv_wedge_anticomm)),
+    "w-w-comm": (_star_comm(_ws, _ws), _zero(0)),
+    "w-wbar-comm": (_star_comm(_ws, _wbars), _exp_w_wbar),
+    "w-dwbar-comm": (_form_comm(_ws, _dwbars), _lam_cells(1, _exp_w_dwbar)),
+    "w-dw-comm": (_form_comm(_ws, _dws), _lam_cells(1, _exp_w_dw)),
+    "g1": (lambda x: _vals(g1_build(x.G).at(x.pt)), _exp_g1),
+    "nablaQ-dz+": (_nablaq_dz(+1), _exp_nablaq_dz(+1)),
+    "nablaQ-dz-": (_nablaq_dz(-1), _exp_nablaq_dz(-1)),
+}, aliases={"z-comm": "z-zbar-comm", "w-comm": "w-wbar-comm"})
 
 
 def cpn_expected(G: GeometryData, check_id: str, point):
     """Closed-form expected value (classical, first-order arrays) for a
     registered catalogue check at a point."""
     name = CATALOGUE.resolve(check_id)
-    return CATALOGUE.entries[name][1](G, tuple(point))
+    return CATALOGUE.entries[name][1](_At(G, tuple(point)))
 
 
 def cpn_catalogue_residual(G: GeometryData, check_id: str, point) -> tuple:
     """(classical, first-order) max-abs residual of a catalogue check."""
     name = CATALOGUE.resolve(check_id)
     eng, exp = CATALOGUE.entries[name]
-    ec, el = eng(G, tuple(point))
-    xc, xl = exp(G, tuple(point))
+    x = _At(G, tuple(point))
+    ec, el = eng(x)
+    xc, xl = exp(x)
     return (float(np.max(np.abs(ec - xc))), float(np.max(np.abs(el - xl))))

@@ -29,6 +29,9 @@ from .lambda_core import Jet, LJet, jet_einsum
 
 _LETTERS = "abcdefghijklmnopqrs"
 
+# the suites that apply to any chart; built-in geometries may name others
+GENERIC_SUITES = ("classical-compat", "dga", "metric", "evolution")
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -52,17 +55,12 @@ class Chart:
 class ScalarField:
     """Chart-wide scalar with a lam-graded jet provider."""
 
-    def __init__(self, chart: Chart, fn: Callable[[tuple], LJet], graded: bool = False):
+    def __init__(self, chart: Chart, fn: Callable[[tuple], LJet]):
         self.chart = chart
         self.fn = fn
-        self.graded = graded
 
     def at(self, point) -> LJet:
         return self.fn(tuple(point))
-
-    def value(self, point) -> tuple[complex, complex]:
-        c, l = self.at(point).values()
-        return complex(c), complex(l)
 
     @classmethod
     def from_expr(cls, chart: Chart, text: str, order: int = 3) -> "ScalarField":
@@ -77,10 +75,6 @@ class ScalarField:
     def coordinate(cls, chart: Chart, k: int, order: int = 3) -> "ScalarField":
         return cls(chart, lambda p: LJet(Jet.coordinate(chart.dim, p, k, order)))
 
-    @classmethod
-    def from_jet_fn(cls, chart: Chart, jet_fn: Callable[[tuple], Jet]) -> "ScalarField":
-        return cls(chart, lambda p: LJet(jet_fn(p)))
-
 
 class TensorField:
     """Tensor field with p contravariant and q covariant slots.
@@ -90,23 +84,15 @@ class TensorField:
     """
 
     def __init__(self, chart: Chart, p: int, q: int,
-                 fn: Callable[[tuple], LJet], form: bool = False, graded: bool = False):
+                 fn: Callable[[tuple], LJet], form: bool = False):
         self.chart = chart
         self.p = p
         self.q = q
         self.fn = fn
         self.form = form
-        self.graded = graded
-
-    @property
-    def rank(self) -> int:
-        return self.p + self.q
 
     def at(self, point) -> LJet:
         return self.fn(tuple(point))
-
-    def values(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self.at(point).values()
 
     @classmethod
     def from_component_exprs(cls, chart: Chart, p: int, q: int, comps,
@@ -120,7 +106,6 @@ class TensorField:
             trees[idx] = fieldexpr.parse(str(arr[idx]), chart.dim)
 
         def fn(pt):
-            levels = None
             out = np.empty(arr.shape, dtype=object)
             for idx in np.ndindex(arr.shape):
                 out[idx] = fieldexpr.eval_jet(trees[idx], pt, chart.dim, order)
@@ -129,18 +114,6 @@ class TensorField:
             return LJet(Jet(chart.dim, levels, order))
 
         return cls(chart, p, q, fn, form=form)
-
-    @classmethod
-    def from_jet_fn(cls, chart: Chart, p: int, q: int,
-                    jet_fn: Callable[[tuple], Jet], form: bool = False) -> "TensorField":
-        return cls(chart, p, q, lambda pt: LJet(jet_fn(pt)), form=form)
-
-
-class ConnectionField(TensorField):
-    """Connection coefficients as a (1,2) field, no symmetry assumed."""
-
-    def __init__(self, chart: Chart, fn: Callable[[tuple], LJet]):
-        super().__init__(chart, 1, 2, fn)
 
 
 # -- jet-level formulas --------------------------------------------------------
@@ -166,20 +139,9 @@ def torsion_jet(gam: Jet) -> Jet:
     return gam - gam.reorder("ikj->ijk")
 
 
-def contorsion_jet(torsion: Jet, g: Jet, ginv: Jet, lowering: str = "first") -> Jet:
-    """S[i,j,k] = (1/2) g^{im} (T_mjk - T_jkm - T_kjm).
-
-    ``lowering`` fixes how the contravariant torsion index is lowered when
-    forming T_mjk: "first" puts g on the first slot (T_mjk = g_mr T^r_jk),
-    which reproduces S = 0 exactly when T = 0. Kept in one place so the
-    convention can be swapped if a cross-check ever demands it.
-    """
-    if lowering == "first":
-        tl = jet_einsum("mr,rjk->mjk", g, torsion)
-    elif lowering == "last":
-        tl = jet_einsum("kr,rmj->mjk", g, torsion)
-    else:
-        raise ConfigError(f"unknown lowering convention {lowering!r}")
+def contorsion_jet(torsion: Jet, g: Jet, ginv: Jet) -> Jet:
+    """S[i,j,k] = (1/2) g^{im} (T_mjk - T_jkm - T_kjm), with T_mjk = g_mr T^r_jk."""
+    tl = jet_einsum("mr,rjk->mjk", g, torsion)
     comb = tl - tl.reorder("jkm->mjk") - tl.reorder("kjm->mjk")
     return 0.5 * jet_einsum("im,mjk->ijk", ginv, comb)
 
@@ -211,9 +173,11 @@ class GeometryData:
     gamma_fn: Optional[Callable[[tuple], Jet]] = None   # None: Levi-Civita of g
     levi_civita: bool = True
     lam: complex = 1j
-    name: str = "geometry"
-    deriv_mode: str = "analytic"
+    name: str = "geometry"          # a label for reports; nothing dispatches on it
+    tol: float = 1e-9               # default check tolerance
     default_seed: int = 0
+    suites: tuple = GENERIC_SUITES  # default suites; cpn-catalogue runs only where listed
+    parallel_cobasis: bool = False  # coordinate one-forms are parallel (flat chart)
     _frames: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -229,23 +193,6 @@ class GeometryData:
                 self._frames.clear()
             self._frames[key] = fr
         return fr
-
-    # field views for the standalone operator signatures
-    @property
-    def g_field(self) -> TensorField:
-        return TensorField.from_jet_fn(self.chart, 0, 2, self.g_fn)
-
-    @property
-    def ginv_field(self) -> TensorField:
-        return TensorField.from_jet_fn(self.chart, 2, 0, lambda p: self.frame(p).ginv)
-
-    @property
-    def omega_field(self) -> TensorField:
-        return TensorField.from_jet_fn(self.chart, 2, 0, self.omega_fn)
-
-    @property
-    def gamma_field(self) -> ConnectionField:
-        return ConnectionField(self.chart, lambda p: LJet(self.frame(p).gam))
 
     def sample_points(self, count: int, seed: int, box: Optional[float] = None) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -343,59 +290,12 @@ class PointFrame:
                       + jet_einsum("js,jabs->ab", gom, self.riemann_q))
 
 
-# -- spec operations ------------------------------------------------------------
-
-def christoffel(g: TensorField, ginv: TensorField) -> ConnectionField:
-    """Levi-Civita connection of a metric field."""
-    chart = g.chart
-
-    def fn(pt):
-        return LJet(christoffel_jet(g.at(pt).c, ginv.at(pt).c))
-
-    return ConnectionField(chart, fn)
-
-
-def curvature(gamma: ConnectionField) -> TensorField:
-    """Curvature R[c,d,a,b] of a connection field."""
-    return TensorField(gamma.chart, 1, 3,
-                       lambda pt: LJet(curvature_jet(gamma.at(pt).c)))
-
-
-def torsion_contorsion(gamma: ConnectionField, g: TensorField,
-                       lowering: str = "first") -> tuple[TensorField, TensorField]:
-    if lowering not in ("first", "last"):
-        raise ConfigError(f"unknown lowering convention {lowering!r}")
-    chart = gamma.chart
-
-    def t_fn(pt):
-        return LJet(torsion_jet(gamma.at(pt).c))
-
-    def s_fn(pt):
-        gj = g.at(pt).c
-        return LJet(contorsion_jet(torsion_jet(gamma.at(pt).c), gj, gj.matinv(), lowering))
-
-    return (TensorField(chart, 1, 2, t_fn), TensorField(chart, 1, 2, s_fn))
-
-
-def cov_deriv(x: TensorField, gamma: ConnectionField) -> TensorField:
-    """Covariant derivative; one extra covariant slot appended last."""
-
-    def fn(pt):
-        xv = x.at(pt)
-        gj = gamma.at(pt).c
-        c = cov_deriv_jet(xv.c, gj, x.p, x.q)
-        l = None if xv.l is None else cov_deriv_jet(xv.l, gj, x.p, x.q)
-        return LJet(c, l)
-
-    return TensorField(x.chart, x.p, x.q + 1, fn, graded=x.graded)
-
-
-def poisson_bracket(a: ScalarField, b: ScalarField, omega: TensorField) -> ScalarField:
+def poisson_bracket(a: ScalarField, b: ScalarField, G: GeometryData) -> ScalarField:
     """{a, b} = om^{ij} a_,i b_,j, extended bilinearly over the lam grading."""
 
     def fn(pt):
         av, bv = a.at(pt), b.at(pt)
-        om = omega.at(pt).c
+        om = G.frame(pt).om
 
         def br(x: Jet, y: Jet) -> Jet:
             return jet_einsum("i,i->", jet_einsum("ij,j->i", om, y.grad()), x.grad())
@@ -406,7 +306,7 @@ def poisson_bracket(a: ScalarField, b: ScalarField, omega: TensorField) -> Scala
             l = br(av.c, bv.lam()) + br(av.lam(), bv.c)
         return LJet(c, l)
 
-    return ScalarField(a.chart, fn, graded=a.graded or b.graded)
+    return ScalarField(a.chart, fn)
 
 
 def compat_residuals(G: GeometryData) -> tuple[TensorField, TensorField, TensorField]:
@@ -474,5 +374,5 @@ def geometry_from_config(cfg: dict) -> GeometryData:
     lam = complex(0.0, float(cfg.get("lambda_im", 1.0)))
     return GeometryData(chart, lambda p: g.at(p).c, None, lambda p: om.at(p).c,
                         gamma_fn=gamma_fn, levi_civita=levi_civita, lam=lam,
-                        name=str(cfg.get("name", "config")), deriv_mode="jets",
+                        name=str(cfg.get("name", "config")), tol=1e-6,
                         default_seed=int(cfg.get("seed", 0)))

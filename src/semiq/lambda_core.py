@@ -35,22 +35,6 @@ class LambdaScalar:
     a0: complex = 0j
     a1: complex = 0j
 
-    @property
-    def re0(self) -> float:
-        return self.a0.real
-
-    @property
-    def im0(self) -> float:
-        return self.a0.imag
-
-    @property
-    def re1(self) -> float:
-        return self.a1.real
-
-    @property
-    def im1(self) -> float:
-        return self.a1.imag
-
     @staticmethod
     def coerce(x) -> "LambdaScalar":
         if isinstance(x, LambdaScalar):
@@ -102,30 +86,6 @@ class LambdaScalar:
 
 
 LAMBDA = LambdaScalar(0j, 1 + 0j)
-
-
-def lambda_arith(a: LambdaScalar, b: Optional[LambdaScalar], op: str) -> LambdaScalar:
-    """Ring operation dispatcher: op in {add, mul, div, conj}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "conj":
-        return a.conj()
-    raise ValueError(f"unknown LambdaScalar op {op!r}")
-
-
-def _as_levels(dim: int, shape: tuple, order: int, arrays) -> tuple:
-    out = []
-    for k, arr in enumerate(arrays):
-        want = shape + (dim,) * k
-        a = np.asarray(arr, dtype=np.complex128)
-        if a.shape != want:
-            a = np.broadcast_to(a, want).astype(np.complex128)
-        out.append(a)
-    return tuple(out)
 
 
 class Jet:
@@ -463,17 +423,6 @@ def jet_apply(name: str, u: Jet) -> Jet:
     except KeyError:
         raise JetDomainError(f"unknown unary function {name!r}")
     return u.compose(table(u.value))
-
-
-def jet_arith(a: Jet, b: Optional[Jet], op: str, func: Optional[str] = None) -> Jet:
-    """Jet operation dispatcher: op in {add, mul, compose}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "compose":
-        return jet_apply(func, a)
-    raise ValueError(f"unknown jet op {op!r}")
 
 
 class LJet(NamedTuple):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .geometry import GeometryData, PointFrame, ScalarField, TensorField, cov_deriv_jet
-from .lambda_core import Jet, LJet, LambdaScalar, jet_einsum
+from .lambda_core import Jet, LJet, jet_einsum
 
 _L = "abcdefghmnopqrs"
 
@@ -116,9 +116,6 @@ class QTensor:
     def at(self, point) -> LJet:
         return self.fn(tuple(point))
 
-    def values(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self.at(point).values()
-
     def __add__(self, other: "QTensor") -> "QTensor":
         if (self.rank, self.form, self.basis) != (other.rank, other.form, other.basis):
             raise ValueError("mismatched quantum tensors")
@@ -148,8 +145,14 @@ class QTensor:
         return cls(G, 1, fn)
 
     @classmethod
-    def from_oneform_field(cls, G: GeometryData, tf: TensorField) -> "QTensor":
-        return cls.from_oneform(G, tf.at)
+    def differential(cls, G: GeometryData, a: ScalarField) -> "QTensor":
+        """The exact one-form da of a lam-graded scalar field."""
+
+        def comps(pt):
+            v = a.at(pt)
+            return LJet(v.c.grad(), None if v.l is None else v.l.grad())
+
+        return cls.from_oneform(G, comps)
 
     @classmethod
     def constant_oneform(cls, G: GeometryData, coeffs) -> "QTensor":
@@ -157,23 +160,11 @@ class QTensor:
         arr = np.asarray(coeffs, dtype=np.complex128)
         return cls(G, 1, lambda pt: LJet(Jet.const(G.dim, arr, 3)))
 
-    @classmethod
-    def from_form(cls, G: GeometryData, comp_fn: Callable[[tuple], LJet],
-                  degree: int) -> "QTensor":
-        """Quantum p-form from classical antisymmetric components per grade."""
-        return cls(G, degree, lambda pt: comp_fn(tuple(pt)), form=True)
-
     def to_classical(self) -> "QTensor":
         """Rank-1 normal form back to classical components."""
         if self.rank != 1 or self.form:
             raise ValueError("to_classical applies to rank-1 tensor-basis elements")
-
-        def fn(pt):
-            v = self.at(pt)
-            corr = _collect_correction(v.c, self.G.frame(pt))
-            return LJet(v.c, (v.lam() - corr))
-
-        return QTensor(self.G, 1, fn, basis="q0")
+        return QTensor(self.G, 1, lambda pt: _oneform_model(self, pt), basis="q0")
 
 
 def _oneform_model(xi: QTensor, pt) -> LJet:
@@ -195,7 +186,17 @@ def star_product(a: ScalarField, b: ScalarField, G: GeometryData) -> ScalarField
     def fn(pt):
         return _fstar(",->", a.at(pt), b.at(pt), G.frame(pt).om)
 
-    return ScalarField(G.chart, fn, graded=True)
+    return ScalarField(G.chart, fn)
+
+
+def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
+    """A (x) B for normal-form coefficients A[ia], B[ib], with B's
+    coefficients collected to the left across A's slots."""
+    base = _fstar(f"{ia},{ib}->{ia}{ib}", A, B, f.om)
+    slot = _slot_gamma(A.c, f)
+    mov = jet_einsum(f"{ib}i,it->{ib}t", B.c.grad(), f.om)
+    corr = jet_einsum(f"{ia}t,{ib}t->{ia}{ib}", slot, mov)
+    return LJet(base.c, base.lam() + corr)
 
 
 def module_action(a: ScalarField, xi: QTensor, side: str, G: GeometryData) -> QTensor:
@@ -209,13 +210,7 @@ def module_action(a: ScalarField, xi: QTensor, side: str, G: GeometryData) -> QT
             return _fstar(f",{idx}->{idx}", a.at(pt), xi.at(pt), G.frame(pt).om)
     elif side == "right":
         def fn(pt):
-            f = G.frame(pt)
-            av, xv = a.at(pt), xi.at(pt)
-            base = _fstar(f"{idx},->{idx}", xv, av, f.om)
-            slot = _slot_gamma(xv.c, f)
-            mov = jet_einsum("i,it->t", av.c.grad(), f.om)
-            corr = jet_einsum(f"{idx}t,t->{idx}", slot, mov)
-            return LJet(base.c, base.lam() + corr)
+            return _right_collect(xi.at(pt), a.at(pt), G.frame(pt), idx, "")
     else:
         raise ValueError("side must be 'left' or 'right'")
 
@@ -230,14 +225,7 @@ def otimes1(X: QTensor, Y: QTensor) -> QTensor:
     ia, ib = _L[: X.rank], _L[X.rank: X.rank + Y.rank]
 
     def fn(pt):
-        f = G.frame(pt)
-        A, B = X.at(pt), Y.at(pt)
-        base = _fstar(f"{ia},{ib}->{ia}{ib}", A, B, f.om)
-        # moving B's coefficients across X's slots
-        slot = _slot_gamma(A.c, f)
-        mov = jet_einsum(f"{ib}i,it->{ib}t", B.c.grad(), f.om)
-        corr = jet_einsum(f"{ia}t,{ib}t->{ia}{ib}", slot, mov)
-        return LJet(base.c, base.lam() + corr)
+        return _right_collect(X.at(pt), Y.at(pt), G.frame(pt), ia, ib)
 
     return QTensor(G, X.rank + Y.rank, fn)
 
@@ -279,26 +267,6 @@ def _perm_sign(perm) -> int:
         if ln % 2 == 0:
             sgn = -sgn
     return sgn
-
-
-class HFamily:
-    """The dim^2 two-forms controlling the deformed wedge correction."""
-
-    def __init__(self, G: GeometryData):
-        self.G = G
-
-    def array(self, point) -> Jet:
-        """H[i,j,a,b] components at a point."""
-        return self.G.frame(point).h_fam
-
-    def form(self, i: int, j: int) -> TensorField:
-        return TensorField.from_jet_fn(
-            self.G.chart, 0, 2,
-            lambda pt: self.G.frame(pt).h_fam.take_index((i, j)), form=True)
-
-
-def h_family(G: GeometryData) -> HFamily:
-    return HFamily(G)
 
 
 def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTensor:
@@ -547,25 +515,11 @@ def nabla_Q(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
 
 
 def sigma_Q(a: ScalarField, xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
-    """Generalized braiding applied to da (x) xi, by its defining difference."""
+    """Generalized braiding applied to da (x) xi, by its defining difference
+    nabla_Q(xi . a) - (nabla_Q xi) . a."""
     G = G or xi.G
-    right = module_action(a, xi, "right", G)
-    term1 = nabla_Q(right, G)
-    term2_body = nabla_Q(xi, G)
-
-    def fn(pt):
-        f = G.frame(pt)
-        av = a.at(pt)
-        t1 = term1.at(pt)
-        nx = term2_body.at(pt)
-        base = _fstar("mn,->mn", nx, av, f.om)
-        slot = _slot_gamma(nx.c, f)
-        mov = jet_einsum("i,it->t", av.c.grad(), f.om)
-        corr = jet_einsum("mnt,t->mn", slot, mov)
-        t2 = LJet(base.c, base.lam() + corr)
-        return t1 - t2
-
-    return QTensor(G, 2, fn)
+    return (nabla_Q(module_action(a, xi, "right", G), G)
+            - module_action(a, nabla_Q(xi, G), "right", G))
 
 
 def quantum_torsion(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:

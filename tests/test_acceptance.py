@@ -26,7 +26,7 @@ from semiq.geometries import (CATALOGUE, _cpn_gamma, _cpn_omega_lower, _cpn_riem
                               cpn_catalogue_residual, make_cpn, make_flat,
                               make_flat_torsion)
 from semiq.lambda_core import Jet, LJet
-from semiq.semiquant import (QTensor, g1_build, g_q_build, gen_ricci, h_family,
+from semiq.semiquant import (QTensor, g1_build, g_q_build, gen_ricci,
                              module_action, nabla_Q, nq_basis, qlc_residual,
                              star_product, wedge1_map)
 from semiq.suites import random_poly_field

@@ -30,7 +30,7 @@ class TestHamVf:
         for _ in range(10):
             a = random_poly_field(cpn1.chart, rng)
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
-            adot = poisson_bracket(a, H, cpn1.omega_field).at(pt).c.value
+            adot = poisson_bracket(a, H, cpn1).at(pt).c.value
             v = vf.at(pt).c.val
             da = a.at(pt).c.grad().val
             assert abs(adot - np.dot(v, da)) < 1e-10

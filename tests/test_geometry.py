@@ -4,8 +4,8 @@ import pytest
 from conftest import maxabs, sample
 from semiq.errors import DegenerateMetricError
 from semiq.geometry import (Chart, GeometryData, ScalarField, TensorField,
-                            christoffel, compat_residuals, cov_deriv, curvature,
-                            poisson_bracket, torsion_contorsion)
+                            christoffel_jet, compat_residuals, cov_deriv_jet,
+                            poisson_bracket, torsion_jet)
 from semiq.geometries import _cpn_gamma, _cpn_riemann, make_cpn
 from semiq.lambda_core import Jet, LJet, jet_einsum
 
@@ -33,8 +33,8 @@ def synthetic_torsion_geometry(entries):
 
 class TestChristoffel:
     def test_euclidean_vanishes(self, flat2):
-        gam = christoffel(flat2.g_field, flat2.ginv_field)
-        assert maxabs(gam.at((0.3, -0.2, 0.1, 0.9)).c.val) == 0.0
+        f = flat2.frame((0.3, -0.2, 0.1, 0.9))
+        assert maxabs(christoffel_jet(f.g, f.ginv).val) == 0.0
 
     def test_conformal_metric_hand_values(self):
         # g = exp(2 x1) * identity in two dimensions, evaluated at x1 = 0
@@ -43,23 +43,24 @@ class TestChristoffel:
                                              [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
         ginv = TensorField.from_component_exprs(chart, 0, 2,
                                                 [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
-        gam = christoffel(g, ginv).at((0.0, 0.7)).c.val
+        pt = (0.0, 0.7)
+        gam = christoffel_jet(g.at(pt).c, ginv.at(pt).c).val
         assert gam[0, 0, 0] == pytest.approx(1.0)
         assert gam[0, 1, 1] == pytest.approx(-1.0)
         assert gam[1, 0, 1] == pytest.approx(1.0)
         assert gam[1, 1, 0] == pytest.approx(1.0)
 
     def test_cpn_matches_closed_form(self, cpn1):
-        gam = christoffel(cpn1.g_field, cpn1.ginv_field)
         for pt in [(0.3, 0.1)] + sample(cpn1, 10, 2):
-            got = gam.at(pt).c.val
+            f = cpn1.frame(pt)
+            got = christoffel_jet(f.g, f.ginv).val
             want = _cpn_gamma(1, pt).val
             assert maxabs(got - want) < 1e-10
 
     def test_symmetric_lower_indices(self, cpn2):
-        gam = christoffel(cpn2.g_field, cpn2.ginv_field)
         for pt in sample(cpn2, 5, 3):
-            v = gam.at(pt).c.val
+            f = cpn2.frame(pt)
+            v = christoffel_jet(f.g, f.ginv).val
             assert maxabs(v - np.transpose(v, (0, 2, 1))) < 1e-14
 
     def test_degenerate_metric_error(self):
@@ -71,26 +72,22 @@ class TestChristoffel:
 
 class TestCurvature:
     def test_flat_vanishes(self, flat1):
-        r = curvature(flat1.gamma_field)
-        assert maxabs(r.at((0.1, 0.2)).c.val) == 0.0
+        assert maxabs(flat1.frame((0.1, 0.2)).riemann.val) == 0.0
 
     def test_cpn_matches_closed_form(self, cpn1, cpn2):
         for G, n in ((cpn1, 1), (cpn2, 2)):
-            r = curvature(G.gamma_field)
             for pt in sample(G, 8, 4):
-                assert maxabs(r.at(pt).c.val - _cpn_riemann(n, pt).val) < 1e-9
+                assert maxabs(G.frame(pt).riemann.val - _cpn_riemann(n, pt).val) < 1e-9
 
     def test_antisymmetry_in_direction_pair(self, cpn2):
-        r = curvature(cpn2.gamma_field)
         for pt in sample(cpn2, 5, 5):
-            v = r.at(pt).c.val
+            v = cpn2.frame(pt).riemann.val
             assert maxabs(v + np.transpose(v, (0, 1, 3, 2))) < 1e-12
 
     def test_first_bianchi(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
-            r = curvature(G.gamma_field)
             for pt in sample(G, 8, 6):
-                v = r.at(pt).c.val
+                v = G.frame(pt).riemann.val
                 cyc = v + np.transpose(v, (0, 2, 3, 1)) + np.transpose(v, (0, 3, 1, 2))
                 assert maxabs(cyc) < 1e-9
 
@@ -106,37 +103,21 @@ class TestCurvature:
 
 class TestTorsionContorsion:
     def test_levi_civita_gives_zero(self, cpn1):
-        t, s = torsion_contorsion(cpn1.gamma_field, cpn1.g_field)
         for pt in sample(cpn1, 5, 8):
-            assert maxabs(t.at(pt).c.val) < 1e-14
-            assert maxabs(s.at(pt).c.val) < 1e-13
+            f = cpn1.frame(pt)
+            assert maxabs(f.torsion.val) < 1e-14
+            assert maxabs(f.contorsion.val) < 1e-13
 
     def test_synthetic_constant_torsion(self):
-        chart = Chart(2)
         c = 0.7
         gam_arr = np.zeros((2, 2, 2))
         gam_arr[0, 0, 1] = c
-        gamma = TensorField.from_jet_fn(chart, 1, 2, lambda p: Jet.const(2, gam_arr, 3))
-        g = TensorField.from_jet_fn(chart, 0, 2, lambda p: Jet.const(2, np.eye(2), 3))
-        t, s = torsion_contorsion(gamma, g)
-        tv = t.at((0.0, 0.0)).c.val
+        tv = torsion_jet(Jet.const(2, gam_arr, 3)).val
         assert tv[0, 0, 1] == pytest.approx(c)
         assert tv[0, 1, 0] == pytest.approx(-c)
 
-    def test_lowering_convention_isolated(self, cpn1):
-        # both conventions reproduce S = 0 for a torsion-free connection,
-        # and the alternative is available behind a single switch
-        t, s_first = torsion_contorsion(cpn1.gamma_field, cpn1.g_field, lowering="first")
-        _, s_last = torsion_contorsion(cpn1.gamma_field, cpn1.g_field, lowering="last")
-        pt = (0.3, -0.2)
-        assert maxabs(s_first.at(pt).c.val) < 1e-13
-        assert maxabs(s_last.at(pt).c.val) < 1e-13
-        with pytest.raises(Exception):
-            torsion_contorsion(cpn1.gamma_field, cpn1.g_field, lowering="middle")
-
     def test_contorsion_vs_index_loop_oracle(self):
         G = synthetic_torsion_geometry([(0, 0, 1, 1)])
-        _, s = torsion_contorsion(G.gamma_field, G.g_field)
         for pt in sample(G, 6, 9):
             f = G.frame(pt)
             g = f.g.val
@@ -156,46 +137,37 @@ class TestTorsionContorsion:
                         want[i, j, k] = 0.5 * sum(
                             ginv[i, m] * (tl[m, j, k] - tl[j, k, m] - tl[k, j, m])
                             for m in range(d))
-            assert maxabs(s.at(pt).c.val - want) < 1e-13
+            assert maxabs(f.contorsion.val - want) < 1e-13
 
 
 class TestCovDeriv:
     def test_metricity(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
-            mg = cov_deriv(G.g_field, G.gamma_field)
             for pt in sample(G, 25, 10):
-                assert maxabs(mg.at(pt).c.val) < 1e-10
+                f = G.frame(pt)
+                assert maxabs(cov_deriv_jet(f.g, f.gam, 0, 2).val) < 1e-10
 
     def test_constant_scalar_gradient(self, cpn1):
-        const = TensorField.from_jet_fn(cpn1.chart, 0, 0,
-                                        lambda p: Jet.const(2, 3.5, 3))
-        d = cov_deriv(const, cpn1.gamma_field)
-        assert maxabs(d.at((0.2, 0.4)).c.val) == 0.0
+        d = cov_deriv_jet(Jet.const(2, 3.5, 3), cpn1.frame((0.2, 0.4)).gam, 0, 0)
+        assert maxabs(d.val) == 0.0
 
     def test_kahler_form_parallel(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
-            dom = cov_deriv(G.omega_field, G.gamma_field)
             for pt in sample(G, 10, 11):
-                assert maxabs(dom.at(pt).c.val) < 1e-12
-
-    def test_graded_input(self, cpn1):
-        xi = TensorField(cpn1.chart, 0, 1,
-                         lambda p: LJet(Jet.coords(2, p), Jet.coords(2, p).scale(2.0)),
-                         graded=True)
-        out = cov_deriv(xi, cpn1.gamma_field).at((0.1, 0.2))
-        assert maxabs(out.l.val - 2.0 * out.c.val) < 1e-14
+                f = G.frame(pt)
+                assert maxabs(cov_deriv_jet(f.om, f.gam, 2, 0).val) < 1e-12
 
 
 class TestPoissonBracket:
     def test_canonical_pair(self, flat2):
         q1 = ScalarField.from_expr(flat2.chart, "x1")
         p1 = ScalarField.from_expr(flat2.chart, "x3")
-        br = poisson_bracket(q1, p1, flat2.omega_field)
+        br = poisson_bracket(q1, p1, flat2)
         assert br.at((0.1, 0.2, 0.3, 0.4)).c.value == pytest.approx(1.0)
 
     def test_antisymmetry(self, cpn1):
         a = ScalarField.from_expr(cpn1.chart, "x1^2*x2")
-        br = poisson_bracket(a, a, cpn1.omega_field)
+        br = poisson_bracket(a, a, cpn1)
         assert abs(br.at((0.4, -0.3)).c.value) < 1e-15
 
     def test_cp1_z_zbar_bracket(self, cpn1):
@@ -204,7 +176,7 @@ class TestPoissonBracket:
         z = ScalarField.from_expr(cpn1.chart, "z1")
         zb = ScalarField.from_expr(cpn1.chart, "conj(z1)")
         pt = (0.3, 0.1)
-        br = poisson_bracket(z, zb, cpn1.omega_field).at(pt).c.value
+        br = poisson_bracket(z, zb, cpn1).at(pt).c.value
         zz = 0.3 ** 2 + 0.1 ** 2
         assert br == pytest.approx(1j * (1 + zz) ** 2)
 
@@ -217,11 +189,11 @@ class TestPoissonBracket:
             c = random_poly_field(cpn1.chart, rng)
             bc = ScalarField(cpn1.chart, lambda p: LJet(b.at(p).c * c.at(p).c))
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
-            lhs = poisson_bracket(a, bc, cpn1.omega_field).at(pt).c.value
+            lhs = poisson_bracket(a, bc, cpn1).at(pt).c.value
             rhs = (complex(b.at(pt).c.value)
-                   * poisson_bracket(a, c, cpn1.omega_field).at(pt).c.value
+                   * poisson_bracket(a, c, cpn1).at(pt).c.value
                    + complex(c.at(pt).c.value)
-                   * poisson_bracket(a, b, cpn1.omega_field).at(pt).c.value)
+                   * poisson_bracket(a, b, cpn1).at(pt).c.value)
             assert abs(lhs - rhs) < 1e-10
 
 

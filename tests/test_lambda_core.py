@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semiq.errors import JetDomainError, SingularScalarError
-from semiq.lambda_core import LAMBDA, Jet, LambdaScalar, jet_apply, jet_arith, jet_einsum, lambda_arith
+from semiq.lambda_core import LAMBDA, Jet, LambdaScalar, jet_apply, jet_einsum
 
 
 class TestLambdaScalar:
@@ -18,19 +18,18 @@ class TestLambdaScalar:
         a, b = LambdaScalar(2, 3), LambdaScalar(5, 7)
         assert a * b == LambdaScalar(10, 29)
 
-    def test_dispatcher(self):
+    def test_ring_operations(self):
         a, b = LambdaScalar(2, 3), LambdaScalar(5, 7)
-        assert lambda_arith(a, b, "add") == LambdaScalar(7, 10)
-        assert lambda_arith(a, b, "mul") == LambdaScalar(10, 29)
-        assert lambda_arith(LambdaScalar(1 + 2j, 3 - 1j), None, "conj") == \
-            LambdaScalar(1 - 2j, 3 + 1j)
+        assert a + b == LambdaScalar(7, 10)
+        assert a * b == LambdaScalar(10, 29)
+        assert LambdaScalar(1 + 2j, 3 - 1j).conj() == LambdaScalar(1 - 2j, 3 + 1j)
 
     def test_division_inverts(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = LambdaScalar(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
             b = LambdaScalar(complex(*rng.normal(size=2)) + 3.0, complex(*rng.normal(size=2)))
-            r = lambda_arith(a, b, "div") * b
+            r = (a / b) * b
             assert abs(r.a0 - a.a0) < 1e-13 and abs(r.a1 - a.a1) < 1e-13
 
     def test_division_by_singular_scalar(self):
@@ -48,10 +47,6 @@ class TestLambdaScalar:
     def test_materialize(self):
         x = LambdaScalar(1.0, 2.0)
         assert x.at(0.5j) == 1.0 + 1.0j
-
-    def test_component_fields(self):
-        x = LambdaScalar(1 + 2j, 3 - 4j)
-        assert (x.re0, x.im0, x.re1, x.im1) == (1.0, 2.0, 3.0, -4.0)
 
 
 def fd4(fn, pt, k, h=1e-3):
@@ -83,7 +78,7 @@ class TestJet:
         pt = (1.0, 2.0)
         x = Jet.coordinate(2, pt, 0)
         y = Jet.coordinate(2, pt, 1)
-        j = jet_arith(x, y, "mul")
+        j = x * y
         from semiq.fieldexpr import eval_jet, parse
         j2 = eval_jet(parse("x1*x2", 2), pt)
         for a, b in zip(j.levels, j2.levels):
@@ -146,7 +141,7 @@ class TestJet:
     def test_compose_univariate_chain(self):
         pt = (0.4,)
         u = Jet.coordinate(1, pt, 0)
-        j = jet_arith(u * u, None, "compose", func="exp")
+        j = jet_apply("exp", u * u)
         v = 0.4 ** 2
         assert j.value == pytest.approx(np.exp(v))
         assert j.d1[0] == pytest.approx(2 * 0.4 * np.exp(v))

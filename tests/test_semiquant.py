@@ -7,7 +7,7 @@ from semiq.geometry import ScalarField, cov_deriv_jet
 from semiq.geometries import cpn_frame
 from semiq.lambda_core import Jet, LJet, LambdaScalar, jet_einsum
 from semiq.semiquant import (QTensor, classical_metric_qtensor, g1_build, g_q_build,
-                             gen_ricci, h_family, module_action, nabla_Q, otimes1,
+                             gen_ricci, module_action, nabla_Q, otimes1,
                              q_map, qlc_residual, quantum_torsion, sigma_Q,
                              sigma_basis, star_product, wedge1, wedge1_map)
 from semiq.suites import random_poly_field
@@ -132,28 +132,18 @@ class TestModuleAction:
 
 class TestHFamily:
     def test_flat_vanishes(self, flat2):
-        H = h_family(flat2)
-        assert maxabs(H.array((0.3, 0.1, -0.2, 0.5)).val) == 0.0
+        assert maxabs(flat2.frame((0.3, 0.1, -0.2, 0.5)).h_fam.val) == 0.0
 
     def test_antisymmetric_two_forms(self, cpn2):
-        H = h_family(cpn2)
         for pt in sample(cpn2, 5, 44):
-            v = H.array(pt).val
+            v = cpn2.frame(pt).h_fam.val
             assert maxabs(v + np.transpose(v, (0, 1, 3, 2))) < 1e-13
 
     def test_synthetic_torsion_vs_index_loop_oracle(self):
         G = synthetic_torsion_geometry([(0, 0, 1, 1)])
-        H = h_family(G)
         for pt in sample(G, 5, 45):
             f = G.frame(pt)
-            assert maxabs(H.array(pt).val - loop_h_family(f)) < 1e-12
-
-    def test_form_accessor(self, cpn1):
-        H = h_family(cpn1)
-        pt = (0.2, 0.4)
-        tf = H.form(0, 1)
-        assert tf.form
-        assert maxabs(tf.at(pt).c.val - H.array(pt).val[0, 1]) == 0.0
+            assert maxabs(f.h_fam.val - loop_h_family(f)) < 1e-12
 
 
 class TestWedge1:

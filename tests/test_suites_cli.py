@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestRunSuite:
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(CURVED_CONFIG))
         G = build_geometry(str(path))
-        assert G.deriv_mode == "jets"
+        assert G.tol == 1e-6
         r = run_suite("classical-compat", G, points=10, seed=3)
         assert r.all_passed                    # default tol 1e-6 for parsed mode
         r2 = run_suite("dga", G, points=6, seed=3)
@@ -118,3 +119,78 @@ class TestCli:
             assert r.returncode == 0, r.stderr
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GENERIC = ["classical-compat", "dga", "metric", "evolution"]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_check_needs_a_sample_point(self, points, fmt, capsys):
+        assert main(["check", "flat", "--points", points, "--format", fmt]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
+    @pytest.mark.parametrize("at", ["nan,0.1", "0.1,inf", "a,0.1", "0.1,"])
+    @pytest.mark.parametrize("cmd", ["eval", "evolve"])
+    def test_point_must_be_finite_numbers(self, at, cmd, capsys):
+        argv = (["eval", "star", "--geometry", "flat", "--a", "x1", "--b", "x2"]
+                if cmd == "eval" else
+                ["evolve", "--geometry", "flat", "--H", "x2^2/2", "--a", "x1"])
+        assert main(argv + [f"--at={at}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
+    @pytest.mark.parametrize("geometry", ["cpn", "flat"])
+    def test_dimension_parameter_at_least_one(self, geometry, tmp_path):
+        r = run_cli(["check", geometry, "--n", "0", "--points", "1"], cwd=tmp_path)
+        err = r.stderr.decode()
+        assert r.returncode == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestNameIsALabel:
+    """Suite selection and checks follow the geometry's data, never its name."""
+
+    def config(self, tmp_path, name):
+        cfg = json.loads((ROOT / "perfbench" / "exp_plane.json").read_text())
+        cfg["name"] = name
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("name", ["cpn-mine", "flat(mine)", "flat-torsion"])
+    def test_config_gets_generic_suites(self, name, tmp_path, capsys):
+        code = main(["check", self.config(tmp_path, name), "--points", "3", "--seed", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert [r["suite"] for r in report] == GENERIC
+        assert all(r["geometry"] == name for r in report)
+        assert all(c["passed"] and c["tol"] == 1e-6 for r in report for c in r["checks"])
+        assert not any(c["check"] == "cobasis-invariance" for r in report for c in r["checks"])
+        assert code == 0
+
+    def test_catalogue_rejected_on_config(self, tmp_path, capsys):
+        path = self.config(tmp_path, "cpn-mine")
+        assert main(["check", path, "--points", "1", "--suite", "cpn-catalogue"]) == 2
+        assert "catalogue" in capsys.readouterr().err
+
+
+def test_benchmark_trace_binds(monkeypatch, capsys):
+    # the benchmark's per-layer trace rebinds these names from outside the
+    # package; a rename must fail here rather than in the next benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert main(["check", "flat", "--points", "1"]) == 0
+        assert main(["eval", "nablaQ", "--geometry", "cpn", "--n", "1",
+                     "--a", "x1^2*x2", "--at", "0.2,-0.3"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    for name in ("suites.dga", "geometry.frame.h_fam", "semiquant.nabla_Q.at",
+                 "semiquant.nq_basis", "geometries.provider", "cli.build_geometry"):
+        assert t.calls[name] > 0, name
