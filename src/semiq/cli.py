@@ -87,27 +87,38 @@ def _parse_point(text: str, dim: int):
     return tuple(vals)
 
 
+# the highest derivative order each command reads; its jets are built to it
+EVAL_ORDERS = {
+    "star": 1,
+    "commutator": 1,
+    "wedge": 2,
+    "nablaQ": 3,        # nabla_Q(da) reads third derivatives of a
+    "evolve": 2,
+}
+
+
 def _fmt_pair(c, l) -> str:
     return f"classical {c}  lambda-coefficient {l}"
 
 
 def cmd_eval(args) -> int:
     G = build_geometry(args.geometry, args.n, args.hbar, args.lambda_im)
+    G = G.at_order(EVAL_ORDERS[args.op])
     pt = _parse_point(args.at, G.dim)
-    a = ScalarField.from_expr(G.chart, args.a)
+    a = ScalarField.from_expr(G.chart, args.a, G.order)
     if args.op == "star":
-        v = sq.star_product(a, ScalarField.from_expr(G.chart, args.b), G).at(pt)
+        v = sq.star_product(a, ScalarField.from_expr(G.chart, args.b, G.order), G).at(pt)
         c, l = v.values()
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "commutator":
-        b = ScalarField.from_expr(G.chart, args.b)
+        b = ScalarField.from_expr(G.chart, args.b, G.order)
         v = sq.star_product(a, b, G).at(pt) - sq.star_product(b, a, G).at(pt)
         c, l = v.values()
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "wedge":
-        b = ScalarField.from_expr(G.chart, args.b)
+        b = ScalarField.from_expr(G.chart, args.b, G.order)
         v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b), G).at(pt)
         c, l = v.values()
         print("da wedge1 db components:")
@@ -125,10 +136,11 @@ def cmd_eval(args) -> int:
 def cmd_evolve(args) -> int:
     from . import evolution as ev
     G = build_geometry(args.geometry, args.n, args.hbar, args.lambda_im)
+    G = G.at_order(EVAL_ORDERS["evolve"])
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
-    a = ScalarField.from_expr(G.chart, args.a)
-    H = ScalarField.from_expr(G.chart, args.hamiltonian)
+    a = ScalarField.from_expr(G.chart, args.a, G.order)
+    H = ScalarField.from_expr(G.chart, args.hamiltonian, G.order)
     adot = ev.evolve_scalar(a, H, G)
     defect = ev.evolution_defect(a, H, G)
     for pt in points:

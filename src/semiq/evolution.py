@@ -33,12 +33,12 @@ class HamiltonianSystem:
         the position coordinates x1..xn."""
         from .geometries import make_flat
         G = make_flat(n, hbar)
-        V = ScalarField.from_expr(G.chart, potential)
+        V = ScalarField.from_expr(G.chart, potential, G.order)
 
         def fn(pt):
-            p2 = Jet.zeros(G.dim, (), 3)
+            p2 = Jet.zeros(G.dim, (), G.order)
             for k in range(n, 2 * n):
-                pk = Jet.coordinate(G.dim, pt, k, 3)
+                pk = Jet.coordinate(G.dim, pt, k, G.order)
                 p2 = p2 + pk * pk
             return LJet(p2.scale(0.5 / mass) + V.at(pt).c)
 

@@ -95,10 +95,10 @@ def make_flat(n: int, hbar: float = 1.0) -> GeometryData:
     om0 = canonical_omega(n)
     return GeometryData(
         chart,
-        g_fn=lambda p: Jet.const(d, eye, 3),
-        ginv_fn=lambda p: Jet.const(d, eye, 3),
-        omega_fn=lambda p: Jet.const(d, om0, 3),
-        gamma_fn=lambda p: Jet.zeros(d, (d, d, d), 3),
+        g_fn=lambda p, k: Jet.const(d, eye, k),
+        ginv_fn=lambda p, k: Jet.const(d, eye, k),
+        omega_fn=lambda p, k: Jet.const(d, om0, k),
+        gamma_fn=lambda p, k: Jet.zeros(d, (d, d, d), k),
         levi_civita=True,
         lam=1j * hbar,
         name=f"flat(n={n})",
@@ -119,8 +119,8 @@ def make_flat_torsion() -> GeometryData:
     eye = np.eye(2)
     om0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def gamma_fn(pt):
-        x2 = Jet.coordinate(2, pt, 1, 3)
+    def gamma_fn(pt, order):
+        x2 = Jet.coordinate(2, pt, 1, order)
         basis = np.zeros((2, 2, 2))
         basis[0, 0, 1] = 1.0
         basis2 = np.zeros((2, 2, 2))
@@ -129,9 +129,9 @@ def make_flat_torsion() -> GeometryData:
 
     return GeometryData(
         chart,
-        g_fn=lambda p: Jet.const(2, eye, 3),
-        ginv_fn=lambda p: Jet.const(2, eye, 3),
-        omega_fn=lambda p: Jet.const(2, om0, 3),
+        g_fn=lambda p, k: Jet.const(2, eye, k),
+        ginv_fn=lambda p, k: Jet.const(2, eye, k),
+        omega_fn=lambda p, k: Jet.const(2, om0, k),
         gamma_fn=gamma_fn,
         levi_civita=False,
         lam=1j,
@@ -212,9 +212,7 @@ def _cpn_riemann(n, pt, order: int = 3):
 def make_cpn(n: int, order: int = 3) -> GeometryData:
     """CP^n with the Fubini-Study data on the standard affine chart.
 
-    ``order`` is the jet depth of the analytic providers; the default
-    supports every operation, lower values speed up purely classical
-    checks on high-dimensional charts.
+    ``order`` is the geometry's jet depth (``GeometryData.order``).
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
@@ -222,14 +220,15 @@ def make_cpn(n: int, order: int = 3) -> GeometryData:
     chart = Chart(d, pairing=True, box=0.75)
     return GeometryData(
         chart,
-        g_fn=lambda p: _cpn_g(n, p, order),
-        ginv_fn=lambda p: _cpn_ginv(n, p, order),
-        omega_fn=lambda p: _cpn_omega_upper(n, p, order),
-        gamma_fn=lambda p: _cpn_gamma(n, p, order),
+        g_fn=lambda p, k: _cpn_g(n, p, k),
+        ginv_fn=lambda p, k: _cpn_ginv(n, p, k),
+        omega_fn=lambda p, k: _cpn_omega_upper(n, p, k),
+        gamma_fn=lambda p, k: _cpn_gamma(n, p, k),
         levi_civita=True,
         lam=1j,
         name=f"cpn(n={n})",
         suites=CPN_SUITES,
+        order=order,
     )
 
 
@@ -241,7 +240,8 @@ class CPnFrame:
 
     Holds providers for z^i, w^i = t z^i, the one-form tau, the (0,2)
     tensors gamma/gamma_bar, the symplectic two-form, and the Kaehler
-    potential. Component arrays are in the real frame.
+    potential, as jets of the geometry's order. Component arrays are in
+    the real frame.
     """
 
     G: GeometryData
@@ -261,14 +261,14 @@ class CPnFrame:
     def z_jets(self, pt) -> Jet:
         """Shape (n,) jet of the complex coordinates."""
         d = self.dim
-        x = Jet.coords(d, pt)
+        x = Jet.coords(d, pt, self.G.order)
         cm = np.zeros((self.n, d), dtype=np.complex128)
         for i in range(self.n):
             cm[i] = self.cvec(i)
         return jet_einsum("ia,a->i", cm, x)
 
     def t2_jet(self, pt) -> Jet:
-        return _cpn_base(self.n, tuple(pt))[2]
+        return _cpn_base(self.n, tuple(pt), self.G.order)[2]
 
     def t_jet(self, pt) -> Jet:
         return self.t2_jet(pt) ** 0.5
@@ -312,7 +312,7 @@ class CPnFrame:
 
     def varpi_jet(self, pt) -> Jet:
         """Symplectic two-form components: varpi = om_{ab} dx^b wedge dx^a."""
-        oml = _cpn_omega_lower(self.n, tuple(pt))
+        oml = _cpn_omega_lower(self.n, tuple(pt), self.G.order)
         return -2.0 * oml
 
     def kahler_potential(self) -> ScalarField:
@@ -438,7 +438,7 @@ def _q_factor(x: _At, inverse: bool = False) -> ScalarField:
 
     def fn(pt):
         t2 = x.F.t2_jet(pt)
-        return LJet(Jet.const(x.d, 1.0, 3), t2.reciprocal().scale(sgn * 1j))
+        return LJet(Jet.const(x.d, 1.0, x.G.order), t2.reciprocal().scale(sgn * 1j))
 
     return ScalarField(x.G.chart, fn)
 

@@ -17,7 +17,8 @@ F(e_a, e_b, ...) = F[a, b, ...].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from . import fieldexpr
-from .lambda_core import Jet, LJet, jet_einsum
+from .lambda_core import MAX_ORDER, Jet, LJet, jet_einsum
 
 _LETTERS = "abcdefghijklmnopqrs"
 
@@ -97,23 +98,25 @@ class TensorField:
     @classmethod
     def from_component_exprs(cls, chart: Chart, p: int, q: int, comps,
                              order: int = 3, form: bool = False) -> "TensorField":
-        arr = np.asarray(comps, dtype=object)
-        if arr.shape != (chart.dim,) * (p + q):
-            raise ConfigError(
-                f"component array has shape {arr.shape}, expected {(chart.dim,)*(p+q)}")
-        trees = np.empty(arr.shape, dtype=object)
-        for idx in np.ndindex(arr.shape):
-            trees[idx] = fieldexpr.parse(str(arr[idx]), chart.dim)
+        jets = component_jets(chart, p + q, comps)
+        return cls(chart, p, q, lambda pt: LJet(jets(pt, order)), form=form)
 
-        def fn(pt):
-            out = np.empty(arr.shape, dtype=object)
-            for idx in np.ndindex(arr.shape):
-                out[idx] = fieldexpr.eval_jet(trees[idx], pt, chart.dim, order)
-            levels = [np.stack([out[idx].levels[k] for idx in np.ndindex(arr.shape)])
-                      .reshape(arr.shape + (chart.dim,) * k) for k in range(order + 1)]
-            return LJet(Jet(chart.dim, levels, order))
 
-        return cls(chart, p, q, fn, form=form)
+def component_jets(chart: Chart, rank: int, comps) -> Callable[[tuple, int], Jet]:
+    """Jet provider (point, order) of a tensor given by component expressions."""
+    arr = np.asarray(comps, dtype=object)
+    shape = (chart.dim,) * rank
+    if arr.shape != shape:
+        raise ConfigError(f"component array has shape {arr.shape}, expected {shape}")
+    trees = [fieldexpr.parse(str(arr[idx]), chart.dim) for idx in np.ndindex(shape)]
+
+    def fn(pt, order):
+        out = [fieldexpr.eval_jet(t, pt, chart.dim, order) for t in trees]
+        levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (chart.dim,) * k)
+                  for k in range(order + 1)]
+        return Jet(chart.dim, levels, order)
+
+    return fn
 
 
 # -- jet-level formulas --------------------------------------------------------
@@ -164,13 +167,19 @@ def cov_deriv_jet(x: Jet, gam: Jet, p: int, q: int) -> Jet:
 
 @dataclass
 class GeometryData:
-    """A chart with metric, Poisson bivector, connection and jet providers."""
+    """A chart with metric, Poisson bivector, connection and jet providers.
+
+    Providers take (point, order) and return jets of that order. ``order``
+    is the depth of every frame built through this geometry: the highest
+    derivative its caller reads. ``at_order`` gives a view at another depth
+    that shares the frame cache, keyed by (point, order).
+    """
 
     chart: Chart
-    g_fn: Callable[[tuple], Jet]
-    ginv_fn: Optional[Callable[[tuple], Jet]]
-    omega_fn: Callable[[tuple], Jet]
-    gamma_fn: Optional[Callable[[tuple], Jet]] = None   # None: Levi-Civita of g
+    g_fn: Callable[[tuple, int], Jet]
+    ginv_fn: Optional[Callable[[tuple, int], Jet]]
+    omega_fn: Callable[[tuple, int], Jet]
+    gamma_fn: Optional[Callable[[tuple, int], Jet]] = None   # None: Levi-Civita of g
     levi_civita: bool = True
     lam: complex = 1j
     name: str = "geometry"          # a label for reports; nothing dispatches on it
@@ -178,20 +187,25 @@ class GeometryData:
     default_seed: int = 0
     suites: tuple = GENERIC_SUITES  # default suites; cpn-catalogue runs only where listed
     parallel_cobasis: bool = False  # coordinate one-forms are parallel (flat chart)
+    order: int = 3                  # jet depth of frames and provider calls
     _frames: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
+    def at_order(self, order: int) -> "GeometryData":
+        """This geometry with jets built to ``order``; it shares the frame cache."""
+        return replace(self, order=order)
+
     def frame(self, point) -> "PointFrame":
-        key = tuple(float(c) for c in point)
-        fr = self._frames.get(key)
+        pt = tuple(float(c) for c in point)
+        fr = self._frames.get((pt, self.order))
         if fr is None:
-            fr = PointFrame(self, key)
+            fr = PointFrame(self, pt)
             if len(self._frames) > 4096:
                 self._frames.clear()
-            self._frames[key] = fr
+            self._frames[(pt, self.order)] = fr
         return fr
 
     def sample_points(self, count: int, seed: int, box: Optional[float] = None) -> np.ndarray:
@@ -207,33 +221,42 @@ class PointFrame:
         self.G = geom
         self.point = point
         self.dim = geom.dim
+        self.order = geom.order
+
+    def _christoffel(self) -> Jet:
+        """Levi-Civita coefficients of g at the frame's order: the derivative
+        costs one order, so g and its inverse are asked one order deeper."""
+        k = min(self.order + 1, MAX_ORDER)
+        g = self.G.g_fn(self.point, k)
+        ginv = self.G.ginv_fn(self.point, k) if self.G.ginv_fn is not None else g.matinv()
+        return christoffel_jet(g, ginv)
 
     @cached_property
     def g(self) -> Jet:
-        return self.G.g_fn(self.point)
+        return self.G.g_fn(self.point, self.order)
 
     @cached_property
     def ginv(self) -> Jet:
         if self.G.ginv_fn is not None:
-            return self.G.ginv_fn(self.point)
+            return self.G.ginv_fn(self.point, self.order)
         return self.g.matinv()
 
     @cached_property
     def om(self) -> Jet:
-        return self.G.omega_fn(self.point)
+        return self.G.omega_fn(self.point, self.order)
 
     @cached_property
     def gam(self) -> Jet:
         if self.G.gamma_fn is not None:
-            return self.G.gamma_fn(self.point)
-        return christoffel_jet(self.g, self.ginv)
+            return self.G.gamma_fn(self.point, self.order)
+        return self._christoffel()
 
     @cached_property
     def gam_lc(self) -> Jet:
         """Levi-Civita coefficients of g (equals gam when torsion-free by build)."""
         if self.G.levi_civita:
             return self.gam
-        return christoffel_jet(self.g, self.ginv)
+        return self._christoffel()
 
     @cached_property
     def torsion(self) -> Jet:
@@ -345,34 +368,38 @@ def compat_residuals(G: GeometryData) -> tuple[TensorField, TensorField, TensorF
 
 # -- geometry configuration files ----------------------------------------------
 
+def _config_number(cfg: dict, key: str, default, valid, what: str):
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not valid(v):
+        raise ConfigError(f"config entry {key!r} must be {what}, got {v!r}")
+    return v
+
+
 def geometry_from_config(cfg: dict) -> GeometryData:
     """Build a geometry from a parsed JSON configuration.
 
-    Schema: {"dim": int, "metric": [[expr]], "poisson": [[expr]],
+    Schema: {"dim": int >= 1, "metric": [[expr]], "poisson": [[expr]],
              "connection": "levi-civita" | [[[expr]]],
-             "box": float, "seed": int, "lambda_im": float,
+             "box": finite float > 0, "seed": int, "lambda_im": finite float,
              "pairing": bool}
     """
-    try:
-        dim = int(cfg["dim"])
-    except KeyError:
+    if "dim" not in cfg:
         raise ConfigError("config needs a 'dim' entry")
-    chart = Chart(dim, pairing=bool(cfg.get("pairing", dim % 2 == 0)),
-                  box=float(cfg.get("box", 1.5)))
+    dim = _config_number(cfg, "dim", None, lambda v: isinstance(v, int) and v >= 1,
+                         "an integer >= 1")
+    box = _config_number(cfg, "box", 1.5, lambda v: math.isfinite(v) and v > 0,
+                         "a finite number > 0")
+    seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int), "an integer")
+    lambda_im = _config_number(cfg, "lambda_im", 1.0, math.isfinite, "a finite number")
+    chart = Chart(dim, pairing=bool(cfg.get("pairing", dim % 2 == 0)), box=float(box))
     try:
-        g = TensorField.from_component_exprs(chart, 0, 2, cfg["metric"])
-        om = TensorField.from_component_exprs(chart, 2, 0, cfg["poisson"])
+        g = component_jets(chart, 2, cfg["metric"])
+        om = component_jets(chart, 2, cfg["poisson"])
     except KeyError as exc:
         raise ConfigError(f"config needs a {exc.args[0]!r} entry")
     conn = cfg.get("connection", "levi-civita")
-    gamma_fn = None
-    levi_civita = True
-    if conn != "levi-civita":
-        gam = TensorField.from_component_exprs(chart, 1, 2, conn)
-        gamma_fn = lambda p: gam.at(p).c
-        levi_civita = False
-    lam = complex(0.0, float(cfg.get("lambda_im", 1.0)))
-    return GeometryData(chart, lambda p: g.at(p).c, None, lambda p: om.at(p).c,
-                        gamma_fn=gamma_fn, levi_civita=levi_civita, lam=lam,
-                        name=str(cfg.get("name", "config")), tol=1e-6,
-                        default_seed=int(cfg.get("seed", 0)))
+    levi_civita = conn == "levi-civita"
+    gamma_fn = None if levi_civita else component_jets(chart, 3, conn)
+    return GeometryData(chart, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
+                        lam=complex(0.0, float(lambda_im)),
+                        name=str(cfg.get("name", "config")), tol=1e-6, default_seed=seed)

@@ -27,6 +27,8 @@ _DLETTERS = "TUVW"
 
 _CONST_ORDER = 99  # sentinel order for constants (derivatives all zero)
 
+MAX_ORDER = 3      # deepest derivative level the jet arithmetic propagates
+
 
 @dataclass(frozen=True)
 class LambdaScalar:
@@ -165,7 +167,7 @@ class Jet:
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             return other
-        return Jet.const(self.dim, other, order=min(self.order, 3))
+        return Jet.const(self.dim, other, order=min(self.order, MAX_ORDER))
 
     # -- linear operations -------------------------------------------------
 
@@ -344,7 +346,7 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         b = Jet(ref.dim, [np.asarray(b, dtype=np.complex128)], _CONST_ORDER)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    order = min(a.order, b.order, 3)
+    order = min(a.order, b.order, MAX_ORDER)
     T, U, V = _DLETTERS[0], _DLETTERS[1], _DLETTERS[2]
 
     def lev(j: Jet, k: int) -> np.ndarray:

@@ -158,7 +158,7 @@ class QTensor:
     def constant_oneform(cls, G: GeometryData, coeffs) -> "QTensor":
         """One-form with constant coefficients; collection is free."""
         arr = np.asarray(coeffs, dtype=np.complex128)
-        return cls(G, 1, lambda pt: LJet(Jet.const(G.dim, arr, 3)))
+        return cls(G, 1, lambda pt: LJet(Jet.const(G.dim, arr, G.order)))
 
     def to_classical(self) -> "QTensor":
         """Rank-1 normal form back to classical components."""
@@ -421,7 +421,7 @@ def sigma_basis(f: PointFrame) -> np.ndarray:
     N = nq_basis(f)
     s1 = np.zeros((d, d, d, d), dtype=np.complex128)
     for j in range(d):
-        xj = Jet.coordinate(d, f.point, j, 3)
+        xj = Jet.coordinate(d, f.point, j, f.order)
         omj = f.om.take_index(j, axis=0)
         # dx^i . x^j in normal form, batched over i
         c = jet_einsum(",ir->ir", xj, eye)
@@ -563,11 +563,15 @@ def _gq_coeff(f: PointFrame) -> LJet:
 
 
 def g_q_build(G: GeometryData, check_compat: bool = True) -> QTensor:
-    """Functorial quantum metric in left-collected normal form."""
+    """Functorial quantum metric in left-collected normal form.
+
+    ``check_compat`` warns when the connection fails to preserve the metric
+    at any of three seeded sample points.
+    """
     if check_compat:
-        pt = tuple(0.1 + 0.01 * k for k in range(G.dim))
-        f = G.frame(pt)
-        mg = cov_deriv_jet(f.g, f.gam, 0, 2).val
+        G1 = G.at_order(1)          # g_{mn;k} reads first derivatives only
+        mg = [cov_deriv_jet(f.g, f.gam, 0, 2).val
+              for f in map(G1.frame, G.sample_points(3, G.default_seed))]
         if np.max(np.abs(mg)) > 1e-8:
             warnings.warn(
                 "connection does not preserve the metric; the quantum metric "

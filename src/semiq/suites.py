@@ -52,8 +52,9 @@ class SuiteResult:
 SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue", "evolution")
 
 
-def random_poly_field(chart, rng, degree: int = 2, terms: int = 4) -> ScalarField:
-    """Random complex polynomial in the chart coordinates."""
+def random_poly_field(chart, rng, degree: int = 2, terms: int = 4,
+                      order: int = 3) -> ScalarField:
+    """Random complex polynomial in the chart coordinates, as jets of ``order``."""
     d = chart.dim
     monos = []
     for _ in range(terms):
@@ -63,11 +64,11 @@ def random_poly_field(chart, rng, degree: int = 2, terms: int = 4) -> ScalarFiel
         monos.append((coef, idxs))
 
     def fn(pt):
-        total = Jet.zeros(d, (), 3)
+        total = Jet.zeros(d, (), order)
         for coef, idxs in monos:
-            term = Jet.const(d, coef, 3)
+            term = Jet.const(d, coef, order)
             for i in idxs:
-                term = term * Jet.coordinate(d, pt, i, 3)
+                term = term * Jet.coordinate(d, pt, i, order)
             total = total + term
         return LJet(total)
 
@@ -75,12 +76,13 @@ def random_poly_field(chart, rng, degree: int = 2, terms: int = 4) -> ScalarFiel
 
 
 def random_oneform(G: GeometryData, rng, degree: int = 2) -> sq.QTensor:
-    comps = [random_poly_field(G.chart, rng, degree=degree) for _ in range(G.dim)]
+    comps = [random_poly_field(G.chart, rng, degree=degree, order=G.order)
+             for _ in range(G.dim)]
 
     def fn(pt):
         jets = [c.at(pt).c for c in comps]
-        levels = [np.stack([j.levels[k] for j in jets]) for k in range(4)]
-        return LJet(Jet(G.dim, levels, 3))
+        levels = [np.stack([j.levels[k] for j in jets]) for k in range(G.order + 1)]
+        return LJet(Jet(G.dim, levels, G.order))
 
     return sq.QTensor.from_oneform(G, fn)
 
@@ -110,9 +112,7 @@ def _suite_classical(G: GeometryData, pts, rng) -> dict:
 def _suite_dga(G: GeometryData, pts, rng) -> dict:
     worst = {}
     for pt in pts:
-        a = random_poly_field(G.chart, rng)
-        b = random_poly_field(G.chart, rng)
-        c = random_poly_field(G.chart, rng)
+        a, b, c = (random_poly_field(G.chart, rng, order=G.order) for _ in range(3))
         ab_c = sq.star_product(sq.star_product(a, b, G), c, G)
         a_bc = sq.star_product(a, sq.star_product(b, c, G), G)
         _acc(worst, "star-associator", *(ab_c.at(pt) - a_bc.at(pt)).values())
@@ -167,7 +167,7 @@ def _suite_metric(G: GeometryData, pts, rng) -> dict:
         arr0 = rng.normal(size=(G.dim, G.dim)) + 1j * rng.normal(size=(G.dim, G.dim))
         arr1 = rng.normal(size=(G.dim, G.dim)) + 1j * rng.normal(size=(G.dim, G.dim))
         X = sq.QTensor(G, 2, lambda p, a0=arr0, a1=arr1:
-                       LJet(Jet.const(G.dim, a0, 3), Jet.const(G.dim, a1, 3)))
+                       LJet(Jet.const(G.dim, a0, G.order), Jet.const(G.dim, a1, G.order)))
         rt = sq.q_map(sq.q_map(X, G, "q"), G, "q-inverse").at(pt)
         _acc(worst, "q-roundtrip", rt.c.val - arr0, rt.lam().val - arr1)
     return worst
@@ -197,9 +197,7 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
     from . import evolution as ev
     worst = {}
     for pt in pts:
-        a = random_poly_field(G.chart, rng)
-        b = random_poly_field(G.chart, rng)
-        H = random_poly_field(G.chart, rng)
+        a, b, H = (random_poly_field(G.chart, rng, order=G.order) for _ in range(3))
         _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pt), 0.0)
         # hamiltonian field acts as a derivation on products
         prod = ScalarField(G.chart, lambda p: LJet(a.at(p).c * b.at(p).c))
@@ -211,7 +209,8 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
         if G.parallel_cobasis:
             for k in range(G.dim):
                 basis = TensorField(G.chart, 0, 1,
-                                    lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k], 3)),
+                                    lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k],
+                                                                  G.order)),
                                     form=True)
                 _acc(worst, "cobasis-invariance", *ev.evolve_oneform(basis, H, G).at(pt).values())
     return worst
@@ -226,6 +225,16 @@ _SUITE_FNS: dict = {
     "evolution": _suite_evolution,
 }
 
+# the highest derivative order each suite reads; its jets are built to it
+SUITE_ORDERS: dict = {
+    "classical-compat": 1,      # g_{mn;k}, om^{ij}_{;k}
+    "dga": 2,                   # nabla_Q of a one-form: second derivatives of it
+    "metric": 2,                # nabla_Q g_Q, and H reads dGamma
+    "qlc": 2,                   # nabla of the Ricci two-form, which reads dGamma
+    "cpn-catalogue": 2,         # nabla_Q of the frame one-forms
+    "evolution": 2,             # nabla dH: second derivatives of H
+}
+
 
 def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
               tol: Optional[float] = None, timing: bool = False) -> SuiteResult:
@@ -238,7 +247,7 @@ def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
     rng = np.random.default_rng(seed)
     pts = [tuple(p) for p in G.sample_points(points, seed)]
     start = time.perf_counter()
-    worst = _SUITE_FNS[suite](G, pts, rng)
+    worst = _SUITE_FNS[suite](G.at_order(SUITE_ORDERS[suite]), pts, rng)
     elapsed = (time.perf_counter() - start) * 1000.0
     checks = [CheckRecord(name, vals[0], vals[1], tol)
               for name, vals in sorted(worst.items())]

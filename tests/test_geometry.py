@@ -16,18 +16,18 @@ def synthetic_torsion_geometry(entries):
     eye = np.eye(2)
     om0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def gamma_fn(pt):
-        total = Jet.zeros(2, (2, 2, 2), 3)
+    def gamma_fn(pt, order):
+        total = Jet.zeros(2, (2, 2, 2), order)
         for (i, j, k, axis) in entries:
             basis = np.zeros((2, 2, 2))
             basis[i, j, k] = 1.0
-            coef = Jet.coordinate(2, pt, axis, 3)
+            coef = Jet.coordinate(2, pt, axis, order)
             total = total + jet_einsum(",ijk->ijk", coef, basis)
         return total
 
-    return GeometryData(chart, lambda p: Jet.const(2, eye, 3),
-                        lambda p: Jet.const(2, eye, 3),
-                        lambda p: Jet.const(2, om0, 3),
+    return GeometryData(chart, lambda p, k: Jet.const(2, eye, k),
+                        lambda p, k: Jet.const(2, eye, k),
+                        lambda p, k: Jet.const(2, om0, k),
                         gamma_fn=gamma_fn, levi_civita=False, name="synthetic")
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -304,10 +306,10 @@ class TestQuantumTorsion:
         chart = Chart(2, box=1.0)
         gam_arr = np.zeros((2, 2, 2))
         gam_arr[0, 0, 1] = c
-        G = GeometryData(chart, lambda p: Jet.const(2, np.eye(2), 3),
-                         lambda p: Jet.const(2, np.eye(2), 3),
-                         lambda p: Jet.const(2, np.array([[0., 1.], [-1., 0.]]), 3),
-                         gamma_fn=lambda p: Jet.const(2, gam_arr, 3),
+        G = GeometryData(chart, lambda p, k: Jet.const(2, np.eye(2), k),
+                         lambda p, k: Jet.const(2, np.eye(2), k),
+                         lambda p, k: Jet.const(2, np.array([[0., 1.], [-1., 0.]]), k),
+                         gamma_fn=lambda p, k: Jet.const(2, gam_arr, k),
                          levi_civita=False, name="const-torsion")
         xi = QTensor.constant_oneform(G, [1.0, 0.0])
         pt = (0.3, 0.2)
@@ -358,6 +360,30 @@ class TestQuantumMetric:
         G = synthetic_torsion_geometry([(0, 0, 1, 1)])   # nabla g != 0
         with pytest.warns(UserWarning):
             g_q_build(G)
+
+    def test_incompatibility_seen_away_from_one_point(self, cpn1):
+        # Gam^1_{12} = x1 - 0.1 breaks metric parallelism everywhere except
+        # on the line x1 = 0.1, which holds the point (0.1, 0.11)
+        from semiq.geometry import Chart, GeometryData
+
+        def gamma_fn(pt, order):
+            basis = np.zeros((2, 2, 2))
+            basis[0, 0, 1] = 1.0
+            x1 = Jet.coordinate(2, pt, 0, order) - 0.1
+            return jet_einsum(",ijk->ijk", x1, basis)
+
+        eye, om0 = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        G = GeometryData(Chart(2, box=1.5), lambda p, k: Jet.const(2, eye, k),
+                         lambda p, k: Jet.const(2, eye, k),
+                         lambda p, k: Jet.const(2, om0, k),
+                         gamma_fn=gamma_fn, levi_civita=False, name="one-line")
+        f = G.frame((0.1, 0.11))
+        assert maxabs(cov_deriv_jet(f.g, f.gam, 0, 2).val) == 0.0
+        with pytest.warns(UserWarning):
+            g_q_build(G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g_q_build(cpn1)
 
     def test_quantum_metric_parallel(self, cpn1, cpn2):
         for G in (cpn1, cpn2):

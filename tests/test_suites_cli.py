@@ -151,6 +151,23 @@ class TestInputValidation:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestConfigNumbers:
+    """Malformed numeric config entries end in a ConfigError and exit 2."""
+
+    @pytest.mark.parametrize("key, raw", [
+        ("dim", '"two"'), ("dim", "2.5"), ("seed", '"x"'), ("box", '"wide"'),
+        ("box", "-1"), ("box", '"nan"'), ("box", "1e400"), ("box", "0"),
+        ("lambda_im", "NaN"), ("lambda_im", '"one"')])
+    def test_invalid_number_exits_2(self, key, raw, tmp_path, capsys):
+        cfg = json.loads((ROOT / "perfbench" / "exp_plane.json").read_text())
+        cfg[key] = "RAW"
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(cfg).replace('"RAW"', raw))
+        assert main(["check", str(path), "--points", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and repr(key) in out.err
+
+
 class TestNameIsALabel:
     """Suite selection and checks follow the geometry's data, never its name."""
 
