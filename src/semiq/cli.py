@@ -11,34 +11,29 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, SemiqError
-from .geometry import GeometryData, ScalarField, geometry_from_config
+from .geometry import Field, GeometryData, geometry_from_config
 from .geometries import make_cpn, make_flat, make_flat_torsion
 from .suites import SUITES, emit_report, run_suite
 from . import semiquant as sq
 
 
-def build_geometry(name: str, n: int = 1, hbar: float = 1.0,
-                   lambda_im: float = None) -> GeometryData:
+def build_geometry(name: str, n: int = 1) -> GeometryData:
     if name == "flat":
-        G = make_flat(n, hbar)
-    elif name == "cpn":
-        G = make_cpn(n)
-    elif name == "flat-torsion":
-        G = make_flat_torsion()
-    elif name.endswith(".json") or name.startswith("config:"):
+        return make_flat(n)
+    if name == "cpn":
+        return make_cpn(n)
+    if name == "flat-torsion":
+        return make_flat_torsion()
+    if name.endswith(".json") or name.startswith("config:"):
         path = name[7:] if name.startswith("config:") else name
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read geometry config {path!r}: {exc}")
-        G = geometry_from_config(cfg)
-    else:
-        raise ConfigError(
-            f"unknown geometry {name!r}; use flat, cpn, flat-torsion or a JSON config path")
-    if lambda_im is not None:
-        G.lam = 1j * float(lambda_im)
-    return G
+        return geometry_from_config(cfg)
+    raise ConfigError(
+        f"unknown geometry {name!r}; use flat, cpn, flat-torsion or a JSON config path")
 
 
 def _report_path(path: str) -> str:
@@ -49,7 +44,7 @@ def _report_path(path: str) -> str:
 
 
 def cmd_check(args) -> int:
-    G = build_geometry(args.geometry, args.n, args.hbar, args.lambda_im)
+    G = build_geometry(args.geometry, args.n)
     suites = args.suite or G.suites
     seed = G.default_seed if args.seed is None else args.seed
     results = []
@@ -102,23 +97,23 @@ def _fmt_pair(c, l) -> str:
 
 
 def cmd_eval(args) -> int:
-    G = build_geometry(args.geometry, args.n, args.hbar, args.lambda_im)
+    G = build_geometry(args.geometry, args.n)
     G = G.at_order(EVAL_ORDERS[args.op])
     pt = _parse_point(args.at, G.dim)
-    a = ScalarField.from_expr(G.chart, args.a, G.order)
+    a = Field.from_expr(G.chart, args.a, G.order)
     if args.op == "star":
-        v = sq.star_product(a, ScalarField.from_expr(G.chart, args.b, G.order), G).at(pt)
+        v = sq.star_product(a, Field.from_expr(G.chart, args.b, G.order), G).at(pt)
         c, l = v.values()
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "commutator":
-        b = ScalarField.from_expr(G.chart, args.b, G.order)
+        b = Field.from_expr(G.chart, args.b, G.order)
         v = sq.star_product(a, b, G).at(pt) - sq.star_product(b, a, G).at(pt)
         c, l = v.values()
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "wedge":
-        b = ScalarField.from_expr(G.chart, args.b, G.order)
+        b = Field.from_expr(G.chart, args.b, G.order)
         v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b), G).at(pt)
         c, l = v.values()
         print("da wedge1 db components:")
@@ -135,12 +130,12 @@ def cmd_eval(args) -> int:
 
 def cmd_evolve(args) -> int:
     from . import evolution as ev
-    G = build_geometry(args.geometry, args.n, args.hbar, args.lambda_im)
+    G = build_geometry(args.geometry, args.n)
     G = G.at_order(EVAL_ORDERS["evolve"])
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
-    a = ScalarField.from_expr(G.chart, args.a, G.order)
-    H = ScalarField.from_expr(G.chart, args.hamiltonian, G.order)
+    a = Field.from_expr(G.chart, args.a, G.order)
+    H = Field.from_expr(G.chart, args.hamiltonian, G.order)
     adot = ev.evolve_scalar(a, H, G)
     defect = ev.evolution_defect(a, H, G)
     for pt in points:
@@ -160,17 +155,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_geometry_args(sp):
         sp.add_argument("--n", type=int, default=1, help="complex dimension parameter")
-        sp.add_argument("--hbar", type=float, default=1.0)
-        sp.add_argument("--lambda-im", type=float, default=None,
-                        help="imaginary part of the deformation parameter")
 
     pc = sub.add_parser("check", help="run verification suites")
     pc.add_argument("geometry", help="flat | cpn | flat-torsion | path to JSON config")
     add_geometry_args(pc)
     pc.add_argument("--points", type=int, default=50)
     pc.add_argument("--seed", type=int, default=None,
-                    help="sampling seed (default: the geometry's, else 0)")
-    pc.add_argument("--tol", type=float, default=None)
+                    help="sampling seed, an integer >= 0 (default: the geometry's, else 0)")
+    pc.add_argument("--tol", type=float, default=None,
+                    help="check tolerance, finite and >= 0 (default: the geometry's)")
     pc.add_argument("--suite", action="append", choices=SUITES,
                     help="suite to run (repeatable; default depends on geometry)")
     pc.add_argument("--report", default=None, help="write the report to this path")

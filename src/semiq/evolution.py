@@ -9,43 +9,13 @@ evolution is from commuting with the exterior derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .geometry import GeometryData, ScalarField, TensorField, cov_deriv_jet, poisson_bracket
+from .geometry import Field, GeometryData, cov_deriv_jet, poisson_bracket
 from .lambda_core import Jet, LJet, jet_einsum
 
 
-@dataclass
-class HamiltonianSystem:
-    """A geometry together with a Hamiltonian scalar field."""
-
-    G: GeometryData
-    H: ScalarField
-    mass: Optional[float] = None
-
-    @classmethod
-    def canonical(cls, n: int, mass: float, potential: str = "0",
-                  hbar: float = 1.0) -> "HamiltonianSystem":
-        """H = p^2/2m + V(q) on flat phase space; V is an expression in
-        the position coordinates x1..xn."""
-        from .geometries import make_flat
-        G = make_flat(n, hbar)
-        V = ScalarField.from_expr(G.chart, potential, G.order)
-
-        def fn(pt):
-            p2 = Jet.zeros(G.dim, (), G.order)
-            for k in range(n, 2 * n):
-                pk = Jet.coordinate(G.dim, pt, k, G.order)
-                p2 = p2 + pk * pk
-            return LJet(p2.scale(0.5 / mass) + V.at(pt).c)
-
-        return cls(G, ScalarField(G.chart, fn), mass=mass)
-
-
-def ham_vf(H: ScalarField, G: GeometryData) -> TensorField:
+def ham_vf(H: Field, G: GeometryData) -> Field:
     """Evolution vector field: v^j = -om^{ij} H_,i, so that adot = {a, H}."""
 
     def fn(pt):
@@ -53,15 +23,15 @@ def ham_vf(H: ScalarField, G: GeometryData) -> TensorField:
         dh = H.at(pt).c.grad()
         return LJet(-jet_einsum("ij,i->j", f.om, dh))
 
-    return TensorField(G.chart, 1, 0, fn)
+    return Field(G.chart, fn)
 
 
-def evolve_scalar(a: ScalarField, H: ScalarField, G: GeometryData) -> ScalarField:
+def evolve_scalar(a: Field, H: Field, G: GeometryData) -> Field:
     """adot = {a, H}."""
     return poisson_bracket(a, H, G)
 
 
-def evolve_oneform(xi: TensorField, H: ScalarField, G: GeometryData) -> TensorField:
+def evolve_oneform(xi: Field, H: Field, G: GeometryData) -> Field:
     """Rate of change of a one-form: parallel transport along the
     evolution vector field, xidot = -nabla_{Hhat} xi."""
     v = ham_vf(H, G)
@@ -77,10 +47,10 @@ def evolve_oneform(xi: TensorField, H: ScalarField, G: GeometryData) -> TensorFi
 
         return LJet(rate(xv.c), None if xv.l is None else rate(xv.l))
 
-    return TensorField(G.chart, 0, 1, fn, form=True)
+    return Field(G.chart, fn)
 
 
-def evolution_defect(a: ScalarField, H: ScalarField, G: GeometryData) -> TensorField:
+def evolution_defect(a: Field, H: Field, G: GeometryData) -> Field:
     """(da)dot - d(adot), evaluated as -nabla_{ahat}(dH).
 
     For a Poisson-compatible connection this equals the difference between
@@ -96,16 +66,15 @@ def evolution_defect(a: ScalarField, H: ScalarField, G: GeometryData) -> TensorF
         cd = cov_deriv_jet(dh, f.gam, 0, 1)          # (nabla dH)[i, k]
         return LJet(-jet_einsum("ik,k->i", cd, ahat))
 
-    return TensorField(G.chart, 0, 1, fn, form=True)
+    return Field(G.chart, fn)
 
 
-def defect_two_route_residual(a: ScalarField, H: ScalarField, G: GeometryData,
+def defect_two_route_residual(a: Field, H: Field, G: GeometryData,
                               point) -> float:
     """Max-abs difference between -nabla_{ahat}(dH) and (da)dot - d(adot)."""
     direct = evolution_defect(a, H, G).at(point).c.val
 
-    da = TensorField(G.chart, 0, 1,
-                     lambda pt: LJet(a.at(pt).c.grad()), form=True)
+    da = Field(G.chart, lambda pt: LJet(a.at(pt).c.grad()))
     da_dot = evolve_oneform(da, H, G).at(point).c.val
     adot = evolve_scalar(a, H, G)
     d_adot = adot.at(point).c.grad().val

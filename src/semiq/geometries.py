@@ -1,8 +1,8 @@
 """Built-in geometries with exact closed-form jet providers.
 
-``make_flat``: canonical phase space R^{2n} with coordinates
-(q^1..q^n, p^1..p^n), Euclidean metric, canonical Poisson bivector and the
-trivial connection.
+``make_flat``: canonical phase space R^{2n} with coordinates x1..xn
+(positions) and x(n+1)..x2n (momenta), Euclidean metric, canonical
+Poisson bivector and the trivial connection.
 
 ``make_cpn``: the complex projective space CP^n on its standard affine
 chart, in real coordinates x^a with z^k = x^k + i x^{k+n}. Index
@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import ConfigError, UnknownCheckError
-from .geometry import Chart, GeometryData, ScalarField
+from .geometry import Chart, Field, GeometryData
 from .lambda_core import Jet, LJet, LambdaScalar, jet_apply, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
                         wedge1)
@@ -84,13 +84,12 @@ def canonical_omega(n: int) -> np.ndarray:
     return om
 
 
-def make_flat(n: int, hbar: float = 1.0) -> GeometryData:
+def make_flat(n: int) -> GeometryData:
     """Flat R^{2n} with canonical coordinates and trivial connection."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
-    names = tuple([f"q{k+1}" for k in range(n)] + [f"p{k+1}" for k in range(n)])
-    chart = Chart(d, names=names, pairing=True, box=1.5)
+    chart = Chart(d, box=1.5)
     eye = np.eye(d)
     om0 = canonical_omega(n)
     return GeometryData(
@@ -100,7 +99,6 @@ def make_flat(n: int, hbar: float = 1.0) -> GeometryData:
         omega_fn=lambda p, k: Jet.const(d, om0, k),
         gamma_fn=lambda p, k: Jet.zeros(d, (d, d, d), k),
         levi_civita=True,
-        lam=1j * hbar,
         name=f"flat(n={n})",
         parallel_cobasis=True,
     )
@@ -134,7 +132,6 @@ def make_flat_torsion() -> GeometryData:
         omega_fn=lambda p, k: Jet.const(2, om0, k),
         gamma_fn=gamma_fn,
         levi_civita=False,
-        lam=1j,
         name="flat-torsion",
         suites=("classical-compat", "qlc"),
     )
@@ -217,7 +214,7 @@ def make_cpn(n: int, order: int = 3) -> GeometryData:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
-    chart = Chart(d, pairing=True, box=0.75)
+    chart = Chart(d, box=0.75)
     return GeometryData(
         chart,
         g_fn=lambda p, k: _cpn_g(n, p, k),
@@ -225,7 +222,6 @@ def make_cpn(n: int, order: int = 3) -> GeometryData:
         omega_fn=lambda p, k: _cpn_omega_upper(n, p, k),
         gamma_fn=lambda p, k: _cpn_gamma(n, p, k),
         levi_civita=True,
-        lam=1j,
         name=f"cpn(n={n})",
         suites=CPN_SUITES,
         order=order,
@@ -276,17 +272,17 @@ class CPnFrame:
     def w_jets(self, pt) -> Jet:
         return jet_einsum(",i->i", self.t_jet(pt), self.z_jets(pt))
 
-    def z_field(self, i: int, conj: bool = False) -> ScalarField:
+    def z_field(self, i: int, conj: bool = False) -> Field:
         return self._entry_field(self.z_jets, i, conj)
 
-    def w_field(self, i: int, conj: bool = False) -> ScalarField:
+    def w_field(self, i: int, conj: bool = False) -> Field:
         return self._entry_field(self.w_jets, i, conj)
 
-    def _entry_field(self, jets, i: int, conj: bool) -> ScalarField:
+    def _entry_field(self, jets, i: int, conj: bool) -> Field:
         def fn(pt):
             j = jet_einsum("i,i->", jets(pt), _unit(self.n, i))
             return LJet(j.conj() if conj else j)
-        return ScalarField(self.G.chart, fn)
+        return Field(self.G.chart, fn)
 
     def tau_jet(self, pt) -> Jet:
         """Components of tau = t^2 zbar^i dz^i in the real frame."""
@@ -315,9 +311,9 @@ class CPnFrame:
         oml = _cpn_omega_lower(self.n, tuple(pt), self.G.order)
         return -2.0 * oml
 
-    def kahler_potential(self) -> ScalarField:
+    def kahler_potential(self) -> Field:
         # K0 = ln(1 + |z|^2) = -ln t^2
-        return ScalarField(self.G.chart, lambda pt: LJet(-jet_apply("ln", self.t2_jet(pt))))
+        return Field(self.G.chart, lambda pt: LJet(-jet_apply("ln", self.t2_jet(pt))))
 
     def g_hermitian(self, pt) -> np.ndarray:
         """g_{i jbar} = t^2 delta_{ij} - t^4 zbar^i z^j at a point."""
@@ -432,7 +428,7 @@ def _dws(x: _At, conj: bool = False) -> list:
 _zbars, _wbars, _dzbars, _dwbars = (partial(f, conj=True) for f in (_zs, _ws, _dzs, _dws))
 
 
-def _q_factor(x: _At, inverse: bool = False) -> ScalarField:
+def _q_factor(x: _At, inverse: bool = False) -> Field:
     """q = 1 + i lam t^-2 (or its inverse) as a graded scalar field."""
     sgn = -1.0 if inverse else 1.0
 
@@ -440,7 +436,7 @@ def _q_factor(x: _At, inverse: bool = False) -> ScalarField:
         t2 = x.F.t2_jet(pt)
         return LJet(Jet.const(x.d, 1.0, x.G.order), t2.reciprocal().scale(sgn * 1j))
 
-    return ScalarField(x.G.chart, fn)
+    return Field(x.G.chart, fn)
 
 
 # engines
@@ -632,25 +628,8 @@ def _exp_nablaq_dz(sgn: int):
     return exp
 
 
-class _Catalogue:
-    """Closed-form checks on the projective-space chart, by name."""
-
-    def __init__(self, entries: dict, aliases: dict):
-        self.entries = entries
-        self.aliases = aliases
-
-    def resolve(self, name: str) -> str:
-        if name in self.entries:
-            return name
-        if name in self.aliases:
-            return self.aliases[name]
-        raise UnknownCheckError(f"unknown catalogue check {name!r}")
-
-    def names(self):
-        return sorted(self.entries)
-
-
-CATALOGUE = _Catalogue({
+# closed-form checks on the projective-space chart: name -> (engine, expected)
+CATALOGUE = {
     "z-z-comm": (_star_comm(_zs, _zs), _zero(0)),
     "z-zbar-comm": (_star_comm(_zs, _zbars), _exp_z_zbar),
     "z-dz-comm": (_form_comm(_zs, _dzs), _zero(1)),
@@ -671,20 +650,24 @@ CATALOGUE = _Catalogue({
     "g1": (lambda x: _vals(g1_build(x.G).at(x.pt)), _exp_g1),
     "nablaQ-dz+": (_nablaq_dz(+1), _exp_nablaq_dz(+1)),
     "nablaQ-dz-": (_nablaq_dz(-1), _exp_nablaq_dz(-1)),
-}, aliases={"z-comm": "z-zbar-comm", "w-comm": "w-wbar-comm"})
+}
+
+
+def _entry(check_id: str) -> tuple:
+    if check_id not in CATALOGUE:
+        raise UnknownCheckError(f"unknown catalogue check {check_id!r}")
+    return CATALOGUE[check_id]
 
 
 def cpn_expected(G: GeometryData, check_id: str, point):
     """Closed-form expected value (classical, first-order arrays) for a
     registered catalogue check at a point."""
-    name = CATALOGUE.resolve(check_id)
-    return CATALOGUE.entries[name][1](_At(G, tuple(point)))
+    return _entry(check_id)[1](_At(G, tuple(point)))
 
 
 def cpn_catalogue_residual(G: GeometryData, check_id: str, point) -> tuple:
     """(classical, first-order) max-abs residual of a catalogue check."""
-    name = CATALOGUE.resolve(check_id)
-    eng, exp = CATALOGUE.entries[name]
+    eng, exp = _entry(check_id)
     x = _At(G, tuple(point))
     ec, el = eng(x)
     xc, xl = exp(x)

@@ -36,25 +36,19 @@ GENERIC_SUITES = ("classical-compat", "dga", "metric", "evolution")
 
 @dataclass(frozen=True)
 class Chart:
-    """A single coordinate chart with optional complex pairing z^k = x^k + i x^{k+n}."""
+    """A single coordinate chart x1..x{dim}, sampled in the box [-box, box]^dim."""
 
     dim: int
-    names: tuple = ()
-    pairing: bool = False
     box: float = 1.5
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError("chart dimension must be >= 1")
-        if self.pairing and self.dim % 2:
-            raise ConfigError("complex pairing needs an even chart dimension")
-        if not self.names:
-            object.__setattr__(self, "names",
-                               tuple(f"x{k+1}" for k in range(self.dim)))
 
 
-class ScalarField:
-    """Chart-wide scalar with a lam-graded jet provider."""
+class Field:
+    """Chart-wide field with a lam-graded jet provider: a scalar, or the
+    component array of a tensor (contravariant slots first)."""
 
     def __init__(self, chart: Chart, fn: Callable[[tuple], LJet]):
         self.chart = chart
@@ -64,42 +58,9 @@ class ScalarField:
         return self.fn(tuple(point))
 
     @classmethod
-    def from_expr(cls, chart: Chart, text: str, order: int = 3) -> "ScalarField":
+    def from_expr(cls, chart: Chart, text: str, order: int = 3) -> "Field":
         tree = fieldexpr.parse(text, chart.dim)
         return cls(chart, lambda p: LJet(fieldexpr.eval_jet(tree, p, chart.dim, order)))
-
-    @classmethod
-    def constant(cls, chart: Chart, value: complex, order: int = 3) -> "ScalarField":
-        return cls(chart, lambda p: LJet(Jet.const(chart.dim, value, order)))
-
-    @classmethod
-    def coordinate(cls, chart: Chart, k: int, order: int = 3) -> "ScalarField":
-        return cls(chart, lambda p: LJet(Jet.coordinate(chart.dim, p, k, order)))
-
-
-class TensorField:
-    """Tensor field with p contravariant and q covariant slots.
-
-    Component arrays index contravariant slots first. ``form`` marks a
-    fully antisymmetric covariant tensor (a differential form).
-    """
-
-    def __init__(self, chart: Chart, p: int, q: int,
-                 fn: Callable[[tuple], LJet], form: bool = False):
-        self.chart = chart
-        self.p = p
-        self.q = q
-        self.fn = fn
-        self.form = form
-
-    def at(self, point) -> LJet:
-        return self.fn(tuple(point))
-
-    @classmethod
-    def from_component_exprs(cls, chart: Chart, p: int, q: int, comps,
-                             order: int = 3, form: bool = False) -> "TensorField":
-        jets = component_jets(chart, p + q, comps)
-        return cls(chart, p, q, lambda pt: LJet(jets(pt, order)), form=form)
 
 
 def component_jets(chart: Chart, rank: int, comps) -> Callable[[tuple, int], Jet]:
@@ -181,7 +142,6 @@ class GeometryData:
     omega_fn: Callable[[tuple, int], Jet]
     gamma_fn: Optional[Callable[[tuple, int], Jet]] = None   # None: Levi-Civita of g
     levi_civita: bool = True
-    lam: complex = 1j
     name: str = "geometry"          # a label for reports; nothing dispatches on it
     tol: float = 1e-9               # default check tolerance
     default_seed: int = 0
@@ -313,7 +273,7 @@ class PointFrame:
                       + jet_einsum("js,jabs->ab", gom, self.riemann_q))
 
 
-def poisson_bracket(a: ScalarField, b: ScalarField, G: GeometryData) -> ScalarField:
+def poisson_bracket(a: Field, b: Field, G: GeometryData) -> Field:
     """{a, b} = om^{ij} a_,i b_,j, extended bilinearly over the lam grading."""
 
     def fn(pt):
@@ -329,10 +289,10 @@ def poisson_bracket(a: ScalarField, b: ScalarField, G: GeometryData) -> ScalarFi
             l = br(av.c, bv.lam()) + br(av.lam(), bv.c)
         return LJet(c, l)
 
-    return ScalarField(a.chart, fn)
+    return Field(a.chart, fn)
 
 
-def compat_residuals(G: GeometryData) -> tuple[TensorField, TensorField, TensorField]:
+def compat_residuals(G: GeometryData) -> tuple[Field, Field, Field]:
     """Left-hand sides of the three classical compatibility conditions.
 
     t1[i,j,m] = om^{ij}_{;m} + om^{ik} T^j_{km} - om^{jk} T^i_{km}
@@ -361,9 +321,7 @@ def compat_residuals(G: GeometryData) -> tuple[TensorField, TensorField, TensorF
         f = G.frame(pt)
         return LJet(cov_deriv_jet(f.g, f.gam, 0, 2))
 
-    return (TensorField(chart, 2, 1, t1_fn),
-            TensorField(chart, 3, 0, t2_fn),
-            TensorField(chart, 0, 3, mg_fn))
+    return Field(chart, t1_fn), Field(chart, t2_fn), Field(chart, mg_fn)
 
 
 # -- geometry configuration files ----------------------------------------------
@@ -375,23 +333,33 @@ def _config_number(cfg: dict, key: str, default, valid, what: str):
     return v
 
 
+CONFIG_KEYS = ("dim", "metric", "poisson", "connection", "box", "seed", "name")
+
+
 def geometry_from_config(cfg: dict) -> GeometryData:
     """Build a geometry from a parsed JSON configuration.
 
     Schema: {"dim": int >= 1, "metric": [[expr]], "poisson": [[expr]],
              "connection": "levi-civita" | [[[expr]]],
-             "box": finite float > 0, "seed": int, "lambda_im": finite float,
-             "pairing": bool}
+             "box": finite float > 0, "seed": int >= 0, "name": str}
+    Any other key is an error, so a misspelt one cannot silently fall
+    back to a default.
     """
+    if not isinstance(cfg, dict):
+        raise ConfigError("a geometry config must be a JSON object")
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config entry {key!r}; "
+                              f"the entries are {', '.join(CONFIG_KEYS)}")
     if "dim" not in cfg:
         raise ConfigError("config needs a 'dim' entry")
     dim = _config_number(cfg, "dim", None, lambda v: isinstance(v, int) and v >= 1,
                          "an integer >= 1")
     box = _config_number(cfg, "box", 1.5, lambda v: math.isfinite(v) and v > 0,
                          "a finite number > 0")
-    seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int), "an integer")
-    lambda_im = _config_number(cfg, "lambda_im", 1.0, math.isfinite, "a finite number")
-    chart = Chart(dim, pairing=bool(cfg.get("pairing", dim % 2 == 0)), box=float(box))
+    seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int) and v >= 0,
+                          "an integer >= 0")
+    chart = Chart(dim, box=float(box))
     try:
         g = component_jets(chart, 2, cfg["metric"])
         om = component_jets(chart, 2, cfg["poisson"])
@@ -401,5 +369,4 @@ def geometry_from_config(cfg: dict) -> GeometryData:
     levi_civita = conn == "levi-civita"
     gamma_fn = None if levi_civita else component_jets(chart, 3, conn)
     return GeometryData(chart, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
-                        lam=complex(0.0, float(lambda_im)),
                         name=str(cfg.get("name", "config")), tol=1e-6, default_seed=seed)

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import GeometryData, PointFrame, ScalarField, TensorField, cov_deriv_jet
+from .geometry import Field, GeometryData, PointFrame, cov_deriv_jet
 from .lambda_core import Jet, LJet, jet_einsum
 
 _L = "abcdefghmnopqrs"
@@ -145,7 +145,7 @@ class QTensor:
         return cls(G, 1, fn)
 
     @classmethod
-    def differential(cls, G: GeometryData, a: ScalarField) -> "QTensor":
+    def differential(cls, G: GeometryData, a: Field) -> "QTensor":
         """The exact one-form da of a lam-graded scalar field."""
 
         def comps(pt):
@@ -180,13 +180,13 @@ def _oneform_model(xi: QTensor, pt) -> LJet:
 
 # -- deformed products and actions ----------------------------------------------
 
-def star_product(a: ScalarField, b: ScalarField, G: GeometryData) -> ScalarField:
+def star_product(a: Field, b: Field, G: GeometryData) -> Field:
     """a . b = ab + (lam/2) om^{ij} a_,i b_,j, graded over lam."""
 
     def fn(pt):
         return _fstar(",->", a.at(pt), b.at(pt), G.frame(pt).om)
 
-    return ScalarField(G.chart, fn)
+    return Field(G.chart, fn)
 
 
 def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
@@ -199,7 +199,7 @@ def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
     return LJet(base.c, base.lam() + corr)
 
 
-def module_action(a: ScalarField, xi: QTensor, side: str, G: GeometryData) -> QTensor:
+def module_action(a: Field, xi: QTensor, side: str, G: GeometryData) -> QTensor:
     """Left or right action of a function on a normal-form quantum tensor."""
     if xi.form or xi.basis != "q1":
         raise ValueError("module_action expects a tensor-basis quantum tensor")
@@ -426,7 +426,7 @@ def sigma_basis(f: PointFrame) -> np.ndarray:
         # dx^i . x^j in normal form, batched over i
         c = jet_einsum(",ir->ir", xj, eye)
         l = jet_einsum("t,itr->ir", omj, f.gam)
-        A = _nablaQ1_batched(LJet(c, l), f)
+        A = _nabla_normal(LJet(c, l), N, f, "r", "mn", "o")
         # (nabla_Q dx^i) . x^j, batched over i
         base = _fstar("imn,->imn", N, LJet(xj), f.om)
         V = jet_einsum("t,utm->um", omj, f.gam)
@@ -437,23 +437,23 @@ def sigma_basis(f: PointFrame) -> np.ndarray:
     return s1
 
 
-def _nablaQ1_batched(cf: LJet, f: PointFrame) -> LJet:
-    """Quantised connection on a batch of one-forms given by normal-form
-    coefficients cf[batch..., r]; output [batch..., m, n]."""
-    N = nq_basis(f)
-    nb = len(cf.c.shape) - 1
-    b = "opqrs"[:nb]
-    base = _fstar(f"{b}i,imn->{b}mn", cf, N, f.om)
-    # d(coeff) (x) dx^i with left collection of the differential
-    dc = cf.c.grad()                          # [b, r, k]
-    dl = cf.lam().grad() if cf.l is not None else None
-    d2 = cf.c.grad().grad()                   # [b, r, u, s]
-    A = jet_einsum("st,utk->usk", f.om, f.gam)
-    corr = 0.5 * jet_einsum(f"usk,{b}rus->{b}rk", A, d2)
-    fc_l = corr if dl is None else dl + corr
-    out_c = base.c + dc.reorder(f"{b}rk->{b}kr")
-    out_l = base.lam() + fc_l.reorder(f"{b}rk->{b}kr")
-    return LJet(out_c, out_l)
+def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
+                  batch: str = "") -> LJet:
+    """Quantised connection on normal-form coefficients cf[batch, coeff] of
+    the cobasis monomials whose own connection is conn[coeff, out]; the
+    output is [batch, out], direction slot first.
+
+    The basis connection is contracted through the deformed product, and
+    the differential of the coefficients is collected to the left of the
+    monomial.
+    """
+    base = _fstar(f"{batch}{coeff},{coeff}{out}->{batch}{out}", cf, conn, f.om)
+    dc = cf.c.grad()                                    # [batch, coeff, k]
+    half = jet_einsum("st,utk->usk", f.om, f.gam)
+    corr = 0.5 * jet_einsum(f"usk,{batch}{coeff}us->{batch}{coeff}k", half, dc.grad())
+    dl = corr if cf.l is None else cf.lam().grad() + corr
+    flip = f"{batch}{coeff}k->{batch}k{coeff}"
+    return LJet(base.c + dc.reorder(flip), base.lam() + dl.reorder(flip))
 
 
 def nq2_basis(f: PointFrame) -> LJet:
@@ -495,26 +495,18 @@ def nabla_Q(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
         raise ValueError("nabla_Q expects tensor-basis input")
     if xi.rank == 1:
         def fn(pt):
-            return _nablaQ1_batched(xi.at(pt), G.frame(pt))
+            f = G.frame(pt)
+            return _nabla_normal(xi.at(pt), nq_basis(f), f, "r", "mn")
         return QTensor(G, 2, fn)
     if xi.rank == 2:
         def fn2(pt):
             f = G.frame(pt)
-            cf = xi.at(pt)
-            base = _fstar("mn,mnrst->rst", cf, nq2_basis(f), f.om)
-            dc = cf.c.grad()                  # [m,n,k]
-            d2 = cf.c.grad().grad()           # [m,n,u,s]
-            A = jet_einsum("st,utk->usk", f.om, f.gam)
-            corr = 0.5 * jet_einsum("usk,mnus->mnk", A, d2)
-            dl = cf.lam().grad() if cf.l is not None else corr * 0.0
-            out_c = base.c + dc.reorder("mnk->kmn")
-            out_l = base.lam() + (dl + corr).reorder("mnk->kmn")
-            return LJet(out_c, out_l)
+            return _nabla_normal(xi.at(pt), nq2_basis(f), f, "mn", "rst")
         return QTensor(G, 3, fn2)
     raise ValueError("nabla_Q implemented for ranks 1 and 2")
 
 
-def sigma_Q(a: ScalarField, xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
+def sigma_Q(a: Field, xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
     """Generalized braiding applied to da (x) xi, by its defining difference
     nabla_Q(xi . a) - (nabla_Q xi) . a."""
     G = G or xi.G
@@ -579,7 +571,7 @@ def g_q_build(G: GeometryData, check_compat: bool = True) -> QTensor:
     return QTensor(G, 2, lambda pt: _gq_coeff(G.frame(pt)))
 
 
-def gen_ricci(G: GeometryData, tol: float = 1e-8) -> TensorField:
+def gen_ricci(G: GeometryData, tol: float = 1e-8) -> Field:
     """Generalized Ricci two-form (components of the obstruction to the
     deformed wedge annihilating the quantum metric).
 
@@ -596,7 +588,7 @@ def gen_ricci(G: GeometryData, tol: float = 1e-8) -> TensorField:
                 f"{pt}: {np.max(np.abs(r1.val - r2.val)):.3e}")
         return LJet(r1)
 
-    return TensorField(G.chart, 0, 2, fn, form=True)
+    return Field(G.chart, fn)
 
 
 def g1_build(G: GeometryData) -> QTensor:
@@ -659,7 +651,7 @@ def classical_metric_qtensor(G: GeometryData) -> QTensor:
     return QTensor(G, 2, lambda pt: LJet(G.frame(pt).g), basis="q0")
 
 
-def qlc_residual(G: GeometryData) -> TensorField:
+def qlc_residual(G: GeometryData) -> Field:
     """Obstruction to full metric compatibility of the quantum connection.
 
     res[m,n,k] combines the Levi-Civita derivative of the generalized
@@ -681,4 +673,4 @@ def qlc_residual(G: GeometryData) -> TensorField:
         res = drc - term + term.reorder("nmk->mnk")
         return LJet(res)
 
-    return TensorField(G.chart, 0, 3, fn)
+    return Field(G.chart, fn)

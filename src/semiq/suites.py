@@ -10,6 +10,7 @@ ever taken.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import GeometryData, ScalarField, TensorField, compat_residuals
+from .geometry import Field, GeometryData, compat_residuals
 from .lambda_core import Jet, LJet, jet_einsum
 from . import semiquant as sq
 from . import geometries as geos
@@ -53,7 +54,7 @@ SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue", "evolutio
 
 
 def random_poly_field(chart, rng, degree: int = 2, terms: int = 4,
-                      order: int = 3) -> ScalarField:
+                      order: int = 3) -> Field:
     """Random complex polynomial in the chart coordinates, as jets of ``order``."""
     d = chart.dim
     monos = []
@@ -72,7 +73,7 @@ def random_poly_field(chart, rng, degree: int = 2, terms: int = 4,
             total = total + term
         return LJet(total)
 
-    return ScalarField(chart, fn)
+    return Field(chart, fn)
 
 
 def random_oneform(G: GeometryData, rng, degree: int = 2) -> sq.QTensor:
@@ -186,7 +187,7 @@ def _suite_catalogue(G: GeometryData, pts, rng) -> dict:
         raise ConfigError("the catalogue suite runs only on geometries that list it: "
                           "the projective space built by make_cpn")
     worst = {}
-    for name in geos.CATALOGUE.names():
+    for name in sorted(geos.CATALOGUE):
         for pt in pts:
             rc, rl = geos.cpn_catalogue_residual(G, name, pt)
             _acc(worst, name, rc, rl)
@@ -200,7 +201,7 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
         a, b, H = (random_poly_field(G.chart, rng, order=G.order) for _ in range(3))
         _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pt), 0.0)
         # hamiltonian field acts as a derivation on products
-        prod = ScalarField(G.chart, lambda p: LJet(a.at(p).c * b.at(p).c))
+        prod = Field(G.chart, lambda p: LJet(a.at(p).c * b.at(p).c))
         adot = ev.evolve_scalar(a, H, G)
         bdot = ev.evolve_scalar(b, H, G)
         v = ev.evolve_scalar(prod, H, G).at(pt)
@@ -208,10 +209,8 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
         _acc(worst, "hamvf-derivation", (v.c - rhs_c).val, 0.0)
         if G.parallel_cobasis:
             for k in range(G.dim):
-                basis = TensorField(G.chart, 0, 1,
-                                    lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k],
-                                                                  G.order)),
-                                    form=True)
+                basis = Field(G.chart, lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k],
+                                                                     G.order)))
                 _acc(worst, "cobasis-invariance", *ev.evolve_oneform(basis, H, G).at(pt).values())
     return worst
 
@@ -243,7 +242,11 @@ def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if points < 1:
         raise ConfigError(f"a suite needs at least one sample point, got {points}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"the sampling seed must be an integer >= 0, got {seed!r}")
     tol = G.tol if tol is None else float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"the tolerance must be a finite number >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     pts = [tuple(p) for p in G.sample_points(points, seed)]
     start = time.perf_counter()

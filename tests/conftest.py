@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
+from semiq.geometry import Field
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,14 @@ def sample(G, count, seed):
 
 def maxabs(x) -> float:
     return float(np.max(np.abs(np.asarray(x))))
+
+
+def canonical_hamiltonian(n, mass, potential="0"):
+    """Flat R^{2n} and H = V + (p1^2 + ... + pn^2)/(2m), where the momenta
+    are x(n+1)..x2n and V is an expression in the positions x1..xn."""
+    G = make_flat(n)
+    kinetic = " + ".join(f"x{k}^2" for k in range(n + 1, 2 * n + 1))
+    return G, Field.from_expr(G.chart, f"({potential}) + ({kinetic})/(2*{mass})")
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"

@@ -4,7 +4,7 @@ import pytest
 from conftest import maxabs, sample
 from semiq.errors import UnknownCheckError
 from semiq.geometries import (CATALOGUE, cpn_catalogue_residual, cpn_expected,
-                              cpn_frame, fold_index, kappa, make_cpn, make_flat,
+                              cpn_frame, fold_index, kappa, make_cpn,
                               _cpn_omega_lower, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
 from semiq.lambda_core import jet_einsum
@@ -29,10 +29,6 @@ class TestIndexFolding:
 
 
 class TestFlat:
-    def test_lambda_preset(self):
-        G = make_flat(2, hbar=0.7)
-        assert G.lam == 0.7j
-
     def test_canonical_structure(self, flat2):
         f = flat2.frame((0.1, 0.2, 0.3, 0.4))
         assert maxabs(f.g.val - np.eye(4)) == 0.0
@@ -169,24 +165,27 @@ class TestCatalogue:
         with pytest.raises(UnknownCheckError):
             cpn_expected(cpn1, "no-such-check", (0.1, 0.1))
 
-    def test_aliases(self, cpn1):
-        assert CATALOGUE.resolve("w-comm") == "w-wbar-comm"
-        assert CATALOGUE.resolve("z-comm") == "z-zbar-comm"
+    def test_former_aliases_rejected(self, cpn1):
+        assert len(CATALOGUE) == 19
+        for name in ("z-comm", "w-comm"):
+            assert name not in CATALOGUE
+            with pytest.raises(UnknownCheckError):
+                cpn_catalogue_residual(cpn1, name, (0.1, 0.1))
 
     def test_w_commutator_canonical_everywhere(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
             for pt in sample(G, 5, 31):
-                c, l = cpn_expected(G, "w-comm", pt)
+                c, l = cpn_expected(G, "w-wbar-comm", pt)
                 n = G.dim // 2
                 assert maxabs(l - 1j * np.eye(n)) == 0.0
 
     def test_z_commutator_at_origin(self, cpn1):
-        c, l = cpn_expected(cpn1, "z-comm", (0.0, 0.0))
+        c, l = cpn_expected(cpn1, "z-zbar-comm", (0.0, 0.0))
         assert maxabs(l - 1j * np.eye(1)) == 0.0
 
     def test_every_check_small_on_samples(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
-            for name in CATALOGUE.names():
+            for name in sorted(CATALOGUE):
                 for pt in sample(G, 3, 32):
                     rc, rl = cpn_catalogue_residual(G, name, pt)
                     assert max(rc, rl) < 1e-8, (name, pt)

@@ -3,9 +3,8 @@ import pytest
 
 from conftest import maxabs, sample
 from semiq.errors import DegenerateMetricError
-from semiq.geometry import (Chart, GeometryData, ScalarField, TensorField,
-                            christoffel_jet, compat_residuals, cov_deriv_jet,
-                            poisson_bracket, torsion_jet)
+from semiq.geometry import (Chart, Field, GeometryData, christoffel_jet, compat_residuals,
+                            component_jets, cov_deriv_jet, poisson_bracket, torsion_jet)
 from semiq.geometries import _cpn_gamma, _cpn_riemann, make_cpn
 from semiq.lambda_core import Jet, LJet, jet_einsum
 
@@ -39,12 +38,10 @@ class TestChristoffel:
     def test_conformal_metric_hand_values(self):
         # g = exp(2 x1) * identity in two dimensions, evaluated at x1 = 0
         chart = Chart(2)
-        g = TensorField.from_component_exprs(chart, 0, 2,
-                                             [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
-        ginv = TensorField.from_component_exprs(chart, 0, 2,
-                                                [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
+        g = component_jets(chart, 2, [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
+        ginv = component_jets(chart, 2, [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
         pt = (0.0, 0.7)
-        gam = christoffel_jet(g.at(pt).c, ginv.at(pt).c).val
+        gam = christoffel_jet(g(pt, 3), ginv(pt, 3)).val
         assert gam[0, 0, 0] == pytest.approx(1.0)
         assert gam[0, 1, 1] == pytest.approx(-1.0)
         assert gam[1, 0, 1] == pytest.approx(1.0)
@@ -65,9 +62,9 @@ class TestChristoffel:
 
     def test_degenerate_metric_error(self):
         chart = Chart(2)
-        g = TensorField.from_component_exprs(chart, 0, 2, [["x1", "0"], ["0", "1"]])
+        g = component_jets(chart, 2, [["x1", "0"], ["0", "1"]])
         with pytest.raises(DegenerateMetricError):
-            g.at((0.0, 0.5)).c.matinv()
+            g((0.0, 0.5), 3).matinv()
 
 
 class TestCurvature:
@@ -160,21 +157,21 @@ class TestCovDeriv:
 
 class TestPoissonBracket:
     def test_canonical_pair(self, flat2):
-        q1 = ScalarField.from_expr(flat2.chart, "x1")
-        p1 = ScalarField.from_expr(flat2.chart, "x3")
+        q1 = Field.from_expr(flat2.chart, "x1")
+        p1 = Field.from_expr(flat2.chart, "x3")
         br = poisson_bracket(q1, p1, flat2)
         assert br.at((0.1, 0.2, 0.3, 0.4)).c.value == pytest.approx(1.0)
 
     def test_antisymmetry(self, cpn1):
-        a = ScalarField.from_expr(cpn1.chart, "x1^2*x2")
+        a = Field.from_expr(cpn1.chart, "x1^2*x2")
         br = poisson_bracket(a, a, cpn1)
         assert abs(br.at((0.4, -0.3)).c.value) < 1e-15
 
     def test_cp1_z_zbar_bracket(self, cpn1):
         # {z, zbar} = i t^-2 (1+|z|^2) = i (1+|z|^2)^2, read off the closed
         # form of the deformed commutator divided by the deformation unit
-        z = ScalarField.from_expr(cpn1.chart, "z1")
-        zb = ScalarField.from_expr(cpn1.chart, "conj(z1)")
+        z = Field.from_expr(cpn1.chart, "z1")
+        zb = Field.from_expr(cpn1.chart, "conj(z1)")
         pt = (0.3, 0.1)
         br = poisson_bracket(z, zb, cpn1).at(pt).c.value
         zz = 0.3 ** 2 + 0.1 ** 2
@@ -187,7 +184,7 @@ class TestPoissonBracket:
             a = random_poly_field(cpn1.chart, rng)
             b = random_poly_field(cpn1.chart, rng)
             c = random_poly_field(cpn1.chart, rng)
-            bc = ScalarField(cpn1.chart, lambda p: LJet(b.at(p).c * c.at(p).c))
+            bc = Field(cpn1.chart, lambda p: LJet(b.at(p).c * c.at(p).c))
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
             lhs = poisson_bracket(a, bc, cpn1).at(pt).c.value
             rhs = (complex(b.at(pt).c.value)

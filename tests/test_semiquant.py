@@ -5,7 +5,7 @@ import pytest
 
 from conftest import maxabs, sample
 from test_geometry import synthetic_torsion_geometry
-from semiq.geometry import ScalarField, cov_deriv_jet
+from semiq.geometry import Field, cov_deriv_jet
 from semiq.geometries import cpn_frame
 from semiq.lambda_core import Jet, LJet, LambdaScalar, jet_einsum
 from semiq.semiquant import (QTensor, classical_metric_qtensor, g1_build, g_q_build,
@@ -61,8 +61,8 @@ def loop_h_family(f):
 
 class TestStarProduct:
     def test_unit(self, cpn1):
-        a = ScalarField.from_expr(cpn1.chart, "x1^2*x2+sin(x2)")
-        one = ScalarField.constant(cpn1.chart, 1.0)
+        a = Field.from_expr(cpn1.chart, "x1^2*x2+sin(x2)")
+        one = Field.from_expr(cpn1.chart, "1")
         pt = (0.4, -0.2)
         v = star_product(a, one, cpn1).at(pt)
         w = a.at(pt)
@@ -73,15 +73,15 @@ class TestStarProduct:
         pt = (0.1, 0.2, 0.3, 0.4)
         for i in range(2):
             for j in range(2):
-                qi = ScalarField.from_expr(flat2.chart, f"x{i+1}")
-                pj = ScalarField.from_expr(flat2.chart, f"x{j+3}")
+                qi = Field.from_expr(flat2.chart, f"x{i+1}")
+                pj = Field.from_expr(flat2.chart, f"x{j+3}")
                 v = star_product(qi, pj, flat2).at(pt) - star_product(pj, qi, flat2).at(pt)
                 assert complex(v.c.value) == 0
                 assert complex(v.lam().value) == (1.0 if i == j else 0.0)
 
     def test_cp1_z_zbar_star_commutator(self, cpn1):
-        z = ScalarField.from_expr(cpn1.chart, "z1")
-        zb = ScalarField.from_expr(cpn1.chart, "conj(z1)")
+        z = Field.from_expr(cpn1.chart, "z1")
+        zb = Field.from_expr(cpn1.chart, "conj(z1)")
         pt = (0.3, 0.1)
         v = star_product(z, zb, cpn1).at(pt) - star_product(zb, z, cpn1).at(pt)
         assert abs(complex(v.lam().value) - 1.21j) < 1e-14
@@ -102,7 +102,7 @@ class TestStarProduct:
 class TestModuleAction:
     def test_constant_function_central(self, cpn1):
         xi = QTensor.constant_oneform(cpn1, [1.0, 2.0])
-        a = ScalarField.constant(cpn1.chart, 2.5 + 1j)
+        a = Field.from_expr(cpn1.chart, "2.5+1i")
         pt = (0.2, 0.3)
         v = module_action(a, xi, "left", cpn1).at(pt) - \
             module_action(a, xi, "right", cpn1).at(pt)
@@ -256,7 +256,7 @@ class TestSigmaQ:
         assert maxabs(sig.c.val - flip) < 1e-13
 
     def test_flat_flip_exact_at_both_slots(self, flat1):
-        a = ScalarField.from_expr(flat1.chart, "x1^2*x2")
+        a = Field.from_expr(flat1.chart, "x1^2*x2")
         xi = QTensor.constant_oneform(flat1, [0.5, -1.5])
         pt = (0.7, 0.2)
         sig = sigma_Q(a, xi, flat1).at(pt)

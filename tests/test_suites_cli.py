@@ -157,7 +157,7 @@ class TestConfigNumbers:
     @pytest.mark.parametrize("key, raw", [
         ("dim", '"two"'), ("dim", "2.5"), ("seed", '"x"'), ("box", '"wide"'),
         ("box", "-1"), ("box", '"nan"'), ("box", "1e400"), ("box", "0"),
-        ("lambda_im", "NaN"), ("lambda_im", '"one"')])
+        ("lambda_im", "NaN"), ("lambda_im", '"one"'), ("seed", "-1"), ("seed", "2.0")])
     def test_invalid_number_exits_2(self, key, raw, tmp_path, capsys):
         cfg = json.loads((ROOT / "perfbench" / "exp_plane.json").read_text())
         cfg[key] = "RAW"
@@ -166,6 +166,78 @@ class TestConfigNumbers:
         assert main(["check", str(path), "--points", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:") and repr(key) in out.err
+
+
+class TestConfigKeys:
+    """A config key outside the schema exits 2 and is named, rather than
+    being ignored (a misspelt "connection" used to fall back to Levi-Civita)."""
+
+    @pytest.mark.parametrize("key, raw", [
+        ("pairing", '"false"'), ("conection", '[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]'),
+        ("lambda_im", "1.0")])
+    def test_unknown_key_exits_2(self, key, raw, tmp_path, capsys):
+        cfg = json.loads((ROOT / "perfbench" / "exp_plane.json").read_text())
+        cfg[key] = "RAW"
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(cfg).replace('"RAW"', raw))
+        assert main(["check", str(path), "--points", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and repr(key) in out.err
+
+    @pytest.mark.parametrize("doc", ["5", "[1]", '"dim"'])
+    def test_config_must_be_an_object(self, doc, tmp_path, capsys):
+        path = tmp_path / "geometry.json"
+        path.write_text(doc)
+        assert main(["check", str(path), "--points", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
+    def test_every_schema_key_accepted(self, tmp_path, capsys):
+        cfg = dict(CURVED_CONFIG, seed=3)
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check", str(path), "--points", "1", "--suite", "classical-compat"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["seed"] == 3
+
+
+class TestSamplingBounds:
+    """--tol must be finite and >= 0, the seed an integer >= 0; else exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "flat-torsion", "--tol", "inf"],
+        ["check", "flat-torsion", "--tol", "nan"],
+        ["check", "flat", "--tol", "-1"],
+        ["check", "flat", "--seed", "-1"]])
+    def test_out_of_range_exits_2(self, argv, capsys):
+        assert main(argv + ["--points", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "Traceback" not in out.err
+
+    @pytest.mark.parametrize("tol, seed", [(float("inf"), 0), (-1e-9, 0), (1e-9, -1),
+                                           (1e-9, 1.5)])
+    def test_run_suite_rejects(self, tol, seed, flat1):
+        with pytest.raises(ConfigError):
+            run_suite("classical-compat", flat1, points=1, seed=seed, tol=tol)
+
+    def test_zero_tolerance_is_valid(self, flat1):
+        r = run_suite("classical-compat", flat1, points=2, seed=0, tol=0.0)
+        assert r.all_passed             # flat data is exact
+
+
+class TestRemovedOptions:
+    """The deformation parameter is carried as a grade, never as a number:
+    the options that used to set it are rejected by the parser."""
+
+    @pytest.mark.parametrize("option", [["--hbar", "2"], ["--lambda-im", "5"]])
+    @pytest.mark.parametrize("argv", [
+        ["check", "flat"],
+        ["eval", "commutator", "--geometry", "flat", "--a", "x1", "--b", "x2", "--at", "0,0"],
+        ["evolve", "--geometry", "flat", "--H", "x2^2/2", "--a", "x1", "--at", "0,0"]])
+    def test_rejected(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestNameIsALabel:
