@@ -17,23 +17,30 @@ from .suites import SUITES, emit_report, run_suite
 from . import semiquant as sq
 
 
-def build_geometry(name: str, n: int = 1) -> GeometryData:
+def build_geometry(name: str, n: int | None = None) -> GeometryData:
+    """The named geometry. flat and cpn have chart dimension 2n (n = 1 when
+    unset); a fixed chart takes n only when 2n is its dimension."""
     if name == "flat":
-        return make_flat(n)
+        return make_flat(1 if n is None else n)
     if name == "cpn":
-        return make_cpn(n)
+        return make_cpn(1 if n is None else n)
     if name == "flat-torsion":
-        return make_flat_torsion()
-    if name.endswith(".json") or name.startswith("config:"):
+        G = make_flat_torsion()
+    elif name.endswith(".json") or name.startswith("config:"):
         path = name[7:] if name.startswith("config:") else name
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read geometry config {path!r}: {exc}")
-        return geometry_from_config(cfg)
-    raise ConfigError(
-        f"unknown geometry {name!r}; use flat, cpn, flat-torsion or a JSON config path")
+        G = geometry_from_config(cfg)
+    else:
+        raise ConfigError(
+            f"unknown geometry {name!r}; use flat, cpn, flat-torsion or a JSON config path")
+    if n is not None and 2 * n != G.dim:
+        raise ConfigError(f"--n {n} asks for chart dimension {2 * n}, "
+                          f"but {name} has dimension {G.dim}")
+    return G
 
 
 def _report_path(path: str) -> str:
@@ -101,19 +108,18 @@ def cmd_eval(args) -> int:
     G = G.at_order(EVAL_ORDERS[args.op])
     pt = _parse_point(args.at, G.dim)
     a = Field.from_expr(G.chart, args.a, G.order)
+    b = Field.from_expr(G.chart, args.b, G.order)    # parsed for every op; nablaQ reads none
     if args.op == "star":
-        v = sq.star_product(a, Field.from_expr(G.chart, args.b, G.order), G).at(pt)
+        v = sq.star_product(a, b, G).at(pt)
         c, l = v.values()
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "commutator":
-        b = Field.from_expr(G.chart, args.b, G.order)
         v = sq.star_product(a, b, G).at(pt) - sq.star_product(b, a, G).at(pt)
         c, l = v.values()
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "wedge":
-        b = Field.from_expr(G.chart, args.b, G.order)
         v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b), G).at(pt)
         c, l = v.values()
         print("da wedge1 db components:")
@@ -154,7 +160,9 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_geometry_args(sp):
-        sp.add_argument("--n", type=int, default=1, help="complex dimension parameter")
+        sp.add_argument("--n", type=int, default=None,
+                        help="flat and cpn: chart dimension 2n (default 1); "
+                             "a fixed chart accepts only its own")
 
     pc = sub.add_parser("check", help="run verification suites")
     pc.add_argument("geometry", help="flat | cpn | flat-torsion | path to JSON config")

@@ -206,11 +206,8 @@ def _cpn_riemann(n, pt, order: int = 3):
     return r
 
 
-def make_cpn(n: int, order: int = 3) -> GeometryData:
-    """CP^n with the Fubini-Study data on the standard affine chart.
-
-    ``order`` is the geometry's jet depth (``GeometryData.order``).
-    """
+def make_cpn(n: int) -> GeometryData:
+    """CP^n with the Fubini-Study data on the standard affine chart."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
@@ -224,7 +221,6 @@ def make_cpn(n: int, order: int = 3) -> GeometryData:
         levi_civita=True,
         name=f"cpn(n={n})",
         suites=CPN_SUITES,
-        order=order,
     )
 
 

@@ -212,6 +212,17 @@ class PointFrame:
         return self._christoffel()
 
     @cached_property
+    def om_gam(self) -> Jet:
+        """P[u,s,m] = om^{st} Gam^u_{tm}, the cost of moving a function across one slot."""
+        return jet_einsum("st,utm->usm", self.om, self.gam)
+
+    @cached_property
+    def om_gam_gam(self) -> Jet:
+        """Q[m,n,a,b] = om^{ij} Gam^m_{ia} Gam^n_{jb}, the cost across two slots."""
+        u = jet_einsum("ij,mia->mja", self.om, self.gam)
+        return jet_einsum("mja,njb->mnab", u, self.gam)
+
+    @cached_property
     def gam_lc(self) -> Jet:
         """Levi-Civita coefficients of g (equals gam when torsion-free by build)."""
         if self.G.levi_civita:

@@ -340,14 +340,11 @@ def _qform_from_wedge_display(G: GeometryData, coeff_fn) -> QTensor:
         lam = X.lam() - X.lam().reorder("ba->ab")
         # left-action cost: (1/2) om^{ij} d_i X_{mn} nabla_j (dx^m ^ dx^n)
         dX = Xc.grad()
-        V = jet_einsum("ij,mja->mai", f.om, f.gam)
-        t1 = -jet_einsum("mai,mbi->ab", V, dX)
-        t3 = -jet_einsum("nbi,ani->ab", V, dX)
+        t1 = -jet_einsum("mia,mbi->ab", f.om_gam, dX)
+        t3 = -jet_einsum("nib,ani->ab", f.om_gam, dX)
         lam = lam + 0.5 * (t1 - t1.reorder("ba->ab") + t3 - t3.reorder("ba->ab"))
         # deformed wedge of the cobasis: (1/2) om^{ij} Gam^m_{ia} Gam^n_{jb} + H^{mn}
-        U1 = jet_einsum("ij,mia->mja", f.om, f.gam)
-        U2 = jet_einsum("mja,njb->mnab", U1, f.gam)
-        t = jet_einsum("mnab,mn->ab", U2, Xc)
+        t = jet_einsum("mnab,mn->ab", f.om_gam_gam, Xc)
         lam = lam + 0.5 * (t - t.reorder("ba->ab"))
         lam = lam - jet_einsum("mn,mnab->ab", Xc, f.h_fam)
         return LJet(c, lam)
@@ -393,15 +390,14 @@ def nq_basis(f: PointFrame) -> LJet:
     # A = om^{sj} Gam^i_{mk,s} Gam^k_{jn}
     A = jet_einsum("imkj,kjn->imn", jet_einsum("sj,imks->imkj", om, dgam), gam)
     X1 = jet_einsum("ikt,ksm->itsm", gam, gam)
+    # f.om_gam as [s,t,n]: read through f.om_gam, B's (s,t) sum reorders and changes bits
     Y = jet_einsum("sj,tjn->stn", om, gam)
     B = jet_einsum("itsm,stn->imn", X1, Y)
-    Z = jet_einsum("sj,ijk->isk", om, gam)
-    C = jet_einsum("isk,knms->imn", Z, r)
+    C = jet_einsum("isk,knms->imn", f.om_gam, r)
     n1 = -0.5 * (A - B - C)
     n0 = -gam
     # left-collection of the first-slot classical coefficient
-    half = jet_einsum("st,utm->usm", om, gam)
-    extra = jet_einsum("usm,iuns->imn", half, dgam)
+    extra = jet_einsum("usm,iuns->imn", f.om_gam, dgam)
     n1 = n1 - 0.5 * extra
     cache["nq"] = LJet(n0, n1)
     return cache["nq"]
@@ -416,25 +412,16 @@ def sigma_basis(f: PointFrame) -> np.ndarray:
     cache = _qdata(f)
     if "sigma1" in cache:
         return cache["sigma1"]
-    d = f.dim
-    eye = np.eye(d)
-    N = nq_basis(f)
-    s1 = np.zeros((d, d, d, d), dtype=np.complex128)
-    for j in range(d):
-        xj = Jet.coordinate(d, f.point, j, f.order)
-        omj = f.om.take_index(j, axis=0)
-        # dx^i . x^j in normal form, batched over i
-        c = jet_einsum(",ir->ir", xj, eye)
-        l = jet_einsum("t,itr->ir", omj, f.gam)
-        A = _nabla_normal(LJet(c, l), N, f, "r", "mn", "o")
-        # (nabla_Q dx^i) . x^j, batched over i
-        base = _fstar("imn,->imn", N, LJet(xj), f.om)
-        V = jet_einsum("t,utm->um", omj, f.gam)
-        corr = jet_einsum("um,iun->imn", V, N.c) + jet_einsum("un,imu->imn", V, N.c)
-        Bv = (base.lam() + corr).val
-        s1[j] = A.lam().val - Bv
-    cache["sigma1"] = s1
-    return s1
+    N, P = nq_basis(f), f.om_gam
+    x = Jet.coords(f.dim, f.point, f.order)
+    # dx^i . x^j in normal form, batched over j and i
+    c = jet_einsum("j,ir->jir", x, np.eye(f.dim))
+    A = _nabla_normal(LJet(c, P.reorder("ijr->jir")), N, f, "r", "mn", "jo")
+    # (nabla_Q dx^i) . x^j, batched over j and i
+    base = _fstar("imn,j->jimn", N, LJet(x), f.om)
+    corr = jet_einsum("ujm,iun->jimn", P, N.c) + jet_einsum("ujn,imu->jimn", P, N.c)
+    cache["sigma1"] = A.lam().val - (base.lam() + corr).val
+    return cache["sigma1"]
 
 
 def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
@@ -449,8 +436,7 @@ def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
     """
     base = _fstar(f"{batch}{coeff},{coeff}{out}->{batch}{out}", cf, conn, f.om)
     dc = cf.c.grad()                                    # [batch, coeff, k]
-    half = jet_einsum("st,utk->usk", f.om, f.gam)
-    corr = 0.5 * jet_einsum(f"usk,{batch}{coeff}us->{batch}{coeff}k", half, dc.grad())
+    corr = 0.5 * jet_einsum(f"usk,{batch}{coeff}us->{batch}{coeff}k", f.om_gam, dc.grad())
     dl = corr if cf.l is None else cf.lam().grad() + corr
     flip = f"{batch}{coeff}k->{batch}k{coeff}"
     return LJet(base.c + dc.reorder(flip), base.lam() + dl.reorder(flip))
@@ -471,14 +457,13 @@ def nq2_basis(f: PointFrame) -> LJet:
     # term (ii): dx^m (x) (nabla_Q dx^n), collected
     zc = jet_einsum("nst,mr->mnrst", N.c, eye)
     dN = N.c.grad()                          # [n,s,t,i]
-    mov = jet_einsum("ij,mjr->mri", f.om, f.gam)
     zl = jet_einsum("nst,mr->mnrst", N.lam(), eye) \
-        + jet_einsum("mri,nsti->mnrst", mov, dN)
+        + jet_einsum("mir,nsti->mnrst", f.om_gam, dN)
     # braid the first two output slots; the braiding array is indexed by
     # (differential slot, form slot), the extension feeds (element, direction)
     s1 = sigma_basis(f)
     bc = zc.reorder("mnvut->mnuvt")
-    bl = zl.reorder("mnvut->mnuvt") + jet_einsum("mnrst,sruv->mnuvt", zc, s1)
+    bl = zl.reorder("mnvut->mnuvt") + jet_einsum("nst,smuv->mnuvt", N.c, s1)
     cache["nq2"] = LJet(p1c + bc, p1l + bl)
     return cache["nq2"]
 
@@ -549,8 +534,7 @@ def _gq_coeff(f: PointFrame) -> LJet:
     V = jet_einsum("miq,qjn->mijn", U, f.gam)
     K = 0.5 * jet_einsum("mijn,ij->mn", V, f.om)
     dg = f.g.grad()                        # g_{un},s
-    half = jet_einsum("st,utm->usm", f.om, f.gam)
-    K = K + 0.5 * jet_einsum("usm,uns->mn", half, dg)
+    K = K + 0.5 * jet_einsum("usm,uns->mn", f.om_gam, dg)
     return LJet(f.g, K)
 
 
@@ -616,14 +600,12 @@ def q_map(X: QTensor, G: Optional[GeometryData] = None, direction: str = "q") ->
         raise ValueError("q_map applies to rank-2 elements")
 
     def corr(c0: Jet, f: PointFrame) -> Jet:
-        A1 = jet_einsum("ij,mir->jmr", f.om, f.gam)
-        A2 = jet_einsum("jmr,njs->mrns", A1, f.gam)
-        p1 = jet_einsum("mrns,mn->rs", A2, c0)
+        p1 = jet_einsum("mnrs,mn->rs", f.om_gam_gam, c0)
         dc = c0.grad()
+        # f.om_gam as [i,m,r]: read through f.om_gam, the (m,i) sums reorder and change bits
         B1 = jet_einsum("ij,mjr->imr", f.om, f.gam)
         p2 = jet_einsum("imr,msi->rs", B1, dc)
-        B2 = jet_einsum("ij,njs->ins", f.om, f.gam)
-        p3 = jet_einsum("ins,rni->rs", B2, dc)
+        p3 = jet_einsum("ins,rni->rs", B1, dc)
         return 0.5 * (p1 - p2 - p3)
 
     if direction == "q":

@@ -30,7 +30,7 @@ from semiq.lambda_core import Jet, LJet, LambdaScalar
 from semiq.semiquant import (QTensor, g1_build, g_q_build, gen_ricci,
                              module_action, nabla_Q, nq_basis, qlc_residual,
                              star_product, wedge1_map)
-from semiq.suites import random_poly_field
+from semiq.suites import SUITE_ORDERS, random_poly_field
 from semiq import evolution as ev
 
 
@@ -66,7 +66,7 @@ def test_criterion_01_flat_exactness():
 def test_criterion_02_cpn_classical_concordance():
     worst = 0.0
     for n in (1, 2, 3):
-        G = make_cpn(n, order=2)
+        G = make_cpn(n).at_order(2)
         for pt in sample(G, 100, 2):
             f = G.frame(pt)
             gam = christoffel_jet(f.g, f.ginv)
@@ -79,7 +79,7 @@ def test_criterion_02_cpn_classical_concordance():
 def test_criterion_03_classical_compatibility():
     worst = 0.0
     for n in (1, 2, 3):
-        G = make_cpn(n, order=2)
+        G = make_cpn(n).at_order(2)
         t1, t2, mg = compat_residuals(G)
         for pt in sample(G, 100, 3):
             worst = max(worst, maxabs(t1.at(pt).c.val), maxabs(t2.at(pt).c.val),
@@ -91,7 +91,7 @@ def test_criterion_03_classical_compatibility():
 def test_criterion_04_generalized_ricci():
     worst_routes, worst_value = 0.0, 0.0
     for n in (1, 2, 3):
-        G = make_cpn(n, order=2)
+        G = make_cpn(n).at_order(2)
         for pt in sample(G, 25, 4):
             f = G.frame(pt)
             worst_routes = max(worst_routes, maxabs(f.ricci2.val - f.ricci2_direct.val))
@@ -150,7 +150,7 @@ def test_criterion_06_quantum_levi_civita():
 def test_criterion_07_catalogue():
     worst = 0.0
     for n in (1, 2):
-        G = make_cpn(n)
+        G = make_cpn(n).at_order(SUITE_ORDERS["cpn-catalogue"])
         for name in sorted(CATALOGUE):
             for pt in sample(G, 50, 8):
                 rc, rl = cpn_catalogue_residual(G, name, pt)

@@ -2,7 +2,49 @@ import numpy as np
 import pytest
 
 from semiq.errors import EvalError, ParseError, UnknownSymbolError
-from semiq.fieldexpr import Bin, Num, Un, Var, eval_jet, parse, to_text
+from semiq.fieldexpr import Bin, Num, Un, Var, eval_jet, parse
+
+
+# -- printer for the round-trip test ------------------------------------------
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _fmt_real(x: float) -> str:
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(x)
+
+
+def _fmt_num(v: complex) -> str:
+    if v.imag == 0:
+        return _fmt_real(v.real)
+    if v.real == 0:
+        if v.imag == 1:
+            return "i"
+        return _fmt_real(v.imag) + "i"
+    # mixed literals never come out of the parser, print a safe compound
+    return f"({_fmt_real(v.real)}+{_fmt_real(v.imag)}i)"
+
+
+def to_text(e, parent_prec: int = 0) -> str:
+    """Expression text that parses back to the same tree."""
+    if isinstance(e, Num):
+        return _fmt_num(e.val)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Un):
+        if e.op == "neg":
+            inner = to_text(e.arg, _PREC["neg"])
+            s = "-" + inner
+            return f"({s})" if parent_prec > _PREC["neg"] else s
+        return f"{e.op}({to_text(e.arg)})"
+    prec = _PREC[e.op]
+    # left associative operators need a paren on an equal-precedence right child
+    left = to_text(e.left, prec)
+    right = to_text(e.right, prec + 1)
+    s = f"{left}{e.op}{right}"
+    return f"({s})" if parent_prec > prec else s
 
 
 class TestParse:

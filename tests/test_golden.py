@@ -44,6 +44,8 @@ def _commands() -> dict:
         cmds[f"check-{gid}-json"] = ["check", *geo, "--points", "3", "--seed", "1"]
         cmds[f"check-{gid}-text"] = ["check", *geo, "--points", "2", "--seed", "2",
                                      "--format", "text"]
+    # the dimension-6 kernel, JSON only: it is the slowest command here
+    cmds["check-cpn3-json"] = ["check", "cpn", "--n", "3", "--points", "2", "--seed", "1"]
     # the README's eval and evolve examples
     cmds["readme-eval-star"] = ["eval", "star", "--geometry", "cpn", "--n", "1",
                                 "--a", "z1", "--b", "conj(z1)", "--at", "0.3,0.1"]

@@ -123,6 +123,7 @@ class TestCli:
 
 ROOT = Path(__file__).resolve().parent.parent
 GENERIC = ["classical-compat", "dga", "metric", "evolution"]
+EXP_PLANE = str(ROOT / "perfbench" / "exp_plane.json")
 
 
 class TestInputValidation:
@@ -149,6 +150,28 @@ class TestInputValidation:
         err = r.stderr.decode()
         assert r.returncode == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "flat-torsion", "--n", "7", "--points", "1", "--seed", "1"],
+        ["check", EXP_PLANE, "--n", "9", "--points", "1"],
+        ["eval", "star", "--geometry", "flat-torsion", "--n", "2",
+         "--a", "x1", "--b", "x2", "--at", "0,0"]])
+    def test_fixed_chart_rejects_contradicting_n(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "--n" in out.err
+
+    @pytest.mark.parametrize("name", ["flat-torsion", EXP_PLANE])
+    def test_fixed_chart_accepts_its_own_n(self, name):
+        assert build_geometry(name, 1).dim == build_geometry(name).dim == 2
+
+    @pytest.mark.parametrize("op", ["star", "commutator", "wedge", "nablaQ"])
+    def test_malformed_b_exits_2_for_every_op(self, op, capsys):
+        argv = ["eval", op, "--geometry", "cpn", "--a", "x1^2",
+                "--b", "not an expression ((", "--at", "0.1,0.2"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
 
 
 class TestConfigNumbers:
