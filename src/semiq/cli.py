@@ -89,13 +89,14 @@ def _parse_point(text: str, dim: int):
     return tuple(vals)
 
 
-# the highest derivative order each command reads; its jets are built to it
+# the highest derivative order each command reads, as (frame order, field
+# order): the geometry's jets are built to the first, the parsed fields to the second
 EVAL_ORDERS = {
-    "star": 1,
-    "commutator": 1,
-    "wedge": 2,
-    "nablaQ": 3,        # nabla_Q(da) reads third derivatives of a
-    "evolve": 2,
+    "star": (0, 1),     # om's value and the fields' gradients
+    "commutator": (0, 1),
+    "wedge": (1, 2),
+    "nablaQ": (1, 3),   # nabla_Q(da) reads third derivatives of a, first of Gam
+    "evolve": (1, 2),
 }
 
 
@@ -104,11 +105,11 @@ def _fmt_pair(c, l) -> str:
 
 
 def cmd_eval(args) -> int:
-    G = build_geometry(args.geometry, args.n)
-    G = G.at_order(EVAL_ORDERS[args.op])
+    frame_order, field_order = EVAL_ORDERS[args.op]
+    G = build_geometry(args.geometry, args.n).at_order(frame_order)
     pt = _parse_point(args.at, G.dim)
-    a = Field.from_expr(G.chart, args.a, G.order)
-    b = Field.from_expr(G.chart, args.b, G.order)    # parsed for every op; nablaQ reads none
+    a = Field.from_expr(G.chart, args.a, field_order)
+    b = Field.from_expr(G.chart, args.b, field_order)    # parsed for every op; nablaQ reads none
     if args.op == "star":
         v = sq.star_product(a, b, G).at(pt)
         c, l = v.values()
@@ -136,12 +137,12 @@ def cmd_eval(args) -> int:
 
 def cmd_evolve(args) -> int:
     from . import evolution as ev
-    G = build_geometry(args.geometry, args.n)
-    G = G.at_order(EVAL_ORDERS["evolve"])
+    frame_order, field_order = EVAL_ORDERS["evolve"]
+    G = build_geometry(args.geometry, args.n).at_order(frame_order)
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
-    a = Field.from_expr(G.chart, args.a, G.order)
-    H = Field.from_expr(G.chart, args.hamiltonian, G.order)
+    a = Field.from_expr(G.chart, args.a, field_order)
+    H = Field.from_expr(G.chart, args.hamiltonian, field_order)
     adot = ev.evolve_scalar(a, H, G)
     defect = ev.evolution_defect(a, H, G)
     for pt in points:

@@ -54,24 +54,15 @@ def kappa(a: int, c: int, two_n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _shift_matrix(n: int) -> np.ndarray:
-    """P with (P x)_a = x^{a+n} under the folding rule; 2n x 2n."""
+    """P with (P x)_a = x^{a+n} under the folding rule; 2n x 2n.
+
+    Entry by entry, P[a, c] = kappa(a + n, c, 2n)."""
     two_n = 2 * n
     P = np.zeros((two_n, two_n))
     for a in range(two_n):
         s, i = fold_index(a + n, two_n)
         P[a, i] = s
     return P
-
-
-@lru_cache(maxsize=None)
-def _kappa_shift(n: int) -> np.ndarray:
-    """KP[a,c] = kappa_{a+n,c}."""
-    two_n = 2 * n
-    KP = np.zeros((two_n, two_n))
-    for a in range(two_n):
-        for c in range(two_n):
-            KP[a, c] = kappa(a + n, c, two_n)
-    return KP
 
 
 # -- flat phase space ------------------------------------------------------------
@@ -166,7 +157,7 @@ def _cpn_ginv(n, pt, order: int = 3):
 
 def _cpn_omega_upper(n, pt, order: int = 3):
     x, xs, t2 = _cpn_base(n, pt, order)
-    KP = _kappa_shift(n)
+    KP = _shift_matrix(n)
     anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
     half_inv_t2 = 0.5 * t2.reciprocal()
     return jet_einsum(",ab->ab", half_inv_t2, KP.T) + jet_einsum(",ab->ab", half_inv_t2, anti)
@@ -174,7 +165,7 @@ def _cpn_omega_upper(n, pt, order: int = 3):
 
 def _cpn_omega_lower(n, pt, order: int = 3):
     x, xs, t2 = _cpn_base(n, pt, order)
-    KP = _kappa_shift(n)
+    KP = _shift_matrix(n)
     anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
     return jet_einsum(",ab->ab", 2.0 * t2, KP.T) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), anti)
 
@@ -182,7 +173,7 @@ def _cpn_omega_lower(n, pt, order: int = 3):
 def _cpn_gamma(n, pt, order: int = 3):
     x, xs, t2 = _cpn_base(n, pt, order)
     d = 2 * n
-    KP = _kappa_shift(n)
+    KP = _shift_matrix(n)
     eye = np.eye(d)
     term = (jet_einsum("c,ab->abc", x, eye)
             + jet_einsum("b,ac->abc", x, eye)
@@ -196,7 +187,7 @@ def _cpn_riemann(n, pt, order: int = 3):
     d = 2 * n
     g = _cpn_g(n, pt, order)
     oml = _cpn_omega_lower(n, pt, order)
-    KP = _kappa_shift(n)
+    KP = _shift_matrix(n)
     eye = np.eye(d)
     r = 0.5 * jet_einsum("cb,pq->pcqb", g, eye)
     r = r - 0.5 * jet_einsum("cq,pb->pcqb", g, eye)
@@ -250,14 +241,14 @@ class CPnFrame:
         v[i + self.n] = 1j
         return v
 
+    @cached_property
+    def cm(self) -> np.ndarray:
+        """Cobasis coefficients of dz^1..dz^n in the real frame, one row each."""
+        return np.stack([self.cvec(i) for i in range(self.n)])
+
     def z_jets(self, pt) -> Jet:
         """Shape (n,) jet of the complex coordinates."""
-        d = self.dim
-        x = Jet.coords(d, pt, self.G.order)
-        cm = np.zeros((self.n, d), dtype=np.complex128)
-        for i in range(self.n):
-            cm[i] = self.cvec(i)
-        return jet_einsum("ia,a->i", cm, x)
+        return jet_einsum("ia,a->i", self.cm, Jet.coords(self.dim, pt, self.G.order))
 
     def t2_jet(self, pt) -> Jet:
         return _cpn_base(self.n, tuple(pt), self.G.order)[2]
@@ -276,7 +267,7 @@ class CPnFrame:
 
     def _entry_field(self, jets, i: int, conj: bool) -> Field:
         def fn(pt):
-            j = jet_einsum("i,i->", jets(pt), _unit(self.n, i))
+            j = jets(pt).take_index(i)
             return LJet(j.conj() if conj else j)
         return Field(self.G.chart, fn)
 
@@ -284,15 +275,13 @@ class CPnFrame:
         """Components of tau = t^2 zbar^i dz^i in the real frame."""
         z = self.z_jets(pt)
         t2 = self.t2_jet(pt)
-        cm = np.stack([self.cvec(i) for i in range(self.n)])
-        zbar_c = jet_einsum("i,ia->a", z.conj(), cm)
+        zbar_c = jet_einsum("i,ia->a", z.conj(), self.cm)
         return jet_einsum(",a->a", t2, zbar_c)
 
     def gamma_jet(self, pt, bar: bool = False) -> Jet:
         """gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau (bar swaps all)."""
         t2 = self.t2_jet(pt)
-        cm = np.stack([self.cvec(i) for i in range(self.n)])
-        cmb = np.conjugate(cm)
+        cm, cmb = self.cm, np.conjugate(self.cm)
         tau = self.tau_jet(pt)
         if not bar:
             first = jet_einsum(",ab->ab", t2, np.einsum("ia,ib->ab", cmb, cm))
@@ -316,12 +305,6 @@ class CPnFrame:
         z = self.z_jets(pt).val
         t2 = complex(self.t2_jet(pt).value)
         return t2 * np.eye(self.n) - t2 * t2 * np.einsum("i,j->ij", np.conjugate(z), z)
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.complex128)
-    v[i] = 1.0
-    return v
 
 
 def cpn_frame(G: GeometryData) -> CPnFrame:
@@ -413,8 +396,7 @@ def _dzs(x: _At, conj: bool = False) -> list:
 def _dws(x: _At, conj: bool = False) -> list:
     def mk(i):
         def fn(pt):
-            comps = x.F.w_jets(pt).grad()            # [i, a]
-            ji = jet_einsum("ia,i->a", comps, _unit(x.n, i))
+            ji = x.F.w_jets(pt).grad().take_index(i)     # row i of [i, a]
             return LJet(ji.conj() if conj else ji)
         return fn
 
@@ -584,20 +566,18 @@ def _exp_g1(x):
         def fn(p):
             zz = F.z_jets(p)
             tt2 = F.t2_jet(p)
-            gi = jet_einsum(",i->i", tt2, _unit(n, jj)) - jet_einsum(
+            gi = jet_einsum(",i->i", tt2, np.eye(n)[jj]) - jet_einsum(
                 ",i->i", tt2 * tt2, jet_einsum("i,->i", zz.conj(), zz.take_index(jj)))
-            cm = np.stack([F.cvec(k) for k in range(n)])
-            return LJet(jet_einsum("i,ia->a", gi, cm))
+            return LJet(jet_einsum("i,ia->a", gi, F.cm))
         return fn
 
     def hermitian_col(ii):
         def fn(p):
             zz = F.z_jets(p)
             tt2 = F.t2_jet(p)
-            gj = jet_einsum(",j->j", tt2, _unit(n, ii)) - jet_einsum(
+            gj = jet_einsum(",j->j", tt2, np.eye(n)[ii]) - jet_einsum(
                 ",j->j", tt2 * tt2, jet_einsum(",j->j", zz.take_index(ii).conj(), zz))
-            cmb = np.stack([np.conjugate(F.cvec(k)) for k in range(n)])
-            return LJet(jet_einsum("j,ja->a", gj, cmb))
+            return LJet(jet_einsum("j,ja->a", gj, np.conjugate(F.cm)))
         return fn
 
     total = None

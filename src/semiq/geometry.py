@@ -118,10 +118,16 @@ def cov_deriv_jet(x: Jet, gam: Jet, p: int, q: int) -> Jet:
     for m in range(p):
         src = idx[:m] + "r" + idx[m + 1:]
         res = res + jet_einsum(f"{idx[m]}tr,{src}->{out}", gam, x)
-    for m in range(p, p + q):
-        src = idx[:m] + "r" + idx[m + 1:]
-        res = res - jet_einsum(f"rt{idx[m]},{src}->{out}", gam, x)
+    for term in gamma_slot_terms(x, gam, range(p, p + q)):
+        res = res - term
     return res
+
+
+def gamma_slot_terms(x: Jet, gam: Jet, slots) -> list[Jet]:
+    """Gam^r_{t a} x[.. r at slot ..] for each of ``slots``, derivative slot t last."""
+    idx = _LETTERS[: len(x.shape)]
+    return [jet_einsum(f"rt{idx[m]},{idx[:m]}r{idx[m + 1:]}->{idx}t", gam, x)
+            for m in slots]
 
 
 # -- geometry bundle and per-point frame ---------------------------------------

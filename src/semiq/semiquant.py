@@ -25,14 +25,15 @@ quantisation isomorphism (outputs of ``q_map``).
 
 from __future__ import annotations
 
+import math
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import Field, GeometryData, PointFrame, cov_deriv_jet
+from .geometry import Field, GeometryData, PointFrame, cov_deriv_jet, gamma_slot_terms
 from .lambda_core import Jet, LJet, jet_einsum
 
 _L = "abcdefghmnopqrs"
@@ -71,33 +72,13 @@ def _fstar(spec: str, A: LJet, B: LJet, om: Jet) -> LJet:
 
 
 def _collect_correction(c0: Jet, f: PointFrame) -> Jet:
-    """(1/2) om^{st} Gam^u_{t m_j} d_s c0[.. u at j ..], summed over slots.
+    """(1/2) om^{st} Gam^u_{ta} d_s c0[u] of one-form coefficients c0[a].
 
     The first-order cost of collecting classical coefficients to the left
-    of a tensor-basis monomial.
+    of the cobasis.
     """
-    rank = len(c0.shape)
-    idx = _L[:rank]
-    dc = c0.grad()
-    total = None
-    for j in range(rank):
-        src = idx[:j] + "u" + idx[j + 1:]
-        half = jet_einsum(f"{src}z,zt->{src}t", dc, f.om)
-        term = jet_einsum(f"ut{idx[j]},{src}t->{idx}", f.gam, half)
-        total = term if total is None else total + term
-    return 0.5 * total
-
-
-def _slot_gamma(c0: Jet, f: PointFrame) -> Jet:
-    """M[m_vec, t] = Gam^u_{t m_j} c0[.. u at j ..] summed over slots."""
-    rank = len(c0.shape)
-    idx = _L[:rank]
-    total = None
-    for j in range(rank):
-        src = idx[:j] + "u" + idx[j + 1:]
-        term = jet_einsum(f"ut{idx[j]},{src}->{idx}t", f.gam, c0)
-        total = term if total is None else total + term
-    return total
+    half = jet_einsum("uz,zt->ut", c0.grad(), f.om)
+    return 0.5 * jet_einsum("uta,ut->a", f.gam, half)
 
 
 # -- QTensor ---------------------------------------------------------------------
@@ -193,7 +174,8 @@ def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
     """A (x) B for normal-form coefficients A[ia], B[ib], with B's
     coefficients collected to the left across A's slots."""
     base = _fstar(f"{ia},{ib}->{ia}{ib}", A, B, f.om)
-    slot = _slot_gamma(A.c, f)
+    terms = gamma_slot_terms(A.c, f.gam, range(len(ia)))
+    slot = sum(terms[1:], terms[0])             # Gam^u_{t m_j} A[.. u at j ..]
     mov = jet_einsum(f"{ib}i,it->{ib}t", B.c.grad(), f.om)
     corr = jet_einsum(f"{ia}t,{ib}t->{ia}{ib}", slot, mov)
     return LJet(base.c, base.lam() + corr)
@@ -232,41 +214,29 @@ def otimes1(X: QTensor, Y: QTensor) -> QTensor:
 
 # -- wedge machinery --------------------------------------------------------------
 
+def _antisym(t: Jet, *degrees: int) -> Jet:
+    """Wedge components of a product whose axes fall into antisymmetric
+    blocks of the given degrees: the signed sum of t over every permutation
+    of its axes, divided by the blocks' factorials. A product with at most
+    one nonempty block is already antisymmetric."""
+    if sum(k > 0 for k in degrees) < 2:
+        return t
+    idx = _L[: sum(degrees)]
+    total = None
+    for perm in permutations(range(len(idx))):
+        dst = "".join(idx[k] for k in perm)
+        term = t if dst == idx else t.reorder(f"{idx}->{dst}")
+        if sum(x > y for x, y in combinations(perm, 2)) % 2:   # odd inversion count
+            term = -term
+        total = term if total is None else total + term
+    norm = math.prod(math.factorial(k) for k in degrees)
+    return total if norm == 1 else (1.0 / norm) * total
+
+
 def _wedge_arrays(A: Jet, B: Jet, p: int, q: int) -> Jet:
     """Components of the classical wedge of antisymmetric components."""
-    if p == 0 or q == 0:
-        sub = _L[: p + q]
-        return jet_einsum(f"{sub[:p]},{sub[p:]}->{sub}", A, B)
-    if p == 1 and q == 1:
-        t = jet_einsum("a,b->ab", A, B)
-        return t - t.reorder("ba->ab")
-    idx = _L[: p + q]
-    raw = jet_einsum(f"{idx[:p]},{idx[p:]}->{idx}", A, B)
-    total = None
-    for perm in permutations(range(p + q)):
-        sgn = _perm_sign(perm)
-        dst = "".join(idx[k] for k in perm)
-        term = raw.reorder(f"{idx}->{dst}") if dst != idx else raw
-        term = sgn * term
-        total = term if total is None else total + term
-    import math
-    return (1.0 / (math.factorial(p) * math.factorial(q))) * total
-
-
-def _perm_sign(perm) -> int:
-    sgn = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sgn = -sgn
-    return sgn
+    ia, ib = _L[:p], _L[p: p + q]
+    return _antisym(jet_einsum(f"{ia},{ib}->{ia}{ib}", A, B), p, q)
 
 
 def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTensor:
@@ -276,6 +246,9 @@ def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTens
     q = eta.rank
     if p + q > G.dim:
         raise ValueError(f"wedge of degrees {p}+{q} exceeds chart dimension {G.dim}")
+    ia, ib = _L[:p], _L[p: p + q]
+    # the form slots of A and B left over once H's (i, j) contract their first
+    ra, rb = _L[2: p + 1], _L[p + 1: p + q]
 
     def model(z: QTensor, pt) -> LJet:
         if z.rank == 1 and not z.form:
@@ -292,32 +265,16 @@ def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTens
         # functorial correction: (1/2) om^{ij} nabla_i A ^ nabla_j B
         dA = cov_deriv_jet(A.c, f.gam, 0, p)
         dB = cov_deriv_jet(B.c, f.gam, 0, q)
-        if p == 1 and q == 1:
-            half = jet_einsum("ai,ij->aj", dA, f.om)
-            t = jet_einsum("aj,bj->ab", half, dB)
-            lam = lam + 0.5 * (t - t.reorder("ba->ab"))
-        else:
-            for i in range(G.dim):
-                for j in range(G.dim):
-                    om_ij = f.om.take_index((i, j))
-                    w = _wedge_arrays(dA.take_index(i, axis=p), dB.take_index(j, axis=q), p, q)
-                    lam = lam + 0.5 * jet_einsum(f",{_L[:p+q]}->{_L[:p+q]}", om_ij, w)
-        # quantum correction through the H family: the sign pairing with the
-        # reported H is pinned by the graded Leibniz rule of d (and by the
-        # closed-form wedge anticommutator on the projective space)
+        half = jet_einsum(f"{ia}i,ij->{ia}j", dA, f.om)
+        t = jet_einsum(f"{ia}j,{ib}j->{ia}{ib}", half, dB)
+        lam = lam + 0.5 * _antisym(t, p, q)
+        # quantum correction through the H family, H^{ij} ^ A_i ^ B_j: the sign
+        # pairing with the reported H is pinned by the graded Leibniz rule of d
+        # (and by the closed-form wedge anticommutator on the projective space)
         sign = -1.0 if (p % 2 == 1) else 1.0
-        if p == 1 and q == 1:
-            hterm = jet_einsum("ij,ijab->ab", jet_einsum("i,j->ij", A.c, B.c), f.h_fam)
-            lam = lam + sign * hterm
-        else:
-            for i in range(G.dim):
-                for j in range(G.dim):
-                    hij = f.h_fam.take_index((i, j))
-                    ia = A.c.take_index(i, axis=0) if p >= 1 else A.c
-                    jb = B.c.take_index(j, axis=0) if q >= 1 else B.c
-                    w = _wedge_arrays(ia, jb, p - 1, q - 1)
-                    w2 = _wedge_arrays(hij, w, 2, p + q - 2)
-                    lam = lam + sign * w2
+        ab = jet_einsum(f"i{ra},j{rb}->ij{ra}{rb}", A.c, B.c)
+        hterm = jet_einsum(f"ij{ra}{rb},ijab->ab{ra}{rb}", ab, f.h_fam)
+        lam = lam + sign * _antisym(hterm, 2, p - 1, q - 1)
         return LJet(c, lam)
 
     return QTensor(G, p + q, fn, form=True)
@@ -608,24 +565,18 @@ def q_map(X: QTensor, G: Optional[GeometryData] = None, direction: str = "q") ->
         p3 = jet_einsum("ins,rni->rs", B1, dc)
         return 0.5 * (p1 - p2 - p3)
 
-    if direction == "q":
-        if X.basis != "q1":
-            raise ValueError("q maps tensor-basis elements to classical ones")
+    if direction not in ("q", "q-inverse"):
+        raise ValueError("direction must be 'q' or 'q-inverse'")
+    inverse = direction == "q-inverse"
+    if not inverse and X.basis != "q1":
+        raise ValueError("q maps tensor-basis elements to classical ones")
 
-        def fn(pt):
-            f = G.frame(pt)
-            v = X.at(pt)
-            return LJet(v.c, v.lam() + corr(v.c, f))
+    def fn(pt):
+        v = X.at(pt)
+        k = corr(v.c, G.frame(pt))
+        return LJet(v.c, v.lam() - k if inverse else v.lam() + k)
 
-        return QTensor(G, 2, fn, basis="q0")
-    if direction == "q-inverse":
-        def fn(pt):
-            f = G.frame(pt)
-            v = X.at(pt)
-            return LJet(v.c, v.lam() - corr(v.c, f))
-
-        return QTensor(G, 2, fn, basis="q1")
-    raise ValueError("direction must be 'q' or 'q-inverse'")
+    return QTensor(G, 2, fn, basis="q1" if inverse else "q0")
 
 
 def classical_metric_qtensor(G: GeometryData) -> QTensor:

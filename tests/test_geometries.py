@@ -27,6 +27,11 @@ class TestIndexFolding:
         for a in range(two_n):
             assert kappa(a, a, two_n) == 1
 
+    def test_shift_matrix_is_shifted_kappa(self):
+        for n in range(1, 5):
+            KP = [[kappa(a + n, c, 2 * n) for c in range(2 * n)] for a in range(2 * n)]
+            assert np.array_equal(_shift_matrix(n), np.array(KP, dtype=float))
+
 
 class TestFlat:
     def test_canonical_structure(self, flat2):

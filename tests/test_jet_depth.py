@@ -188,20 +188,31 @@ def command(op, geometry):
 
 @pytest.mark.parametrize("op", sorted(cli.EVAL_ORDERS))
 def test_command_order_is_sufficient_and_tight(op, monkeypatch, capsys):
-    stated = cli.EVAL_ORDERS[op]
+    # (frame order, field order): each is checked on its own with the other
+    # at full depth, then both together
+    frame, field = cli.EVAL_ORDERS[op]
     for geometry in ("cpn", "flat"):
         argv = command(op, geometry)
-        outs = []
-        for order in (3, stated):
-            monkeypatch.setitem(cli.EVAL_ORDERS, op, order)
+
+        def output(orders):
+            monkeypatch.setitem(cli.EVAL_ORDERS, op, orders)
             assert main(argv) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1] and outs[0]
-        monkeypatch.setitem(cli.EVAL_ORDERS, op, stated - 1)
-        args = make_parser().parse_args(argv)
-        with pytest.raises(JetDomainError):
-            args.fn(args)
-        capsys.readouterr()
+            return capsys.readouterr().out
+
+        def starves(orders):
+            monkeypatch.setitem(cli.EVAL_ORDERS, op, orders)
+            args = make_parser().parse_args(argv)
+            with pytest.raises(JetDomainError):
+                args.fn(args)
+            capsys.readouterr()
+
+        full = output((3, 3))
+        assert full and output((frame, field)) == full
+        assert output((frame, 3)) == full and output((3, field)) == full
+        starves((3, field - 1))
+        if frame:           # a frame of order 0 cannot be built shallower
+            starves((frame - 1, 3))
+        starves((max(frame - 1, 0), field - 1))
 
 
 def test_check_builds_no_third_order_jets(monkeypatch, capsys):

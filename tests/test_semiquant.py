@@ -6,13 +6,13 @@ import pytest
 from conftest import maxabs, sample
 from test_geometry import synthetic_torsion_geometry
 from semiq.geometry import Field, cov_deriv_jet
-from semiq.geometries import cpn_frame
+from semiq.geometries import cpn_frame, make_cpn, make_flat
 from semiq.lambda_core import Jet, LJet, LambdaScalar, jet_einsum
 from semiq.semiquant import (QTensor, classical_metric_qtensor, g1_build, g_q_build,
                              gen_ricci, module_action, nabla_Q, otimes1,
                              q_map, qlc_residual, quantum_torsion, sigma_Q,
                              sigma_basis, star_product, wedge1, wedge1_map)
-from semiq.suites import random_poly_field
+from semiq.suites import random_oneform, random_poly_field
 
 
 def loop_torsion_cov(f):
@@ -178,6 +178,27 @@ class TestWedge1:
         assert maxabs(r11) < 1e-12
         r21 = wedge1(ab, c, cpn2).at(pt).c.val - wedge1(c, ab, cpn2).at(pt).c.val
         assert maxabs(r21) < 1e-12
+
+    @pytest.mark.parametrize("geom", [make_cpn, make_flat])
+    def test_first_order_associativity(self, geom):
+        # the deformed wedge is nonassociative only at second order, so at
+        # first order every bracketing of one-forms agrees in both slots;
+        # this reads the lam slot of wedges of degree (2,1), (1,2), (2,2), (1,3)
+        G = geom(2).at_order(2)
+        rng = np.random.default_rng(61)
+        for pt in sample(G, 2, 62):
+            a, b, c, d = (random_oneform(G, rng) for _ in range(4))
+            ab = wedge1(a, b, G)
+            left = wedge1(ab, c, G).at(pt)
+            right = wedge1(a, wedge1(b, c, G), G).at(pt)
+            assert maxabs(left.c.val - right.c.val) < 1e-12
+            assert maxabs(left.lam().val - right.lam().val) < 1e-12
+            four = [wedge1(wedge1(ab, c, G), d, G).at(pt),
+                    wedge1(ab, wedge1(c, d, G), G).at(pt),
+                    wedge1(a, wedge1(b, wedge1(c, d, G), G), G).at(pt)]
+            for v in four[1:]:
+                for x, y in ((four[0].c, v.c), (four[0].lam(), v.lam())):
+                    assert maxabs(x.val - y.val) < 1e-14 * (1 + maxabs(y.val))
 
     @pytest.mark.parametrize("geom", ["cpn1", "cpn2", "flat1"])
     def test_oneform_leibniz(self, geom, request):
