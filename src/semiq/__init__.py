@@ -7,13 +7,11 @@ residuals, the deformed exterior algebra, the quantum metric and its
 connection, and phase-space evolution identities.
 """
 
-from .lambda_core import LAMBDA, Jet, LJet, LambdaScalar, jet_einsum
+from .lambda_core import Jet, LJet, jet_einsum
 
 __all__ = [
-    "LAMBDA",
     "Jet",
     "LJet",
-    "LambdaScalar",
     "jet_einsum",
 ]
 

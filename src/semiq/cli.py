@@ -108,8 +108,8 @@ def cmd_eval(args) -> int:
     frame_order, field_order = EVAL_ORDERS[args.op]
     G = build_geometry(args.geometry, args.n).at_order(frame_order)
     pt = _parse_point(args.at, G.dim)
-    a = Field.from_expr(G.chart, args.a, field_order)
-    b = Field.from_expr(G.chart, args.b, field_order)    # parsed for every op; nablaQ reads none
+    a = Field.from_expr(G.dim, args.a, field_order)
+    b = Field.from_expr(G.dim, args.b, field_order)    # parsed for every op; nablaQ reads none
     if args.op == "star":
         v = sq.star_product(a, b, G).at(pt)
         c, l = v.values()
@@ -141,8 +141,8 @@ def cmd_evolve(args) -> int:
     G = build_geometry(args.geometry, args.n).at_order(frame_order)
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
-    a = Field.from_expr(G.chart, args.a, field_order)
-    H = Field.from_expr(G.chart, args.hamiltonian, field_order)
+    a = Field.from_expr(G.dim, args.a, field_order)
+    H = Field.from_expr(G.dim, args.hamiltonian, field_order)
     adot = ev.evolve_scalar(a, H, G)
     defect = ev.evolution_defect(a, H, G)
     for pt in points:

@@ -23,7 +23,7 @@ def ham_vf(H: Field, G: GeometryData) -> Field:
         dh = H.at(pt).c.grad()
         return LJet(-jet_einsum("ij,i->j", f.om, dh))
 
-    return Field(G.chart, fn)
+    return Field(fn)
 
 
 def evolve_scalar(a: Field, H: Field, G: GeometryData) -> Field:
@@ -47,7 +47,7 @@ def evolve_oneform(xi: Field, H: Field, G: GeometryData) -> Field:
 
         return LJet(rate(xv.c), None if xv.l is None else rate(xv.l))
 
-    return Field(G.chart, fn)
+    return Field(fn)
 
 
 def evolution_defect(a: Field, H: Field, G: GeometryData) -> Field:
@@ -66,7 +66,7 @@ def evolution_defect(a: Field, H: Field, G: GeometryData) -> Field:
         cd = cov_deriv_jet(dh, f.gam, 0, 1)          # (nabla dH)[i, k]
         return LJet(-jet_einsum("ik,k->i", cd, ahat))
 
-    return Field(G.chart, fn)
+    return Field(fn)
 
 
 def defect_two_route_residual(a: Field, H: Field, G: GeometryData,
@@ -74,7 +74,7 @@ def defect_two_route_residual(a: Field, H: Field, G: GeometryData,
     """Max-abs difference between -nabla_{ahat}(dH) and (da)dot - d(adot)."""
     direct = evolution_defect(a, H, G).at(point).c.val
 
-    da = Field(G.chart, lambda pt: LJet(a.at(pt).c.grad()))
+    da = Field(lambda pt: LJet(a.at(pt).c.grad()))
     da_dot = evolve_oneform(da, H, G).at(point).c.val
     adot = evolve_scalar(a, H, G)
     d_adot = adot.at(point).c.grad().val

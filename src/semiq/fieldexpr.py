@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import EvalError, ParseError, UnknownSymbolError
 from .lambda_core import Jet, jet_apply
 
@@ -253,7 +255,10 @@ def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
     d = dim if dim is not None else len(point)
     if len(point) != d:
         raise EvalError(f"point has {len(point)} coordinates, chart has {d}")
-    return _eval(e, point, d, order)
+    out = _eval(e, point, d, order)
+    if not all(np.isfinite(l).all() for l in out.levels):
+        raise EvalError(f"expression or its derivatives not finite at {tuple(point)}")
+    return out
 
 
 def _eval(e: Expr, point, d: int, order: int) -> Jet:
@@ -273,7 +278,10 @@ def _eval(e: Expr, point, d: int, order: int) -> Jet:
         return jet_apply(e.op, u)
     a = _eval(e.left, point, d, order)
     if e.op == "^":
-        p = _const_value(e.right)
+        try:
+            p = _const_value(e.right)
+        except ArithmeticError as exc:
+            raise EvalError(f"exponent out of floating-point range: {exc}")
         if p is None:
             raise EvalError("exponent must be a constant")
         if p.imag == 0:

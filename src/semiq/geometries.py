@@ -24,8 +24,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import ConfigError, UnknownCheckError
-from .geometry import Chart, Field, GeometryData
-from .lambda_core import Jet, LJet, LambdaScalar, jet_apply, jet_einsum
+from .geometry import Field, GeometryData
+from .lambda_core import Jet, LJet, jet_apply, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
                         wedge1)
 
@@ -80,11 +80,10 @@ def make_flat(n: int) -> GeometryData:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
-    chart = Chart(d, box=1.5)
     eye = np.eye(d)
     om0 = canonical_omega(n)
     return GeometryData(
-        chart,
+        d,
         g_fn=lambda p, k: Jet.const(d, eye, k),
         ginv_fn=lambda p, k: Jet.const(d, eye, k),
         omega_fn=lambda p, k: Jet.const(d, om0, k),
@@ -104,7 +103,6 @@ def make_flat_torsion() -> GeometryData:
     an order-one obstruction residual for the quantum connection. This is
     the registered counterexample geometry.
     """
-    chart = Chart(2, box=1.5)
     eye = np.eye(2)
     om0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -117,7 +115,7 @@ def make_flat_torsion() -> GeometryData:
         return jet_einsum(",ijk->ijk", x2, basis + basis2)
 
     return GeometryData(
-        chart,
+        2,
         g_fn=lambda p, k: Jet.const(2, eye, k),
         ginv_fn=lambda p, k: Jet.const(2, eye, k),
         omega_fn=lambda p, k: Jet.const(2, om0, k),
@@ -202,15 +200,15 @@ def make_cpn(n: int) -> GeometryData:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
-    chart = Chart(d, box=0.75)
     return GeometryData(
-        chart,
+        d,
         g_fn=lambda p, k: _cpn_g(n, p, k),
         ginv_fn=lambda p, k: _cpn_ginv(n, p, k),
         omega_fn=lambda p, k: _cpn_omega_upper(n, p, k),
         gamma_fn=lambda p, k: _cpn_gamma(n, p, k),
         levi_civita=True,
         name=f"cpn(n={n})",
+        box=0.75,
         suites=CPN_SUITES,
     )
 
@@ -269,7 +267,7 @@ class CPnFrame:
         def fn(pt):
             j = jets(pt).take_index(i)
             return LJet(j.conj() if conj else j)
-        return Field(self.G.chart, fn)
+        return Field(fn)
 
     def tau_jet(self, pt) -> Jet:
         """Components of tau = t^2 zbar^i dz^i in the real frame."""
@@ -298,7 +296,7 @@ class CPnFrame:
 
     def kahler_potential(self) -> Field:
         # K0 = ln(1 + |z|^2) = -ln t^2
-        return Field(self.G.chart, lambda pt: LJet(-jet_apply("ln", self.t2_jet(pt))))
+        return Field(lambda pt: LJet(-jet_apply("ln", self.t2_jet(pt))))
 
     def g_hermitian(self, pt) -> np.ndarray:
         """g_{i jbar} = t^2 delta_{ij} - t^4 zbar^i z^j at a point."""
@@ -414,7 +412,7 @@ def _q_factor(x: _At, inverse: bool = False) -> Field:
         t2 = x.F.t2_jet(pt)
         return LJet(Jet.const(x.d, 1.0, x.G.order), t2.reciprocal().scale(sgn * 1j))
 
-    return Field(x.G.chart, fn)
+    return Field(fn)
 
 
 # engines
@@ -599,8 +597,11 @@ def _exp_nablaq_dz(sgn: int):
         tau = QTensor.from_oneform(
             x.G, lambda p: LJet(x.F.tau_jet(p).conj() if sgn < 0 else x.F.tau_jet(p)))
         dz = _dzs(x, conj=sgn < 0)
-        return _grid(x, 2, lambda i: _vals((otimes1(tau, dz[i]) + otimes1(dz[i], tau)).scale(
-            LambdaScalar(1, sgn * 1j)).at(x.pt)), dims=1)
+        def cell(i):
+            # the factor (1 + sgn i lam), as lam-slot arithmetic on the pair
+            v = (otimes1(tau, dz[i]) + otimes1(dz[i], tau)).at(x.pt)
+            return v.c.val, v.lam().val + sgn * 1j * v.c.val
+        return _grid(x, 2, cell, dims=1)
     return exp
 
 

@@ -34,48 +34,35 @@ _LETTERS = "abcdefghijklmnopqrs"
 GENERIC_SUITES = ("classical-compat", "dga", "metric", "evolution")
 
 
-@dataclass(frozen=True)
-class Chart:
-    """A single coordinate chart x1..x{dim}, sampled in the box [-box, box]^dim."""
-
-    dim: int
-    box: float = 1.5
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("chart dimension must be >= 1")
-
-
 class Field:
-    """Chart-wide field with a lam-graded jet provider: a scalar, or the
+    """A field on the chart with a lam-graded jet provider: a scalar, or the
     component array of a tensor (contravariant slots first)."""
 
-    def __init__(self, chart: Chart, fn: Callable[[tuple], LJet]):
-        self.chart = chart
+    def __init__(self, fn: Callable[[tuple], LJet]):
         self.fn = fn
 
     def at(self, point) -> LJet:
         return self.fn(tuple(point))
 
     @classmethod
-    def from_expr(cls, chart: Chart, text: str, order: int = 3) -> "Field":
-        tree = fieldexpr.parse(text, chart.dim)
-        return cls(chart, lambda p: LJet(fieldexpr.eval_jet(tree, p, chart.dim, order)))
+    def from_expr(cls, dim: int, text: str, order: int = 3) -> "Field":
+        tree = fieldexpr.parse(text, dim)
+        return cls(lambda p: LJet(fieldexpr.eval_jet(tree, p, dim, order)))
 
 
-def component_jets(chart: Chart, rank: int, comps) -> Callable[[tuple, int], Jet]:
+def component_jets(dim: int, rank: int, comps) -> Callable[[tuple, int], Jet]:
     """Jet provider (point, order) of a tensor given by component expressions."""
     arr = np.asarray(comps, dtype=object)
-    shape = (chart.dim,) * rank
+    shape = (dim,) * rank
     if arr.shape != shape:
         raise ConfigError(f"component array has shape {arr.shape}, expected {shape}")
-    trees = [fieldexpr.parse(str(arr[idx]), chart.dim) for idx in np.ndindex(shape)]
+    trees = [fieldexpr.parse(str(arr[idx]), dim) for idx in np.ndindex(shape)]
 
     def fn(pt, order):
-        out = [fieldexpr.eval_jet(t, pt, chart.dim, order) for t in trees]
-        levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (chart.dim,) * k)
+        out = [fieldexpr.eval_jet(t, pt, dim, order) for t in trees]
+        levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (dim,) * k)
                   for k in range(order + 1)]
-        return Jet(chart.dim, levels, order)
+        return Jet(dim, levels, order)
 
     return fn
 
@@ -134,7 +121,8 @@ def gamma_slot_terms(x: Jet, gam: Jet, slots) -> list[Jet]:
 
 @dataclass
 class GeometryData:
-    """A chart with metric, Poisson bivector, connection and jet providers.
+    """A chart x1..x{dim} with metric, Poisson bivector, connection and jet
+    providers, sampled in the box [-box, box]^dim.
 
     Providers take (point, order) and return jets of that order. ``order``
     is the depth of every frame built through this geometry: the highest
@@ -142,13 +130,14 @@ class GeometryData:
     that shares the frame cache, keyed by (point, order).
     """
 
-    chart: Chart
+    dim: int
     g_fn: Callable[[tuple, int], Jet]
     ginv_fn: Optional[Callable[[tuple, int], Jet]]
     omega_fn: Callable[[tuple, int], Jet]
     gamma_fn: Optional[Callable[[tuple, int], Jet]] = None   # None: Levi-Civita of g
     levi_civita: bool = True
     name: str = "geometry"          # a label for reports; nothing dispatches on it
+    box: float = 1.5                # half-width of the sampling box
     tol: float = 1e-9               # default check tolerance
     default_seed: int = 0
     suites: tuple = GENERIC_SUITES  # default suites; cpn-catalogue runs only where listed
@@ -156,9 +145,9 @@ class GeometryData:
     order: int = 3                  # jet depth of frames and provider calls
     _frames: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ConfigError("chart dimension must be >= 1")
 
     def at_order(self, order: int) -> "GeometryData":
         """This geometry with jets built to ``order``; it shares the frame cache."""
@@ -176,7 +165,7 @@ class GeometryData:
 
     def sample_points(self, count: int, seed: int, box: Optional[float] = None) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        half = self.chart.box if box is None else box
+        half = self.box if box is None else box
         return rng.uniform(-half, half, size=(count, self.dim))
 
 
@@ -306,7 +295,7 @@ def poisson_bracket(a: Field, b: Field, G: GeometryData) -> Field:
             l = br(av.c, bv.lam()) + br(av.lam(), bv.c)
         return LJet(c, l)
 
-    return Field(a.chart, fn)
+    return Field(fn)
 
 
 def compat_residuals(G: GeometryData) -> tuple[Field, Field, Field]:
@@ -319,8 +308,6 @@ def compat_residuals(G: GeometryData) -> tuple[Field, Field, Field]:
     All three vanish exactly when the connection is Poisson compatible,
     om is Poisson, and the metric is parallel.
     """
-    chart = G.chart
-
     def t1_fn(pt):
         f = G.frame(pt)
         res = cov_deriv_jet(f.om, f.gam, 2, 0)
@@ -338,7 +325,7 @@ def compat_residuals(G: GeometryData) -> tuple[Field, Field, Field]:
         f = G.frame(pt)
         return LJet(cov_deriv_jet(f.g, f.gam, 0, 2))
 
-    return Field(chart, t1_fn), Field(chart, t2_fn), Field(chart, mg_fn)
+    return Field(t1_fn), Field(t2_fn), Field(mg_fn)
 
 
 # -- geometry configuration files ----------------------------------------------
@@ -376,14 +363,14 @@ def geometry_from_config(cfg: dict) -> GeometryData:
                          "a finite number > 0")
     seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int) and v >= 0,
                           "an integer >= 0")
-    chart = Chart(dim, box=float(box))
     try:
-        g = component_jets(chart, 2, cfg["metric"])
-        om = component_jets(chart, 2, cfg["poisson"])
+        g = component_jets(dim, 2, cfg["metric"])
+        om = component_jets(dim, 2, cfg["poisson"])
     except KeyError as exc:
         raise ConfigError(f"config needs a {exc.args[0]!r} entry")
     conn = cfg.get("connection", "levi-civita")
     levi_civita = conn == "levi-civita"
-    gamma_fn = None if levi_civita else component_jets(chart, 3, conn)
-    return GeometryData(chart, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
-                        name=str(cfg.get("name", "config")), tol=1e-6, default_seed=seed)
+    gamma_fn = None if levi_civita else component_jets(dim, 3, conn)
+    return GeometryData(dim, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
+                        name=str(cfg.get("name", "config")), box=float(box), tol=1e-6,
+                        default_seed=seed)

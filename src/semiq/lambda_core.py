@@ -1,9 +1,9 @@
-"""Scalar and jet arithmetic for the first-order deformation engine.
+"""Jet arithmetic for the first-order deformation engine.
 
-Scalars live in the truncated ring C[lam]/(lam^2): a classical part plus a
-first-order coefficient, with lam^2 dropped in every product. First-order
-residuals are always read off the lam slot exactly, never by a numerical
-lam -> 0 limit.
+The deformation parameter lam lives only in the truncated ring
+C[lam]/(lam^2), carried by ``LJet``: a classical jet plus a first-order
+jet, with lam^2 dropped in every product. First-order residuals are always
+read off the lam slot exactly, never by a numerical lam -> 0 limit.
 
 Jets carry the value of a field together with its partial derivatives up
 to third order at a chart point. All geometry providers evaluate through
@@ -15,7 +15,6 @@ rounding. Jets may be tensor-shaped: ``levels[k]`` has shape
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,66 +27,6 @@ _DLETTERS = "TUVW"
 _CONST_ORDER = 99  # sentinel order for constants (derivatives all zero)
 
 MAX_ORDER = 3      # deepest derivative level the jet arithmetic propagates
-
-
-@dataclass(frozen=True)
-class LambdaScalar:
-    """Element a0 + lam*a1 of C[lam]/(lam^2)."""
-
-    a0: complex = 0j
-    a1: complex = 0j
-
-    @staticmethod
-    def coerce(x) -> "LambdaScalar":
-        if isinstance(x, LambdaScalar):
-            return x
-        return LambdaScalar(complex(x), 0j)
-
-    def __add__(self, other) -> "LambdaScalar":
-        o = LambdaScalar.coerce(other)
-        return LambdaScalar(self.a0 + o.a0, self.a1 + o.a1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LambdaScalar":
-        o = LambdaScalar.coerce(other)
-        return LambdaScalar(self.a0 - o.a0, self.a1 - o.a1)
-
-    def __rsub__(self, other) -> "LambdaScalar":
-        return LambdaScalar.coerce(other).__sub__(self)
-
-    def __neg__(self) -> "LambdaScalar":
-        return LambdaScalar(-self.a0, -self.a1)
-
-    def __mul__(self, other) -> "LambdaScalar":
-        o = LambdaScalar.coerce(other)
-        # lam^2 = 0
-        return LambdaScalar(self.a0 * o.a0, self.a0 * o.a1 + self.a1 * o.a0)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "LambdaScalar":
-        if self.a0 == 0:
-            raise SingularScalarError("classical part vanishes, no inverse in the ring")
-        i0 = 1.0 / self.a0
-        return LambdaScalar(i0, -self.a1 * i0 * i0)
-
-    def __truediv__(self, other) -> "LambdaScalar":
-        return self * LambdaScalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "LambdaScalar":
-        return LambdaScalar.coerce(other) * self.inverse()
-
-    def conj(self) -> "LambdaScalar":
-        # lam is treated as a real indeterminate; coefficients conjugate
-        return LambdaScalar(self.a0.conjugate(), self.a1.conjugate())
-
-    def at(self, lam: complex) -> complex:
-        """Materialize with a numeric value for the deformation parameter."""
-        return self.a0 + lam * self.a1
-
-
-LAMBDA = LambdaScalar(0j, 1 + 0j)
 
 
 class Jet:
@@ -209,10 +148,9 @@ class Jet:
         return self.scale(complex(other))
 
     def reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0:
+        if self.value == 0:
             raise SingularScalarError("reciprocal of a jet with zero value")
-        return self.compose((1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4))
+        return self.compose(lambda v: (1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4))
 
     def __truediv__(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -229,27 +167,38 @@ class Jet:
                 return self.reciprocal() ** (-k)
             if k == 0:
                 return Jet.const(self.dim, np.ones(self.shape), self.order)
-            out = self
-            for _ in range(k - 1):
-                out = out * self
-            return out
+            # by squaring, each new factor on the left: up to k = 3 this is
+            # the left-to-right product, bit for bit
+            out, base = None, self
+            while True:
+                if k & 1:
+                    out = base if out is None else base * out
+                k >>= 1
+                if not k:
+                    return out
+                base = base * base
         v = self.value
         if v == 0:
             raise JetDomainError("non-integer power of a zero-valued jet")
         if v.imag == 0 and v.real < 0:
             raise JetDomainError("non-integer power of a negative real jet value")
-        f0 = v ** p
-        return self.compose((f0, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
-                             p * (p - 1) * (p - 2) * v ** (p - 3)))
+        return self.compose(lambda v: (v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
+                                       p * (p - 1) * (p - 2) * v ** (p - 3)))
 
-    def compose(self, derivs: Sequence[complex]) -> "Jet":
+    def compose(self, fn: Callable[[complex], Sequence[complex]]) -> "Jet":
         """Chain rule with a univariate function given by value and derivatives.
 
-        ``derivs = (f(u), f'(u), f''(u), f'''(u))`` evaluated at this jet's
-        value. Scalar-shaped jets only.
+        ``fn(u)`` returns ``(f(u), f'(u), f''(u), f'''(u))`` at this jet's
+        value u; a result out of floating-point range is a JetDomainError.
+        Scalar-shaped jets only.
         """
         if self.shape != ():
             raise ValueError("compose applies to scalar-shaped jets")
+        u = self.value
+        try:
+            derivs = fn(u)
+        except ArithmeticError as exc:
+            raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
         f = [np.asarray(d, dtype=np.complex128) for d in derivs]
         out = [f[0]]
         if self.order >= 1:
@@ -424,7 +373,7 @@ def jet_apply(name: str, u: Jet) -> Jet:
         table = UNARY_FUNCS[name]
     except KeyError:
         raise JetDomainError(f"unknown unary function {name!r}")
-    return u.compose(table(u.value))
+    return u.compose(table)
 
 
 class LJet(NamedTuple):
@@ -445,11 +394,8 @@ class LJet(NamedTuple):
     def __sub__(self, other: "LJet") -> "LJet":
         return self + other.scale(-1.0)
 
-    def scale(self, z) -> "LJet":
-        """Multiply by a constant complex number or LambdaScalar."""
-        if isinstance(z, LambdaScalar):
-            l = self.lam().scale(z.a0) + self.c.scale(z.a1)
-            return LJet(self.c.scale(z.a0), l)
+    def scale(self, z: complex) -> "LJet":
+        """Multiply by a constant complex number."""
         return LJet(self.c.scale(complex(z)),
                     None if self.l is None else self.l.scale(complex(z)))
 

@@ -107,7 +107,7 @@ class QTensor:
         return self + other.scale(-1.0)
 
     def scale(self, z) -> "QTensor":
-        """Multiply by a constant complex number or LambdaScalar."""
+        """Multiply by a constant complex number."""
         return QTensor(self.G, self.rank, lambda pt: self.fn(pt).scale(z),
                        self.form, self.basis)
 
@@ -167,7 +167,7 @@ def star_product(a: Field, b: Field, G: GeometryData) -> Field:
     def fn(pt):
         return _fstar(",->", a.at(pt), b.at(pt), G.frame(pt).om)
 
-    return Field(G.chart, fn)
+    return Field(fn)
 
 
 def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
@@ -244,6 +244,9 @@ def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTens
     G = G or xi.G
     p = xi.rank
     q = eta.rank
+    if p == 0 or q == 0:
+        raise ValueError("wedge1 takes forms of degree >= 1; "
+                         "a function acts on a form through module_action")
     if p + q > G.dim:
         raise ValueError(f"wedge of degrees {p}+{q} exceeds chart dimension {G.dim}")
     ia, ib = _L[:p], _L[p: p + q]
@@ -433,8 +436,8 @@ def nabla_Q(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
     rank 2 uses the left Leibniz rule and the generalized braiding.
     """
     G = G or xi.G
-    if xi.form and xi.rank != 1:
-        raise ValueError("nabla_Q expects tensor-basis input")
+    if xi.form or xi.basis != "q1":
+        raise ValueError("nabla_Q expects a tensor-basis quantum tensor")
     if xi.rank == 1:
         def fn(pt):
             f = G.frame(pt)
@@ -529,7 +532,7 @@ def gen_ricci(G: GeometryData, tol: float = 1e-8) -> Field:
                 f"{pt}: {np.max(np.abs(r1.val - r2.val)):.3e}")
         return LJet(r1)
 
-    return Field(G.chart, fn)
+    return Field(fn)
 
 
 def g1_build(G: GeometryData) -> QTensor:
@@ -606,4 +609,4 @@ def qlc_residual(G: GeometryData) -> Field:
         res = drc - term + term.reorder("nmk->mnk")
         return LJet(res)
 
-    return Field(G.chart, fn)
+    return Field(fn)

@@ -53,10 +53,10 @@ class SuiteResult:
 SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue", "evolution")
 
 
-def random_poly_field(chart, rng, degree: int = 2, terms: int = 4,
+def random_poly_field(d: int, rng, degree: int = 2, terms: int = 4,
                       order: int = 3) -> Field:
-    """Random complex polynomial in the chart coordinates, as jets of ``order``."""
-    d = chart.dim
+    """Random complex polynomial in the coordinates of a d-dimensional chart,
+    as jets of ``order``."""
     monos = []
     for _ in range(terms):
         k = int(rng.integers(0, degree + 1))
@@ -73,11 +73,11 @@ def random_poly_field(chart, rng, degree: int = 2, terms: int = 4,
             total = total + term
         return LJet(total)
 
-    return Field(chart, fn)
+    return Field(fn)
 
 
 def random_oneform(G: GeometryData, rng, degree: int = 2) -> sq.QTensor:
-    comps = [random_poly_field(G.chart, rng, degree=degree, order=G.order)
+    comps = [random_poly_field(G.dim, rng, degree=degree, order=G.order)
              for _ in range(G.dim)]
 
     def fn(pt):
@@ -113,7 +113,7 @@ def _suite_classical(G: GeometryData, pts, rng) -> dict:
 def _suite_dga(G: GeometryData, pts, rng) -> dict:
     worst = {}
     for pt in pts:
-        a, b, c = (random_poly_field(G.chart, rng, order=G.order) for _ in range(3))
+        a, b, c = (random_poly_field(G.dim, rng, order=G.order) for _ in range(3))
         ab_c = sq.star_product(sq.star_product(a, b, G), c, G)
         a_bc = sq.star_product(a, sq.star_product(b, c, G), G)
         _acc(worst, "star-associator", *(ab_c.at(pt) - a_bc.at(pt)).values())
@@ -198,10 +198,10 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
     from . import evolution as ev
     worst = {}
     for pt in pts:
-        a, b, H = (random_poly_field(G.chart, rng, order=G.order) for _ in range(3))
+        a, b, H = (random_poly_field(G.dim, rng, order=G.order) for _ in range(3))
         _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pt), 0.0)
         # hamiltonian field acts as a derivation on products
-        prod = Field(G.chart, lambda p: LJet(a.at(p).c * b.at(p).c))
+        prod = Field(lambda p: LJet(a.at(p).c * b.at(p).c))
         adot = ev.evolve_scalar(a, H, G)
         bdot = ev.evolve_scalar(b, H, G)
         v = ev.evolve_scalar(prod, H, G).at(pt)
@@ -209,8 +209,7 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
         _acc(worst, "hamvf-derivation", (v.c - rhs_c).val, 0.0)
         if G.parallel_cobasis:
             for k in range(G.dim):
-                basis = Field(G.chart, lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k],
-                                                                     G.order)))
+                basis = Field(lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k], G.order)))
                 _acc(worst, "cobasis-invariance", *ev.evolve_oneform(basis, H, G).at(pt).values())
     return worst
 

@@ -44,7 +44,7 @@ def canonical_hamiltonian(n, mass, potential="0"):
     are x(n+1)..x2n and V is an expression in the positions x1..xn."""
     G = make_flat(n)
     kinetic = " + ".join(f"x{k}^2" for k in range(n + 1, 2 * n + 1))
-    return G, Field.from_expr(G.chart, f"({potential}) + ({kinetic})/(2*{mass})")
+    return G, Field.from_expr(G.dim, f"({potential}) + ({kinetic})/(2*{mass})")
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"

@@ -25,10 +25,10 @@ class TestHamVf:
 
     def test_agrees_with_bracket(self, cpn1):
         rng = np.random.default_rng(70)
-        H = Field.from_expr(cpn1.chart, "z1*conj(z1)")
+        H = Field.from_expr(cpn1.dim, "z1*conj(z1)")
         vf = ham_vf(H, cpn1)
         for _ in range(10):
-            a = random_poly_field(cpn1.chart, rng)
+            a = random_poly_field(cpn1.dim, rng)
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
             adot = poisson_bracket(a, H, cpn1).at(pt).c.value
             v = vf.at(pt).c.val
@@ -38,17 +38,17 @@ class TestHamVf:
 
 class TestEvolveOneform:
     def test_flat_cobasis_invariant(self, flat2):
-        H = Field.from_expr(flat2.chart, "(x3^2+x4^2)/2+x1^2*x2")
+        H = Field.from_expr(flat2.dim, "(x3^2+x4^2)/2+x1^2*x2")
         for k in range(4):
-            xi = Field(flat2.chart, lambda p, k=k: LJet(Jet.const(4, np.eye(4)[k], 3)))
+            xi = Field(lambda p, k=k: LJet(Jet.const(4, np.eye(4)[k], 3)))
             v = evolve_oneform(xi, H, flat2).at((0.4, 0.1, -0.2, 0.3))
             assert maxabs(v.c.val) == 0.0
 
     def test_curved_vs_index_loop_oracle(self, cpn1):
         rng = np.random.default_rng(71)
-        H = Field.from_expr(cpn1.chart, "x1^2+0.4*x2")
+        H = Field.from_expr(cpn1.dim, "x1^2+0.4*x2")
         w = rng.normal(size=(2, 2))
-        xi = Field(cpn1.chart, lambda p: LJet(jet_einsum("ab,b->a", w, Jet.coords(2, p))))
+        xi = Field(lambda p: LJet(jet_einsum("ab,b->a", w, Jet.coords(2, p))))
         out = evolve_oneform(xi, H, cpn1)
         for pt in sample(cpn1, 6, 72):
             f = cpn1.frame(pt)
@@ -67,20 +67,20 @@ class TestEvolveOneform:
 class TestEvolutionDefect:
     def test_free_hamiltonian_display(self):
         G, H = canonical_hamiltonian(1, mass=2.0)
-        a = Field.from_expr(G.chart, "x1")
+        a = Field.from_expr(G.dim, "x1")
         v = evolution_defect(a, H, G).at((0.4, -0.3)).c.val
         assert np.allclose(v, [0.0, -1.0 / 2.0])
 
     def test_constant_observable(self):
         G, H = canonical_hamiltonian(1, mass=1.0, potential="x1^2")
-        a = Field.from_expr(G.chart, "4.2")
+        a = Field.from_expr(G.dim, "4.2")
         v = evolution_defect(a, H, G).at((0.4, -0.3)).c.val
         assert maxabs(v) == 0.0
 
     def test_harmonic_two_routes(self):
         m, omega = 1.7, 0.9
         G, H = canonical_hamiltonian(1, mass=m, potential=f"0.5*{m}*{omega}^2*x1^2")
-        a = Field.from_expr(G.chart, "x2")    # p observable
+        a = Field.from_expr(G.dim, "x2")    # p observable
         for pt in [(0.3, 0.2), (-0.5, 0.8)]:
             assert defect_two_route_residual(a, H, G, pt) < 1e-12
             # display: V_,11 da/dp dq^1 with da/dp = 1
@@ -92,7 +92,7 @@ class TestEvolutionDefect:
         rng = np.random.default_rng(73)
         for G in (flat2, cpn1):
             for _ in range(5):
-                a = random_poly_field(G.chart, rng)
-                H = random_poly_field(G.chart, rng)
+                a = random_poly_field(G.dim, rng)
+                H = random_poly_field(G.dim, rng)
                 pt = tuple(rng.uniform(-0.6, 0.6, size=G.dim))
                 assert defect_two_route_residual(a, H, G, pt) < 1e-9

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import maxabs, sample
 from semiq.errors import DegenerateMetricError
-from semiq.geometry import (Chart, Field, GeometryData, christoffel_jet, compat_residuals,
+from semiq.geometry import (Field, GeometryData, christoffel_jet, compat_residuals,
                             component_jets, cov_deriv_jet, poisson_bracket, torsion_jet)
 from semiq.geometries import _cpn_gamma, _cpn_riemann, make_cpn
 from semiq.lambda_core import Jet, LJet, jet_einsum
@@ -11,7 +11,6 @@ from semiq.lambda_core import Jet, LJet, jet_einsum
 
 def synthetic_torsion_geometry(entries):
     """Flat 2d chart with prescribed connection entries (i, j, k, coord)."""
-    chart = Chart(2, box=1.5)
     eye = np.eye(2)
     om0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -24,10 +23,10 @@ def synthetic_torsion_geometry(entries):
             total = total + jet_einsum(",ijk->ijk", coef, basis)
         return total
 
-    return GeometryData(chart, lambda p, k: Jet.const(2, eye, k),
+    return GeometryData(2, lambda p, k: Jet.const(2, eye, k),
                         lambda p, k: Jet.const(2, eye, k),
                         lambda p, k: Jet.const(2, om0, k),
-                        gamma_fn=gamma_fn, levi_civita=False, name="synthetic")
+                        gamma_fn=gamma_fn, levi_civita=False, name="synthetic", box=1.5)
 
 
 class TestChristoffel:
@@ -37,9 +36,8 @@ class TestChristoffel:
 
     def test_conformal_metric_hand_values(self):
         # g = exp(2 x1) * identity in two dimensions, evaluated at x1 = 0
-        chart = Chart(2)
-        g = component_jets(chart, 2, [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
-        ginv = component_jets(chart, 2, [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
+        g = component_jets(2, 2, [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
+        ginv = component_jets(2, 2, [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
         pt = (0.0, 0.7)
         gam = christoffel_jet(g(pt, 3), ginv(pt, 3)).val
         assert gam[0, 0, 0] == pytest.approx(1.0)
@@ -61,8 +59,7 @@ class TestChristoffel:
             assert maxabs(v - np.transpose(v, (0, 2, 1))) < 1e-14
 
     def test_degenerate_metric_error(self):
-        chart = Chart(2)
-        g = component_jets(chart, 2, [["x1", "0"], ["0", "1"]])
+        g = component_jets(2, 2, [["x1", "0"], ["0", "1"]])
         with pytest.raises(DegenerateMetricError):
             g((0.0, 0.5), 3).matinv()
 
@@ -157,21 +154,21 @@ class TestCovDeriv:
 
 class TestPoissonBracket:
     def test_canonical_pair(self, flat2):
-        q1 = Field.from_expr(flat2.chart, "x1")
-        p1 = Field.from_expr(flat2.chart, "x3")
+        q1 = Field.from_expr(flat2.dim, "x1")
+        p1 = Field.from_expr(flat2.dim, "x3")
         br = poisson_bracket(q1, p1, flat2)
         assert br.at((0.1, 0.2, 0.3, 0.4)).c.value == pytest.approx(1.0)
 
     def test_antisymmetry(self, cpn1):
-        a = Field.from_expr(cpn1.chart, "x1^2*x2")
+        a = Field.from_expr(cpn1.dim, "x1^2*x2")
         br = poisson_bracket(a, a, cpn1)
         assert abs(br.at((0.4, -0.3)).c.value) < 1e-15
 
     def test_cp1_z_zbar_bracket(self, cpn1):
         # {z, zbar} = i t^-2 (1+|z|^2) = i (1+|z|^2)^2, read off the closed
         # form of the deformed commutator divided by the deformation unit
-        z = Field.from_expr(cpn1.chart, "z1")
-        zb = Field.from_expr(cpn1.chart, "conj(z1)")
+        z = Field.from_expr(cpn1.dim, "z1")
+        zb = Field.from_expr(cpn1.dim, "conj(z1)")
         pt = (0.3, 0.1)
         br = poisson_bracket(z, zb, cpn1).at(pt).c.value
         zz = 0.3 ** 2 + 0.1 ** 2
@@ -181,10 +178,10 @@ class TestPoissonBracket:
         rng = np.random.default_rng(13)
         from semiq.suites import random_poly_field
         for _ in range(10):
-            a = random_poly_field(cpn1.chart, rng)
-            b = random_poly_field(cpn1.chart, rng)
-            c = random_poly_field(cpn1.chart, rng)
-            bc = Field(cpn1.chart, lambda p: LJet(b.at(p).c * c.at(p).c))
+            a = random_poly_field(cpn1.dim, rng)
+            b = random_poly_field(cpn1.dim, rng)
+            c = random_poly_field(cpn1.dim, rng)
+            bc = Field(lambda p: LJet(b.at(p).c * c.at(p).c))
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
             lhs = poisson_bracket(a, bc, cpn1).at(pt).c.value
             rhs = (complex(b.at(pt).c.value)

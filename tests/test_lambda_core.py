@@ -2,51 +2,7 @@ import numpy as np
 import pytest
 
 from semiq.errors import JetDomainError, SingularScalarError
-from semiq.lambda_core import LAMBDA, Jet, LambdaScalar, jet_apply, jet_einsum
-
-
-class TestLambdaScalar:
-    def test_identity_element(self):
-        one = LambdaScalar(1, 0)
-        x = LambdaScalar(0.3 + 1j, -2.5)
-        assert (one * x) == x
-
-    def test_lambda_squared_drops(self):
-        assert (LAMBDA * LAMBDA) == LambdaScalar(0, 0)
-
-    def test_truncated_product(self):
-        a, b = LambdaScalar(2, 3), LambdaScalar(5, 7)
-        assert a * b == LambdaScalar(10, 29)
-
-    def test_ring_operations(self):
-        a, b = LambdaScalar(2, 3), LambdaScalar(5, 7)
-        assert a + b == LambdaScalar(7, 10)
-        assert a * b == LambdaScalar(10, 29)
-        assert LambdaScalar(1 + 2j, 3 - 1j).conj() == LambdaScalar(1 - 2j, 3 + 1j)
-
-    def test_division_inverts(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a = LambdaScalar(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
-            b = LambdaScalar(complex(*rng.normal(size=2)) + 3.0, complex(*rng.normal(size=2)))
-            r = (a / b) * b
-            assert abs(r.a0 - a.a0) < 1e-13 and abs(r.a1 - a.a1) < 1e-13
-
-    def test_division_by_singular_scalar(self):
-        with pytest.raises(SingularScalarError):
-            LambdaScalar(1, 0) / LambdaScalar(0, 5)
-
-    def test_associativity_exact(self):
-        # integer coefficients make float products exact
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b, c = (LambdaScalar(complex(int(x), int(y)), complex(int(z), int(w)))
-                       for x, y, z, w in rng.integers(-9, 9, size=(3, 4)))
-            assert (a * b) * c == a * (b * c)
-
-    def test_materialize(self):
-        x = LambdaScalar(1.0, 2.0)
-        assert x.at(0.5j) == 1.0 + 1.0j
+from semiq.lambda_core import Jet, jet_apply, jet_einsum
 
 
 def fd4(fn, pt, k, h=1e-3):
@@ -179,3 +135,49 @@ class TestJet:
         assert j.grad().order == 2
         with pytest.raises(JetDomainError):
             j.grad().grad().grad().grad()
+
+
+class TestIntegerPower:
+    def test_small_powers_are_the_left_to_right_product(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            pt = rng.uniform(-1, 1, size=2)
+            for order in range(4):
+                x, y = Jet.coordinate(2, pt, 0, order), Jet.coordinate(2, pt, 1, order)
+                j = jet_apply("cos", x * y) + complex(*rng.normal(size=2)) * y
+                for k, want in ((1, j), (2, j * j), (3, (j * j) * j)):
+                    got = j ** k
+                    assert got.order == want.order
+                    assert all(a.tobytes() == b.tobytes()
+                               for a, b in zip(got.levels, want.levels))
+
+    def test_large_power_by_squaring(self, monkeypatch):
+        import semiq.lambda_core as lc
+        calls = []
+
+        def counted(spec, a, b):
+            calls.append(spec)
+            return orig(spec, a, b)
+
+        orig = lc.jet_einsum
+        monkeypatch.setattr(lc, "jet_einsum", counted)
+        v, k = 1 - 1e-6, 10 ** 6
+        j = Jet.coordinate(1, [v], 0) ** k
+        assert len(calls) <= 40
+        assert j.value == pytest.approx(v ** k, rel=1e-9)
+        assert j.d1[0] == pytest.approx(k * v ** (k - 1), rel=1e-9)
+        assert j.d2[0, 0] == pytest.approx(k * (k - 1) * v ** (k - 2), rel=1e-9)
+
+
+class TestFloatingPointRange:
+    @pytest.mark.parametrize("fn, v", [("exp", 1000.0), ("sin", 1000j), ("sqrt", 1e308),
+                                       ("ln", 1e-200)])
+    def test_overflow_is_a_domain_error(self, fn, v):
+        with pytest.raises(JetDomainError, match="floating-point range"):
+            jet_apply(fn, Jet.const(1, v))
+
+    def test_reciprocal_and_power(self):
+        with pytest.raises(JetDomainError, match="floating-point range"):
+            Jet.coordinate(1, [1e-200], 0).reciprocal()
+        with pytest.raises(JetDomainError, match="floating-point range"):
+            Jet.coordinate(1, [1e300], 0) ** 2.5

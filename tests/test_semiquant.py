@@ -7,7 +7,7 @@ from conftest import maxabs, sample
 from test_geometry import synthetic_torsion_geometry
 from semiq.geometry import Field, cov_deriv_jet
 from semiq.geometries import cpn_frame, make_cpn, make_flat
-from semiq.lambda_core import Jet, LJet, LambdaScalar, jet_einsum
+from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.semiquant import (QTensor, classical_metric_qtensor, g1_build, g_q_build,
                              gen_ricci, module_action, nabla_Q, otimes1,
                              q_map, qlc_residual, quantum_torsion, sigma_Q,
@@ -61,8 +61,8 @@ def loop_h_family(f):
 
 class TestStarProduct:
     def test_unit(self, cpn1):
-        a = Field.from_expr(cpn1.chart, "x1^2*x2+sin(x2)")
-        one = Field.from_expr(cpn1.chart, "1")
+        a = Field.from_expr(cpn1.dim, "x1^2*x2+sin(x2)")
+        one = Field.from_expr(cpn1.dim, "1")
         pt = (0.4, -0.2)
         v = star_product(a, one, cpn1).at(pt)
         w = a.at(pt)
@@ -73,15 +73,15 @@ class TestStarProduct:
         pt = (0.1, 0.2, 0.3, 0.4)
         for i in range(2):
             for j in range(2):
-                qi = Field.from_expr(flat2.chart, f"x{i+1}")
-                pj = Field.from_expr(flat2.chart, f"x{j+3}")
+                qi = Field.from_expr(flat2.dim, f"x{i+1}")
+                pj = Field.from_expr(flat2.dim, f"x{j+3}")
                 v = star_product(qi, pj, flat2).at(pt) - star_product(pj, qi, flat2).at(pt)
                 assert complex(v.c.value) == 0
                 assert complex(v.lam().value) == (1.0 if i == j else 0.0)
 
     def test_cp1_z_zbar_star_commutator(self, cpn1):
-        z = Field.from_expr(cpn1.chart, "z1")
-        zb = Field.from_expr(cpn1.chart, "conj(z1)")
+        z = Field.from_expr(cpn1.dim, "z1")
+        zb = Field.from_expr(cpn1.dim, "conj(z1)")
         pt = (0.3, 0.1)
         v = star_product(z, zb, cpn1).at(pt) - star_product(zb, z, cpn1).at(pt)
         assert abs(complex(v.lam().value) - 1.21j) < 1e-14
@@ -90,7 +90,7 @@ class TestStarProduct:
         rng = np.random.default_rng(41)
         for G in (cpn1, flat1):
             for _ in range(20):
-                a, b, c = (random_poly_field(G.chart, rng) for _ in range(3))
+                a, b, c = (random_poly_field(G.dim, rng) for _ in range(3))
                 pt = tuple(rng.uniform(-0.6, 0.6, size=G.dim))
                 lhs = star_product(star_product(a, b, G), c, G).at(pt)
                 rhs = star_product(a, star_product(b, c, G), G).at(pt)
@@ -102,7 +102,7 @@ class TestStarProduct:
 class TestModuleAction:
     def test_constant_function_central(self, cpn1):
         xi = QTensor.constant_oneform(cpn1, [1.0, 2.0])
-        a = Field.from_expr(cpn1.chart, "2.5+1i")
+        a = Field.from_expr(cpn1.dim, "2.5+1i")
         pt = (0.2, 0.3)
         v = module_action(a, xi, "left", cpn1).at(pt) - \
             module_action(a, xi, "right", cpn1).at(pt)
@@ -122,8 +122,8 @@ class TestModuleAction:
     def test_bimodule_associativity(self, cpn1):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            a = random_poly_field(cpn1.chart, rng)
-            b = random_poly_field(cpn1.chart, rng)
+            a = random_poly_field(cpn1.dim, rng)
+            b = random_poly_field(cpn1.dim, rng)
             xi = QTensor.constant_oneform(cpn1, rng.normal(size=2))
             pt = tuple(rng.uniform(-0.6, 0.6, size=2))
             lhs = module_action(a, module_action(b, xi, "right", cpn1), "left", cpn1)
@@ -165,6 +165,14 @@ class TestWedge1:
         two = wedge1(a, QTensor.constant_oneform(cpn1, [0.0, 1.0]), cpn1)
         with pytest.raises(ValueError):
             wedge1(two, two, cpn1)
+
+    def test_degree_zero_operand_rejected(self, cpn1):
+        # a function acts on a form through module_action, not through wedge1
+        s = QTensor(cpn1, 0, lambda p: LJet(Jet.const(2, 1.0)), form=True)
+        a = QTensor.constant_oneform(cpn1, [1.0, 0.0])
+        for x, y in ((s, a), (a, s)):
+            with pytest.raises(ValueError, match="module_action"):
+                wedge1(x, y, cpn1)
 
     def test_graded_antisymmetry_classical_slot(self, cpn2):
         rng = np.random.default_rng(47)
@@ -219,8 +227,8 @@ class TestWedge1:
 
         worst_c, worst_l = 0.0, 0.0
         for _ in range(4):
-            a = random_poly_field(G.chart, rng)
-            b = random_poly_field(G.chart, rng)
+            a = random_poly_field(G.dim, rng)
+            b = random_poly_field(G.dim, rng)
             xis = [QTensor.constant_oneform(G, np.eye(G.dim)[k]) for k in range(G.dim)]
             xis.append(exact(b))
             pt = tuple(rng.uniform(-0.6, 0.6, size=G.dim))
@@ -253,7 +261,7 @@ class TestNablaQ:
     def test_left_leibniz(self, cpn1):
         rng = np.random.default_rng(49)
         for _ in range(6):
-            a = random_poly_field(cpn1.chart, rng)
+            a = random_poly_field(cpn1.dim, rng)
             xi = QTensor.constant_oneform(cpn1, rng.normal(size=2))
             pt = tuple(rng.uniform(-0.6, 0.6, size=2))
             lhs = nabla_Q(module_action(a, xi, "left", cpn1), cpn1).at(pt)
@@ -264,11 +272,21 @@ class TestNablaQ:
             r = lhs - rhs
             assert maxabs(r.c.val) < 1e-12 and maxabs(r.lam().val) < 1e-9
 
+    def test_rejects_forms_and_classical_tensors(self, cpn1):
+        # a quantum form stores model components, not the normal form that
+        # nabla_Q reads; a q0 tensor lies on the classical side of q_map
+        xi = QTensor.constant_oneform(cpn1, [1.0, 2.0])
+        form = QTensor(cpn1, 1, xi.fn, form=True)
+        classical = q_map(g_q_build(cpn1, check_compat=False), cpn1, "q")
+        for bad in (form, classical):
+            with pytest.raises(ValueError, match="tensor-basis"):
+                nabla_Q(bad, cpn1)
+
 
 class TestSigmaQ:
     def test_classical_slot_is_flip(self, cpn1):
         rng = np.random.default_rng(50)
-        a = random_poly_field(cpn1.chart, rng)
+        a = random_poly_field(cpn1.dim, rng)
         xi = QTensor.constant_oneform(cpn1, rng.normal(size=2))
         pt = (0.3, -0.4)
         sig = sigma_Q(a, xi, cpn1).at(pt)
@@ -277,7 +295,7 @@ class TestSigmaQ:
         assert maxabs(sig.c.val - flip) < 1e-13
 
     def test_flat_flip_exact_at_both_slots(self, flat1):
-        a = Field.from_expr(flat1.chart, "x1^2*x2")
+        a = Field.from_expr(flat1.dim, "x1^2*x2")
         xi = QTensor.constant_oneform(flat1, [0.5, -1.5])
         pt = (0.7, 0.2)
         sig = sigma_Q(a, xi, flat1).at(pt)
@@ -322,16 +340,15 @@ class TestQuantumTorsion:
         # constant-coefficient torsionful connection on the flat chart:
         # the classical slot of the quantum torsion of dx^i is the
         # classical torsion two-form, -xi_i T^i_{ab}
-        from semiq.geometry import Chart, GeometryData
+        from semiq.geometry import GeometryData
         c = 0.8
-        chart = Chart(2, box=1.0)
         gam_arr = np.zeros((2, 2, 2))
         gam_arr[0, 0, 1] = c
-        G = GeometryData(chart, lambda p, k: Jet.const(2, np.eye(2), k),
+        G = GeometryData(2, lambda p, k: Jet.const(2, np.eye(2), k),
                          lambda p, k: Jet.const(2, np.eye(2), k),
                          lambda p, k: Jet.const(2, np.array([[0., 1.], [-1., 0.]]), k),
                          gamma_fn=lambda p, k: Jet.const(2, gam_arr, k),
-                         levi_civita=False, name="const-torsion")
+                         levi_civita=False, name="const-torsion", box=1.0)
         xi = QTensor.constant_oneform(G, [1.0, 0.0])
         pt = (0.3, 0.2)
         v = quantum_torsion(xi, G).at(pt)
@@ -385,7 +402,7 @@ class TestQuantumMetric:
     def test_incompatibility_seen_away_from_one_point(self, cpn1):
         # Gam^1_{12} = x1 - 0.1 breaks metric parallelism everywhere except
         # on the line x1 = 0.1, which holds the point (0.1, 0.11)
-        from semiq.geometry import Chart, GeometryData
+        from semiq.geometry import GeometryData
 
         def gamma_fn(pt, order):
             basis = np.zeros((2, 2, 2))
@@ -394,10 +411,10 @@ class TestQuantumMetric:
             return jet_einsum(",ijk->ijk", x1, basis)
 
         eye, om0 = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
-        G = GeometryData(Chart(2, box=1.5), lambda p, k: Jet.const(2, eye, k),
+        G = GeometryData(2, lambda p, k: Jet.const(2, eye, k),
                          lambda p, k: Jet.const(2, eye, k),
                          lambda p, k: Jet.const(2, om0, k),
-                         gamma_fn=gamma_fn, levi_civita=False, name="one-line")
+                         gamma_fn=gamma_fn, levi_civita=False, name="one-line", box=1.5)
         f = G.frame((0.1, 0.11))
         assert maxabs(cov_deriv_jet(f.g, f.gam, 0, 2).val) == 0.0
         with pytest.warns(UserWarning):

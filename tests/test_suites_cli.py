@@ -174,6 +174,28 @@ class TestInputValidation:
         assert out.out == "" and out.err.startswith("error:")
 
 
+class TestFloatingPointRange:
+    """An expression whose value or derivatives leave the floating-point
+    range is an error, never a traceback or a NaN printed with exit 0."""
+
+    @pytest.mark.parametrize("a", ["exp(1000)", "sin(1000i)", "sqrt(1e308)*1e308*10", "1e400",
+                                   "x1^1e400", "(x1+2)^1e3", "x1^(-300000)", "x1^(10^400)",
+                                   "x1^(1/0)", "config"])
+    def test_exits_2(self, a, tmp_path):
+        if a == "config":
+            big = "exp(5000*x1)"
+            path = tmp_path / "geometry.json"
+            path.write_text(json.dumps(dict(FLAT_CONFIG, poisson=[["0", big], ["-" + big, "0"]])))
+            argv = ["check", str(path), "--points", "2"]
+        else:
+            argv = ["eval", "star", "--geometry", "flat", "--n", "1", "--a", a, "--b", "x1",
+                    "--at", "0.1,0.2"]
+        r = run_cli(argv, cwd=tmp_path)
+        err = r.stderr.decode()
+        assert r.returncode == 2 and r.stdout == b""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestConfigNumbers:
     """Malformed numeric config entries end in a ConfigError and exit 2."""
 
