@@ -121,13 +121,13 @@ def cmd_eval(args) -> int:
         print(_fmt_pair(complex(c), complex(l)))
         return 0
     if args.op == "wedge":
-        v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b), G).at(pt)
+        v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b)).at(pt)
         c, l = v.values()
         print("da wedge1 db components:")
         print(_fmt_pair(np.array_str(c, precision=12), np.array_str(l, precision=12)))
         return 0
     if args.op == "nablaQ":
-        v = sq.nabla_Q(sq.QTensor.differential(G, a), G).at(pt)
+        v = sq.nabla_Q(sq.QTensor.differential(G, a)).at(pt)
         c, l = v.values()
         print("nabla_Q(da) coefficients (direction slot first):")
         print(_fmt_pair(np.array_str(c, precision=12), np.array_str(l, precision=12)))
@@ -141,16 +141,21 @@ def cmd_evolve(args) -> int:
     G = build_geometry(args.geometry, args.n).at_order(frame_order)
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
+    if not points:
+        raise ConfigError(f"--at names no point: {args.at!r}")
     a = Field.from_expr(G.dim, args.a, field_order)
     H = Field.from_expr(G.dim, args.hamiltonian, field_order)
     adot = ev.evolve_scalar(a, H, G)
     defect = ev.evolution_defect(a, H, G)
+    # every point is evaluated before anything is printed
+    lines = []
     for pt in points:
-        print(f"at {pt}:")
-        print(f"  adot = {complex(adot.at(pt).c.value)}")
-        print(f"  (da)dot - d(adot) components = "
-              f"{np.array_str(defect.at(pt).c.val, precision=12)}")
-        print(f"  two-route residual = {ev.defect_two_route_residual(a, H, G, pt):.3e}")
+        lines += [f"at {pt}:",
+                  f"  adot = {complex(adot.at(pt).c.value)}",
+                  f"  (da)dot - d(adot) components = "
+                  f"{np.array_str(defect.at(pt).c.val, precision=12)}",
+                  f"  two-route residual = {ev.defect_two_route_residual(a, H, G, pt):.3e}"]
+    print("\n".join(lines))
     return 0
 
 

@@ -67,21 +67,13 @@ def _shift_matrix(n: int) -> np.ndarray:
 
 # -- flat phase space ------------------------------------------------------------
 
-def canonical_omega(n: int) -> np.ndarray:
-    om = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        om[i, i + n] = 1.0
-        om[i + n, i] = -1.0
-    return om
-
-
 def make_flat(n: int) -> GeometryData:
     """Flat R^{2n} with canonical coordinates and trivial connection."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
     eye = np.eye(d)
-    om0 = canonical_omega(n)
+    om0 = _shift_matrix(n)              # the canonical Poisson bivector
     return GeometryData(
         d,
         g_fn=lambda p, k: Jet.const(d, eye, k),
@@ -103,8 +95,7 @@ def make_flat_torsion() -> GeometryData:
     an order-one obstruction residual for the quantum connection. This is
     the registered counterexample geometry.
     """
-    eye = np.eye(2)
-    om0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    eye, om0 = np.eye(2), _shift_matrix(1)
 
     def gamma_fn(pt, order):
         x2 = Jet.coordinate(2, pt, 1, order)
@@ -362,10 +353,6 @@ def _grid(x: _At, rank: int, cell, dims: int = 2):
     return c, l
 
 
-def _vals(v: LJet):
-    return v.c.val, v.lam().val
-
-
 def _lam_cells(rank: int, cell):
     """Expected grid with a vanishing classical slot; cell(x, i, j) gives
     the first-order slot."""
@@ -426,7 +413,7 @@ def _star_comm(left, right, q=None):
             lhs = star_product(A[i], B[j], x.G)
             if qf:
                 lhs = star_product(qf, lhs, x.G)
-            return _vals(lhs.at(x.pt) - star_product(B[j], A[i], x.G).at(x.pt))
+            return (lhs.at(x.pt) - star_product(B[j], A[i], x.G).at(x.pt)).values()
         return _grid(x, 0, cell)
     return eng
 
@@ -437,10 +424,10 @@ def _form_comm(left, right, q=None):
         A, X, qf = left(x), right(x), q(x) if q else None
 
         def cell(i, j):
-            lhs = module_action(A[i], X[j], "left", x.G)
+            lhs = module_action(A[i], X[j])
             if qf:
-                lhs = module_action(qf, lhs, "left", x.G)
-            return _vals(lhs.at(x.pt) - module_action(A[i], X[j], "right", x.G).at(x.pt))
+                lhs = module_action(qf, lhs)
+            return (lhs.at(x.pt) - module_action(X[j], A[i]).at(x.pt)).values()
         return _grid(x, 1, cell)
     return eng
 
@@ -449,7 +436,7 @@ def _eng_dz_dz_wedge(x):
     dz = _dzs(x)
 
     def cell(i, j):
-        v = wedge1(dz[i], dz[j], x.G).at(x.pt)
+        v = wedge1(dz[i], dz[j]).at(x.pt)
         return v.c.val - _wedge_of(x.F.cvec(i), x.F.cvec(j)), v.lam().val
     return _grid(x, 2, cell)
 
@@ -460,11 +447,11 @@ def _anticomm(qinv: bool):
         dz, dzb = _dzs(x), _dzbars(x)
 
         def cell(i, j):
-            w1 = wedge1(dz[i], dzb[j], x.G).at(x.pt)
-            w2 = wedge1(dzb[j], dz[i], x.G).at(x.pt)
+            w1 = wedge1(dz[i], dzb[j]).at(x.pt)
+            w2 = wedge1(dzb[j], dz[i]).at(x.pt)
             if qinv:    # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
                 w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2))
-            return _vals(w1 + w2)
+            return (w1 + w2).values()
         return _grid(x, 2, cell)
     return eng
 
@@ -472,7 +459,7 @@ def _anticomm(qinv: bool):
 def _nablaq_dz(sgn: int):
     def eng(x):
         dz = _dzs(x, conj=sgn < 0)
-        return _grid(x, 2, lambda i: _vals(nabla_Q(dz[i], x.G).at(x.pt)), dims=1)
+        return _grid(x, 2, lambda i: nabla_Q(dz[i]).at(x.pt).values(), dims=1)
     return eng
 
 
@@ -624,7 +611,7 @@ CATALOGUE = {
     "w-wbar-comm": (_star_comm(_ws, _wbars), _exp_w_wbar),
     "w-dwbar-comm": (_form_comm(_ws, _dwbars), _lam_cells(1, _exp_w_dwbar)),
     "w-dw-comm": (_form_comm(_ws, _dws), _lam_cells(1, _exp_w_dw)),
-    "g1": (lambda x: _vals(g1_build(x.G).at(x.pt)), _exp_g1),
+    "g1": (lambda x: g1_build(x.G).at(x.pt).values(), _exp_g1),
     "nablaQ-dz+": (_nablaq_dz(+1), _exp_nablaq_dz(+1)),
     "nablaQ-dz-": (_nablaq_dz(-1), _exp_nablaq_dz(-1)),
 }

@@ -163,10 +163,9 @@ class GeometryData:
             self._frames[(pt, self.order)] = fr
         return fr
 
-    def sample_points(self, count: int, seed: int, box: Optional[float] = None) -> np.ndarray:
+    def sample_points(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        half = self.box if box is None else box
-        return rng.uniform(-half, half, size=(count, self.dim))
+        return rng.uniform(-self.box, self.box, size=(count, self.dim))
 
 
 class PointFrame:

@@ -233,13 +233,8 @@ class Jet:
                    [np.einsum(f"{src}...->{dst}...", l) for l in self.levels],
                    self.order)
 
-    def take_index(self, idx, axis: int = 0) -> "Jet":
-        """Slice one or more leading tensor axes at fixed indices."""
-        if isinstance(idx, tuple):
-            out = self
-            for i in idx:
-                out = out.take_index(i, axis=axis)
-            return out
+    def take_index(self, idx: int, axis: int = 0) -> "Jet":
+        """Slice one tensor axis at a fixed index."""
         return Jet(self.dim, [np.take(l, idx, axis=axis) for l in self.levels],
                    self.order)
 

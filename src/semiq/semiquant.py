@@ -17,10 +17,11 @@ derived from the bimodule relations
     (xi . a) (x) eta = xi (x) (a . eta)
 
 so that moving a function across a tensor slot costs one connection
-contraction at first order. Quantum forms (``form=True``) store classical
-antisymmetric components per lam grade; the deformed wedge acts on those
-components directly. ``basis="q0"`` marks the classical-tensor side of the
-quantisation isomorphism (outputs of ``q_map``).
+contraction at first order. A function is the rank-0 case, so one
+product ``_otimes`` gives a . b, a . xi, xi . a and xi (x)_1 eta. Quantum
+forms (``form=True``) store classical antisymmetric components per lam
+grade; the deformed wedge acts on those components directly. The classical
+side of the quantisation isomorphism is a plain ``Field`` (``q_map``).
 """
 
 from __future__ import annotations
@@ -83,33 +84,27 @@ def _collect_correction(c0: Jet, f: PointFrame) -> Jet:
 
 # -- QTensor ---------------------------------------------------------------------
 
-class QTensor:
-    """Rank-k element of the deformed cotangent tensor or exterior power."""
+class QTensor(Field):
+    """Rank-k element of the deformed cotangent tensor or exterior power
+    over the geometry G."""
 
     def __init__(self, G: GeometryData, rank: int, fn: Callable[[tuple], LJet],
-                 form: bool = False, basis: str = "q1"):
+                 form: bool = False):
+        super().__init__(fn)
         self.G = G
         self.rank = rank
-        self.fn = fn
         self.form = form
-        self.basis = basis
 
-    def at(self, point) -> LJet:
-        return self.fn(tuple(point))
+    def _zip(self, other: "QTensor", op) -> "QTensor":
+        if (self.rank, self.form) != (other.rank, other.form):
+            raise ValueError("mismatched quantum tensors")
+        return QTensor(self.G, self.rank, lambda pt: op(self.fn(pt), other.fn(pt)), self.form)
 
     def __add__(self, other: "QTensor") -> "QTensor":
-        if (self.rank, self.form, self.basis) != (other.rank, other.form, other.basis):
-            raise ValueError("mismatched quantum tensors")
-        return QTensor(self.G, self.rank, lambda pt: self.fn(pt) + other.fn(pt),
-                       self.form, self.basis)
+        return self._zip(other, LJet.__add__)
 
     def __sub__(self, other: "QTensor") -> "QTensor":
-        return self + other.scale(-1.0)
-
-    def scale(self, z) -> "QTensor":
-        """Multiply by a constant complex number."""
-        return QTensor(self.G, self.rank, lambda pt: self.fn(pt).scale(z),
-                       self.form, self.basis)
+        return self._zip(other, LJet.__sub__)
 
     # -- constructors -----------------------------------------------------------
 
@@ -141,39 +136,40 @@ class QTensor:
         arr = np.asarray(coeffs, dtype=np.complex128)
         return cls(G, 1, lambda pt: LJet(Jet.const(G.dim, arr, G.order)))
 
-    def to_classical(self) -> "QTensor":
+    def to_classical(self) -> Field:
         """Rank-1 normal form back to classical components."""
         if self.rank != 1 or self.form:
             raise ValueError("to_classical applies to rank-1 tensor-basis elements")
-        return QTensor(self.G, 1, lambda pt: _oneform_model(self, pt), basis="q0")
+        return Field(lambda pt: _model(self, pt))
 
 
-def _oneform_model(xi: QTensor, pt) -> LJet:
-    """Classical (model) components of a quantum one-form."""
-    if xi.rank != 1:
-        raise ValueError("expected a one-form")
+def _normal(xi, who: str) -> QTensor:
+    """xi, if it is a quantum tensor in left-collected normal form."""
+    if not isinstance(xi, QTensor) or xi.form:
+        raise ValueError(f"{who} expects a tensor-basis quantum tensor")
+    return xi
+
+
+def _model(xi: QTensor, pt) -> LJet:
+    """Classical (model) components of a quantum form or one-form."""
     v = xi.at(pt)
-    if xi.form or xi.basis == "q0":
+    if xi.form:
         return v
+    if xi.rank != 1:
+        raise ValueError("expected a quantum form or a one-form")
     corr = _collect_correction(v.c, xi.G.frame(pt))
     return LJet(v.c, v.lam() - corr)
 
 
 # -- deformed products and actions ----------------------------------------------
 
-def star_product(a: Field, b: Field, G: GeometryData) -> Field:
-    """a . b = ab + (lam/2) om^{ij} a_,i b_,j, graded over lam."""
-
-    def fn(pt):
-        return _fstar(",->", a.at(pt), b.at(pt), G.frame(pt).om)
-
-    return Field(fn)
-
-
-def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
-    """A (x) B for normal-form coefficients A[ia], B[ib], with B's
-    coefficients collected to the left across A's slots."""
+def _otimes(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
+    """A (x)_1 B for normal-form coefficients A[ia], B[ib], with B's
+    coefficients collected to the left across A's slots. A function is the
+    rank-0 case, so this is also a . b, a . xi and xi . a."""
     base = _fstar(f"{ia},{ib}->{ia}{ib}", A, B, f.om)
+    if not ia:
+        return base
     terms = gamma_slot_terms(A.c, f.gam, range(len(ia)))
     slot = sum(terms[1:], terms[0])             # Gam^u_{t m_j} A[.. u at j ..]
     mov = jet_einsum(f"{ib}i,it->{ib}t", B.c.grad(), f.om)
@@ -181,35 +177,28 @@ def _right_collect(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
     return LJet(base.c, base.lam() + corr)
 
 
-def module_action(a: Field, xi: QTensor, side: str, G: GeometryData) -> QTensor:
-    """Left or right action of a function on a normal-form quantum tensor."""
-    if xi.form or xi.basis != "q1":
-        raise ValueError("module_action expects a tensor-basis quantum tensor")
+def star_product(a: Field, b: Field, G: GeometryData) -> Field:
+    """a . b = ab + (lam/2) om^{ij} a_,i b_,j, graded over lam."""
+    return Field(lambda pt: _otimes(a.at(pt), b.at(pt), G.frame(pt), "", ""))
+
+
+def module_action(x: Field, y: Field) -> QTensor:
+    """The action of a function on a normal-form quantum tensor:
+    ``module_action(a, xi)`` is a . xi and ``module_action(xi, a)`` is xi . a."""
+    if isinstance(x, QTensor) == isinstance(y, QTensor):
+        raise ValueError("module_action takes one function and one quantum tensor")
+    xi = _normal(x if isinstance(x, QTensor) else y, "module_action")
     idx = _L[: xi.rank]
-
-    if side == "left":
-        def fn(pt):
-            return _fstar(f",{idx}->{idx}", a.at(pt), xi.at(pt), G.frame(pt).om)
-    elif side == "right":
-        def fn(pt):
-            return _right_collect(xi.at(pt), a.at(pt), G.frame(pt), idx, "")
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-
-    return QTensor(G, xi.rank, fn, basis="q1")
+    ia, ib = (idx, "") if xi is x else ("", idx)
+    return QTensor(xi.G, xi.rank,
+                   lambda pt: _otimes(x.at(pt), y.at(pt), xi.G.frame(pt), ia, ib))
 
 
 def otimes1(X: QTensor, Y: QTensor) -> QTensor:
     """Deformed tensor product over the quantised function algebra."""
-    if X.form or Y.form or X.basis != "q1" or Y.basis != "q1":
-        raise ValueError("otimes1 expects tensor-basis quantum tensors")
-    G = X.G
-    ia, ib = _L[: X.rank], _L[X.rank: X.rank + Y.rank]
-
-    def fn(pt):
-        return _right_collect(X.at(pt), Y.at(pt), G.frame(pt), ia, ib)
-
-    return QTensor(G, X.rank + Y.rank, fn)
+    p, q = _normal(X, "otimes1").rank, _normal(Y, "otimes1").rank
+    ia, ib = _L[:p], _L[p: p + q]
+    return QTensor(X.G, p + q, lambda pt: _otimes(X.at(pt), Y.at(pt), X.G.frame(pt), ia, ib))
 
 
 # -- wedge machinery --------------------------------------------------------------
@@ -239,11 +228,9 @@ def _wedge_arrays(A: Jet, B: Jet, p: int, q: int) -> Jet:
     return _antisym(jet_einsum(f"{ia},{ib}->{ia}{ib}", A, B), p, q)
 
 
-def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTensor:
+def wedge1(xi: QTensor, eta: QTensor) -> QTensor:
     """Deformed wedge of quantum forms of degrees p and q."""
-    G = G or xi.G
-    p = xi.rank
-    q = eta.rank
+    G, p, q = xi.G, xi.rank, eta.rank
     if p == 0 or q == 0:
         raise ValueError("wedge1 takes forms of degree >= 1; "
                          "a function acts on a form through module_action")
@@ -253,16 +240,9 @@ def wedge1(xi: QTensor, eta: QTensor, G: Optional[GeometryData] = None) -> QTens
     # the form slots of A and B left over once H's (i, j) contract their first
     ra, rb = _L[2: p + 1], _L[p + 1: p + q]
 
-    def model(z: QTensor, pt) -> LJet:
-        if z.rank == 1 and not z.form:
-            return _oneform_model(z, pt)
-        if not z.form:
-            raise ValueError("wedge1 operands must be forms (or one-forms)")
-        return z.at(pt)
-
     def fn(pt):
         f = G.frame(pt)
-        A, B = model(xi, pt), model(eta, pt)
+        A, B = _model(xi, pt), _model(eta, pt)
         c = _wedge_arrays(A.c, B.c, p, q)
         lam = _wedge_arrays(A.c, B.lam(), p, q) + _wedge_arrays(A.lam(), B.c, p, q)
         # functorial correction: (1/2) om^{ij} nabla_i A ^ nabla_j B
@@ -314,7 +294,7 @@ def _qform_from_wedge_display(G: GeometryData, coeff_fn) -> QTensor:
 
 def wedge1_map(X: QTensor) -> QTensor:
     """The deformed wedge applied to a rank-2 tensor-basis element."""
-    if X.rank != 2 or X.form or X.basis != "q1":
+    if _normal(X, "wedge1_map").rank != 2:
         raise ValueError("wedge1_map expects a rank-2 tensor-basis element")
     return _qform_from_wedge_display(X.G, X.at)
 
@@ -428,16 +408,14 @@ def nq2_basis(f: PointFrame) -> LJet:
     return cache["nq2"]
 
 
-def nabla_Q(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
+def nabla_Q(xi: QTensor) -> QTensor:
     """Quantised covariant derivative; the direction slot comes first.
 
     Rank-1 input must be in left-collected normal form (use
     ``QTensor.from_oneform`` for classical components). Extension to
     rank 2 uses the left Leibniz rule and the generalized braiding.
     """
-    G = G or xi.G
-    if xi.form or xi.basis != "q1":
-        raise ValueError("nabla_Q expects a tensor-basis quantum tensor")
+    G = _normal(xi, "nabla_Q").G
     if xi.rank == 1:
         def fn(pt):
             f = G.frame(pt)
@@ -451,21 +429,21 @@ def nabla_Q(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
     raise ValueError("nabla_Q implemented for ranks 1 and 2")
 
 
-def sigma_Q(a: Field, xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
+def sigma_Q(a: Field, xi: QTensor) -> QTensor:
     """Generalized braiding applied to da (x) xi, by its defining difference
     nabla_Q(xi . a) - (nabla_Q xi) . a."""
-    G = G or xi.G
-    return (nabla_Q(module_action(a, xi, "right", G), G)
-            - module_action(a, nabla_Q(xi, G), "right", G))
+    return nabla_Q(module_action(xi, a)) - module_action(nabla_Q(xi), a)
 
 
-def quantum_torsion(xi: QTensor, G: Optional[GeometryData] = None) -> QTensor:
+def quantum_torsion(xi: QTensor) -> QTensor:
     """Torsion of the quantised connection applied to a quantum one-form."""
-    G = G or xi.G
+    if xi.rank != 1:
+        raise ValueError("quantum_torsion applies to one-forms")
+    G = xi.G
 
     def coeff(pt):
         f = G.frame(pt)
-        v = _oneform_model(xi, pt)
+        v = _model(xi, pt)
         # X_{mn} = (1/2)(xi_i T^i_{nm} + (lam/2)(nabla_i xi)_j om^{is} T^j_{nm;s})
         xc = 0.5 * jet_einsum("i,inm->mn", v.c, f.torsion)
         dxi = cov_deriv_jet(v.c, f.gam, 0, 1)          # [j, i]
@@ -551,13 +529,19 @@ def g1_build(G: GeometryData) -> QTensor:
     return QTensor(G, 2, fn)
 
 
-def q_map(X: QTensor, G: Optional[GeometryData] = None, direction: str = "q") -> QTensor:
-    """Quantisation isomorphism between rank-2 tensor-basis elements and
-    classical tensors with lam-graded coefficients (direction "q"), and
-    its first-order inverse ("q-inverse")."""
-    G = G or X.G
-    if X.rank != 2 or X.form:
-        raise ValueError("q_map applies to rank-2 elements")
+def q_map(X: Field, G: Optional[GeometryData] = None) -> Field:
+    """Quantisation isomorphism q: ``q_map(X)`` sends a rank-2 normal-form
+    tensor to the classical tensor with lam-graded coefficients, and
+    ``q_map(F, G)`` sends a classical tensor F on G's chart back to normal
+    form, to first order."""
+    inverse = not isinstance(X, QTensor)
+    if inverse == (G is None):
+        raise ValueError("q_map takes a quantum tensor alone, "
+                         "or a classical tensor with its geometry")
+    if not inverse:
+        if X.rank != 2 or X.form:
+            raise ValueError("q_map applies to rank-2 tensor-basis elements")
+        G = X.G
 
     def corr(c0: Jet, f: PointFrame) -> Jet:
         p1 = jet_einsum("mnrs,mn->rs", f.om_gam_gam, c0)
@@ -568,23 +552,17 @@ def q_map(X: QTensor, G: Optional[GeometryData] = None, direction: str = "q") ->
         p3 = jet_einsum("ins,rni->rs", B1, dc)
         return 0.5 * (p1 - p2 - p3)
 
-    if direction not in ("q", "q-inverse"):
-        raise ValueError("direction must be 'q' or 'q-inverse'")
-    inverse = direction == "q-inverse"
-    if not inverse and X.basis != "q1":
-        raise ValueError("q maps tensor-basis elements to classical ones")
-
     def fn(pt):
         v = X.at(pt)
         k = corr(v.c, G.frame(pt))
         return LJet(v.c, v.lam() - k if inverse else v.lam() + k)
 
-    return QTensor(G, 2, fn, basis="q1" if inverse else "q0")
+    return QTensor(G, 2, fn) if inverse else Field(fn)
 
 
-def classical_metric_qtensor(G: GeometryData) -> QTensor:
-    """The classical metric viewed on the classical side of the q map."""
-    return QTensor(G, 2, lambda pt: LJet(G.frame(pt).g), basis="q0")
+def classical_metric(G: GeometryData) -> Field:
+    """The classical metric, on the classical side of the q map."""
+    return Field(lambda pt: LJet(G.frame(pt).g))
 
 
 def qlc_residual(G: GeometryData) -> Field:

@@ -108,7 +108,7 @@ def test_criterion_05_quantum_metric():
     for n in (1, 2):
         G = make_cpn(n)
         gq, g1 = g_q_build(G, check_compat=False), g1_build(G)
-        ngq = nabla_Q(gq, G)
+        ngq = nabla_Q(gq)
         ricci = gen_ricci(G)
         for pt in sample(G, 50, 5):
             wq = wedge1_map(gq).at(pt).lam().val
@@ -174,7 +174,7 @@ def test_criterion_08_dga_properties():
                                                                 s.at(p).lam().grad()))
             da = QTensor.from_oneform(G, lambda p, s=a: LJet(s.at(p).c.grad()))
             db = QTensor.from_oneform(G, lambda p, s=b: LJet(s.at(p).c.grad()))
-            rhs2 = module_action(b, da, "right", G) + module_action(a, db, "left", G)
+            rhs2 = module_action(da, b) + module_action(a, db)
             rr = d_ab.at(pt) - rhs2.at(pt)
             worst = max(worst, maxabs(rr.c.val), maxabs(rr.lam().val))
     assert report(8, "associator and deformed Leibniz rule over 100 random triples",

@@ -191,7 +191,7 @@ def cobasis_wedge_residual(O, G, pts):
         for i in range(D):
             for j in range(D):
                 w = wedge1(QTensor.constant_oneform(G, np.eye(D)[i]),
-                           QTensor.constant_oneform(G, np.eye(D)[j]), G).at(pt)
+                           QTensor.constant_oneform(G, np.eye(D)[j])).at(pt)
                 worst = max(worst, np.max(np.abs(w.lam().val - numeric(W[i][j], pt))))
     return worst
 

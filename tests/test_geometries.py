@@ -4,7 +4,7 @@ import pytest
 from conftest import maxabs, sample
 from semiq.errors import UnknownCheckError
 from semiq.geometries import (CATALOGUE, cpn_catalogue_residual, cpn_expected,
-                              cpn_frame, fold_index, kappa, make_cpn,
+                              cpn_frame, fold_index, kappa, make_cpn, make_flat,
                               _cpn_omega_lower, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
 from semiq.lambda_core import jet_einsum
@@ -31,6 +31,9 @@ class TestIndexFolding:
         for n in range(1, 5):
             KP = [[kappa(a + n, c, 2 * n) for c in range(2 * n)] for a in range(2 * n)]
             assert np.array_equal(_shift_matrix(n), np.array(KP, dtype=float))
+            # the flat chart's Poisson bivector is the same matrix
+            pt = (0.1,) * (2 * n)
+            assert np.array_equal(make_flat(n).frame(pt).om.val, _shift_matrix(n))
 
 
 class TestFlat:

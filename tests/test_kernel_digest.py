@@ -15,7 +15,7 @@ import numpy as np
 
 from semiq.errors import JetDomainError
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
-from semiq.geometry import geometry_from_config
+from semiq.geometry import Field, geometry_from_config
 from semiq.lambda_core import Jet, LJet
 from semiq import semiquant as sq
 from semiq.suites import random_oneform
@@ -52,13 +52,13 @@ def _kernel_values(G, pt):
         lambda: sq.sigma_basis(f),
         lambda: sq.nq2_basis(f),
         lambda: sq._gq_coeff(f),
-        lambda: sq.nabla_Q(xi, G).at(pt),
+        lambda: sq.nabla_Q(xi).at(pt),
         lambda: gq.at(pt),
         lambda: sq.wedge1_map(gq).at(pt),
-        lambda: sq.q_map(gq, G, "q").at(pt),
-        lambda: sq.q_map(gq, G, "q-inverse").at(pt),
-        lambda: sq.quantum_torsion(xi, G).at(pt),
-        lambda: sq.wedge1(xi, eta, G).at(pt),
+        lambda: sq.q_map(gq).at(pt),
+        lambda: sq.q_map(Field(gq.fn), G).at(pt),
+        lambda: sq.quantum_torsion(xi).at(pt),
+        lambda: sq.wedge1(xi, eta).at(pt),
     ]
 
 

@@ -8,7 +8,7 @@ from test_geometry import synthetic_torsion_geometry
 from semiq.geometry import Field, cov_deriv_jet
 from semiq.geometries import cpn_frame, make_cpn, make_flat
 from semiq.lambda_core import Jet, LJet, jet_einsum
-from semiq.semiquant import (QTensor, classical_metric_qtensor, g1_build, g_q_build,
+from semiq.semiquant import (QTensor, classical_metric, g1_build, g_q_build,
                              gen_ricci, module_action, nabla_Q, otimes1,
                              q_map, qlc_residual, quantum_torsion, sigma_Q,
                              sigma_basis, star_product, wedge1, wedge1_map)
@@ -104,8 +104,8 @@ class TestModuleAction:
         xi = QTensor.constant_oneform(cpn1, [1.0, 2.0])
         a = Field.from_expr(cpn1.dim, "2.5+1i")
         pt = (0.2, 0.3)
-        v = module_action(a, xi, "left", cpn1).at(pt) - \
-            module_action(a, xi, "right", cpn1).at(pt)
+        v = module_action(a, xi).at(pt) - \
+            module_action(xi, a).at(pt)
         assert maxabs(v.c.val) == 0.0 and maxabs(v.lam().val) == 0.0
 
     def test_collection_roundtrip(self, cpn1):
@@ -126,10 +126,18 @@ class TestModuleAction:
             b = random_poly_field(cpn1.dim, rng)
             xi = QTensor.constant_oneform(cpn1, rng.normal(size=2))
             pt = tuple(rng.uniform(-0.6, 0.6, size=2))
-            lhs = module_action(a, module_action(b, xi, "right", cpn1), "left", cpn1)
-            rhs = module_action(b, module_action(a, xi, "left", cpn1), "right", cpn1)
+            lhs = module_action(a, module_action(xi, b))
+            rhs = module_action(module_action(a, xi), b)
             r = lhs.at(pt) - rhs.at(pt)
             assert maxabs(r.c.val) < 1e-12 and maxabs(r.lam().val) < 1e-10
+
+    def test_one_function_and_one_tensor(self, cpn1):
+        # the side of the action is the side of the function operand
+        xi = QTensor.constant_oneform(cpn1, [1.0, 2.0])
+        a = Field.from_expr(cpn1.dim, "x1")
+        for x, y in ((xi, xi), (a, a)):
+            with pytest.raises(ValueError, match="one function and one quantum tensor"):
+                module_action(x, y)
 
 
 class TestHFamily:
@@ -155,16 +163,16 @@ class TestWedge1:
         v = rng.normal(size=4)
         a = QTensor.constant_oneform(flat2, u)
         b = QTensor.constant_oneform(flat2, v)
-        w = wedge1(a, b, flat2).at((0.1, 0.2, 0.3, 0.4))
+        w = wedge1(a, b).at((0.1, 0.2, 0.3, 0.4))
         classical = np.einsum("a,b->ab", u, v) - np.einsum("a,b->ab", v, u)
         assert maxabs(w.c.val - classical) == 0.0
         assert maxabs(w.lam().val) == 0.0
 
     def test_degree_overflow_rejected(self, cpn1):
         a = QTensor.constant_oneform(cpn1, [1.0, 0.0])
-        two = wedge1(a, QTensor.constant_oneform(cpn1, [0.0, 1.0]), cpn1)
+        two = wedge1(a, QTensor.constant_oneform(cpn1, [0.0, 1.0]))
         with pytest.raises(ValueError):
-            wedge1(two, two, cpn1)
+            wedge1(two, two)
 
     def test_degree_zero_operand_rejected(self, cpn1):
         # a function acts on a form through module_action, not through wedge1
@@ -172,7 +180,7 @@ class TestWedge1:
         a = QTensor.constant_oneform(cpn1, [1.0, 0.0])
         for x, y in ((s, a), (a, s)):
             with pytest.raises(ValueError, match="module_action"):
-                wedge1(x, y, cpn1)
+                wedge1(x, y)
 
     def test_graded_antisymmetry_classical_slot(self, cpn2):
         rng = np.random.default_rng(47)
@@ -180,11 +188,11 @@ class TestWedge1:
         b = QTensor.constant_oneform(cpn2, rng.normal(size=4))
         c = QTensor.constant_oneform(cpn2, rng.normal(size=4))
         pt = (0.2, -0.1, 0.3, 0.05)
-        ab = wedge1(a, b, cpn2)
+        ab = wedge1(a, b)
         # (1,1): anticommute; (2,1): commute at the classical slot
-        r11 = wedge1(a, b, cpn2).at(pt).c.val + wedge1(b, a, cpn2).at(pt).c.val
+        r11 = wedge1(a, b).at(pt).c.val + wedge1(b, a).at(pt).c.val
         assert maxabs(r11) < 1e-12
-        r21 = wedge1(ab, c, cpn2).at(pt).c.val - wedge1(c, ab, cpn2).at(pt).c.val
+        r21 = wedge1(ab, c).at(pt).c.val - wedge1(c, ab).at(pt).c.val
         assert maxabs(r21) < 1e-12
 
     @pytest.mark.parametrize("geom", [make_cpn, make_flat])
@@ -196,14 +204,14 @@ class TestWedge1:
         rng = np.random.default_rng(61)
         for pt in sample(G, 2, 62):
             a, b, c, d = (random_oneform(G, rng) for _ in range(4))
-            ab = wedge1(a, b, G)
-            left = wedge1(ab, c, G).at(pt)
-            right = wedge1(a, wedge1(b, c, G), G).at(pt)
+            ab = wedge1(a, b)
+            left = wedge1(ab, c).at(pt)
+            right = wedge1(a, wedge1(b, c)).at(pt)
             assert maxabs(left.c.val - right.c.val) < 1e-12
             assert maxabs(left.lam().val - right.lam().val) < 1e-12
-            four = [wedge1(wedge1(ab, c, G), d, G).at(pt),
-                    wedge1(ab, wedge1(c, d, G), G).at(pt),
-                    wedge1(a, wedge1(b, wedge1(c, d, G), G), G).at(pt)]
+            four = [wedge1(wedge1(ab, c), d).at(pt),
+                    wedge1(ab, wedge1(c, d)).at(pt),
+                    wedge1(a, wedge1(b, wedge1(c, d))).at(pt)]
             for v in four[1:]:
                 for x, y in ((four[0].c, v.c), (four[0].lam(), v.lam())):
                     assert maxabs(x.val - y.val) < 1e-14 * (1 + maxabs(y.val))
@@ -233,8 +241,8 @@ class TestWedge1:
             xis.append(exact(b))
             pt = tuple(rng.uniform(-0.6, 0.6, size=G.dim))
             for xi in xis:
-                lhs = d_oneform(module_action(a, xi, "left", G).to_classical().at(pt))
-                rhs = wedge1(exact(a), xi, G).at(pt)
+                lhs = d_oneform(module_action(a, xi).to_classical().at(pt))
+                rhs = wedge1(exact(a), xi).at(pt)
                 r = lhs - rhs
                 worst_c = max(worst_c, maxabs(r.c.val))
                 worst_l = max(worst_l, maxabs(r.lam().val))
@@ -246,7 +254,7 @@ class TestNablaQ:
         for k in range(4):
             e = np.zeros(4)
             e[k] = 1.0
-            v = nabla_Q(QTensor.constant_oneform(flat2, e), flat2).at((0.1, 0.4, -0.2, 0.3))
+            v = nabla_Q(QTensor.constant_oneform(flat2, e)).at((0.1, 0.4, -0.2, 0.3))
             assert maxabs(v.c.val) == 0.0 and maxabs(v.lam().val) == 0.0
 
     def test_classical_limit_is_connection(self, cpn1):
@@ -255,7 +263,7 @@ class TestNablaQ:
             e[k] = 1.0
             for pt in sample(cpn1, 4, 48):
                 f = cpn1.frame(pt)
-                v = nabla_Q(QTensor.constant_oneform(cpn1, e), cpn1).at(pt)
+                v = nabla_Q(QTensor.constant_oneform(cpn1, e)).at(pt)
                 assert maxabs(v.c.val + f.gam.val[k]) < 1e-14
 
     def test_left_leibniz(self, cpn1):
@@ -264,10 +272,10 @@ class TestNablaQ:
             a = random_poly_field(cpn1.dim, rng)
             xi = QTensor.constant_oneform(cpn1, rng.normal(size=2))
             pt = tuple(rng.uniform(-0.6, 0.6, size=2))
-            lhs = nabla_Q(module_action(a, xi, "left", cpn1), cpn1).at(pt)
+            lhs = nabla_Q(module_action(a, xi)).at(pt)
             da = QTensor.from_oneform(
                 cpn1, lambda p, s=a: LJet(s.at(p).c.grad()))
-            rhs = (module_action(a, nabla_Q(xi, cpn1), "left", cpn1).at(pt)
+            rhs = (module_action(a, nabla_Q(xi)).at(pt)
                    + otimes1(da, xi).at(pt))
             r = lhs - rhs
             assert maxabs(r.c.val) < 1e-12 and maxabs(r.lam().val) < 1e-9
@@ -277,10 +285,10 @@ class TestNablaQ:
         # nabla_Q reads; a q0 tensor lies on the classical side of q_map
         xi = QTensor.constant_oneform(cpn1, [1.0, 2.0])
         form = QTensor(cpn1, 1, xi.fn, form=True)
-        classical = q_map(g_q_build(cpn1, check_compat=False), cpn1, "q")
+        classical = q_map(g_q_build(cpn1, check_compat=False))
         for bad in (form, classical):
             with pytest.raises(ValueError, match="tensor-basis"):
-                nabla_Q(bad, cpn1)
+                nabla_Q(bad)
 
 
 class TestSigmaQ:
@@ -289,7 +297,7 @@ class TestSigmaQ:
         a = random_poly_field(cpn1.dim, rng)
         xi = QTensor.constant_oneform(cpn1, rng.normal(size=2))
         pt = (0.3, -0.4)
-        sig = sigma_Q(a, xi, cpn1).at(pt)
+        sig = sigma_Q(a, xi).at(pt)
         da = a.at(pt).c.grad().val
         flip = np.einsum("m,n->mn", da, xi.at(pt).c.val)
         assert maxabs(sig.c.val - flip) < 1e-13
@@ -298,7 +306,7 @@ class TestSigmaQ:
         a = Field.from_expr(flat1.dim, "x1^2*x2")
         xi = QTensor.constant_oneform(flat1, [0.5, -1.5])
         pt = (0.7, 0.2)
-        sig = sigma_Q(a, xi, flat1).at(pt)
+        sig = sigma_Q(a, xi).at(pt)
         da = a.at(pt).c.grad().val
         assert maxabs(sig.c.val - np.einsum("m,n->mn", da, xi.at(pt).c.val)) == 0.0
         assert maxabs(sig.lam().val) == 0.0
@@ -311,7 +319,7 @@ class TestSigmaQ:
         xi = QTensor.constant_oneform(cpn1, np.conjugate(F.cvec(0)))
         pt = (0.25, 0.45)
         f = cpn1.frame(pt)
-        sig = sigma_Q(a, xi, cpn1).at(pt)
+        sig = sigma_Q(a, xi).at(pt)
         # independent route: expand xi (x)1 da in the monomial basis and
         # contract with the braiding structure constants (indexed by the
         # differential slot first)
@@ -329,11 +337,15 @@ class TestQuantumTorsion:
         for G in (cpn1, cpn2):
             xi = QTensor.constant_oneform(G, np.arange(1.0, G.dim + 1))
             for pt in sample(G, 4, 51):
-                v = quantum_torsion(xi, G).at(pt)
+                v = quantum_torsion(xi).at(pt)
                 assert maxabs(v.c.val) < 1e-13 and maxabs(v.lam().val) < 1e-13
 
+    def test_rejects_higher_rank(self, cpn1):
+        with pytest.raises(ValueError, match="one-forms"):
+            quantum_torsion(g_q_build(cpn1, check_compat=False))
+
     def test_zero_input(self, cpn1):
-        v = quantum_torsion(QTensor.constant_oneform(cpn1, [0.0, 0.0]), cpn1).at((0.1, 0.1))
+        v = quantum_torsion(QTensor.constant_oneform(cpn1, [0.0, 0.0])).at((0.1, 0.1))
         assert maxabs(v.c.val) == 0.0 and maxabs(v.lam().val) == 0.0
 
     def test_constant_torsion_classical_slot(self):
@@ -351,7 +363,7 @@ class TestQuantumTorsion:
                          levi_civita=False, name="const-torsion", box=1.0)
         xi = QTensor.constant_oneform(G, [1.0, 0.0])
         pt = (0.3, 0.2)
-        v = quantum_torsion(xi, G).at(pt)
+        v = quantum_torsion(xi).at(pt)
         f = G.frame(pt)
         want = -np.einsum("i,iab->ab", np.array([1.0, 0.0]), f.torsion.val)
         assert maxabs(v.c.val - want) < 1e-14
@@ -425,7 +437,7 @@ class TestQuantumMetric:
 
     def test_quantum_metric_parallel(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
-            ngq = nabla_Q(g_q_build(G, check_compat=False), G)
+            ngq = nabla_Q(g_q_build(G, check_compat=False))
             for pt in sample(G, 10, 52):
                 v = ngq.at(pt)
                 assert maxabs(v.c.val) < 1e-12
@@ -489,7 +501,7 @@ class TestQMap:
         rng = np.random.default_rng(57)
         arr = rng.normal(size=(4, 4))
         X = QTensor(flat2, 2, lambda p: LJet(Jet.const(4, arr, 3)))
-        v = q_map(X, flat2, "q").at((0.1, 0.2, 0.3, 0.4))
+        v = q_map(X).at((0.1, 0.2, 0.3, 0.4))
         assert maxabs(v.c.val - arr) == 0.0 and maxabs(v.lam().val) == 0.0
 
     def test_roundtrip(self, cpn2):
@@ -498,14 +510,23 @@ class TestQMap:
         arr1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         X = QTensor(cpn2, 2, lambda p: LJet(Jet.const(4, arr0, 3), Jet.const(4, arr1, 3)))
         for pt in sample(cpn2, 4, 59):
-            rt = q_map(q_map(X, cpn2, "q"), cpn2, "q-inverse").at(pt)
+            rt = q_map(q_map(X), cpn2).at(pt)
             assert maxabs(rt.c.val - arr0) < 1e-13
             assert maxabs(rt.lam().val - arr1) < 1e-12
+
+    def test_direction_follows_the_operand(self, cpn1):
+        # a quantum tensor maps forward alone; a classical Field needs the
+        # geometry of its chart to map back; a form has no normal form to map
+        gq = g_q_build(cpn1, check_compat=False)
+        form = QTensor(cpn1, 2, gq.fn, form=True)
+        for args in ((q_map(gq),), (gq, cpn1), (form,)):
+            with pytest.raises(ValueError):
+                q_map(*args)
 
     def test_inverse_of_metric_is_quantum_metric(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
             gq = g_q_build(G, check_compat=False)
-            qinv = q_map(classical_metric_qtensor(G), G, "q-inverse")
+            qinv = q_map(classical_metric(G), G)
             for pt in sample(G, 10, 60):
                 r = gq.at(pt) - qinv.at(pt)
                 assert maxabs(r.c.val) < 1e-13

@@ -144,6 +144,15 @@ class TestInputValidation:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["--geometry", "cpn", "--H", "exp(800*x1)", "--a", "x1", "--at", "0.9,0.1"],
+        ["--geometry", "flat", "--H", "x2^2/2", "--a", "x1", "--at", ";"],
+        ["--geometry", "flat", "--H", "x2^2/2", "--a", "x1", "--at", " "]])
+    def test_evolve_prints_nothing_unless_every_point_succeeds(self, argv, capsys):
+        assert main(["evolve"] + argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
     @pytest.mark.parametrize("geometry", ["cpn", "flat"])
     def test_dimension_parameter_at_least_one(self, geometry, tmp_path):
         r = run_cli(["check", geometry, "--n", "0", "--points", "1"], cwd=tmp_path)
@@ -326,5 +335,7 @@ def test_benchmark_trace_binds(monkeypatch, capsys):
         t.uninstall()
     capsys.readouterr()
     for name in ("suites.dga", "geometry.frame.h_fam", "semiquant.nabla_Q.at",
-                 "semiquant.nq_basis", "geometries.provider", "cli.build_geometry"):
+                 "semiquant.nq_basis", "geometries.provider", "cli.build_geometry",
+                 "semiquant.star_product.at", "semiquant.module_action.at",
+                 "semiquant.wedge1.at", "semiquant.q_map.at"):
         assert t.calls[name] > 0, name
