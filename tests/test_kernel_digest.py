@@ -1,10 +1,11 @@
-"""Bit-level pin of the quantisation kernel.
+"""Bit-level pins of the quantisation kernel and the CP^n catalogue.
 
 One SHA-256 over the raw bytes of every jet level the kernel produces at
 fixed sample points, so a refactor that reorders a floating-point sum
 anywhere in the kernel fails here even where a report's rounding hides it.
-The hex was recorded before the routes it guards were rewritten and is
-never re-recorded to make a change pass.
+A second SHA-256 covers every catalogue check's residual pair and
+expected arrays. Each hex was recorded before the routes it guards were
+rewritten and is never re-recorded to make a change pass.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from semiq.errors import JetDomainError
-from semiq.geometries import make_cpn, make_flat, make_flat_torsion
+from semiq.geometries import (CATALOGUE, cpn_catalogue_residual, cpn_expected, make_cpn,
+                              make_flat, make_flat_torsion)
 from semiq.geometry import Field, geometry_from_config
 from semiq.lambda_core import Jet, LJet
 from semiq import semiquant as sq
@@ -23,6 +25,7 @@ from semiq.suites import random_oneform
 EXP_PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "exp_plane.json"
 
 KERNEL_DIGEST = "4ad6b2d0049332575d7a3fd24ff7b52dddcc16e9de391525dde464fb6c0e8ab0"
+CATALOGUE_DIGEST = "1fcde3aefc77ec7efce21270a536c9ffe40ce5821c49d29e943f9c4865cb140b"
 
 
 def _feed(h, v) -> None:
@@ -80,3 +83,21 @@ def kernel_digest() -> str:
 
 def test_kernel_digest_is_pinned():
     assert kernel_digest() == KERNEL_DIGEST
+
+
+def catalogue_digest() -> str:
+    h = hashlib.sha256()
+    for base in (make_cpn(1), make_cpn(2)):
+        for order in (2, 3):
+            G = base.at_order(order)
+            for pt in G.sample_points(2, 7):
+                for check in sorted(CATALOGUE):
+                    h.update(check.encode())
+                    _feed(h, np.array(cpn_catalogue_residual(G, check, tuple(pt))))
+                    for arr in cpn_expected(G, check, tuple(pt)):
+                        _feed(h, arr)
+    return h.hexdigest()
+
+
+def test_catalogue_digest_is_pinned():
+    assert catalogue_digest() == CATALOGUE_DIGEST
