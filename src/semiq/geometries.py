@@ -18,13 +18,12 @@ violates the compatibility conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .errors import ConfigError, UnknownCheckError
-from .geometry import Field, GeometryData
+from .geometry import Field, GeometryData, PointFrame, per_frame
 from .lambda_core import Jet, LJet, jet_apply, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
                         wedge1)
@@ -206,143 +205,94 @@ def make_cpn(n: int) -> GeometryData:
 
 # -- complex frame on CP^n --------------------------------------------------------
 
-@dataclass
-class CPnFrame:
-    """Complex-frame fields on the CP^n chart.
+@lru_cache(maxsize=None)
+def _cobasis(n: int) -> np.ndarray:
+    """Row i: the coefficients of dz^i = dx^i + i dx^{i+n} in the real frame."""
+    cm = np.zeros((n, 2 * n), dtype=np.complex128)
+    for i in range(n):
+        cm[i, i], cm[i, i + n] = 1.0, 1j
+    cm.setflags(write=False)
+    return cm
 
-    Holds providers for z^i, w^i = t z^i, the one-form tau, the (0,2)
-    tensors gamma/gamma_bar, the symplectic two-form, and the Kaehler
-    potential, as jets of the geometry's order. Component arrays are in
-    the real frame.
+
+class CPnPoint:
+    """The complex frame of CP^n at one chart point, as jets of the frame's
+    order, each built by one formula on first use (Beggs-Majid,
+    arXiv:1410.8191). One-form and tensor components are in the real frame.
+
+        z^i = x^i + i x^{i+n},   t^2 = 1/(1 + |z|^2),   w^i = t z^i,
+        tau = t^2 zbar^i dz^i,   gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau,
+        g_{i jbar} = t^2 delta_ij - t^4 zbar^i z^j,   K0 = ln(1 + |z|^2),
+
+    and varpi, the symplectic two-form. gammabar is ``gamma.conj()``.
     """
 
-    G: GeometryData
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-    def cvec(self, i: int) -> np.ndarray:
-        """Cobasis coefficients of dz^i in the real frame."""
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[i] = 1.0
-        v[i + self.n] = 1j
-        return v
+    def __init__(self, f: PointFrame):
+        self.G, self.pt, self.order = f.G, f.point, f.order
+        self.n, self.d = f.dim // 2, f.dim
+        self.cm = _cobasis(self.n)
 
     @cached_property
-    def cm(self) -> np.ndarray:
-        """Cobasis coefficients of dz^1..dz^n in the real frame, one row each."""
-        return np.stack([self.cvec(i) for i in range(self.n)])
+    def z(self) -> Jet:
+        return jet_einsum("ia,a->i", self.cm, Jet.coords(self.d, self.pt, self.order))
 
-    def z_jets(self, pt) -> Jet:
-        """Shape (n,) jet of the complex coordinates."""
-        return jet_einsum("ia,a->i", self.cm, Jet.coords(self.dim, pt, self.G.order))
+    @cached_property
+    def t2(self) -> Jet:
+        return _cpn_base(self.n, self.pt, self.order)[2]
 
-    def t2_jet(self, pt) -> Jet:
-        return _cpn_base(self.n, tuple(pt), self.G.order)[2]
+    @cached_property
+    def w(self) -> Jet:
+        return jet_einsum(",i->i", self.t2 ** 0.5, self.z)
 
-    def t_jet(self, pt) -> Jet:
-        return self.t2_jet(pt) ** 0.5
+    @cached_property
+    def tau(self) -> Jet:
+        return jet_einsum(",a->a", self.t2, jet_einsum("i,ia->a", self.z.conj(), self.cm))
 
-    def w_jets(self, pt) -> Jet:
-        return jet_einsum(",i->i", self.t_jet(pt), self.z_jets(pt))
+    @cached_property
+    def gamma(self) -> Jet:
+        dzb_dz = np.einsum("ia,ib->ab", np.conjugate(self.cm), self.cm)
+        return (jet_einsum(",ab->ab", self.t2, dzb_dz)
+                - jet_einsum("a,b->ab", self.tau.conj(), self.tau))
 
-    def z_field(self, i: int, conj: bool = False) -> Field:
-        return self._entry_field(self.z_jets, i, conj)
+    @cached_property
+    def g_hermitian(self) -> Jet:
+        """g_{i jbar}, shape (n, n)."""
+        zbz = jet_einsum("i,j->ij", self.z.conj(), self.z)
+        return (jet_einsum(",ij->ij", self.t2, np.eye(self.n))
+                - jet_einsum(",ij->ij", self.t2 * self.t2, zbz))
 
-    def w_field(self, i: int, conj: bool = False) -> Field:
-        return self._entry_field(self.w_jets, i, conj)
+    @cached_property
+    def varpi(self) -> Jet:
+        """varpi = om_{ab} dx^b wedge dx^a."""
+        return -2.0 * _cpn_omega_lower(self.n, self.pt, self.order)
 
-    def _entry_field(self, jets, i: int, conj: bool) -> Field:
-        def fn(pt):
-            j = jets(pt).take_index(i)
-            return LJet(j.conj() if conj else j)
-        return Field(fn)
-
-    def tau_jet(self, pt) -> Jet:
-        """Components of tau = t^2 zbar^i dz^i in the real frame."""
-        z = self.z_jets(pt)
-        t2 = self.t2_jet(pt)
-        zbar_c = jet_einsum("i,ia->a", z.conj(), self.cm)
-        return jet_einsum(",a->a", t2, zbar_c)
-
-    def gamma_jet(self, pt, bar: bool = False) -> Jet:
-        """gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau (bar swaps all)."""
-        t2 = self.t2_jet(pt)
-        cm, cmb = self.cm, np.conjugate(self.cm)
-        tau = self.tau_jet(pt)
-        if not bar:
-            first = jet_einsum(",ab->ab", t2, np.einsum("ia,ib->ab", cmb, cm))
-            second = jet_einsum("a,b->ab", tau.conj(), tau)
-        else:
-            first = jet_einsum(",ab->ab", t2, np.einsum("ia,ib->ab", cm, cmb))
-            second = jet_einsum("a,b->ab", tau, tau.conj())
-        return first - second
-
-    def varpi_jet(self, pt) -> Jet:
-        """Symplectic two-form components: varpi = om_{ab} dx^b wedge dx^a."""
-        oml = _cpn_omega_lower(self.n, tuple(pt), self.G.order)
-        return -2.0 * oml
-
-    def kahler_potential(self) -> Field:
-        # K0 = ln(1 + |z|^2) = -ln t^2
-        return Field(lambda pt: LJet(-jet_apply("ln", self.t2_jet(pt))))
-
-    def g_hermitian(self, pt) -> np.ndarray:
-        """g_{i jbar} = t^2 delta_{ij} - t^4 zbar^i z^j at a point."""
-        z = self.z_jets(pt).val
-        t2 = complex(self.t2_jet(pt).value)
-        return t2 * np.eye(self.n) - t2 * t2 * np.einsum("i,j->ij", np.conjugate(z), z)
+    @cached_property
+    def k0(self) -> Jet:
+        return -jet_apply("ln", self.t2)                # K0 = -ln t^2
 
 
-def cpn_frame(G: GeometryData) -> CPnFrame:
-    """Complex frame fields for a geometry built by make_cpn."""
-    return CPnFrame(G, G.dim // 2)
+@per_frame
+def _cpn_point(f: PointFrame) -> CPnPoint:
+    return CPnPoint(f)
+
+
+def cpn_at(G: GeometryData, pt) -> CPnPoint:
+    """The complex frame of a geometry built by make_cpn at a chart point,
+    built once per frame."""
+    if "cpn-catalogue" not in G.suites:
+        raise ConfigError("the catalogue suite runs only on geometries that list it: "
+                          "the projective space built by make_cpn")
+    return _cpn_point(G.frame(pt))
 
 
 # -- expected-value catalogue for the projective space -----------------------------
 #
-# Each check pairs an engine and an expected callable. Both take one
-# evaluation context and return (classical, first-order) value arrays of
+# Each check pairs an engine and an expected callable. Both take the complex
+# frame at the point and return (classical, first-order) value arrays of
 # identical shape, so suites can report both residual slots per check.
 # Most checks are an n x n grid of cells indexed by the complex frame.
 
-class _At:
-    """A catalogue evaluation: geometry, complex frame and chart point,
-    with the closed-form data the expected values read."""
-
-    def __init__(self, G: GeometryData, pt: tuple):
-        self.G, self.pt = G, pt
-        self.F = cpn_frame(G)
-        self.n, self.d = self.F.n, G.dim
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return self.F.z_jets(self.pt).val
-
-    @cached_property
-    def t2(self) -> complex:
-        return complex(self.F.t2_jet(self.pt).value)
-
-    @cached_property
-    def tau(self) -> np.ndarray:
-        return self.F.tau_jet(self.pt).val
-
-    @cached_property
-    def taub(self) -> np.ndarray:
-        return np.conjugate(self.tau)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return self.F.w_jets(self.pt).val
-
-    @cached_property
-    def dw(self) -> np.ndarray:
-        return self.F.w_jets(self.pt).grad().val        # [i, a]
-
-
-def _grid(x: _At, rank: int, cell, dims: int = 2):
+def _grid(x: CPnPoint, rank: int, cell, dims: int = 2):
     """Stack cell(i, j) = (classical, first-order) over the n x n grid, or
     cell(i) over i alone when dims=1; each cell has shape (dim,)*rank."""
     shape = (x.n,) * dims + (x.d,) * rank
@@ -365,41 +315,39 @@ def _zero(rank: int):
 
 # families of functions and one-forms indexed by the complex frame
 
-def _zs(x: _At, conj: bool = False) -> list:
-    return [x.F.z_field(i, conj=conj) for i in range(x.n)]
+def _read(x: CPnPoint, jet, conj: bool = False):
+    """Provider p -> jet(complex frame at p), conjugated if asked."""
+    def fn(p):
+        j = jet(cpn_at(x.G, p))
+        return LJet(j.conj() if conj else j)
+    return fn
 
 
-def _ws(x: _At, conj: bool = False) -> list:
-    return [x.F.w_field(i, conj=conj) for i in range(x.n)]
+def _zs(x: CPnPoint, conj: bool = False) -> list:
+    return [Field(_read(x, lambda c, i=i: c.z.take_index(i), conj)) for i in range(x.n)]
 
 
-def _dzs(x: _At, conj: bool = False) -> list:
-    return [QTensor.constant_oneform(x.G, np.conjugate(x.F.cvec(i)) if conj else x.F.cvec(i))
+def _ws(x: CPnPoint, conj: bool = False) -> list:
+    return [Field(_read(x, lambda c, i=i: c.w.take_index(i), conj)) for i in range(x.n)]
+
+
+def _dzs(x: CPnPoint, conj: bool = False) -> list:
+    return [QTensor.constant_oneform(x.G, np.conjugate(v) if conj else v) for v in x.cm]
+
+
+def _dws(x: CPnPoint, conj: bool = False) -> list:
+    return [QTensor.from_oneform(x.G, _read(x, lambda c, i=i: c.w.grad().take_index(i), conj))
             for i in range(x.n)]
-
-
-def _dws(x: _At, conj: bool = False) -> list:
-    def mk(i):
-        def fn(pt):
-            ji = x.F.w_jets(pt).grad().take_index(i)     # row i of [i, a]
-            return LJet(ji.conj() if conj else ji)
-        return fn
-
-    return [QTensor.from_oneform(x.G, mk(i)) for i in range(x.n)]
 
 
 _zbars, _wbars, _dzbars, _dwbars = (partial(f, conj=True) for f in (_zs, _ws, _dzs, _dws))
 
 
-def _q_factor(x: _At, inverse: bool = False) -> Field:
+def _q_factor(x: CPnPoint, inverse: bool = False) -> Field:
     """q = 1 + i lam t^-2 (or its inverse) as a graded scalar field."""
     sgn = -1.0 if inverse else 1.0
-
-    def fn(pt):
-        t2 = x.F.t2_jet(pt)
-        return LJet(Jet.const(x.d, 1.0, x.G.order), t2.reciprocal().scale(sgn * 1j))
-
-    return Field(fn)
+    return Field(lambda p: LJet(Jet.const(x.d, 1.0, x.order),
+                                cpn_at(x.G, p).t2.reciprocal().scale(sgn * 1j)))
 
 
 # engines
@@ -437,7 +385,7 @@ def _eng_dz_dz_wedge(x):
 
     def cell(i, j):
         v = wedge1(dz[i], dz[j]).at(x.pt)
-        return v.c.val - _wedge_of(x.F.cvec(i), x.F.cvec(j)), v.lam().val
+        return v.c.val - _wedge_of(x.cm[i], x.cm[j]), v.lam().val
     return _grid(x, 2, cell)
 
 
@@ -450,7 +398,7 @@ def _anticomm(qinv: bool):
             w1 = wedge1(dz[i], dzb[j]).at(x.pt)
             w2 = wedge1(dzb[j], dz[i]).at(x.pt)
             if qinv:    # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
-                w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2))
+                w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2.value))
             return (w1 + w2).values()
         return _grid(x, 2, cell)
     return eng
@@ -463,27 +411,27 @@ def _nablaq_dz(sgn: int):
     return eng
 
 
-# expected values
+# expected values, from the complex frame's values at the point
 
 def _wedge_of(u, v):
     return np.einsum("a,b->ab", u, v) - np.einsum("a,b->ab", v, u)
 
 
-def _anticomm_bracket(x: _At, i: int, j: int):
+def _anticomm_bracket(x: CPnPoint, i: int, j: int):
     """The shared two-form bracket in the wedge anticommutator displays."""
-    F, z = x.F, x.z
+    z, tau = x.z.val, x.tau.val
     dzk = np.zeros((x.d, x.d), dtype=np.complex128)
     for k in range(x.n):
-        dzk += _wedge_of(F.cvec(k), np.conjugate(F.cvec(k)))
-    ci, cbj = F.cvec(i), np.conjugate(F.cvec(j))
-    return ((float(i == j) + z[i] * np.conjugate(z[j])) * x.t2 * dzk
-            + _wedge_of(x.tau, z[i] * cbj) + _wedge_of(np.conjugate(z[j]) * ci, x.taub))
+        dzk += _wedge_of(x.cm[k], np.conjugate(x.cm[k]))
+    ci, cbj = x.cm[i], np.conjugate(x.cm[j])
+    return ((float(i == j) + z[i] * np.conjugate(z[j])) * x.t2.value * dzk
+            + _wedge_of(tau, z[i] * cbj) + _wedge_of(np.conjugate(z[j]) * ci, np.conjugate(tau)))
 
 
 def _exp_z_zbar(x):
-    n, z = x.n, x.z
+    n, z = x.n, x.z.val
     return (np.zeros((n, n), dtype=np.complex128),
-            1j / x.t2 * (np.eye(n) + np.einsum("i,j->ij", z, np.conjugate(z))))
+            1j / x.t2.value * (np.eye(n) + np.einsum("i,j->ij", z, np.conjugate(z))))
 
 
 def _exp_w_wbar(x):
@@ -492,97 +440,85 @@ def _exp_w_wbar(x):
 
 def _exp_q_comm_scalar(x):
     # (lam t^-2 / i) delta_ij
-    return np.zeros((x.n, x.n), dtype=np.complex128), -1j / x.t2 * np.eye(x.n)
+    return np.zeros((x.n, x.n), dtype=np.complex128), -1j / x.t2.value * np.eye(x.n)
 
 
 def _exp_z_dzbar(x, i, j):
-    z = x.z
-    return 1j / x.t2 * ((float(i == j) + z[i] * np.conjugate(z[j])) * x.taub
-                        + z[i] * np.conjugate(x.F.cvec(j)))
+    z = x.z.val
+    return 1j / x.t2.value * ((float(i == j) + z[i] * np.conjugate(z[j])) * np.conjugate(x.tau.val)
+                              + z[i] * np.conjugate(x.cm[j]))
 
 
 def _exp_zbar_dz(x, i, j):
-    z = x.z
-    return -1j / x.t2 * ((float(i == j) + np.conjugate(z[i]) * z[j]) * x.tau
-                         + np.conjugate(z[i]) * x.F.cvec(j))
+    z = x.z.val
+    return -1j / x.t2.value * ((float(i == j) + np.conjugate(z[i]) * z[j]) * x.tau.val
+                               + np.conjugate(z[i]) * x.cm[j])
 
 
 def _exp_dz_dzbar_anticomm(x, i, j):
-    return 1j / x.t2 * (_anticomm_bracket(x, i, j)
-                        + _wedge_of(x.F.cvec(i), np.conjugate(x.F.cvec(j))))
+    return 1j / x.t2.value * (_anticomm_bracket(x, i, j)
+                              + _wedge_of(x.cm[i], np.conjugate(x.cm[j])))
 
 
 def _exp_q_comm_form(x, i, j):
-    return -1j / x.t2 * (float(i == j) + np.conjugate(x.z[i]) * x.z[j]) * x.tau
+    z = x.z.val
+    return -1j / x.t2.value * (float(i == j) + np.conjugate(z[i]) * z[j]) * x.tau.val
 
 
 def _exp_qinv_comm_form(x, i, j):
-    return 1j / x.t2 * (float(i == j) + x.z[i] * np.conjugate(x.z[j])) * x.taub
+    z = x.z.val
+    return 1j / x.t2.value * (float(i == j) + z[i] * np.conjugate(z[j])) * np.conjugate(x.tau.val)
 
 
 def _exp_qinv_wedge_anticomm(x, i, j):
-    return 1j / x.t2 * _anticomm_bracket(x, i, j)
+    return 1j / x.t2.value * _anticomm_bracket(x, i, j)
 
 
 def _exp_w_dwbar(x, i, j):
-    w, dw = x.w, x.dw
+    w, dw, tau = x.w.val, x.w.d1, x.tau.val
     wb, dwb = np.conjugate(w), np.conjugate(dw)
-    return 0.5j * ((2 * float(i == j) + w[i] * wb[j] * (1.0 / x.t2 - 2.0))
-                   * (x.taub - x.tau) / 2.0
+    return 0.5j * ((2 * float(i == j) + w[i] * wb[j] * (1.0 / x.t2.value - 2.0))
+                   * (np.conjugate(tau) - tau) / 2.0
                    + w[i] * dwb[j] - wb[j] * dw[i])
 
 
 def _exp_w_dw(x, i, j):
-    w, dw, tau, taub = x.w, x.dw, x.tau, x.taub
-    return -0.5j * (w[i] * w[j] * (2 * taub + (taub - tau) / (2 * x.t2))
+    w, dw, tau = x.w.val, x.w.d1, x.tau.val
+    taub = np.conjugate(tau)
+    return -0.5j * (w[i] * w[j] * (2 * taub + (taub - tau) / (2 * x.t2.value))
                     + w[i] * dw[j] + w[j] * dw[i])
 
 
 def _exp_g1(x):
-    """The corrected complex-frame display of the wedge-killing quantum metric.
+    """The corrected complex-frame display of the wedge-killing quantum metric:
+    g_{i jbar} dz^i (x)_1 dzbar^j + g_{i jbar} dzbar^j (x)_1 dz^i, the first
+    as n columns of g_{i jbar} and the second as n rows.
 
     The correction term is -(lam/2)(n+1) i (gammabar - gamma) in deformed
     tensor-product form; the sign is the one that annihilates the deformed
     wedge, consistent with the commutation-relation closed forms.
     """
-    G, F, n, pt = x.G, x.F, x.n, x.pt
+    cmb = np.conjugate(x.cm)
 
-    def hermitian_row(jj):
-        def fn(p):
-            zz = F.z_jets(p)
-            tt2 = F.t2_jet(p)
-            gi = jet_einsum(",i->i", tt2, np.eye(n)[jj]) - jet_einsum(
-                ",i->i", tt2 * tt2, jet_einsum("i,->i", zz.conj(), zz.take_index(jj)))
-            return LJet(jet_einsum("i,ia->a", gi, F.cm))
-        return fn
+    def column(j):          # g_{i jbar} dz^i
+        return QTensor.from_oneform(x.G, _read(
+            x, lambda c: jet_einsum("i,ia->a", c.g_hermitian.take_index(j, axis=1), c.cm)))
 
-    def hermitian_col(ii):
-        def fn(p):
-            zz = F.z_jets(p)
-            tt2 = F.t2_jet(p)
-            gj = jet_einsum(",j->j", tt2, np.eye(n)[ii]) - jet_einsum(
-                ",j->j", tt2 * tt2, jet_einsum(",j->j", zz.take_index(ii).conj(), zz))
-            return LJet(jet_einsum("j,ja->a", gj, np.conjugate(F.cm)))
-        return fn
+    def row(i):             # g_{i jbar} dzbar^j
+        return QTensor.from_oneform(x.G, _read(
+            x, lambda c: jet_einsum("j,ja->a", c.g_hermitian.take_index(i), cmb)))
 
-    total = None
-    for jj in range(n):
-        term = otimes1(QTensor.from_oneform(G, hermitian_row(jj)),
-                       QTensor.constant_oneform(G, np.conjugate(F.cvec(jj))))
-        total = term if total is None else total + term
-    for ii in range(n):
-        total = total + otimes1(QTensor.from_oneform(G, hermitian_col(ii)),
-                                QTensor.constant_oneform(G, F.cvec(ii)))
-    v = total.at(pt)
-    gam_ = F.gamma_jet(pt, bar=False).val
-    gamb = F.gamma_jet(pt, bar=True).val
-    return v.c.val, v.lam().val + 0.5 * (n + 1) * 1j * (gam_ - gamb)
+    dz, dzb = _dzs(x), _dzbars(x)
+    terms = ([otimes1(column(j), dzb[j]) for j in range(x.n)]
+             + [otimes1(row(i), dz[i]) for i in range(x.n)])
+    v = sum(terms[1:], terms[0]).at(x.pt)
+    gam = x.gamma.val
+    return v.c.val, v.lam().val + 0.5 * (x.n + 1) * 1j * (gam - np.conjugate(gam))
 
 
 def _exp_nablaq_dz(sgn: int):
     def exp(x):
-        tau = QTensor.from_oneform(
-            x.G, lambda p: LJet(x.F.tau_jet(p).conj() if sgn < 0 else x.F.tau_jet(p)))
+        tau = QTensor.from_oneform(x.G, _read(x, lambda c: c.tau, conj=sgn < 0))
         dz = _dzs(x, conj=sgn < 0)
         def cell(i):
             # the factor (1 + sgn i lam), as lam-slot arithmetic on the pair
@@ -626,13 +562,13 @@ def _entry(check_id: str) -> tuple:
 def cpn_expected(G: GeometryData, check_id: str, point):
     """Closed-form expected value (classical, first-order arrays) for a
     registered catalogue check at a point."""
-    return _entry(check_id)[1](_At(G, tuple(point)))
+    return _entry(check_id)[1](cpn_at(G, point))
 
 
 def cpn_catalogue_residual(G: GeometryData, check_id: str, point) -> tuple:
     """(classical, first-order) max-abs residual of a catalogue check."""
     eng, exp = _entry(check_id)
-    x = _At(G, tuple(point))
+    x = cpn_at(G, point)
     ec, el = eng(x)
     xc, xl = exp(x)
     return (float(np.max(np.abs(ec - xc))), float(np.max(np.abs(el - xl))))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Optional
 
 import numpy as np
@@ -176,6 +176,7 @@ class PointFrame:
         self.point = point
         self.dim = geom.dim
         self.order = geom.order
+        self.built: dict = {}       # @per_frame results, keyed by builder
 
     def _christoffel(self) -> Jet:
         """Levi-Civita coefficients of g at the frame's order: the derivative
@@ -276,6 +277,19 @@ class PointFrame:
         return 0.5 * (jet_einsum("js,jbas->ab", gom, self.torsion_cov)
                       - jet_einsum("js,jbas->ab", gom, self.riemann_q)
                       + jet_einsum("js,jabs->ab", gom, self.riemann_q))
+
+
+def per_frame(build: Callable[[PointFrame], object]) -> Callable[[PointFrame], object]:
+    """``build(frame)``, computed once per frame and kept in ``frame.built``:
+    the one cache of per-point quantities built outside ``PointFrame``."""
+
+    @wraps(build)
+    def cached(f: PointFrame):
+        if build not in f.built:
+            f.built[build] = build(f)
+        return f.built[build]
+
+    return cached
 
 
 def poisson_bracket(a: Field, b: Field, G: GeometryData) -> Field:

@@ -34,7 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import Field, GeometryData, PointFrame, cov_deriv_jet, gamma_slot_terms
+from .geometry import (Field, GeometryData, PointFrame, cov_deriv_jet, gamma_slot_terms,
+                       per_frame)
 from .lambda_core import Jet, LJet, jet_einsum
 
 _L = "abcdefghmnopqrs"
@@ -301,10 +302,7 @@ def wedge1_map(X: QTensor) -> QTensor:
 
 # -- quantum connection ------------------------------------------------------------
 
-def _qdata(f: PointFrame) -> dict:
-    return f.__dict__.setdefault("_qdata", {})
-
-
+@per_frame
 def nq_basis(f: PointFrame) -> LJet:
     """Normal-form coefficients N[i,m,n] of the quantised connection on dx^i.
 
@@ -322,9 +320,6 @@ def nq_basis(f: PointFrame) -> LJet:
     quantised connection on the projective space, which is sensitive to
     each of them separately.
     """
-    cache = _qdata(f)
-    if "nq" in cache:
-        return cache["nq"]
     om, gam, dgam = f.om, f.gam, f.gam.grad()
     r = f.riemann
     # A = om^{sj} Gam^i_{mk,s} Gam^k_{jn}
@@ -339,19 +334,16 @@ def nq_basis(f: PointFrame) -> LJet:
     # left-collection of the first-slot classical coefficient
     extra = jet_einsum("usm,iuns->imn", f.om_gam, dgam)
     n1 = n1 - 0.5 * extra
-    cache["nq"] = LJet(n0, n1)
-    return cache["nq"]
+    return LJet(n0, n1)
 
 
+@per_frame
 def sigma_basis(f: PointFrame) -> np.ndarray:
     """First-order part s1[j,i,u,v] of the braiding on dx^j (x) dx^i.
 
     The classical part is the flip; the first-order part is evaluated from
     the defining difference of the two Leibniz rules.
     """
-    cache = _qdata(f)
-    if "sigma1" in cache:
-        return cache["sigma1"]
     N, P = nq_basis(f), f.om_gam
     x = Jet.coords(f.dim, f.point, f.order)
     # dx^i . x^j in normal form, batched over j and i
@@ -360,8 +352,7 @@ def sigma_basis(f: PointFrame) -> np.ndarray:
     # (nabla_Q dx^i) . x^j, batched over j and i
     base = _fstar("imn,j->jimn", N, LJet(x), f.om)
     corr = jet_einsum("ujm,iun->jimn", P, N.c) + jet_einsum("ujn,imu->jimn", P, N.c)
-    cache["sigma1"] = A.lam().val - (base.lam() + corr).val
-    return cache["sigma1"]
+    return A.lam().val - (base.lam() + corr).val
 
 
 def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
@@ -382,12 +373,10 @@ def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
     return LJet(base.c + dc.reorder(flip), base.lam() + dl.reorder(flip))
 
 
+@per_frame
 def nq2_basis(f: PointFrame) -> LJet:
     """Coefficients NQ2[m,n,r,s,t] of the quantised connection on the
     rank-2 cobasis monomials, braiding included."""
-    cache = _qdata(f)
-    if "nq2" in cache:
-        return cache["nq2"]
     d = f.dim
     eye = np.eye(d)
     N = nq_basis(f)
@@ -404,8 +393,7 @@ def nq2_basis(f: PointFrame) -> LJet:
     s1 = sigma_basis(f)
     bc = zc.reorder("mnvut->mnuvt")
     bl = zl.reorder("mnvut->mnuvt") + jet_einsum("nst,smuv->mnuvt", N.c, s1)
-    cache["nq2"] = LJet(p1c + bc, p1l + bl)
-    return cache["nq2"]
+    return LJet(p1c + bc, p1l + bl)
 
 
 def nabla_Q(xi: QTensor) -> QTensor:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import maxabs, sample
-from semiq.errors import UnknownCheckError
-from semiq.geometries import (CATALOGUE, cpn_catalogue_residual, cpn_expected,
-                              cpn_frame, fold_index, kappa, make_cpn, make_flat,
-                              _cpn_omega_lower, _shift_matrix)
+from semiq.errors import ConfigError, UnknownCheckError
+from semiq.geometries import (CATALOGUE, CPnPoint, cpn_at, cpn_catalogue_residual,
+                              cpn_expected, fold_index, kappa, make_cpn, make_flat,
+                              make_flat_torsion, _cpn_omega_lower, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
 from semiq.lambda_core import jet_einsum
+from semiq.suites import run_suite
 
 
 class TestIndexFolding:
@@ -69,10 +70,10 @@ class TestCpnData:
                 assert maxabs(ric - (n + 1) * f.g.val) < 1e-9
 
     def test_w_constraint(self, cpn2):
-        F = cpn_frame(cpn2)
         for pt in sample(cpn2, 20, 24):
-            w = F.w_jets(pt).val
-            t2 = complex(F.t2_jet(pt).value)
+            c = cpn_at(cpn2, pt)
+            w = c.w.val
+            t2 = c.t2.value
             assert abs(t2 - (1 - np.sum(np.abs(w) ** 2))) < 1e-12
 
 
@@ -80,53 +81,51 @@ class TestCpnFrame:
     def test_tau_plus_taubar(self, cpn1, cpn2):
         # tau + taubar = d ln(1+|z|^2)
         for G in (cpn1, cpn2):
-            F = cpn_frame(G)
             for pt in sample(G, 10, 25):
-                tau = F.tau_jet(pt)
-                k0 = F.kahler_potential().at(pt).c
+                c = cpn_at(G, pt)
+                tau = c.tau
+                k0 = c.k0
                 assert maxabs((tau + tau.conj()).val - k0.grad().val) < 1e-12
 
     def test_varpi_three_ways(self, cpn1, cpn2):
         # varpi = 2i g_{i jbar} dz^i ^ dzbar^j = -2i d tau = i wedge(gammabar - gamma)
         for G in (cpn1, cpn2):
-            F = cpn_frame(G)
-            n = F.n
+            n = G.dim // 2
             for pt in sample(G, 8, 26):
-                var = F.varpi_jet(pt).val
-                gh = F.g_hermitian(pt)
+                c = cpn_at(G, pt)
+                var = c.varpi.val
+                gh = c.g_hermitian.val
                 route1 = np.zeros_like(var)
                 for i in range(n):
                     for j in range(n):
-                        ci, cbj = F.cvec(i), np.conjugate(F.cvec(j))
+                        ci, cbj = c.cm[i], np.conjugate(c.cm[j])
                         route1 += 2j * gh[i, j] * (np.einsum("a,b->ab", ci, cbj)
                                                    - np.einsum("a,b->ab", cbj, ci))
                 assert maxabs(var - route1) < 1e-10
-                dtau = F.tau_jet(pt).grad().val        # [a, k]
+                dtau = c.tau.grad().val                # [a, k]
                 route2 = -2j * (dtau.T - dtau)
                 assert maxabs(var - route2) < 1e-10
-                gam_ = F.gamma_jet(pt).val
-                gamb = F.gamma_jet(pt, bar=True).val
+                gam_ = c.gamma.val
+                gamb = c.gamma.conj().val
                 route3 = 1j * ((gamb - gam_) - (gamb - gam_).T)
                 assert maxabs(var - route3) < 1e-10
 
     def test_metric_splits(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
-            F = cpn_frame(G)
             for pt in sample(G, 8, 27):
                 f = G.frame(pt)
-                gam_ = F.gamma_jet(pt).val
-                gamb = F.gamma_jet(pt, bar=True).val
+                gam_ = cpn_at(G, pt).gamma.val
+                gamb = cpn_at(G, pt).gamma.conj().val
                 assert maxabs(f.g.val - (gam_ + gamb)) < 1e-12
 
     def test_kahler_potential_hessian(self, cpn1, cpn2):
         # g_{i jbar} equals the mixed complex second derivatives of K0
         for G in (cpn1, cpn2):
-            F = cpn_frame(G)
-            n = F.n
+            n = G.dim // 2
             for pt in sample(G, 8, 28):
-                k0 = F.kahler_potential().at(pt).c
-                h = k0.d2
-                gh = F.g_hermitian(pt)
+                c = cpn_at(G, pt)
+                h = c.k0.d2
+                gh = c.g_hermitian.val
                 for i in range(n):
                     for j in range(n):
                         dd = 0.25 * (h[i, j] + 1j * h[i, j + n]
@@ -136,15 +135,15 @@ class TestCpnFrame:
     def test_levi_civita_on_complex_frame(self, cpn1, cpn2):
         # nabla dz^i_pm = tau_pm (x) dz^i_pm + dz^i_pm (x) tau_pm
         for G in (cpn1, cpn2):
-            F = cpn_frame(G)
-            n = F.n
+            n = G.dim // 2
             for pt in sample(G, 8, 29):
                 f = G.frame(pt)
-                tau = F.tau_jet(pt).val
+                c = cpn_at(G, pt)
+                tau = c.tau.val
                 for sgn in (+1, -1):
                     tv = tau if sgn > 0 else np.conjugate(tau)
                     for i in range(n):
-                        cv = F.cvec(i) if sgn > 0 else np.conjugate(F.cvec(i))
+                        cv = c.cm[i] if sgn > 0 else np.conjugate(c.cm[i])
                         lhs = -np.einsum("rmn,r->mn", f.gam.val, cv)
                         rhs = np.einsum("m,n->mn", tv, cv) + np.einsum("m,n->mn", cv, tv)
                         assert maxabs(lhs - rhs) < 1e-9
@@ -152,15 +151,15 @@ class TestCpnFrame:
     def test_curvature_map_on_complex_frame(self, cpn1, cpn2):
         # R(dz_pm) = pm (i/2) varpi (x) dz^i_pm - dz^i_pm ^ gamma_pm
         for G in (cpn1, cpn2):
-            F = cpn_frame(G)
-            n = F.n
+            n = G.dim // 2
             for pt in sample(G, 6, 30):
                 f = G.frame(pt)
-                var = F.varpi_jet(pt).val
+                c = cpn_at(G, pt)
+                var = c.varpi.val
                 for sgn in (+1, -1):
-                    gma = F.gamma_jet(pt, bar=(sgn < 0)).val
+                    gma = (c.gamma.conj() if sgn < 0 else c.gamma).val
                     for i in range(n):
-                        cv = F.cvec(i) if sgn > 0 else np.conjugate(F.cvec(i))
+                        cv = c.cm[i] if sgn > 0 else np.conjugate(c.cm[i])
                         lhs = -np.einsum("c,cdab->abd", cv, f.riemann.val)
                         rhs = sgn * 0.5j * np.einsum("ab,d->abd", var, cv) \
                             - (np.einsum("a,bd->abd", cv, gma)
@@ -190,6 +189,29 @@ class TestCatalogue:
     def test_z_commutator_at_origin(self, cpn1):
         c, l = cpn_expected(cpn1, "z-zbar-comm", (0.0, 0.0))
         assert maxabs(l - 1j * np.eye(1)) == 0.0
+
+    @pytest.mark.parametrize("make", [lambda: make_flat(1), make_flat_torsion],
+                             ids=["flat", "flat-torsion"])
+    def test_other_geometries_rejected(self, make):
+        # the closed forms hold on the projective space alone
+        G = make()
+        with pytest.raises(ConfigError):
+            cpn_expected(G, "z-zbar-comm", (0.1, 0.2))
+        with pytest.raises(ConfigError):
+            cpn_catalogue_residual(G, "z-zbar-comm", (0.1, 0.2))
+
+    def test_complex_frame_built_once_per_frame(self, cpn2, monkeypatch):
+        pt = (0.1, 0.2, -0.3, 0.05)
+        assert cpn_at(cpn2, pt) is cpn_at(cpn2, pt)
+        built, init = [], CPnPoint.__init__
+
+        def counted(self, f):
+            built.append(f.point)
+            init(self, f)
+
+        monkeypatch.setattr(CPnPoint, "__init__", counted)
+        run_suite("cpn-catalogue", make_cpn(2), points=2)
+        assert len(built) == len(set(built)) == 2
 
     def test_every_check_small_on_samples(self, cpn1, cpn2):
         for G in (cpn1, cpn2):

@@ -6,7 +6,7 @@ import pytest
 from conftest import maxabs, sample
 from test_geometry import synthetic_torsion_geometry
 from semiq.geometry import Field, cov_deriv_jet
-from semiq.geometries import cpn_frame, make_cpn, make_flat
+from semiq.geometries import _zs, cpn_at, make_cpn, make_flat
 from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.semiquant import (QTensor, classical_metric, g1_build, g_q_build,
                              gen_ricci, module_action, nabla_Q, otimes1,
@@ -314,10 +314,10 @@ class TestSigmaQ:
     def test_two_code_paths_agree(self, cpn1):
         # the defining-difference operator against the bimodule-map
         # expansion through the braiding of cobasis monomials
-        F = cpn_frame(cpn1)
-        a = F.z_field(0)
-        xi = QTensor.constant_oneform(cpn1, np.conjugate(F.cvec(0)))
         pt = (0.25, 0.45)
+        x = cpn_at(cpn1, pt)
+        a = _zs(x)[0]
+        xi = QTensor.constant_oneform(cpn1, np.conjugate(x.cm[0]))
         f = cpn1.frame(pt)
         sig = sigma_Q(a, xi).at(pt)
         # independent route: expand xi (x)1 da in the monomial basis and

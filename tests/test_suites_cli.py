@@ -170,7 +170,8 @@ class TestInputValidation:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:") and "--n" in out.err
 
-    @pytest.mark.parametrize("name", ["flat-torsion", EXP_PLANE])
+    @pytest.mark.parametrize("name", ["flat-torsion", EXP_PLANE],
+                             ids=["flat-torsion", "exp_plane"])
     def test_fixed_chart_accepts_its_own_n(self, name):
         assert build_geometry(name, 1).dim == build_geometry(name).dim == 2
 
@@ -228,7 +229,8 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key, raw", [
         ("pairing", '"false"'), ("conection", '[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]'),
-        ("lambda_im", "1.0")])
+        ("lambda_im", "1.0")],
+        ids=['pairing-"false"', "conection-array", "lambda_im-1.0"])
     def test_unknown_key_exits_2(self, key, raw, tmp_path, capsys):
         cfg = json.loads((ROOT / "perfbench" / "exp_plane.json").read_text())
         cfg[key] = "RAW"
@@ -331,11 +333,13 @@ def test_benchmark_trace_binds(monkeypatch, capsys):
         assert main(["check", "flat", "--points", "1"]) == 0
         assert main(["eval", "nablaQ", "--geometry", "cpn", "--n", "1",
                      "--a", "x1^2*x2", "--at", "0.2,-0.3"]) == 0
+        assert main(["check", "cpn", "--points", "1", "--suite", "cpn-catalogue"]) == 0
     finally:
         t.uninstall()
     capsys.readouterr()
     for name in ("suites.dga", "geometry.frame.h_fam", "semiquant.nabla_Q.at",
                  "semiquant.nq_basis", "geometries.provider", "cli.build_geometry",
                  "semiquant.star_product.at", "semiquant.module_action.at",
-                 "semiquant.wedge1.at", "semiquant.q_map.at"):
+                 "semiquant.wedge1.at", "semiquant.q_map.at",
+                 "geometries.catalogue.z-zbar-comm"):
         assert t.calls[name] > 0, name
