@@ -6,12 +6,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, SemiqError
-from .geometry import Field, GeometryData, geometry_from_config
+from .geometry import Field, GeometryData, check_jet_bytes, geometry_from_config
 from .geometries import make_cpn, make_flat, make_flat_torsion
 from .suites import SUITES, emit_report, run_suite
 from . import semiquant as sq
@@ -19,7 +20,10 @@ from . import semiquant as sq
 
 def build_geometry(name: str, n: int | None = None) -> GeometryData:
     """The named geometry. flat and cpn have chart dimension 2n (n = 1 when
-    unset); a fixed chart takes n only when 2n is its dimension."""
+    unset); a fixed chart takes n only when 2n is its dimension. An n whose
+    jets would not fit in MAX_JET_BYTES is refused before anything is built."""
+    if n is not None:
+        check_jet_bytes(2 * n, f"--n {n}")
     if name == "flat":
         return make_flat(1 if n is None else n)
     if name == "cpn":
@@ -192,7 +196,8 @@ def make_parser() -> argparse.ArgumentParser:
     add_geometry_args(pe)
     pe.add_argument("--a", required=True, help="scalar expression")
     pe.add_argument("--b", default="0", help="scalar expression")
-    pe.add_argument("--at", required=True, help="comma-separated chart point")
+    pe.add_argument("--at", required=True,
+                    help="comma-separated chart point; it may start with a minus sign")
     pe.set_defaults(fn=cmd_eval)
 
     pv = sub.add_parser("evolve", help="instantaneous evolution data at a point")
@@ -201,13 +206,26 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("--H", dest="hamiltonian", required=True)
     pv.add_argument("--a", required=True)
     pv.add_argument("--at", required=True,
-                    help="chart point, or several separated by semicolons")
+                    help="chart point, or several separated by semicolons; "
+                         "it may start with a minus sign")
     pv.set_defaults(fn=cmd_evolve)
     return p
 
 
+def _attach_points(argv) -> list:
+    """``--at -1,0`` as ``--at=-1,0``: argparse takes a value that starts
+    with a minus sign for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--at" and re.match(r"-[\d.]", tok):
+            out[-1] = "--at=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = make_parser().parse_args(_attach_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except SemiqError as exc:

@@ -128,38 +128,44 @@ def _cpn_base(n: int, pt: tuple, order: int = 3):
     return x, xs, t2
 
 
-def _cpn_g(n, pt, order: int = 3):
-    x, xs, t2 = _cpn_base(n, pt, order)
+@per_frame
+def _cpn_frame_base(f: PointFrame):
+    """``_cpn_base`` at the frame's point and order, built once per frame."""
+    return _cpn_base(f.dim // 2, f.point, f.order)
+
+
+def _cpn_g(n, pt, order: int = 3, base=None):
+    x, xs, t2 = base or _cpn_base(n, pt, order)
     d = 2 * n
     outer = jet_einsum("a,b->ab", x, x) + jet_einsum("a,b->ab", xs, xs)
     return jet_einsum(",ab->ab", 2.0 * t2, np.eye(d)) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), outer)
 
 
-def _cpn_ginv(n, pt, order: int = 3):
-    x, xs, t2 = _cpn_base(n, pt, order)
+def _cpn_ginv(n, pt, order: int = 3, base=None):
+    x, xs, t2 = base or _cpn_base(n, pt, order)
     d = 2 * n
     outer = jet_einsum("a,b->ab", x, x) + jet_einsum("a,b->ab", xs, xs)
     half_inv_t2 = 0.5 * t2.reciprocal()
     return jet_einsum(",ab->ab", half_inv_t2, np.eye(d)) + jet_einsum(",ab->ab", half_inv_t2, outer)
 
 
-def _cpn_omega_upper(n, pt, order: int = 3):
-    x, xs, t2 = _cpn_base(n, pt, order)
+def _cpn_omega_upper(n, pt, order: int = 3, base=None):
+    x, xs, t2 = base or _cpn_base(n, pt, order)
     KP = _shift_matrix(n)
     anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
     half_inv_t2 = 0.5 * t2.reciprocal()
     return jet_einsum(",ab->ab", half_inv_t2, KP.T) + jet_einsum(",ab->ab", half_inv_t2, anti)
 
 
-def _cpn_omega_lower(n, pt, order: int = 3):
-    x, xs, t2 = _cpn_base(n, pt, order)
+def _cpn_omega_lower(n, pt, order: int = 3, base=None):
+    x, xs, t2 = base or _cpn_base(n, pt, order)
     KP = _shift_matrix(n)
     anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
     return jet_einsum(",ab->ab", 2.0 * t2, KP.T) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), anti)
 
 
-def _cpn_gamma(n, pt, order: int = 3):
-    x, xs, t2 = _cpn_base(n, pt, order)
+def _cpn_gamma(n, pt, order: int = 3, base=None):
+    x, xs, t2 = base or _cpn_base(n, pt, order)
     d = 2 * n
     KP = _shift_matrix(n)
     eye = np.eye(d)
@@ -190,17 +196,23 @@ def make_cpn(n: int) -> GeometryData:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
-    return GeometryData(
+
+    def provider(formula):
+        # the frame at (point, order) holds the one base its providers share
+        return lambda p, k: formula(n, p, k, _cpn_frame_base(G.at_order(k).frame(p)))
+
+    G = GeometryData(
         d,
-        g_fn=lambda p, k: _cpn_g(n, p, k),
-        ginv_fn=lambda p, k: _cpn_ginv(n, p, k),
-        omega_fn=lambda p, k: _cpn_omega_upper(n, p, k),
-        gamma_fn=lambda p, k: _cpn_gamma(n, p, k),
+        g_fn=provider(_cpn_g),
+        ginv_fn=provider(_cpn_ginv),
+        omega_fn=provider(_cpn_omega_upper),
+        gamma_fn=provider(_cpn_gamma),
         levi_civita=True,
         name=f"cpn(n={n})",
         box=0.75,
         suites=CPN_SUITES,
     )
+    return G
 
 
 # -- complex frame on CP^n --------------------------------------------------------
@@ -231,14 +243,15 @@ class CPnPoint:
         self.G, self.pt, self.order = f.G, f.point, f.order
         self.n, self.d = f.dim // 2, f.dim
         self.cm = _cobasis(self.n)
+        self.base = _cpn_frame_base(f)      # the frame's (x, x_shift, t^2)
 
     @cached_property
     def z(self) -> Jet:
-        return jet_einsum("ia,a->i", self.cm, Jet.coords(self.d, self.pt, self.order))
+        return jet_einsum("ia,a->i", self.cm, self.base[0])
 
     @cached_property
     def t2(self) -> Jet:
-        return _cpn_base(self.n, self.pt, self.order)[2]
+        return self.base[2]
 
     @cached_property
     def w(self) -> Jet:
@@ -264,7 +277,7 @@ class CPnPoint:
     @cached_property
     def varpi(self) -> Jet:
         """varpi = om_{ab} dx^b wedge dx^a."""
-        return -2.0 * _cpn_omega_lower(self.n, self.pt, self.order)
+        return -2.0 * _cpn_omega_lower(self.n, self.pt, self.order, self.base)
 
     @cached_property
     def k0(self) -> Jet:

@@ -33,16 +33,43 @@ _LETTERS = "abcdefghijklmnopqrs"
 # the suites that apply to any chart; built-in geometries may name others
 GENERIC_SUITES = ("classical-compat", "dga", "metric", "evolution")
 
+# a per-point cache is cleared once it holds more entries than this
+CACHE_ENTRIES = 4096
+
+# the most bytes one jet array may take; a chart that needs more is refused
+MAX_JET_BYTES = 2 ** 30
+
+
+def check_jet_bytes(dim: int, what: str) -> None:
+    """ConfigError naming ``what`` unless the largest jet array on a
+    dim-dimensional chart fits in MAX_JET_BYTES: the rank-5 complex
+    coefficients of ``nq2_basis`` with MAX_ORDER derivative slots."""
+    need = 16 * dim ** (5 + MAX_ORDER)
+    if need > MAX_JET_BYTES:
+        raise ConfigError(f"{what} asks for jets of {need} bytes, over {MAX_JET_BYTES}")
+
 
 class Field:
     """A field on the chart with a lam-graded jet provider: a scalar, or the
-    component array of a tensor (contravariant slots first)."""
+    component array of a tensor (contravariant slots first).
+
+    ``at`` calls the provider once per point and keeps its jets, so a field
+    read by several nodes of an expression tree is evaluated once.
+    """
 
     def __init__(self, fn: Callable[[tuple], LJet]):
         self.fn = fn
+        self._jets: dict = {}
 
     def at(self, point) -> LJet:
-        return self.fn(tuple(point))
+        pt = tuple(point)
+        v = self._jets.get(pt)
+        if v is None:
+            v = self.fn(pt)
+            if len(self._jets) > CACHE_ENTRIES:
+                self._jets.clear()
+            self._jets[pt] = v
+        return v
 
     @classmethod
     def from_expr(cls, dim: int, text: str, order: int = 3) -> "Field":
@@ -158,7 +185,7 @@ class GeometryData:
         fr = self._frames.get((pt, self.order))
         if fr is None:
             fr = PointFrame(self, pt)
-            if len(self._frames) > 4096:
+            if len(self._frames) > CACHE_ENTRIES:
                 self._frames.clear()
             self._frames[(pt, self.order)] = fr
         return fr
@@ -372,6 +399,7 @@ def geometry_from_config(cfg: dict) -> GeometryData:
         raise ConfigError("config needs a 'dim' entry")
     dim = _config_number(cfg, "dim", None, lambda v: isinstance(v, int) and v >= 1,
                          "an integer >= 1")
+    check_jet_bytes(dim, f"config entry 'dim' = {dim}")
     box = _config_number(cfg, "box", 1.5, lambda v: math.isfinite(v) and v > 0,
                          "a finite number > 0")
     seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int) and v >= 0,
@@ -384,6 +412,18 @@ def geometry_from_config(cfg: dict) -> GeometryData:
     conn = cfg.get("connection", "levi-civita")
     levi_civita = conn == "levi-civita"
     gamma_fn = None if levi_civita else component_jets(dim, 3, conn)
+    # a metric must be symmetric and a bivector antisymmetric; compared by
+    # value at three points of the box, so entries written differently agree
+    probes = box * np.sin(np.outer(np.arange(1.0, 4.0), np.arange(1.0, dim + 1.0)))
+    for key, fn, sign, what in (("metric", g, 1, "symmetric"),
+                                ("poisson", om, -1, "antisymmetric")):
+        for pt in probes:
+            m = fn(tuple(pt), 0).val
+            gap = float(np.max(np.abs(m - sign * m.T)))
+            if not gap <= 1e-9 * max(1.0, float(np.max(np.abs(m)))):
+                at = ", ".join(f"{c:.6g}" for c in pt)
+                raise ConfigError(f"config entry {key!r} must be {what}: its "
+                                  f"transpose differs by {gap:.3g} at ({at})")
     return GeometryData(dim, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
                         name=str(cfg.get("name", "config")), box=float(box), tol=1e-6,
                         default_seed=seed)

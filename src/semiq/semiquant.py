@@ -99,7 +99,7 @@ class QTensor(Field):
     def _zip(self, other: "QTensor", op) -> "QTensor":
         if (self.rank, self.form) != (other.rank, other.form):
             raise ValueError("mismatched quantum tensors")
-        return QTensor(self.G, self.rank, lambda pt: op(self.fn(pt), other.fn(pt)), self.form)
+        return QTensor(self.G, self.rank, lambda pt: op(self.at(pt), other.at(pt)), self.form)
 
     def __add__(self, other: "QTensor") -> "QTensor":
         return self._zip(other, LJet.__add__)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import maxabs, sample
+from semiq import geometries
+from semiq.cli import main
 from semiq.errors import ConfigError, UnknownCheckError
 from semiq.geometries import (CATALOGUE, CPnPoint, cpn_at, cpn_catalogue_residual,
                               cpn_expected, fold_index, kappa, make_cpn, make_flat,
@@ -212,6 +214,21 @@ class TestCatalogue:
         monkeypatch.setattr(CPnPoint, "__init__", counted)
         run_suite("cpn-catalogue", make_cpn(2), points=2)
         assert len(built) == len(set(built)) == 2
+
+    def test_base_jets_built_once_per_frame(self, monkeypatch, capsys):
+        calls, base = [], geometries._cpn_base
+
+        def counted(n, pt, order=3):
+            calls.append((pt, order))
+            return base(n, pt, order)
+
+        monkeypatch.setattr(geometries, "_cpn_base", counted)
+        for seed in range(1, 5):
+            assert main(["check", "cpn", "--n", "2", "--points", "2",
+                         "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        # two points at order 1 (classical-compat) and two at order 2, per seed
+        assert len(calls) == len(set(calls)) <= 16
 
     def test_every_check_small_on_samples(self, cpn1, cpn2):
         for G in (cpn1, cpn2):

@@ -3,10 +3,13 @@ import pytest
 
 from conftest import maxabs, sample
 from semiq.errors import DegenerateMetricError
-from semiq.geometry import (Field, GeometryData, christoffel_jet, compat_residuals,
-                            component_jets, cov_deriv_jet, poisson_bracket, torsion_jet)
+from semiq import suites
+from semiq.geometry import (CACHE_ENTRIES, Field, GeometryData, christoffel_jet,
+                            compat_residuals, component_jets, cov_deriv_jet, poisson_bracket,
+                            torsion_jet)
 from semiq.geometries import _cpn_gamma, _cpn_riemann, make_cpn
 from semiq.lambda_core import Jet, LJet, jet_einsum
+from semiq.semiquant import QTensor
 
 
 def synthetic_torsion_geometry(entries):
@@ -229,3 +232,53 @@ class TestCompatResiduals:
             got = t1.at(pt).c.val
             assert maxabs(got - want) < 1e-13
             assert maxabs(got) > 0.05   # residual genuinely nonzero
+
+
+class TestFieldCache:
+    """Field.at calls its provider once per point and keeps the jets."""
+
+    def test_random_field_providers_run_once_per_point(self, monkeypatch):
+        calls, made = {}, []
+        make = suites.random_poly_field
+
+        def counted(*args, **kwargs):
+            f, key = make(*args, **kwargs), len(made)
+            fn = f.fn
+
+            def provider(pt):
+                calls[key, pt] = calls.get((key, pt), 0) + 1
+                return fn(pt)
+
+            f.fn = provider
+            made.append(f)
+            return f
+
+        monkeypatch.setattr(suites, "random_poly_field", counted)
+        suites.run_suite("dga", make_cpn(1), points=2)
+        # three scalars and two one-forms of two components per point
+        assert len(made) == 14
+        assert sorted(k for k, _ in calls) == list(range(14))
+        assert set(calls.values()) == {1}
+
+    def test_cache_is_bounded(self):
+        f = Field(lambda pt: LJet(Jet.const(1, pt[0], 0)))
+        for k in range(CACHE_ENTRIES + 100):
+            assert f.at((float(k),)).c.value == k
+        assert len(f._jets) <= CACHE_ENTRIES + 1
+
+    def test_sum_reads_the_operands_cached_jets(self, cpn1):
+        calls = []
+
+        def provider(name, value):
+            def fn(pt):
+                calls.append(name)
+                return LJet(Jet.const(2, np.full(2, value), 1))
+            return fn
+
+        X, Y = QTensor(cpn1, 1, provider("X", 1.0)), QTensor(cpn1, 1, provider("Y", 2.0))
+        pt = (0.1, -0.2)
+        X.at(pt)
+        assert calls == ["X"]
+        assert maxabs((X + Y).at(pt).c.val - 3.0) == 0.0
+        assert maxabs((X - Y).at(pt).c.val + 1.0) == 0.0
+        assert calls == ["X", "Y"]

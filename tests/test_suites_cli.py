@@ -145,6 +145,26 @@ class TestInputValidation:
         assert out.out == "" and out.err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
+        ["eval", "star", "--geometry", "flat", "--a", "x1*x2", "--b", "x2"],
+        ["evolve", "--geometry", "flat", "--H", "x2^2/2", "--a", "x1*x2"]],
+        ids=["eval", "evolve"])
+    @pytest.mark.parametrize("at", ["-1,0.5", "-.5,-2"])
+    def test_point_may_start_with_a_minus_sign(self, argv, at, capsys):
+        outs = []
+        for tail in (["--at", at], [f"--at={at}"]):
+            assert main(argv + tail) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].out and outs[0].err == ""
+
+    @pytest.mark.parametrize("geometry", ["cpn", "flat"])
+    @pytest.mark.parametrize("n", [5, 40, 10 ** 9])
+    def test_dimension_too_large_refused_before_building(self, geometry, n, capsys):
+        # 16 * (2n)^8 bytes would be needed; each n here is refused before any allocation
+        assert main(["check", geometry, "--n", str(n), "--points", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and f"--n {n}" in out.err
+
+    @pytest.mark.parametrize("argv", [
         ["--geometry", "cpn", "--H", "exp(800*x1)", "--a", "x1", "--at", "0.9,0.1"],
         ["--geometry", "flat", "--H", "x2^2/2", "--a", "x1", "--at", ";"],
         ["--geometry", "flat", "--H", "x2^2/2", "--a", "x1", "--at", " "]])
@@ -221,6 +241,31 @@ class TestConfigNumbers:
         assert main(["check", str(path), "--points", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:") and repr(key) in out.err
+
+
+class TestConfigShape:
+    """A metric that is not symmetric, a Poisson matrix that is not
+    antisymmetric, or a dimension too large for its jets exits 2."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("metric", [["1", "x1"], ["0", "1"]]),
+        ("poisson", [["1", "1"], ["1", "0"]]),
+        ("poisson", [["0", "1"], ["1", "0"]]),
+        ("dim", 10)], ids=["metric-asym", "poisson-diagonal", "poisson-sym", "dim-10"])
+    def test_exits_2(self, key, value, tmp_path, capsys):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(dict(FLAT_CONFIG, **{key: value})))
+        assert main(["check", str(path), "--points", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and repr(key) in out.err
+
+    def test_entries_written_differently_accepted(self, tmp_path, capsys):
+        cfg = dict(FLAT_CONFIG, metric=[["2", "x1*x2"], ["x2*x1", "2"]],
+                   poisson=[["0", "x1-x2"], ["x2-x1", "0"]])
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check", str(path), "--points", "1", "--suite", "classical-compat"]) in (0, 1)
+        assert capsys.readouterr().out
 
 
 class TestConfigKeys:
