@@ -33,10 +33,6 @@ class DegenerateMetricError(SemiqError, ValueError):
     """Metric is not invertible at an evaluation point."""
 
 
-class ConsistencyError(SemiqError, RuntimeError):
-    """Two independent construction routes for the same object disagree."""
-
-
 class UnknownCheckError(SemiqError, KeyError):
     """Requested check id is not in the registered catalogue."""
 

@@ -7,9 +7,9 @@ Poisson bivector and the trivial connection.
 ``make_cpn``: the complex projective space CP^n on its standard affine
 chart, in real coordinates x^a with z^k = x^k + i x^{k+n}. Index
 expressions such as x^{a+n} beyond the chart range fold back with a sign
-(x^b = -x^{b+2n}); the kappa symbol implements the same rule. All fields
-(metric, inverse, Poisson bivector, Levi-Civita coefficients, curvature)
-have rational closed forms evaluated through jets, hence exact.
+(x^b = -x^{b+2n}). The metric, its inverse, the Poisson bivector and the
+Levi-Civita coefficients have rational closed forms evaluated through
+jets, hence exact.
 
 ``make_flat_torsion``: a flat 2d chart with one coordinate-dependent
 connection coefficient, used as the registered counterexample that
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, UnknownCheckError
 from .geometry import Field, GeometryData, PointFrame, per_frame
-from .lambda_core import Jet, LJet, jet_apply, jet_einsum
+from .lambda_core import Jet, LJet, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
                         wedge1)
 
@@ -45,17 +45,9 @@ def fold_index(a: int, two_n: int) -> tuple[int, int]:
     return sign, a
 
 
-def kappa(a: int, c: int, two_n: int) -> int:
-    sa, ia = fold_index(a, two_n)
-    sc, ic = fold_index(c, two_n)
-    return sa * sc if ia == ic else 0
-
-
 @lru_cache(maxsize=None)
 def _shift_matrix(n: int) -> np.ndarray:
-    """P with (P x)_a = x^{a+n} under the folding rule; 2n x 2n.
-
-    Entry by entry, P[a, c] = kappa(a + n, c, 2n)."""
+    """P with (P x)_a = x^{a+n} under the folding rule; 2n x 2n."""
     two_n = 2 * n
     P = np.zeros((two_n, two_n))
     for a in range(two_n):
@@ -134,61 +126,34 @@ def _cpn_frame_base(f: PointFrame):
     return _cpn_base(f.dim // 2, f.point, f.order)
 
 
-def _cpn_g(n, pt, order: int = 3, base=None):
-    x, xs, t2 = base or _cpn_base(n, pt, order)
-    d = 2 * n
+# the closed forms below take the base (x, x_shift, t^2) of _cpn_base
+
+def _cpn_g(x, xs, t2):
     outer = jet_einsum("a,b->ab", x, x) + jet_einsum("a,b->ab", xs, xs)
-    return jet_einsum(",ab->ab", 2.0 * t2, np.eye(d)) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), outer)
+    return jet_einsum(",ab->ab", 2.0 * t2, np.eye(x.dim)) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), outer)
 
 
-def _cpn_ginv(n, pt, order: int = 3, base=None):
-    x, xs, t2 = base or _cpn_base(n, pt, order)
-    d = 2 * n
+def _cpn_ginv(x, xs, t2):
     outer = jet_einsum("a,b->ab", x, x) + jet_einsum("a,b->ab", xs, xs)
     half_inv_t2 = 0.5 * t2.reciprocal()
-    return jet_einsum(",ab->ab", half_inv_t2, np.eye(d)) + jet_einsum(",ab->ab", half_inv_t2, outer)
+    return jet_einsum(",ab->ab", half_inv_t2, np.eye(x.dim)) + jet_einsum(",ab->ab", half_inv_t2, outer)
 
 
-def _cpn_omega_upper(n, pt, order: int = 3, base=None):
-    x, xs, t2 = base or _cpn_base(n, pt, order)
-    KP = _shift_matrix(n)
+def _cpn_omega_upper(x, xs, t2):
+    KP = _shift_matrix(x.dim // 2)
     anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
     half_inv_t2 = 0.5 * t2.reciprocal()
     return jet_einsum(",ab->ab", half_inv_t2, KP.T) + jet_einsum(",ab->ab", half_inv_t2, anti)
 
 
-def _cpn_omega_lower(n, pt, order: int = 3, base=None):
-    x, xs, t2 = base or _cpn_base(n, pt, order)
-    KP = _shift_matrix(n)
-    anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
-    return jet_einsum(",ab->ab", 2.0 * t2, KP.T) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), anti)
-
-
-def _cpn_gamma(n, pt, order: int = 3, base=None):
-    x, xs, t2 = base or _cpn_base(n, pt, order)
-    d = 2 * n
-    KP = _shift_matrix(n)
-    eye = np.eye(d)
+def _cpn_gamma(x, xs, t2):
+    KP = _shift_matrix(x.dim // 2)
+    eye = np.eye(x.dim)
     term = (jet_einsum("c,ab->abc", x, eye)
             + jet_einsum("b,ac->abc", x, eye)
             + jet_einsum("b,ac->abc", xs, KP)
             + jet_einsum("c,ab->abc", xs, KP))
     return jet_einsum(",abc->abc", -1.0 * t2, term)
-
-
-def _cpn_riemann(n, pt, order: int = 3):
-    """Closed form R[p,c,q,b] for comparison against the derived curvature."""
-    d = 2 * n
-    g = _cpn_g(n, pt, order)
-    oml = _cpn_omega_lower(n, pt, order)
-    KP = _shift_matrix(n)
-    eye = np.eye(d)
-    r = 0.5 * jet_einsum("cb,pq->pcqb", g, eye)
-    r = r - 0.5 * jet_einsum("cq,pb->pcqb", g, eye)
-    r = r + 0.5 * jet_einsum("bc,pq->pcqb", oml, KP)
-    r = r - 0.5 * jet_einsum("qc,pb->pcqb", oml, KP)
-    r = r + jet_einsum("bq,pc->pcqb", oml, KP)
-    return r
 
 
 def make_cpn(n: int) -> GeometryData:
@@ -199,7 +164,7 @@ def make_cpn(n: int) -> GeometryData:
 
     def provider(formula):
         # the frame at (point, order) holds the one base its providers share
-        return lambda p, k: formula(n, p, k, _cpn_frame_base(G.at_order(k).frame(p)))
+        return lambda p, k: formula(*_cpn_frame_base(G.at_order(k).frame(p)))
 
     G = GeometryData(
         d,
@@ -234,9 +199,9 @@ class CPnPoint:
 
         z^i = x^i + i x^{i+n},   t^2 = 1/(1 + |z|^2),   w^i = t z^i,
         tau = t^2 zbar^i dz^i,   gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau,
-        g_{i jbar} = t^2 delta_ij - t^4 zbar^i z^j,   K0 = ln(1 + |z|^2),
+        g_{i jbar} = t^2 delta_ij - t^4 zbar^i z^j.
 
-    and varpi, the symplectic two-form. gammabar is ``gamma.conj()``.
+    gammabar is ``gamma.conj()``.
     """
 
     def __init__(self, f: PointFrame):
@@ -273,15 +238,6 @@ class CPnPoint:
         zbz = jet_einsum("i,j->ij", self.z.conj(), self.z)
         return (jet_einsum(",ij->ij", self.t2, np.eye(self.n))
                 - jet_einsum(",ij->ij", self.t2 * self.t2, zbz))
-
-    @cached_property
-    def varpi(self) -> Jet:
-        """varpi = om_{ab} dx^b wedge dx^a."""
-        return -2.0 * _cpn_omega_lower(self.n, self.pt, self.order, self.base)
-
-    @cached_property
-    def k0(self) -> Jet:
-        return -jet_apply("ln", self.t2)                # K0 = -ln t^2
 
 
 @per_frame

@@ -89,7 +89,7 @@ def component_jets(dim: int, rank: int, comps) -> Callable[[tuple, int], Jet]:
         out = [fieldexpr.eval_jet(t, pt, dim, order) for t in trees]
         levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (dim,) * k)
                   for k in range(order + 1)]
-        return Jet(dim, levels, order)
+        return Jet(dim, levels)
 
     return fn
 

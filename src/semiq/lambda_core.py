@@ -24,25 +24,24 @@ from .errors import DegenerateMetricError, JetDomainError, SingularScalarError
 # einsum letters reserved for derivative axes; formulas use lowercase
 _DLETTERS = "TUVW"
 
-_CONST_ORDER = 99  # sentinel order for constants (derivatives all zero)
-
 MAX_ORDER = 3      # deepest derivative level the jet arithmetic propagates
 
 
 class Jet:
     """Truncated Taylor data of a (possibly tensor-shaped) field at a point.
 
-    ``order`` is the number of stored derivative levels; arithmetic results
-    carry the minimum order of their operands, and ``grad`` consumes one
-    level. Level arrays are complex and symmetric in derivative axes.
+    ``order`` is the deepest stored derivative level, ``len(levels) - 1``;
+    arithmetic results carry the minimum order of their operands, and
+    ``grad`` consumes one level. Level arrays are complex and symmetric in
+    derivative axes.
     """
 
     __slots__ = ("dim", "order", "levels")
 
-    def __init__(self, dim: int, levels: Sequence[np.ndarray], order: Optional[int] = None):
+    def __init__(self, dim: int, levels: Sequence[np.ndarray]):
         self.dim = dim
         self.levels = tuple(np.asarray(l, dtype=np.complex128) for l in levels)
-        self.order = len(self.levels) - 1 if order is None else order
+        self.order = len(self.levels) - 1
 
     # -- constructors ------------------------------------------------------
 
@@ -56,7 +55,7 @@ class Jet:
         v = np.asarray(value, dtype=np.complex128)
         levels = [v] + [np.zeros(v.shape + (dim,) * k, dtype=np.complex128)
                         for k in range(1, order + 1)]
-        return cls(dim, levels, order)
+        return cls(dim, levels)
 
     @classmethod
     def coords(cls, dim: int, point, order: int = 3) -> "Jet":
@@ -65,7 +64,7 @@ class Jet:
         levels = [p, np.eye(dim, dtype=np.complex128)]
         for k in range(2, order + 1):
             levels.append(np.zeros((dim,) * (k + 1), dtype=np.complex128))
-        return cls(dim, levels, order)
+        return cls(dim, levels[: order + 1])
 
     @classmethod
     def coordinate(cls, dim: int, point, k: int, order: int = 3) -> "Jet":
@@ -75,7 +74,7 @@ class Jet:
         levels.append(d1)
         for m in range(2, order + 1):
             levels.append(np.zeros((dim,) * m, dtype=np.complex128))
-        return cls(dim, levels, order)
+        return cls(dim, levels[: order + 1])
 
     # -- basic access ------------------------------------------------------
 
@@ -95,25 +94,17 @@ class Jet:
     def d1(self) -> Optional[np.ndarray]:
         return self.levels[1] if self.order >= 1 else None
 
-    @property
-    def d2(self) -> Optional[np.ndarray]:
-        return self.levels[2] if self.order >= 2 else None
-
-    @property
-    def d3(self) -> Optional[np.ndarray]:
-        return self.levels[3] if self.order >= 3 else None
-
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             return other
-        return Jet.const(self.dim, other, order=min(self.order, MAX_ORDER))
+        return Jet.const(self.dim, other, self.order)
 
     # -- linear operations -------------------------------------------------
 
     def __add__(self, other) -> "Jet":
         o = self._coerce(other)
         n = min(self.order, o.order)
-        return Jet(self.dim, [self.levels[k] + o.levels[k] for k in range(n + 1)], n)
+        return Jet(self.dim, [self.levels[k] + o.levels[k] for k in range(n + 1)])
 
     __radd__ = __add__
 
@@ -124,10 +115,10 @@ class Jet:
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return Jet(self.dim, [-l for l in self.levels], self.order)
+        return Jet(self.dim, [-l for l in self.levels])
 
     def scale(self, c: complex) -> "Jet":
-        return Jet(self.dim, [c * l for l in self.levels], self.order)
+        return Jet(self.dim, [c * l for l in self.levels])
 
     # -- products ----------------------------------------------------------
 
@@ -212,7 +203,7 @@ class Jet:
             cross = np.einsum("ij,k->ijk", u2, u1)
             sym = cross + np.moveaxis(cross, -1, -2) + np.moveaxis(cross, -1, -3)
             out.append(f[3] * np.einsum("i,j,k->ijk", u1, u1, u1) + f[2] * sym + f[1] * u3)
-        return Jet(self.dim, out, self.order)
+        return Jet(self.dim, out)
 
     # -- structure ---------------------------------------------------------
 
@@ -220,23 +211,20 @@ class Jet:
         """Partial derivatives as one extra trailing tensor axis; order drops."""
         if self.order < 1:
             raise JetDomainError("jet order exhausted, cannot differentiate")
-        return Jet(self.dim, self.levels[1:], self.order - 1)
+        return Jet(self.dim, self.levels[1:])
 
     def conj(self) -> "Jet":
         # valid because chart coordinates are real
-        return Jet(self.dim, [np.conjugate(l) for l in self.levels], self.order)
+        return Jet(self.dim, [np.conjugate(l) for l in self.levels])
 
     def reorder(self, spec: str) -> "Jet":
         """Relabel tensor axes with an einsum-style spec, e.g. 'ijk->kij'."""
         src, dst = spec.split("->")
-        return Jet(self.dim,
-                   [np.einsum(f"{src}...->{dst}...", l) for l in self.levels],
-                   self.order)
+        return Jet(self.dim, [np.einsum(f"{src}...->{dst}...", l) for l in self.levels])
 
     def take_index(self, idx: int, axis: int = 0) -> "Jet":
         """Slice one tensor axis at a fixed index."""
-        return Jet(self.dim, [np.take(l, idx, axis=axis) for l in self.levels],
-                   self.order)
+        return Jet(self.dim, [np.take(l, idx, axis=axis) for l in self.levels])
 
     def matinv(self) -> "Jet":
         """Inverse of a square-matrix jet, solved level by level."""
@@ -268,7 +256,7 @@ class Jet:
             c12 = np.einsum("mnK,njLM->mjKLM", a[1], b2)
             t += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
             out.append(-np.einsum("im,mjKLM->ijKLM", b0, t))
-        return Jet(self.dim, out, self.order)
+        return Jet(self.dim, out)
 
 
 def _subscript(shape: tuple) -> str:
@@ -285,39 +273,33 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         raise TypeError("jet_einsum needs at least one Jet operand")
     ref = a if isinstance(a, Jet) else b
     if not isinstance(a, Jet):
-        a = Jet(ref.dim, [np.asarray(a, dtype=np.complex128)], _CONST_ORDER)
+        a = Jet.const(ref.dim, a, ref.order)
     if not isinstance(b, Jet):
-        b = Jet(ref.dim, [np.asarray(b, dtype=np.complex128)], _CONST_ORDER)
+        b = Jet.const(ref.dim, b, ref.order)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    order = min(a.order, b.order, MAX_ORDER)
+    order = min(a.order, b.order)
     T, U, V = _DLETTERS[0], _DLETTERS[1], _DLETTERS[2]
-
-    def lev(j: Jet, k: int) -> np.ndarray:
-        if k < len(j.levels):
-            return j.levels[k]
-        return np.zeros(j.shape + (j.dim,) * k, dtype=np.complex128)
-
-    a0, b0 = lev(a, 0), lev(b, 0)
+    a0, b0 = a.levels[0], b.levels[0]
     levels = [np.einsum(f"{sa},{sb}->{out}", a0, b0)]
     if order >= 1:
         levels.append(
-            np.einsum(f"{sa}{T},{sb}->{out}{T}", lev(a, 1), b0)
-            + np.einsum(f"{sa},{sb}{T}->{out}{T}", a0, lev(b, 1)))
+            np.einsum(f"{sa}{T},{sb}->{out}{T}", a.levels[1], b0)
+            + np.einsum(f"{sa},{sb}{T}->{out}{T}", a0, b.levels[1]))
     if order >= 2:
-        l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", lev(a, 2), b0)
-              + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, lev(b, 2)))
-        cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", lev(a, 1), lev(b, 1))
+        l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", a.levels[2], b0)
+              + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, b.levels[2]))
+        cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", a.levels[1], b.levels[1])
         levels.append(l2 + cross + np.swapaxes(cross, -1, -2))
     if order >= 3:
-        l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", lev(a, 3), b0)
-              + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, lev(b, 3)))
-        c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", lev(a, 2), lev(b, 1))
+        l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", a.levels[3], b0)
+              + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, b.levels[3]))
+        c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", a.levels[2], b.levels[1])
         l3 += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
-        c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", lev(a, 1), lev(b, 2))
+        c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", a.levels[1], b.levels[2])
         l3 += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
         levels.append(l3)
-    return Jet(ref.dim, levels, order)
+    return Jet(ref.dim, levels)
 
 
 # -- univariate function table ----------------------------------------------

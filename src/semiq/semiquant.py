@@ -1,8 +1,8 @@
 """First-order quantisation kernel.
 
 Deformed products, bimodule actions, the deformed wedge, the quantum
-connection with its generalized braiding, quantum metrics, the
-generalized Ricci two-form and the quantum-Levi-Civita obstruction.
+connection with its generalized braiding, quantum metrics and the
+quantum-Levi-Civita obstruction.
 
 Representation
 --------------
@@ -27,13 +27,11 @@ side of the quantisation isomorphism is a plain ``Field`` (``q_map``).
 from __future__ import annotations
 
 import math
-import warnings
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .geometry import (Field, GeometryData, PointFrame, cov_deriv_jet, gamma_slot_terms,
                        per_frame)
 from .lambda_core import Jet, LJet, jet_einsum
@@ -137,12 +135,6 @@ class QTensor(Field):
         arr = np.asarray(coeffs, dtype=np.complex128)
         return cls(G, 1, lambda pt: LJet(Jet.const(G.dim, arr, G.order)))
 
-    def to_classical(self) -> Field:
-        """Rank-1 normal form back to classical components."""
-        if self.rank != 1 or self.form:
-            raise ValueError("to_classical applies to rank-1 tensor-basis elements")
-        return Field(lambda pt: _model(self, pt))
-
 
 def _normal(xi, who: str) -> QTensor:
     """xi, if it is a quantum tensor in left-collected normal form."""
@@ -235,8 +227,6 @@ def wedge1(xi: QTensor, eta: QTensor) -> QTensor:
     if p == 0 or q == 0:
         raise ValueError("wedge1 takes forms of degree >= 1; "
                          "a function acts on a form through module_action")
-    if p + q > G.dim:
-        raise ValueError(f"wedge of degrees {p}+{q} exceeds chart dimension {G.dim}")
     ia, ib = _L[:p], _L[p: p + q]
     # the form slots of A and B left over once H's (i, j) contract their first
     ra, rb = _L[2: p + 1], _L[p + 1: p + q]
@@ -264,21 +254,24 @@ def wedge1(xi: QTensor, eta: QTensor) -> QTensor:
     return QTensor(G, p + q, fn, form=True)
 
 
-def _qform_from_wedge_display(G: GeometryData, coeff_fn) -> QTensor:
-    """Quantum two-form X_{mn} . (dx^m wedge1 dx^n) from its coefficient array.
+def wedge1_map(X: QTensor) -> QTensor:
+    """The deformed wedge applied to a rank-2 tensor-basis element: the
+    quantum two-form X_{mn} . (dx^m wedge1 dx^n).
 
     Expands the deformed wedge of cobasis elements and the left action of
     the coefficients, returning classical antisymmetric components per
-    grade. This is also exactly the wedge map applied to a rank-2
-    normal-form tensor.
+    grade.
     """
+    if _normal(X, "wedge1_map").rank != 2:
+        raise ValueError("wedge1_map expects a rank-2 tensor-basis element")
+    G = X.G
 
     def fn(pt):
         f = G.frame(pt)
-        X = coeff_fn(tuple(pt))
-        Xc = X.c
+        Xv = X.at(pt)
+        Xc = Xv.c
         c = Xc - Xc.reorder("ba->ab")
-        lam = X.lam() - X.lam().reorder("ba->ab")
+        lam = Xv.lam() - Xv.lam().reorder("ba->ab")
         # left-action cost: (1/2) om^{ij} d_i X_{mn} nabla_j (dx^m ^ dx^n)
         dX = Xc.grad()
         t1 = -jet_einsum("mia,mbi->ab", f.om_gam, dX)
@@ -291,13 +284,6 @@ def _qform_from_wedge_display(G: GeometryData, coeff_fn) -> QTensor:
         return LJet(c, lam)
 
     return QTensor(G, 2, fn, form=True)
-
-
-def wedge1_map(X: QTensor) -> QTensor:
-    """The deformed wedge applied to a rank-2 tensor-basis element."""
-    if _normal(X, "wedge1_map").rank != 2:
-        raise ValueError("wedge1_map expects a rank-2 tensor-basis element")
-    return _qform_from_wedge_display(X.G, X.at)
 
 
 # -- quantum connection ------------------------------------------------------------
@@ -423,26 +409,6 @@ def sigma_Q(a: Field, xi: QTensor) -> QTensor:
     return nabla_Q(module_action(xi, a)) - module_action(nabla_Q(xi), a)
 
 
-def quantum_torsion(xi: QTensor) -> QTensor:
-    """Torsion of the quantised connection applied to a quantum one-form."""
-    if xi.rank != 1:
-        raise ValueError("quantum_torsion applies to one-forms")
-    G = xi.G
-
-    def coeff(pt):
-        f = G.frame(pt)
-        v = _model(xi, pt)
-        # X_{mn} = (1/2)(xi_i T^i_{nm} + (lam/2)(nabla_i xi)_j om^{is} T^j_{nm;s})
-        xc = 0.5 * jet_einsum("i,inm->mn", v.c, f.torsion)
-        dxi = cov_deriv_jet(v.c, f.gam, 0, 1)          # [j, i]
-        half = jet_einsum("ji,is->js", dxi, f.om)
-        xl = 0.5 * jet_einsum("i,inm->mn", v.lam(), f.torsion) \
-            + 0.25 * jet_einsum("js,jnms->mn", half, f.torsion_cov)
-        return LJet(xc, xl)
-
-    return _qform_from_wedge_display(G, coeff)
-
-
 # -- quantum metrics ---------------------------------------------------------------
 
 def _gq_coeff(f: PointFrame) -> LJet:
@@ -464,41 +430,9 @@ def _gq_coeff(f: PointFrame) -> LJet:
     return LJet(f.g, K)
 
 
-def g_q_build(G: GeometryData, check_compat: bool = True) -> QTensor:
-    """Functorial quantum metric in left-collected normal form.
-
-    ``check_compat`` warns when the connection fails to preserve the metric
-    at any of three seeded sample points.
-    """
-    if check_compat:
-        G1 = G.at_order(1)          # g_{mn;k} reads first derivatives only
-        mg = [cov_deriv_jet(f.g, f.gam, 0, 2).val
-              for f in map(G1.frame, G.sample_points(3, G.default_seed))]
-        if np.max(np.abs(mg)) > 1e-8:
-            warnings.warn(
-                "connection does not preserve the metric; the quantum metric "
-                "will not be central", stacklevel=2)
+def g_q_build(G: GeometryData) -> QTensor:
+    """Functorial quantum metric in left-collected normal form."""
     return QTensor(G, 2, lambda pt: _gq_coeff(G.frame(pt)))
-
-
-def gen_ricci(G: GeometryData, tol: float = 1e-8) -> Field:
-    """Generalized Ricci two-form (components of the obstruction to the
-    deformed wedge annihilating the quantum metric).
-
-    Built by contracting the wedge-correction family with the metric and
-    cross-checked against the direct index formula.
-    """
-
-    def fn(pt):
-        f = G.frame(pt)
-        r1, r2 = f.ricci2, f.ricci2_direct
-        if np.max(np.abs(r1.val - r2.val)) > tol:
-            raise ConsistencyError(
-                "generalized Ricci construction routes disagree at "
-                f"{pt}: {np.max(np.abs(r1.val - r2.val)):.3e}")
-        return LJet(r1)
-
-    return Field(fn)
 
 
 def g1_build(G: GeometryData) -> QTensor:
@@ -507,7 +441,7 @@ def g1_build(G: GeometryData) -> QTensor:
     The correction is half the generalized Ricci two-form, with the sign
     that makes the deformed wedge of the result vanish identically.
     """
-    gq = g_q_build(G, check_compat=False)
+    gq = g_q_build(G)
 
     def fn(pt):
         f = G.frame(pt)

@@ -53,13 +53,12 @@ class SuiteResult:
 SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue", "evolution")
 
 
-def random_poly_field(d: int, rng, degree: int = 2, terms: int = 4,
-                      order: int = 3) -> Field:
-    """Random complex polynomial in the coordinates of a d-dimensional chart,
-    as jets of ``order``."""
+def random_poly_field(d: int, rng, order: int = 3) -> Field:
+    """Random complex polynomial of four monomials, each of degree at most 2,
+    in the coordinates of a d-dimensional chart, as jets of ``order``."""
     monos = []
-    for _ in range(terms):
-        k = int(rng.integers(0, degree + 1))
+    for _ in range(4):
+        k = int(rng.integers(0, 3))
         idxs = tuple(int(i) for i in rng.integers(0, d, size=k))
         coef = complex(rng.normal(), rng.normal())
         monos.append((coef, idxs))
@@ -76,14 +75,13 @@ def random_poly_field(d: int, rng, degree: int = 2, terms: int = 4,
     return Field(fn)
 
 
-def random_oneform(G: GeometryData, rng, degree: int = 2) -> sq.QTensor:
-    comps = [random_poly_field(G.dim, rng, degree=degree, order=G.order)
-             for _ in range(G.dim)]
+def random_oneform(G: GeometryData, rng) -> sq.QTensor:
+    comps = [random_poly_field(G.dim, rng, order=G.order) for _ in range(G.dim)]
 
     def fn(pt):
         jets = [c.at(pt).c for c in comps]
         levels = [np.stack([j.levels[k] for j in jets]) for k in range(G.order + 1)]
-        return LJet(Jet(G.dim, levels, G.order))
+        return LJet(Jet(G.dim, levels))
 
     return sq.QTensor.from_oneform(G, fn)
 
@@ -150,7 +148,7 @@ def _suite_dga(G: GeometryData, pts, rng) -> dict:
 
 def _suite_metric(G: GeometryData, pts, rng) -> dict:
     worst = {}
-    gq = sq.g_q_build(G, check_compat=False)
+    gq = sq.g_q_build(G)
     g1 = sq.g1_build(G)
     ngq = sq.nabla_Q(gq)
     qinv_g = sq.q_map(sq.classical_metric(G), G)

@@ -22,14 +22,13 @@ import pytest
 
 from conftest import maxabs, run_cli, sample
 from conftest import canonical_hamiltonian
+from oracles import cpn_omega_lower, cpn_riemann, gen_ricci
 from semiq.geometry import Field, christoffel_jet, compat_residuals, curvature_jet
-from semiq.geometries import (CATALOGUE, _cpn_gamma, _cpn_omega_lower, _cpn_riemann,
-                              cpn_catalogue_residual, make_cpn, make_flat,
-                              make_flat_torsion)
+from semiq.geometries import (CATALOGUE, _cpn_base, _cpn_gamma, cpn_catalogue_residual,
+                              make_cpn, make_flat, make_flat_torsion)
 from semiq.lambda_core import Jet, LJet
-from semiq.semiquant import (QTensor, g1_build, g_q_build, gen_ricci,
-                             module_action, nabla_Q, nq_basis, qlc_residual,
-                             star_product, wedge1_map)
+from semiq.semiquant import (QTensor, g1_build, g_q_build, module_action, nabla_Q,
+                             nq_basis, qlc_residual, star_product, wedge1_map)
 from semiq.suites import SUITE_ORDERS, random_poly_field
 from semiq import evolution as ev
 
@@ -58,7 +57,7 @@ def test_criterion_01_flat_exactness():
                 worst = max(worst, abs(got - want))
         f = G.frame(pt)
         worst = max(worst, maxabs(f.h_fam.val), maxabs(f.ricci2.val))
-        worst = max(worst, maxabs(g_q_build(G, check_compat=False).at(pt).lam().val))
+        worst = max(worst, maxabs(g_q_build(G).at(pt).lam().val))
         worst = max(worst, maxabs(nq_basis(f).lam().val))
     assert report(1, "flat phase space exactness", worst, 1e-14)
 
@@ -70,8 +69,8 @@ def test_criterion_02_cpn_classical_concordance():
         for pt in sample(G, 100, 2):
             f = G.frame(pt)
             gam = christoffel_jet(f.g, f.ginv)
-            worst = max(worst, maxabs(gam.val - _cpn_gamma(n, pt, 0).val))
-            worst = max(worst, maxabs(curvature_jet(gam).val - _cpn_riemann(n, pt, 0).val))
+            worst = max(worst, maxabs(gam.val - _cpn_gamma(*_cpn_base(n, pt, 0)).val))
+            worst = max(worst, maxabs(curvature_jet(gam).val - cpn_riemann(n, pt, 0).val))
     assert report(2, "derived connection and curvature match closed forms (n=1,2,3)",
                   worst, 1e-9)
 
@@ -95,7 +94,7 @@ def test_criterion_04_generalized_ricci():
         for pt in sample(G, 25, 4):
             f = G.frame(pt)
             worst_routes = max(worst_routes, maxabs(f.ricci2.val - f.ricci2_direct.val))
-            var = -2.0 * _cpn_omega_lower(n, pt, 1).val
+            var = -2.0 * cpn_omega_lower(n, pt, 1).val
             worst_value = max(worst_value, maxabs(f.ricci2.val + 0.5 * (n + 1) * var))
     ok = report(4, "generalized Ricci two routes and closed-form value",
                 max(worst_routes, worst_value), 1e-8,
@@ -107,7 +106,7 @@ def test_criterion_05_quantum_metric():
     worst_wedge_gq, worst_wedge_g1, worst_nabla = 0.0, 0.0, 0.0
     for n in (1, 2):
         G = make_cpn(n)
-        gq, g1 = g_q_build(G, check_compat=False), g1_build(G)
+        gq, g1 = g_q_build(G), g1_build(G)
         ngq = nabla_Q(gq)
         ricci = gen_ricci(G)
         for pt in sample(G, 50, 5):
@@ -193,7 +192,7 @@ def test_criterion_09_evolution_identities():
             pt = tuple(rng.uniform(-0.8, 0.8, size=4))
             got = ev.evolution_defect(a, H, G).at(pt).c.val
             da = a.at(pt).c.grad().val
-            hv = V.at(pt).c.d2
+            hv = V.at(pt).c.levels[2]
             want = np.zeros(4, dtype=complex)
             for i in range(2):
                 want[i + 2] = -da[i] / 1.7                       # -(1/m) da/dq^i dp^i

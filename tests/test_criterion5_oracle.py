@@ -23,7 +23,8 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from conftest import sample
-from semiq.geometries import _cpn_omega_lower, cpn_expected, make_cpn, make_flat
+from oracles import cpn_omega_lower
+from semiq.geometries import cpn_expected, make_cpn, make_flat
 from semiq.geometry import geometry_from_config
 from semiq.semiquant import (QTensor, g1_build, g_q_build, wedge1, wedge1_map)
 
@@ -292,7 +293,7 @@ def test_criterion5_sign_cp1(cp1, cp1_engine):
           f"(= +lam * g_ij H^ij, H pinned by the graded Leibniz rule)")
 
     G = cp1_engine
-    gq_e, g1_e = g_q_build(G, check_compat=False), g1_build(G)
+    gq_e, g1_e = g_q_build(G), g1_build(G)
     pts = sample(G, 5, 71)
     assert cobasis_wedge_residual(O, G, pts) < 1e-13
     for pt in pts:
@@ -300,7 +301,7 @@ def test_criterion5_sign_cp1(cp1, cp1_engine):
         # criterion 4: the engine's Ricci is -g_ij H^ij and the closed form
         assert np.max(np.abs(f.ricci2.val + numeric(contraction, pt))) < 1e-13
         assert np.max(np.abs(numeric(ricci4, pt)
-                             - (n + 1) * _cpn_omega_lower(n, pt).val)) < 1e-13
+                             - (n + 1) * cpn_omega_lower(n, pt).val)) < 1e-13
         # criterion 5: the quantum metric, its wedge, and g1
         v = gq_e.at(pt)
         assert np.max(np.abs(v.c.val - numeric(gq[0], pt))) < 1e-14
@@ -354,7 +355,7 @@ def test_flat_plane(name, g, om, build):
     gq = O.g_q()
     assert is_zero(O.wedge_normal(gq)[1]) and is_zero(O.metric_contraction())
     G = build()
-    gq_e = g_q_build(G, check_compat=False)
+    gq_e = g_q_build(G)
     pts = sample(G, 3, 73)
     assert cobasis_wedge_residual(O, G, pts) < 1e-12
     for pt in pts:

@@ -175,13 +175,13 @@ class TestEvalJet:
         j = eval_jet(parse("1/(1+x1^2+x2^2)", 2), [0.0, 0.0])
         assert j.value == 1
         assert np.allclose(j.d1, 0)
-        assert j.d2[0, 0] == pytest.approx(-2.0)
-        assert j.d2[1, 1] == pytest.approx(-2.0)
-        assert j.d2[0, 1] == pytest.approx(0.0)
+        assert j.levels[2][0, 0] == pytest.approx(-2.0)
+        assert j.levels[2][1, 1] == pytest.approx(-2.0)
+        assert j.levels[2][0, 1] == pytest.approx(0.0)
 
     def test_exponential(self):
         j = eval_jet(parse("exp(x1)", 1), [0.0])
-        assert j.value == 1 and j.d1[0] == 1 and j.d2[0, 0] == 1 and j.d3[0, 0, 0] == 1
+        assert j.value == 1 and j.d1[0] == 1 and j.levels[2][0, 0] == 1 and j.levels[3][0, 0, 0] == 1
 
     def test_nonconstant_exponent_rejected(self):
         with pytest.raises(EvalError):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import maxabs, sample
+from oracles import k0, kappa, varpi
 from semiq import geometries
 from semiq.cli import main
 from semiq.errors import ConfigError, UnknownCheckError
 from semiq.geometries import (CATALOGUE, CPnPoint, cpn_at, cpn_catalogue_residual,
-                              cpn_expected, fold_index, kappa, make_cpn, make_flat,
-                              make_flat_torsion, _cpn_omega_lower, _shift_matrix)
+                              cpn_expected, fold_index, make_cpn, make_flat,
+                              make_flat_torsion, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
 from semiq.lambda_core import jet_einsum
 from semiq.suites import run_suite
@@ -86,8 +87,7 @@ class TestCpnFrame:
             for pt in sample(G, 10, 25):
                 c = cpn_at(G, pt)
                 tau = c.tau
-                k0 = c.k0
-                assert maxabs((tau + tau.conj()).val - k0.grad().val) < 1e-12
+                assert maxabs((tau + tau.conj()).val - k0(c).grad().val) < 1e-12
 
     def test_varpi_three_ways(self, cpn1, cpn2):
         # varpi = 2i g_{i jbar} dz^i ^ dzbar^j = -2i d tau = i wedge(gammabar - gamma)
@@ -95,7 +95,7 @@ class TestCpnFrame:
             n = G.dim // 2
             for pt in sample(G, 8, 26):
                 c = cpn_at(G, pt)
-                var = c.varpi.val
+                var = varpi(c).val
                 gh = c.g_hermitian.val
                 route1 = np.zeros_like(var)
                 for i in range(n):
@@ -126,7 +126,7 @@ class TestCpnFrame:
             n = G.dim // 2
             for pt in sample(G, 8, 28):
                 c = cpn_at(G, pt)
-                h = c.k0.d2
+                h = k0(c).levels[2]
                 gh = c.g_hermitian.val
                 for i in range(n):
                     for j in range(n):
@@ -157,7 +157,7 @@ class TestCpnFrame:
             for pt in sample(G, 6, 30):
                 f = G.frame(pt)
                 c = cpn_at(G, pt)
-                var = c.varpi.val
+                var = varpi(c).val
                 for sgn in (+1, -1):
                     gma = (c.gamma.conj() if sgn < 0 else c.gamma).val
                     for i in range(n):

@@ -39,11 +39,11 @@ def random_jet(rng, dim, shape, order=3, value=None):
         levels.append(a)
     if value is not None:
         levels[0] = np.asarray(value, dtype=np.complex128)
-    return Jet(dim, levels, order)
+    return Jet(dim, levels)
 
 
 def trunc(j: Jet, k: int) -> Jet:
-    return Jet(j.dim, j.levels[: k + 1], k)
+    return Jet(j.dim, j.levels[: k + 1])
 
 
 def same_bits(x: Jet, y: Jet) -> bool:
@@ -84,6 +84,12 @@ def test_jet_einsum_truncates(seed, dim, spec):
     const = rng.normal(size=sb) + 1j * rng.normal(size=sb)
     assert_truncates(op, (a, const))
     assert_truncates(op, (rng.normal(size=sa) + 0j, b))
+    # a jet's order is its level count, from every constructor
+    pt = rng.normal(size=dim)
+    for k in range(4):
+        for j in (Jet.zeros(dim, sa, k), Jet.const(dim, const, k), Jet.coords(dim, pt, k),
+                  Jet.coordinate(dim, pt, dim - 1, k), op(trunc(a, k), const)):
+            assert len(j.levels) == j.order + 1 == k + 1
 
 
 @case
@@ -127,7 +133,7 @@ def test_reciprocal_and_powers_truncate(seed, dim, power):
 def test_matinv_truncates(seed, dim):
     rng = np.random.default_rng(seed)
     m = random_jet(rng, dim, (dim, dim))
-    m = Jet(dim, [np.eye(dim) + 0.1 * m.levels[0]] + list(m.levels[1:]), 3)
+    m = Jet(dim, [np.eye(dim) + 0.1 * m.levels[0]] + list(m.levels[1:]))
     assert_truncates(lambda x: x.matinv(), (m,))
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import quantum_torsion
 from semiq.errors import JetDomainError
 from semiq.geometries import (CATALOGUE, cpn_catalogue_residual, cpn_expected, make_cpn,
                               make_flat, make_flat_torsion)
@@ -49,7 +50,7 @@ def _kernel_values(G, pt):
     f = G.frame(pt)
     rng = np.random.default_rng(3)
     xi, eta = random_oneform(G, rng), random_oneform(G, rng)
-    gq = sq.g_q_build(G, check_compat=False)
+    gq = sq.g_q_build(G)
     return [
         lambda: sq.nq_basis(f),
         lambda: sq.sigma_basis(f),
@@ -60,7 +61,7 @@ def _kernel_values(G, pt):
         lambda: sq.wedge1_map(gq).at(pt),
         lambda: sq.q_map(gq).at(pt),
         lambda: sq.q_map(Field(gq.fn), G).at(pt),
-        lambda: sq.quantum_torsion(xi).at(pt),
+        lambda: quantum_torsion(xi).at(pt),
         lambda: sq.wedge1(xi, eta).at(pt),
     ]
 

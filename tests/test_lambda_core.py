@@ -20,12 +20,12 @@ class TestJet:
         j = Jet.coordinate(1, [3.0], 0) ** 2
         assert j.value == 9
         assert j.d1[0] == 6
-        assert j.d2[0, 0] == 2
-        assert j.d3[0, 0, 0] == 0
+        assert j.levels[2][0, 0] == 2
+        assert j.levels[3][0, 0, 0] == 0
 
     def test_sin_third_derivative_at_zero(self):
         j = jet_apply("sin", Jet.coordinate(1, [0.0], 0))
-        assert j.d3[0, 0, 0] == pytest.approx(-1.0)
+        assert j.levels[3][0, 0, 0] == pytest.approx(-1.0)
 
     def test_product_rule_vs_finite_differences(self):
         # jet of the product expression vs the product rule on separate
@@ -69,10 +69,10 @@ class TestJet:
                 assert abs(j.d1[k] - ref1) <= 1e-8 * max(1.0, abs(ref1))
                 for m in range(d):
                     ref2 = fd4(lambda q: jet_at(q).d1[m], pt, k)
-                    assert abs(j.d2[m, k] - ref2) <= 1e-8 * max(1.0, abs(ref2))
+                    assert abs(j.levels[2][m, k] - ref2) <= 1e-8 * max(1.0, abs(ref2))
                     for n in range(d):
-                        ref3 = fd4(lambda q: jet_at(q).d2[m, n], pt, k)
-                        assert abs(j.d3[m, n, k] - ref3) <= 1e-7 * max(1.0, abs(ref3))
+                        ref3 = fd4(lambda q: jet_at(q).levels[2][m, n], pt, k)
+                        assert abs(j.levels[3][m, n, k] - ref3) <= 1e-7 * max(1.0, abs(ref3))
 
     def test_derivative_symmetry_after_arithmetic(self):
         rng = np.random.default_rng(3)
@@ -80,8 +80,8 @@ class TestJet:
         x, y, z = (Jet.coordinate(3, pt, k) for k in range(3))
         j = jet_apply("exp", x * y) * (z ** 3 + x) / (2 + y * y)
         for perm in ((1, 0), ):
-            assert np.allclose(j.d2, np.transpose(j.d2, perm), atol=1e-14)
-        d3 = j.d3
+            assert np.allclose(j.levels[2], np.transpose(j.levels[2], perm), atol=1e-14)
+        d3 = j.levels[3]
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.allclose(d3, np.transpose(d3, perm), atol=1e-13)
 
@@ -101,7 +101,7 @@ class TestJet:
         v = 0.4 ** 2
         assert j.value == pytest.approx(np.exp(v))
         assert j.d1[0] == pytest.approx(2 * 0.4 * np.exp(v))
-        assert j.d2[0, 0] == pytest.approx((2 + 4 * v) * np.exp(v))
+        assert j.levels[2][0, 0] == pytest.approx((2 + 4 * v) * np.exp(v))
 
     def test_ln_domain_error(self):
         with pytest.raises(JetDomainError):
@@ -166,7 +166,7 @@ class TestIntegerPower:
         assert len(calls) <= 40
         assert j.value == pytest.approx(v ** k, rel=1e-9)
         assert j.d1[0] == pytest.approx(k * v ** (k - 1), rel=1e-9)
-        assert j.d2[0, 0] == pytest.approx(k * (k - 1) * v ** (k - 2), rel=1e-9)
+        assert j.levels[2][0, 0] == pytest.approx(k * (k - 1) * v ** (k - 2), rel=1e-9)
 
 
 class TestFloatingPointRange:

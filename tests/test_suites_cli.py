@@ -268,6 +268,22 @@ class TestConfigShape:
         assert capsys.readouterr().out
 
 
+class TestOneDimensionalChart:
+    """On a line every two-form vanishes: the deformed wedge of two
+    one-forms is zero, not an error."""
+
+    def test_wedge_and_check_exit_0(self, tmp_path, capsys):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"dim": 1, "metric": [["1"]], "poisson": [["0"]]}))
+        assert main(["eval", "wedge", "--geometry", str(path),
+                     "--a", "x1", "--b", "x1", "--at", "0.1"]) == 0
+        assert capsys.readouterr().out == ("da wedge1 db components:\n"
+                                           "classical [[0.+0.j]]  lambda-coefficient [[0.+0.j]]\n")
+        assert main(["check", str(path), "--points", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {r["suite"] for r in report} == {"classical-compat", "dga", "metric", "evolution"}
+
+
 class TestConfigKeys:
     """A config key outside the schema exits 2 and is named, rather than
     being ignored (a misspelt "connection" used to fall back to Levi-Civita)."""
