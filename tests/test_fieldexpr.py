@@ -113,6 +113,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(s, 1)
 
+    @pytest.mark.parametrize("nest, deepest, offset", [
+        (lambda k: "-" * k + "x1", 199, 199),
+        (lambda k: "x1^" + "-" * k + "2", 199, 202),
+        (lambda k: "(" * k + "x1" + ")" * k, 99, 100),
+        (lambda k: "sin(" * k + "x1" + ")" * k, 99, 400),
+    ], ids=["minus", "exponent-minus", "parens", "sin"])
+    def test_depth_guard_boundary(self, nest, deepest, offset):
+        # the deepest nesting that parses, and the refusal one level deeper
+        parse(nest(deepest), 1)
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse(nest(deepest + 1), 1)
+        assert err.value.pos == offset
+
 
 def _direct_eval(e, point):
     """Independent plain-complex evaluator used as the oracle."""
