@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -48,13 +49,31 @@ def build_geometry(name: str, n: int | None = None) -> GeometryData:
 
 
 def _report_path(path: str) -> str:
+    """The file a report goes to; a path naming a directory is refused."""
     base = os.environ.get("SEMIQ_REPORT_DIR")
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"--report {path!r} names a directory, not a file")
     return path
 
 
+def _write_report(path: str, doc: str) -> None:
+    """Write through a temporary file, removed again if writing fails."""
+    tmp = path + ".tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w") as fh:
+            fh.write(doc)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write the report to {path!r}: {exc}")
+
+
 def cmd_check(args) -> int:
+    path = _report_path(args.report) if args.report else None
     G = build_geometry(args.geometry, args.n)
     suites = args.suite or G.suites
     seed = G.default_seed if args.seed is None else args.seed
@@ -63,13 +82,8 @@ def cmd_check(args) -> int:
         results.append(run_suite(s, G, points=args.points, seed=seed,
                                  tol=args.tol, timing=args.timing))
     doc = emit_report(results, args.format)
-    if args.report:
-        path = _report_path(args.report)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(doc)
-        os.replace(tmp, path)
+    if path:
+        _write_report(path, doc)
         print(f"report written to {path}")
     else:
         sys.stdout.write(doc)
@@ -93,55 +107,46 @@ def _parse_point(text: str, dim: int):
     return tuple(vals)
 
 
-# the highest derivative order each command reads, as (frame order, field
-# order): the geometry's jets are built to the first, the parsed fields to the second
-EVAL_ORDERS = {
-    "star": (0, 1),     # om's value and the fields' gradients
-    "commutator": (0, 1),
-    "wedge": (1, 2),
-    "nablaQ": (1, 3),   # nabla_Q(da) reads third derivatives of a, first of Gam
-    "evolve": (1, 2),
+# each eval op: the highest derivative orders it reads, as (frame order, field
+# order), which the geometry's jets and the parsed fields are built to; the
+# heading above an array value (None: a scalar); and its value at a point, which
+# looks each kernel function up when called, as perfbench/tracer.py rebinds them.
+EVAL_OPS = {
+    "star": (0, 1, None,        # om's value and the fields' gradients
+             lambda G, a, b, pt: sq.star_product(a, b, G).at(pt)),
+    "wedge": (1, 2, "da wedge1 db components:",
+              lambda G, a, b, pt: sq.wedge1(sq.QTensor.differential(G, a),
+                                            sq.QTensor.differential(G, b)).at(pt)),
+    # nabla_Q(da) reads third derivatives of a, first of Gam
+    "nablaQ": (1, 3, "nabla_Q(da) coefficients (direction slot first):",
+               lambda G, a, b, pt: sq.nabla_Q(sq.QTensor.differential(G, a)).at(pt)),
+    "commutator": (0, 1, None,
+                   lambda G, a, b, pt: (sq.star_product(a, b, G).at(pt)
+                                        - sq.star_product(b, a, G).at(pt))),
 }
 
-
-def _fmt_pair(c, l) -> str:
-    return f"classical {c}  lambda-coefficient {l}"
+EVOLVE_ORDERS = (1, 2)      # (frame order, field order) of evolve
 
 
 def cmd_eval(args) -> int:
-    frame_order, field_order = EVAL_ORDERS[args.op]
+    frame_order, field_order, heading, value = EVAL_OPS[args.op]
     G = build_geometry(args.geometry, args.n).at_order(frame_order)
     pt = _parse_point(args.at, G.dim)
     a = Field.from_expr(G.dim, args.a, field_order)
     b = Field.from_expr(G.dim, args.b, field_order)    # parsed for every op; nablaQ reads none
-    if args.op == "star":
-        v = sq.star_product(a, b, G).at(pt)
-        c, l = v.values()
-        print(_fmt_pair(complex(c), complex(l)))
-        return 0
-    if args.op == "commutator":
-        v = sq.star_product(a, b, G).at(pt) - sq.star_product(b, a, G).at(pt)
-        c, l = v.values()
-        print(_fmt_pair(complex(c), complex(l)))
-        return 0
-    if args.op == "wedge":
-        v = sq.wedge1(sq.QTensor.differential(G, a), sq.QTensor.differential(G, b)).at(pt)
-        c, l = v.values()
-        print("da wedge1 db components:")
-        print(_fmt_pair(np.array_str(c, precision=12), np.array_str(l, precision=12)))
-        return 0
-    if args.op == "nablaQ":
-        v = sq.nabla_Q(sq.QTensor.differential(G, a)).at(pt)
-        c, l = v.values()
-        print("nabla_Q(da) coefficients (direction slot first):")
-        print(_fmt_pair(np.array_str(c, precision=12), np.array_str(l, precision=12)))
-        return 0
-    raise ConfigError(f"unknown eval op {args.op!r}")
+    c, l = value(G, a, b, pt).values()
+    if heading is None:
+        c, l = complex(c), complex(l)
+    else:
+        print(heading)
+        c, l = np.array_str(c, precision=12), np.array_str(l, precision=12)
+    print(f"classical {c}  lambda-coefficient {l}")
+    return 0
 
 
 def cmd_evolve(args) -> int:
     from . import evolution as ev
-    frame_order, field_order = EVAL_ORDERS["evolve"]
+    frame_order, field_order = EVOLVE_ORDERS
     G = build_geometry(args.geometry, args.n).at_order(frame_order)
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
@@ -191,7 +196,7 @@ def make_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_check)
 
     pe = sub.add_parser("eval", help="evaluate a deformed operation at a point")
-    pe.add_argument("op", choices=("star", "wedge", "nablaQ", "commutator"))
+    pe.add_argument("op", choices=tuple(EVAL_OPS))
     pe.add_argument("--geometry", required=True)
     add_geometry_args(pe)
     pe.add_argument("--a", required=True, help="scalar expression")

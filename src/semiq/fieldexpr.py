@@ -17,15 +17,19 @@ positioned ParseError; unknown identifiers are rejected at parse time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownSymbolError
-from .lambda_core import Jet, jet_apply
+from .lambda_core import UNARY_FUNCS, Jet, jet_apply
 
-FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "conj")
+FUNCTIONS = (*UNARY_FUNCS, "conj")
+
+# the operators + - * / on jets and on constants alike
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 _MAX_DEPTH = 200
 
@@ -139,10 +143,15 @@ class _Parser:
         if t.kind != "op" or t.text != op:
             raise ParseError(f"expected {op!r}, found {t.text or 'end of input'!r}", t.pos)
 
-    def _enter(self, pos: int) -> None:
+    def nested(self, pos: int, parse, *args) -> Expr:
+        """parse(*args) one nesting level deeper: the one depth guard."""
         self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError("expression nested too deeply", pos)
+        try:
+            if self.depth > _MAX_DEPTH:
+                raise ParseError("expression nested too deeply", pos)
+            return parse(*args)
+        finally:
+            self.depth -= 1
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -152,76 +161,55 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        self._enter(self.peek().pos)
-        try:
-            node = self.term()
-            while self.peek().kind == "op" and self.peek().text in "+-":
-                op = self.take().text
-                node = Bin(op, node, self.term())
-            return node
-        finally:
-            self.depth -= 1
+        return self.nested(self.peek().pos, self.sum)
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+    def sum(self) -> Expr:
+        node = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
-            node = Bin(op, node, self.unary())
+            node = Bin(op, node, self.term())
         return node
 
-    def unary(self) -> Expr:
+    def term(self) -> Expr:
+        node = self.unary(self.power)
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.take().text
+            node = Bin(op, node, self.unary(self.power))
+        return node
+
+    def unary(self, operand) -> Expr:
+        """Leading minus signs, then operand(): a power in a term, and only
+        the atom of an exponent, so ``x^-2`` is x^(-2)."""
         if self.peek().kind == "op" and self.peek().text == "-":
-            pos = self.take().pos
-            self._enter(pos)
-            try:
-                return Un("neg", self.unary())
-            finally:
-                self.depth -= 1
-        return self.power()
+            return Un("neg", self.nested(self.take().pos, self.unary, operand))
+        return operand()
 
     def power(self) -> Expr:
         node = self.atom()
         while self.peek().kind == "op" and self.peek().text == "^":
             self.take()
-            node = Bin("^", node, self.pow_operand())
+            node = Bin("^", node, self.unary(self.atom))
         return node
-
-    def pow_operand(self) -> Expr:
-        # exponent may carry a leading minus, which binds to the exponent only
-        if self.peek().kind == "op" and self.peek().text == "-":
-            pos = self.take().pos
-            self._enter(pos)
-            try:
-                return Un("neg", self.pow_operand())
-            finally:
-                self.depth -= 1
-        return self.atom()
 
     def atom(self) -> Expr:
         t = self.take()
         if t.kind == "num":
             return Num(t.val)
         if t.kind == "ident":
-            name = t.text
-            if name in FUNCTIONS:
-                self._enter(t.pos)
-                try:
-                    self.expect_op("(")
-                    arg = self.expr()
-                    self.expect_op(")")
-                finally:
-                    self.depth -= 1
-                return Un(name, arg)
-            return self.resolve(name, t.pos)
+            if t.text in FUNCTIONS:
+                return Un(t.text, self.nested(t.pos, self.group, True))
+            return self.resolve(t.text, t.pos)
         if t.kind == "op" and t.text == "(":
-            self._enter(t.pos)
-            try:
-                e = self.expr()
-                self.expect_op(")")
-            finally:
-                self.depth -= 1
-            return e
+            return self.nested(t.pos, self.group, False)
         raise ParseError(f"expected an operand, found {t.text or 'end of input'!r}", t.pos)
+
+    def group(self, opens: bool) -> Expr:
+        """``( expr )``, its opening parenthesis still to be read if ``opens``."""
+        if opens:
+            self.expect_op("(")
+        e = self.expr()
+        self.expect_op(")")
+        return e
 
     def resolve(self, name: str, pos: int) -> Expr:
         if name == "i":
@@ -287,19 +275,11 @@ def _eval(e: Expr, point, d: int, order: int) -> Jet:
         if p.imag == 0:
             p = p.real
         return a ** p
-    b = _eval(e.right, point, d, order)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "/":
-        return a / b
-    raise EvalError(f"unknown operator {e.op!r}")
+    return _ARITH[e.op](a, _eval(e.right, point, d, order))
 
 
 def _const_value(e: Expr) -> Optional[complex]:
+    """The value of a constant subtree in Python complex arithmetic, else None."""
     if isinstance(e, Num):
         return e.val
     if isinstance(e, Un) and e.op == "neg":
@@ -309,14 +289,5 @@ def _const_value(e: Expr) -> Optional[complex]:
         a, b = _const_value(e.left), _const_value(e.right)
         if a is None or b is None:
             return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        if e.op == "^":
-            return a ** b
+        return a ** b if e.op == "^" else _ARITH[e.op](a, b)
     return None

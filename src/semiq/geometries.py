@@ -120,12 +120,6 @@ def _cpn_base(n: int, pt: tuple, order: int = 3):
     return x, xs, t2
 
 
-@per_frame
-def _cpn_frame_base(f: PointFrame):
-    """``_cpn_base`` at the frame's point and order, built once per frame."""
-    return _cpn_base(f.dim // 2, f.point, f.order)
-
-
 # the closed forms below take the base (x, x_shift, t^2) of _cpn_base
 
 def _cpn_g(x, xs, t2):
@@ -163,8 +157,8 @@ def make_cpn(n: int) -> GeometryData:
     d = 2 * n
 
     def provider(formula):
-        # the frame at (point, order) holds the one base its providers share
-        return lambda p, k: formula(*_cpn_frame_base(G.at_order(k).frame(p)))
+        # the complex frame at (point, order) holds the one base its providers share
+        return lambda p, k: formula(*_cpn_point(G.at_order(k).frame(p)).base)
 
     G = GeometryData(
         d,
@@ -208,7 +202,7 @@ class CPnPoint:
         self.G, self.pt, self.order = f.G, f.point, f.order
         self.n, self.d = f.dim // 2, f.dim
         self.cm = _cobasis(self.n)
-        self.base = _cpn_frame_base(f)      # the frame's (x, x_shift, t^2)
+        self.base = _cpn_base(self.n, self.pt, self.order)     # (x, x_shift, t^2)
 
     @cached_property
     def z(self) -> Jet:
@@ -321,31 +315,22 @@ def _q_factor(x: CPnPoint, inverse: bool = False) -> Field:
 
 # engines
 
-def _star_comm(left, right, q=None):
-    """a_i . b_j - b_j . a_i, or q . (a_i . b_j) - b_j . a_i."""
+def _comm(left, right, q=None):
+    """a_i . b_j - b_j . a_i, or q . (a_i . b_j) - b_j . a_i, for functions
+    a_i and functions or one-forms b_j."""
     def eng(x):
         A, B, qf = left(x), right(x), q(x) if q else None
+        form = isinstance(B[0], QTensor)
+
+        def prod(u, v):
+            return module_action(u, v) if form else star_product(u, v, x.G)
 
         def cell(i, j):
-            lhs = star_product(A[i], B[j], x.G)
+            lhs = prod(A[i], B[j])
             if qf:
-                lhs = star_product(qf, lhs, x.G)
-            return (lhs.at(x.pt) - star_product(B[j], A[i], x.G).at(x.pt)).values()
-        return _grid(x, 0, cell)
-    return eng
-
-
-def _form_comm(left, right, q=None):
-    """a_i . xi_j - xi_j . a_i, or q . (a_i . xi_j) - xi_j . a_i."""
-    def eng(x):
-        A, X, qf = left(x), right(x), q(x) if q else None
-
-        def cell(i, j):
-            lhs = module_action(A[i], X[j])
-            if qf:
-                lhs = module_action(qf, lhs)
-            return (lhs.at(x.pt) - module_action(X[j], A[i]).at(x.pt)).values()
-        return _grid(x, 1, cell)
+                lhs = prod(qf, lhs)
+            return (lhs.at(x.pt) - prod(B[j], A[i]).at(x.pt)).values()
+        return _grid(x, int(form), cell)
     return eng
 
 
@@ -499,23 +484,23 @@ def _exp_nablaq_dz(sgn: int):
 
 # closed-form checks on the projective-space chart: name -> (engine, expected)
 CATALOGUE = {
-    "z-z-comm": (_star_comm(_zs, _zs), _zero(0)),
-    "z-zbar-comm": (_star_comm(_zs, _zbars), _exp_z_zbar),
-    "z-dz-comm": (_form_comm(_zs, _dzs), _zero(1)),
-    "zbar-dzbar-comm": (_form_comm(_zbars, _dzbars), _zero(1)),
-    "z-dzbar-comm": (_form_comm(_zs, _dzbars), _lam_cells(1, _exp_z_dzbar)),
-    "zbar-dz-comm": (_form_comm(_zbars, _dzs), _lam_cells(1, _exp_zbar_dz)),
+    "z-z-comm": (_comm(_zs, _zs), _zero(0)),
+    "z-zbar-comm": (_comm(_zs, _zbars), _exp_z_zbar),
+    "z-dz-comm": (_comm(_zs, _dzs), _zero(1)),
+    "zbar-dzbar-comm": (_comm(_zbars, _dzbars), _zero(1)),
+    "z-dzbar-comm": (_comm(_zs, _dzbars), _lam_cells(1, _exp_z_dzbar)),
+    "zbar-dz-comm": (_comm(_zbars, _dzs), _lam_cells(1, _exp_zbar_dz)),
     "dz-dz-wedge": (_eng_dz_dz_wedge, _zero(2)),
     "dz-dzbar-anticomm": (_anticomm(False), _lam_cells(2, _exp_dz_dzbar_anticomm)),
-    "q-comm-scalar": (_star_comm(_zbars, _zs, _q_factor), _exp_q_comm_scalar),
-    "q-comm-form": (_form_comm(_zbars, _dzs, _q_factor), _lam_cells(1, _exp_q_comm_form)),
-    "qinv-comm-form": (_form_comm(_zs, _dzbars, partial(_q_factor, inverse=True)),
+    "q-comm-scalar": (_comm(_zbars, _zs, _q_factor), _exp_q_comm_scalar),
+    "q-comm-form": (_comm(_zbars, _dzs, _q_factor), _lam_cells(1, _exp_q_comm_form)),
+    "qinv-comm-form": (_comm(_zs, _dzbars, partial(_q_factor, inverse=True)),
                        _lam_cells(1, _exp_qinv_comm_form)),
     "qinv-wedge-anticomm": (_anticomm(True), _lam_cells(2, _exp_qinv_wedge_anticomm)),
-    "w-w-comm": (_star_comm(_ws, _ws), _zero(0)),
-    "w-wbar-comm": (_star_comm(_ws, _wbars), _exp_w_wbar),
-    "w-dwbar-comm": (_form_comm(_ws, _dwbars), _lam_cells(1, _exp_w_dwbar)),
-    "w-dw-comm": (_form_comm(_ws, _dws), _lam_cells(1, _exp_w_dw)),
+    "w-w-comm": (_comm(_ws, _ws), _zero(0)),
+    "w-wbar-comm": (_comm(_ws, _wbars), _exp_w_wbar),
+    "w-dwbar-comm": (_comm(_ws, _dwbars), _lam_cells(1, _exp_w_dwbar)),
+    "w-dw-comm": (_comm(_ws, _dws), _lam_cells(1, _exp_w_dw)),
     "g1": (lambda x: g1_build(x.G).at(x.pt).values(), _exp_g1),
     "nablaQ-dz+": (_nablaq_dz(+1), _exp_nablaq_dz(+1)),
     "nablaQ-dz-": (_nablaq_dz(-1), _exp_nablaq_dz(-1)),

@@ -404,6 +404,9 @@ def geometry_from_config(cfg: dict) -> GeometryData:
                          "a finite number > 0")
     seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int) and v >= 0,
                           "an integer >= 0")
+    name = cfg.get("name", "config")
+    if not isinstance(name, str):
+        raise ConfigError(f"config entry 'name' must be a string, got {name!r}")
     try:
         g = component_jets(dim, 2, cfg["metric"])
         om = component_jets(dim, 2, cfg["poisson"])
@@ -425,5 +428,4 @@ def geometry_from_config(cfg: dict) -> GeometryData:
                 raise ConfigError(f"config entry {key!r} must be {what}: its "
                                   f"transpose differs by {gap:.3g} at ({at})")
     return GeometryData(dim, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
-                        name=str(cfg.get("name", "config")), box=float(box), tol=1e-6,
-                        default_seed=seed)
+                        name=name, box=float(box), tol=1e-6, default_seed=seed)

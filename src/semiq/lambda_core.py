@@ -123,17 +123,12 @@ class Jet:
     # -- products ----------------------------------------------------------
 
     def __mul__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if self.shape == () and other.shape == ():
-                return jet_einsum(",->", self, other)
-            if self.shape == ():
-                sub = _subscript(other.shape)
-                return jet_einsum(f",{sub}->{sub}", self, other)
-            if other.shape == ():
-                sub = _subscript(self.shape)
-                return jet_einsum(f"{sub},->{sub}", self, other)
+        if not isinstance(other, Jet):
+            return self.scale(complex(other))
+        if self.shape and other.shape:
             raise ValueError("ambiguous jet product for two tensor-shaped jets")
-        return self.scale(complex(other))
+        sa, sb = _subscript(self.shape), _subscript(other.shape)
+        return jet_einsum(f"{sa},{sb}->{sa or sb}", self, other)
 
     def __rmul__(self, other) -> "Jet":
         return self.scale(complex(other))

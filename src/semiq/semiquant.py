@@ -411,6 +411,7 @@ def sigma_Q(a: Field, xi: QTensor) -> QTensor:
 
 # -- quantum metrics ---------------------------------------------------------------
 
+@per_frame
 def _gq_coeff(f: PointFrame) -> LJet:
     """Normal-form coefficients of the functorial quantum metric.
 

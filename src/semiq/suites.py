@@ -50,9 +50,6 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue", "evolution")
-
-
 def random_poly_field(d: int, rng, order: int = 3) -> Field:
     """Random complex polynomial of four monomials, each of degree at most 2,
     in the coordinates of a d-dimensional chart, as jets of ``order``."""
@@ -217,6 +214,7 @@ _SUITE_FNS: dict = {
     "cpn-catalogue": _suite_catalogue,
     "evolution": _suite_evolution,
 }
+SUITES = tuple(_SUITE_FNS)
 
 # the highest derivative order each suite reads; its jets are built to it
 SUITE_ORDERS: dict = {

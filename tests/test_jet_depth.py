@@ -4,8 +4,9 @@ that reproduces its full-depth output.
 Level k of every jet operation reads only levels <= k of its operands, so
 an operation on jets truncated to order k equals the full-order result
 truncated to k, bit for bit. The suites and commands build their jets to
-the order they read (``suites.SUITE_ORDERS``, ``cli.EVAL_ORDERS``); the
-order-table tests pin those numbers from both sides.
+the order they read (``suites.SUITE_ORDERS``, the first two entries of each
+``cli.EVAL_OPS`` op, ``cli.EVOLVE_ORDERS``); the order-table tests pin those
+numbers from both sides.
 """
 
 import json
@@ -192,21 +193,29 @@ def command(op, geometry):
     return ["eval", op, *geo, *EVAL_ARGS[op]]
 
 
-@pytest.mark.parametrize("op", sorted(cli.EVAL_ORDERS))
+def set_orders(monkeypatch, op, orders):
+    """Build op's frame and fields to orders = (frame order, field order)."""
+    if op == "evolve":
+        monkeypatch.setattr(cli, "EVOLVE_ORDERS", orders)
+    else:
+        monkeypatch.setitem(cli.EVAL_OPS, op, orders + cli.EVAL_OPS[op][2:])
+
+
+@pytest.mark.parametrize("op", sorted([*cli.EVAL_OPS, "evolve"]))
 def test_command_order_is_sufficient_and_tight(op, monkeypatch, capsys):
     # (frame order, field order): each is checked on its own with the other
     # at full depth, then both together
-    frame, field = cli.EVAL_ORDERS[op]
+    frame, field = cli.EVOLVE_ORDERS if op == "evolve" else cli.EVAL_OPS[op][:2]
     for geometry in ("cpn", "flat"):
         argv = command(op, geometry)
 
         def output(orders):
-            monkeypatch.setitem(cli.EVAL_ORDERS, op, orders)
+            set_orders(monkeypatch, op, orders)
             assert main(argv) == 0
             return capsys.readouterr().out
 
         def starves(orders):
-            monkeypatch.setitem(cli.EVAL_ORDERS, op, orders)
+            set_orders(monkeypatch, op, orders)
             args = make_parser().parse_args(argv)
             with pytest.raises(JetDomainError):
                 args.fn(args)

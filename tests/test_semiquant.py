@@ -11,7 +11,8 @@ from semiq.semiquant import (QTensor, classical_metric, g1_build, g_q_build,
                              module_action, nabla_Q, otimes1,
                              q_map, qlc_residual, sigma_Q,
                              sigma_basis, star_product, wedge1, wedge1_map)
-from semiq.suites import random_oneform, random_poly_field
+from semiq.suites import random_oneform, random_poly_field, run_suite
+from semiq import semiquant
 
 
 def loop_torsion_cov(f):
@@ -428,6 +429,24 @@ class TestQuantumMetric:
                 w1 = wedge1_map(g1).at(pt)
                 assert maxabs(w1.c.val) < 1e-13
                 assert maxabs(w1.lam().val) < 1e-9
+
+
+    def test_coefficients_built_once_per_frame(self, monkeypatch):
+        # the metric suite's g_Q and the one inside its g1, and the
+        # catalogue's g1 at the same points, share one build per frame
+        built, einsum = [], semiquant.jet_einsum
+
+        def counted(spec, a, b):
+            if spec == "pm,piq->miq":       # the first contraction of _gq_coeff
+                built.append(spec)
+            return einsum(spec, a, b)
+
+        monkeypatch.setattr(semiquant, "jet_einsum", counted)
+        G = make_cpn(2)
+        run_suite("metric", G, points=3, seed=1)
+        assert len(built) == 3
+        run_suite("cpn-catalogue", G, points=3, seed=1)
+        assert len(built) == 3
 
 
 class TestGenRicci:

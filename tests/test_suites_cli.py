@@ -98,6 +98,31 @@ class TestCli:
         assert data[0]["geometry"] == "flat(n=1)"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("target", ["existing", "slash"])
+    def test_report_path_naming_a_directory_exits_2(self, target, tmp_path, capsys):
+        (tmp_path / "existing").mkdir()
+        report = str(tmp_path / target) + ("/" if target == "slash" else "")
+        assert main(["check", "flat", "--points", "1", "--suite", "qlc",
+                     "--report", report]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "directory" in out.err
+        # nothing written: no report, no temporary file, no directory made
+        assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
+
+    def test_report_write_failure_exits_2_and_removes_temporary(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        report = tmp_path / "r.json"
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr("os.replace", refuse)
+        assert main(["check", "flat", "--points", "1", "--suite", "qlc",
+                     "--report", str(report)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "Permission denied" in out.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval_star(self, capsys):
         assert main(["eval", "star", "--geometry", "cpn", "--n", "1",
                      "--a", "z1", "--b", "conj(z1)", "--at", "0.3,0.1"]) == 0
@@ -245,13 +270,16 @@ class TestConfigNumbers:
 
 class TestConfigShape:
     """A metric that is not symmetric, a Poisson matrix that is not
-    antisymmetric, or a dimension too large for its jets exits 2."""
+    antisymmetric, a dimension too large for its jets, or a name that is
+    not a string exits 2."""
 
     @pytest.mark.parametrize("key, value", [
         ("metric", [["1", "x1"], ["0", "1"]]),
         ("poisson", [["1", "1"], ["1", "0"]]),
         ("poisson", [["0", "1"], ["1", "0"]]),
-        ("dim", 10)], ids=["metric-asym", "poisson-diagonal", "poisson-sym", "dim-10"])
+        ("dim", 10),
+        ("name", ["a", 1])], ids=["metric-asym", "poisson-diagonal", "poisson-sym", "dim-10",
+                                  "name-list"])
     def test_exits_2(self, key, value, tmp_path, capsys):
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(dict(FLAT_CONFIG, **{key: value})))
