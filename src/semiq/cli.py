@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, SemiqError
 from .geometry import Field, GeometryData, check_jet_bytes, geometry_from_config
 from .geometries import make_cpn, make_flat, make_flat_torsion
-from .suites import SUITES, emit_report, run_suite
+from .suites import SUITES, emit_report, finite, run_suite
 from . import semiquant as sq
 
 
@@ -31,13 +31,12 @@ def build_geometry(name: str, n: int | None = None) -> GeometryData:
         return make_cpn(1 if n is None else n)
     if name == "flat-torsion":
         G = make_flat_torsion()
-    elif name.endswith(".json") or name.startswith("config:"):
-        path = name[7:] if name.startswith("config:") else name
+    elif name.endswith(".json"):
         try:
-            with open(path) as fh:
+            with open(name) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read geometry config {path!r}: {exc}")
+            raise ConfigError(f"cannot read geometry config {name!r}: {exc}")
         G = geometry_from_config(cfg)
     else:
         raise ConfigError(
@@ -134,7 +133,7 @@ def cmd_eval(args) -> int:
     pt = _parse_point(args.at, G.dim)
     a = Field.from_expr(G.dim, args.a, field_order)
     b = Field.from_expr(G.dim, args.b, field_order)    # parsed for every op; nablaQ reads none
-    c, l = value(G, a, b, pt).values()
+    c, l = finite(f"eval {args.op} at {pt}", *value(G, a, b, pt).values())
     if heading is None:
         c, l = complex(c), complex(l)
     else:
@@ -159,11 +158,11 @@ def cmd_evolve(args) -> int:
     # every point is evaluated before anything is printed
     lines = []
     for pt in points:
-        lines += [f"at {pt}:",
-                  f"  adot = {complex(adot.at(pt).c.value)}",
-                  f"  (da)dot - d(adot) components = "
-                  f"{np.array_str(defect.at(pt).c.val, precision=12)}",
-                  f"  two-route residual = {ev.defect_two_route_residual(a, H, G, pt):.3e}"]
+        rate, dfc, res = finite(f"evolve at {pt}", complex(adot.at(pt).c.value),
+                                defect.at(pt).c.val, ev.defect_two_route_residual(a, H, G, pt))
+        lines += [f"at {pt}:", f"  adot = {rate}",
+                  f"  (da)dot - d(adot) components = {np.array_str(dfc, precision=12)}",
+                  f"  two-route residual = {res:.3e}"]
     print("\n".join(lines))
     return 0
 
@@ -232,7 +231,8 @@ def _attach_points(argv) -> list:
 def main(argv=None) -> int:
     args = make_parser().parse_args(_attach_points(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):     # a non-finite result is refused instead
+            return args.fn(args)
     except SemiqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

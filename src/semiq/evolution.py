@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Field, GeometryData, cov_deriv_jet, poisson_bracket
+from .geometry import Field, GeometryData, cov_deriv_jet
 from .lambda_core import Jet, LJet, jet_einsum
 
 
@@ -27,8 +27,14 @@ def ham_vf(H: Field, G: GeometryData) -> Field:
 
 
 def evolve_scalar(a: Field, H: Field, G: GeometryData) -> Field:
-    """adot = {a, H}."""
-    return poisson_bracket(a, H, G)
+    """adot = {a, H} = om^{ij} a_,i H_,j: the Poisson bracket of the
+    classical slots."""
+
+    def fn(pt):
+        da, dh = a.at(pt).c.grad(), H.at(pt).c.grad()
+        return LJet(jet_einsum("i,i->", jet_einsum("ij,j->i", G.frame(pt).om, dh), da))
+
+    return Field(fn)
 
 
 def evolve_oneform(xi: Field, H: Field, G: GeometryData) -> Field:

@@ -67,10 +67,10 @@ def make_flat(n: int) -> GeometryData:
     om0 = _shift_matrix(n)              # the canonical Poisson bivector
     return GeometryData(
         d,
-        g_fn=lambda p, k: Jet.const(d, eye, k),
-        ginv_fn=lambda p, k: Jet.const(d, eye, k),
-        omega_fn=lambda p, k: Jet.const(d, om0, k),
-        gamma_fn=lambda p, k: Jet.zeros(d, (d, d, d), k),
+        g_fn=lambda f: Jet.const(d, eye, f.order),
+        ginv_fn=lambda f: Jet.const(d, eye, f.order),
+        omega_fn=lambda f: Jet.const(d, om0, f.order),
+        gamma_fn=lambda f: Jet.zeros(d, (d, d, d), f.order),
         levi_civita=True,
         name=f"flat(n={n})",
         parallel_cobasis=True,
@@ -88,8 +88,8 @@ def make_flat_torsion() -> GeometryData:
     """
     eye, om0 = np.eye(2), _shift_matrix(1)
 
-    def gamma_fn(pt, order):
-        x2 = Jet.coordinate(2, pt, 1, order)
+    def gamma_fn(f):
+        x2 = Jet.coordinate(2, f.point, 1, f.order)
         basis = np.zeros((2, 2, 2))
         basis[0, 0, 1] = 1.0
         basis2 = np.zeros((2, 2, 2))
@@ -98,9 +98,9 @@ def make_flat_torsion() -> GeometryData:
 
     return GeometryData(
         2,
-        g_fn=lambda p, k: Jet.const(2, eye, k),
-        ginv_fn=lambda p, k: Jet.const(2, eye, k),
-        omega_fn=lambda p, k: Jet.const(2, om0, k),
+        g_fn=lambda f: Jet.const(2, eye, f.order),
+        ginv_fn=lambda f: Jet.const(2, eye, f.order),
+        omega_fn=lambda f: Jet.const(2, om0, f.order),
         gamma_fn=gamma_fn,
         levi_civita=False,
         name="flat-torsion",
@@ -154,14 +154,13 @@ def make_cpn(n: int) -> GeometryData:
     """CP^n with the Fubini-Study data on the standard affine chart."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    d = 2 * n
 
     def provider(formula):
-        # the complex frame at (point, order) holds the one base its providers share
-        return lambda p, k: formula(*_cpn_point(G.at_order(k).frame(p)).base)
+        # the frame's complex frame holds the one base its providers share
+        return lambda f: formula(*_cpn_point(f).base)
 
-    G = GeometryData(
-        d,
+    return GeometryData(
+        2 * n,
         g_fn=provider(_cpn_g),
         ginv_fn=provider(_cpn_ginv),
         omega_fn=provider(_cpn_omega_upper),
@@ -171,7 +170,6 @@ def make_cpn(n: int) -> GeometryData:
         box=0.75,
         suites=CPN_SUITES,
     )
-    return G
 
 
 # -- complex frame on CP^n --------------------------------------------------------

@@ -17,10 +17,10 @@ F(e_a, e_b, ...) = F[a, b, ...].
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -77,18 +77,18 @@ class Field:
         return cls(lambda p: LJet(fieldexpr.eval_jet(tree, p, dim, order)))
 
 
-def component_jets(dim: int, rank: int, comps) -> Callable[[tuple, int], Jet]:
-    """Jet provider (point, order) of a tensor given by component expressions."""
+def component_jets(dim: int, rank: int, comps) -> Callable[["PointFrame"], Jet]:
+    """Jet provider of a tensor given by component expressions."""
     arr = np.asarray(comps, dtype=object)
     shape = (dim,) * rank
     if arr.shape != shape:
         raise ConfigError(f"component array has shape {arr.shape}, expected {shape}")
     trees = [fieldexpr.parse(str(arr[idx]), dim) for idx in np.ndindex(shape)]
 
-    def fn(pt, order):
-        out = [fieldexpr.eval_jet(t, pt, dim, order) for t in trees]
+    def fn(f):
+        out = [fieldexpr.eval_jet(t, f.point, dim, f.order) for t in trees]
         levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (dim,) * k)
-                  for k in range(order + 1)]
+                  for k in range(f.order + 1)]
         return Jet(dim, levels)
 
     return fn
@@ -151,18 +151,19 @@ class GeometryData:
     """A chart x1..x{dim} with metric, Poisson bivector, connection and jet
     providers, sampled in the box [-box, box]^dim.
 
-    Providers take (point, order) and return jets of that order. ``order``
-    is the depth of every frame built through this geometry: the highest
-    derivative its caller reads. ``at_order`` gives a view at another depth
-    that shares the frame cache, keyed by (point, order).
+    Providers take a frame and return jets of its order at its point; a
+    frame reads each of them once. ``order`` is the depth of every frame
+    built through this geometry: the highest derivative its caller reads.
+    ``at_order`` gives a view at another depth that shares the frame cache,
+    keyed by (point, order).
     """
 
     dim: int
-    g_fn: Callable[[tuple, int], Jet]
-    ginv_fn: Optional[Callable[[tuple, int], Jet]]
-    omega_fn: Callable[[tuple, int], Jet]
-    gamma_fn: Optional[Callable[[tuple, int], Jet]] = None   # None: Levi-Civita of g
-    levi_civita: bool = True
+    g_fn: Callable[["PointFrame"], Jet]
+    ginv_fn: Callable[["PointFrame"], Jet]
+    omega_fn: Callable[["PointFrame"], Jet]
+    gamma_fn: Callable[["PointFrame"], Jet]
+    levi_civita: bool = True        # gamma_fn gives the Levi-Civita connection of g
     name: str = "geometry"          # a label for reports; nothing dispatches on it
     box: float = 1.5                # half-width of the sampling box
     tol: float = 1e-9               # default check tolerance
@@ -205,33 +206,21 @@ class PointFrame:
         self.order = geom.order
         self.built: dict = {}       # @per_frame results, keyed by builder
 
-    def _christoffel(self) -> Jet:
-        """Levi-Civita coefficients of g at the frame's order: the derivative
-        costs one order, so g and its inverse are asked one order deeper."""
-        k = min(self.order + 1, MAX_ORDER)
-        g = self.G.g_fn(self.point, k)
-        ginv = self.G.ginv_fn(self.point, k) if self.G.ginv_fn is not None else g.matinv()
-        return christoffel_jet(g, ginv)
-
     @cached_property
     def g(self) -> Jet:
-        return self.G.g_fn(self.point, self.order)
+        return self.G.g_fn(self)
 
     @cached_property
     def ginv(self) -> Jet:
-        if self.G.ginv_fn is not None:
-            return self.G.ginv_fn(self.point, self.order)
-        return self.g.matinv()
+        return self.G.ginv_fn(self)
 
     @cached_property
     def om(self) -> Jet:
-        return self.G.omega_fn(self.point, self.order)
+        return self.G.omega_fn(self)
 
     @cached_property
     def gam(self) -> Jet:
-        if self.G.gamma_fn is not None:
-            return self.G.gamma_fn(self.point, self.order)
-        return self._christoffel()
+        return self.G.gamma_fn(self)
 
     @cached_property
     def om_gam(self) -> Jet:
@@ -247,9 +236,7 @@ class PointFrame:
     @cached_property
     def gam_lc(self) -> Jet:
         """Levi-Civita coefficients of g (equals gam when torsion-free by build)."""
-        if self.G.levi_civita:
-            return self.gam
-        return self._christoffel()
+        return self.gam if self.G.levi_civita else levi_civita_gamma(self)
 
     @cached_property
     def torsion(self) -> Jet:
@@ -306,6 +293,13 @@ class PointFrame:
                       + jet_einsum("js,jabs->ab", gom, self.riemann_q))
 
 
+def levi_civita_gamma(f: PointFrame) -> Jet:
+    """Levi-Civita coefficients of g at the frame's order: the derivative
+    costs one order, so g and g^-1 are read from the frame one order deeper."""
+    deep = f.G.at_order(min(f.order + 1, MAX_ORDER)).frame(f.point)
+    return christoffel_jet(deep.g, deep.ginv)
+
+
 def per_frame(build: Callable[[PointFrame], object]) -> Callable[[PointFrame], object]:
     """``build(frame)``, computed once per frame and kept in ``frame.built``:
     the one cache of per-point quantities built outside ``PointFrame``."""
@@ -317,25 +311,6 @@ def per_frame(build: Callable[[PointFrame], object]) -> Callable[[PointFrame], o
         return f.built[build]
 
     return cached
-
-
-def poisson_bracket(a: Field, b: Field, G: GeometryData) -> Field:
-    """{a, b} = om^{ij} a_,i b_,j, extended bilinearly over the lam grading."""
-
-    def fn(pt):
-        av, bv = a.at(pt), b.at(pt)
-        om = G.frame(pt).om
-
-        def br(x: Jet, y: Jet) -> Jet:
-            return jet_einsum("i,i->", jet_einsum("ij,j->i", om, y.grad()), x.grad())
-
-        c = br(av.c, bv.c)
-        l = None
-        if av.l is not None or bv.l is not None:
-            l = br(av.c, bv.lam()) + br(av.lam(), bv.c)
-        return LJet(c, l)
-
-    return Field(fn)
 
 
 def compat_residuals(G: GeometryData) -> tuple[Field, Field, Field]:
@@ -385,7 +360,7 @@ def geometry_from_config(cfg: dict) -> GeometryData:
 
     Schema: {"dim": int >= 1, "metric": [[expr]], "poisson": [[expr]],
              "connection": "levi-civita" | [[[expr]]],
-             "box": finite float > 0, "seed": int >= 0, "name": str}
+             "box": float > 0 with 2*box finite, "seed": int >= 0, "name": str}
     Any other key is an error, so a misspelt one cannot silently fall
     back to a default.
     """
@@ -400,8 +375,8 @@ def geometry_from_config(cfg: dict) -> GeometryData:
     dim = _config_number(cfg, "dim", None, lambda v: isinstance(v, int) and v >= 1,
                          "an integer >= 1")
     check_jet_bytes(dim, f"config entry 'dim' = {dim}")
-    box = _config_number(cfg, "box", 1.5, lambda v: math.isfinite(v) and v > 0,
-                         "a finite number > 0")
+    box = _config_number(cfg, "box", 1.5, lambda v: 0 < v <= sys.float_info.max / 2,
+                         "a number > 0 whose double is finite")
     seed = _config_number(cfg, "seed", 0, lambda v: isinstance(v, int) and v >= 0,
                           "an integer >= 0")
     name = cfg.get("name", "config")
@@ -414,18 +389,21 @@ def geometry_from_config(cfg: dict) -> GeometryData:
         raise ConfigError(f"config needs a {exc.args[0]!r} entry")
     conn = cfg.get("connection", "levi-civita")
     levi_civita = conn == "levi-civita"
-    gamma_fn = None if levi_civita else component_jets(dim, 3, conn)
+    G = GeometryData(dim, g, lambda f: f.g.matinv(), om,
+                     levi_civita_gamma if levi_civita else component_jets(dim, 3, conn),
+                     levi_civita=levi_civita, name=name, box=float(box), tol=1e-6,
+                     default_seed=seed)
     # a metric must be symmetric and a bivector antisymmetric; compared by
     # value at three points of the box, so entries written differently agree
     probes = box * np.sin(np.outer(np.arange(1.0, 4.0), np.arange(1.0, dim + 1.0)))
-    for key, fn, sign, what in (("metric", g, 1, "symmetric"),
-                                ("poisson", om, -1, "antisymmetric")):
-        for pt in probes:
-            m = fn(tuple(pt), 0).val
+    frames = [PointFrame(G.at_order(0), tuple(pt)) for pt in probes]
+    for key, attr, sign, what in (("metric", "g", 1, "symmetric"),
+                                  ("poisson", "om", -1, "antisymmetric")):
+        for f in frames:
+            m = getattr(f, attr).val
             gap = float(np.max(np.abs(m - sign * m.T)))
             if not gap <= 1e-9 * max(1.0, float(np.max(np.abs(m)))):
-                at = ", ".join(f"{c:.6g}" for c in pt)
+                at = ", ".join(f"{c:.6g}" for c in f.point)
                 raise ConfigError(f"config entry {key!r} must be {what}: its "
                                   f"transpose differs by {gap:.3g} at ({at})")
-    return GeometryData(dim, g, None, om, gamma_fn=gamma_fn, levi_civita=levi_civita,
-                        name=name, box=float(box), tol=1e-6, default_seed=seed)
+    return G

@@ -500,9 +500,9 @@ def qlc_residual(G: GeometryData) -> Field:
     def fn(pt):
         f = G.frame(pt)
         drc = cov_deriv_jet(f.ricci2, f.gam_lc, 0, 2)      # [m,n,k]
-        S = f.contorsion
-        if np.max(np.abs(S.val)) < 1e-15:
+        if G.levi_civita:                                  # no contorsion
             return LJet(drc)
+        S = f.contorsion
         W = f.riemann_q + f.contorsion_cov.reorder("rkmi->rmki")
         SL = jet_einsum("rs,sjn->rjn", f.g, S)
         M = jet_einsum("ij,rjn->irn", f.om, SL)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EvalError
 from .geometry import Field, GeometryData, compat_residuals
 from .lambda_core import Jet, LJet, jet_einsum
 from . import semiquant as sq
@@ -83,11 +83,18 @@ def random_oneform(G: GeometryData, rng) -> sq.QTensor:
     return sq.QTensor.from_oneform(G, fn)
 
 
+def finite(what: str, *values) -> tuple:
+    """``values``, or an EvalError naming ``what`` if any entry is not finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise EvalError(f"{what} is out of floating-point range")
+    return values
+
+
 def _acc(worst: dict, name: str, c, l) -> None:
     """Fold the classical and first-order residuals c, l into check ``name``."""
     rec = worst.setdefault(name, [0.0, 0.0])
-    rec[0] = max(rec[0], float(np.max(np.abs(c))))
-    rec[1] = max(rec[1], float(np.max(np.abs(l))))
+    c, l = finite(f"the residual of check {name!r}", np.max(np.abs(c)), np.max(np.abs(l)))
+    rec[0], rec[1] = max(rec[0], float(c)), max(rec[1], float(l))
 
 
 # -- individual suites -----------------------------------------------------------

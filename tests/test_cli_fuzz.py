@@ -19,6 +19,9 @@ NON_FINITE = re.compile(r"(?i)\b(nan|inf)")
 
 # a one-dimensional chart, where every two-form vanishes
 LINE = {"dim": 1, "metric": [["1"]], "poisson": [["0"]]}
+# a flat plane sampled where products of coordinates overflow
+WIDE = {"dim": 2, "metric": [["1", "0"], ["0", "1"]], "poisson": [["0", "1"], ["-1", "0"]],
+        "box": 1e200}
 
 
 @st.composite
@@ -46,7 +49,7 @@ def configs(draw):
         entry = draw(expressions(dim))
         omega[i][i + 1], omega[i + 1][i] = entry, f"-({entry})"
     cfg = {"dim": dim, "metric": metric, "poisson": omega,
-           "box": draw(st.sampled_from([0.5, 1.0]))}
+           "box": draw(st.sampled_from([0.5, 1.0, 1e200]))}
     if draw(st.booleans()):
         cfg["connection"] = [[[draw(st.sampled_from(["0", "0", "x1", "0.5"]))
                                for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
@@ -69,7 +72,7 @@ def geometries(draw):
 @st.composite
 def invocations(draw):
     geo, dim, cfg = draw(geometries())
-    point = ",".join(str(draw(st.sampled_from([-0.7, -0.1, 0.0, 0.3, 0.6])))
+    point = ",".join(str(draw(st.sampled_from([-0.7, -0.1, 0.0, 0.3, 0.6, 1e154])))
                      for _ in range(dim))
     command = draw(st.sampled_from(["check", "eval", "evolve"]))
     if command == "check":
@@ -93,6 +96,9 @@ def invocations(draw):
 @example(case=(["check", "GEOMETRY_PATH", "--points", "1", "--suite", "dga"], LINE))
 @example(case=(["eval", "wedge", "--geometry", "GEOMETRY_PATH", "--a", "x1^2", "--b", "x1",
                 "--at", "0.1"], LINE))
+@example(case=(["check", "GEOMETRY_PATH", "--points", "2", "--suite", "dga"], WIDE))
+@example(case=(["eval", "star", "--geometry", "flat", "--n", "1", "--a", "x1^2", "--b", "x2^2",
+                "--at", "1e154,1e154"], None))
 def test_cli_exits_cleanly(case, tmp_path, capsys):
     argv, cfg = case
     if cfg is not None:

@@ -4,7 +4,7 @@ import pytest
 from conftest import canonical_hamiltonian, maxabs, sample
 from semiq.evolution import (defect_two_route_residual, evolution_defect, evolve_oneform,
                              evolve_scalar, ham_vf)
-from semiq.geometry import Field, poisson_bracket
+from semiq.geometry import Field
 from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.suites import random_poly_field
 
@@ -30,7 +30,7 @@ class TestHamVf:
         for _ in range(10):
             a = random_poly_field(cpn1.dim, rng)
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
-            adot = poisson_bracket(a, H, cpn1).at(pt).c.value
+            adot = evolve_scalar(a, H, cpn1).at(pt).c.value
             v = vf.at(pt).c.val
             da = a.at(pt).c.grad().val
             assert abs(adot - np.dot(v, da)) < 1e-10

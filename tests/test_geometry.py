@@ -1,3 +1,7 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,12 +9,15 @@ from conftest import maxabs, sample
 from oracles import cpn_riemann
 from semiq.errors import DegenerateMetricError
 from semiq import suites
-from semiq.geometry import (CACHE_ENTRIES, Field, GeometryData, christoffel_jet,
-                            compat_residuals, component_jets, cov_deriv_jet, poisson_bracket,
-                            torsion_jet)
+from semiq.evolution import evolve_scalar
+from semiq.geometry import (CACHE_ENTRIES, Field, GeometryData, PointFrame, christoffel_jet,
+                            compat_residuals, component_jets, cov_deriv_jet,
+                            geometry_from_config, torsion_jet)
 from semiq.geometries import _cpn_base, _cpn_gamma, make_cpn
 from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.semiquant import QTensor
+
+EXP_PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "exp_plane.json"
 
 
 def synthetic_torsion_geometry(entries):
@@ -18,7 +25,8 @@ def synthetic_torsion_geometry(entries):
     eye = np.eye(2)
     om0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def gamma_fn(pt, order):
+    def gamma_fn(f):
+        pt, order = f.point, f.order
         total = Jet.zeros(2, (2, 2, 2), order)
         for (i, j, k, axis) in entries:
             basis = np.zeros((2, 2, 2))
@@ -27,9 +35,9 @@ def synthetic_torsion_geometry(entries):
             total = total + jet_einsum(",ijk->ijk", coef, basis)
         return total
 
-    return GeometryData(2, lambda p, k: Jet.const(2, eye, k),
-                        lambda p, k: Jet.const(2, eye, k),
-                        lambda p, k: Jet.const(2, om0, k),
+    return GeometryData(2, lambda f: Jet.const(2, eye, f.order),
+                        lambda f: Jet.const(2, eye, f.order),
+                        lambda f: Jet.const(2, om0, f.order),
                         gamma_fn=gamma_fn, levi_civita=False, name="synthetic", box=1.5)
 
 
@@ -42,8 +50,8 @@ class TestChristoffel:
         # g = exp(2 x1) * identity in two dimensions, evaluated at x1 = 0
         g = component_jets(2, 2, [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
         ginv = component_jets(2, 2, [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
-        pt = (0.0, 0.7)
-        gam = christoffel_jet(g(pt, 3), ginv(pt, 3)).val
+        f = PointFrame(make_cpn(1), (0.0, 0.7))     # a frame of order 3 at the point
+        gam = christoffel_jet(g(f), ginv(f)).val
         assert gam[0, 0, 0] == pytest.approx(1.0)
         assert gam[0, 1, 1] == pytest.approx(-1.0)
         assert gam[1, 0, 1] == pytest.approx(1.0)
@@ -65,7 +73,7 @@ class TestChristoffel:
     def test_degenerate_metric_error(self):
         g = component_jets(2, 2, [["x1", "0"], ["0", "1"]])
         with pytest.raises(DegenerateMetricError):
-            g((0.0, 0.5), 3).matinv()
+            g(PointFrame(make_cpn(1), (0.0, 0.5))).matinv()
 
 
 class TestCurvature:
@@ -160,12 +168,12 @@ class TestPoissonBracket:
     def test_canonical_pair(self, flat2):
         q1 = Field.from_expr(flat2.dim, "x1")
         p1 = Field.from_expr(flat2.dim, "x3")
-        br = poisson_bracket(q1, p1, flat2)
+        br = evolve_scalar(q1, p1, flat2)
         assert br.at((0.1, 0.2, 0.3, 0.4)).c.value == pytest.approx(1.0)
 
     def test_antisymmetry(self, cpn1):
         a = Field.from_expr(cpn1.dim, "x1^2*x2")
-        br = poisson_bracket(a, a, cpn1)
+        br = evolve_scalar(a, a, cpn1)
         assert abs(br.at((0.4, -0.3)).c.value) < 1e-15
 
     def test_cp1_z_zbar_bracket(self, cpn1):
@@ -174,7 +182,7 @@ class TestPoissonBracket:
         z = Field.from_expr(cpn1.dim, "z1")
         zb = Field.from_expr(cpn1.dim, "conj(z1)")
         pt = (0.3, 0.1)
-        br = poisson_bracket(z, zb, cpn1).at(pt).c.value
+        br = evolve_scalar(z, zb, cpn1).at(pt).c.value
         zz = 0.3 ** 2 + 0.1 ** 2
         assert br == pytest.approx(1j * (1 + zz) ** 2)
 
@@ -187,11 +195,11 @@ class TestPoissonBracket:
             c = random_poly_field(cpn1.dim, rng)
             bc = Field(lambda p: LJet(b.at(p).c * c.at(p).c))
             pt = tuple(rng.uniform(-0.7, 0.7, size=2))
-            lhs = poisson_bracket(a, bc, cpn1).at(pt).c.value
+            lhs = evolve_scalar(a, bc, cpn1).at(pt).c.value
             rhs = (complex(b.at(pt).c.value)
-                   * poisson_bracket(a, c, cpn1).at(pt).c.value
+                   * evolve_scalar(a, c, cpn1).at(pt).c.value
                    + complex(c.at(pt).c.value)
-                   * poisson_bracket(a, b, cpn1).at(pt).c.value)
+                   * evolve_scalar(a, b, cpn1).at(pt).c.value)
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -283,3 +291,23 @@ class TestFieldCache:
         assert maxabs((X + Y).at(pt).c.val - 3.0) == 0.0
         assert maxabs((X - Y).at(pt).c.val + 1.0) == 0.0
         assert calls == ["X", "Y"]
+
+
+class TestProviders:
+    """A frame reads each provider once, and every other frame that needs
+    the same quantity reads it from that frame."""
+
+    def test_config_metric_asked_once_per_point_and_order(self):
+        G = geometry_from_config(json.loads(EXP_PLANE.read_text()))
+        asked, g_fn = Counter(), G.g_fn
+
+        def counted(f):
+            asked[f.point, f.order] += 1
+            return g_fn(f)
+
+        G.g_fn = counted
+        suites.run_suite("classical-compat", G, points=3, seed=1)
+        suites.run_suite("metric", G, points=3, seed=1)
+        # the order-1 frames' Levi-Civita Gamma reads g from the order-2 frames
+        assert set(asked.values()) == {1}
+        assert sum(n for (pt, k), n in asked.items() if k == 2) == 3

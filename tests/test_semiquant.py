@@ -358,10 +358,10 @@ class TestQuantumTorsion:
         c = 0.8
         gam_arr = np.zeros((2, 2, 2))
         gam_arr[0, 0, 1] = c
-        G = GeometryData(2, lambda p, k: Jet.const(2, np.eye(2), k),
-                         lambda p, k: Jet.const(2, np.eye(2), k),
-                         lambda p, k: Jet.const(2, np.array([[0., 1.], [-1., 0.]]), k),
-                         gamma_fn=lambda p, k: Jet.const(2, gam_arr, k),
+        G = GeometryData(2, lambda f: Jet.const(2, np.eye(2), f.order),
+                         lambda f: Jet.const(2, np.eye(2), f.order),
+                         lambda f: Jet.const(2, np.array([[0., 1.], [-1., 0.]]), f.order),
+                         gamma_fn=lambda f: Jet.const(2, gam_arr, f.order),
                          levi_civita=False, name="const-torsion", box=1.0)
         xi = QTensor.constant_oneform(G, [1.0, 0.0])
         pt = (0.3, 0.2)
@@ -576,6 +576,12 @@ class TestQlcResidual:
             res = qlc_residual(G)
             for pt in sample(G, 20, 61):
                 assert maxabs(res.at(pt).c.val) < 1e-8
+
+    def test_levi_civita_geometry_builds_no_contorsion(self):
+        G = make_cpn(1).at_order(2)
+        pt = (0.3, -0.2)
+        qlc_residual(G).at(pt)
+        assert "contorsion" not in vars(G.frame(pt))
 
     def test_torsion_counterexample_vs_index_loop(self, torsion2):
         res = qlc_residual(torsion2)

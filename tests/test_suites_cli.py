@@ -9,6 +9,7 @@ from semiq.cli import build_geometry, main
 from semiq.errors import ConfigError
 from semiq.suites import emit_report, run_suite
 
+ROOT = Path(__file__).resolve().parent.parent
 
 FLAT_CONFIG = {
     "dim": 2,
@@ -85,9 +86,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "qlc-residual" in err
 
-    def test_unknown_geometry(self, capsys):
-        assert main(["check", "torus"]) == 2
-        assert "unknown geometry" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["torus", f"config:{ROOT}/perfbench/exp_plane.json"],
+                             ids=["torus", "config-prefix"])
+    def test_unknown_geometry(self, name, capsys):
+        assert main(["check", name, "--points", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err
 
     def test_report_file_and_env_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEMIQ_REPORT_DIR", str(tmp_path))
@@ -146,7 +150,6 @@ class TestCli:
         assert outs[0] == outs[1]
 
 
-ROOT = Path(__file__).resolve().parent.parent
 GENERIC = ["classical-compat", "dga", "metric", "evolution"]
 EXP_PLANE = str(ROOT / "perfbench" / "exp_plane.json")
 
@@ -251,6 +254,25 @@ class TestFloatingPointRange:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestNonFiniteResult:
+    """A residual or value that leaves the floating-point range is an error
+    naming the check or the command, never a pass or a printed nan or inf."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["check", "CONFIG", "--points", "2", "--suite", "dga"], "'star-associator'"),
+        (["eval", "star", "--geometry", "flat", "--a", "x1^2", "--b", "x2^2",
+          "--at", "1e154,1e154"], "eval star"),
+        (["evolve", "--geometry", "flat", "--H", "x2^2", "--a", "x1^2",
+          "--at", "1e154,1e154"], "evolve")], ids=["check", "eval", "evolve"])
+    def test_exits_2(self, argv, named, tmp_path):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(dict(FLAT_CONFIG, box=1e200)))
+        r = run_cli([str(path) if a == "CONFIG" else a for a in argv], cwd=tmp_path)
+        err = r.stderr.decode()
+        assert r.returncode == 2 and r.stdout == b""
+        assert err.startswith("error:") and named in err and "range" in err
+
+
 class TestConfigNumbers:
     """Malformed numeric config entries end in a ConfigError and exit 2."""
 
@@ -278,8 +300,9 @@ class TestConfigShape:
         ("poisson", [["1", "1"], ["1", "0"]]),
         ("poisson", [["0", "1"], ["1", "0"]]),
         ("dim", 10),
-        ("name", ["a", 1])], ids=["metric-asym", "poisson-diagonal", "poisson-sym", "dim-10",
-                                  "name-list"])
+        ("name", ["a", 1]),
+        ("box", 1e308)], ids=["metric-asym", "poisson-diagonal", "poisson-sym", "dim-10",
+                              "name-list", "box-1e308"])
     def test_exits_2(self, key, value, tmp_path, capsys):
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(dict(FLAT_CONFIG, **{key: value})))
