@@ -13,7 +13,7 @@ from semiq.evolution import evolve_scalar
 from semiq.geometry import (CACHE_ENTRIES, Field, GeometryData, PointFrame, christoffel_jet,
                             compat_residuals, component_jets, cov_deriv_jet,
                             geometry_from_config, torsion_jet)
-from semiq.geometries import _cpn_base, _cpn_gamma, make_cpn
+from semiq.geometries import _cpn_base, _cpn_gamma, make_cpn, make_flat
 from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.semiquant import QTensor
 
@@ -41,6 +41,11 @@ def synthetic_torsion_geometry(entries):
                         gamma_fn=gamma_fn, levi_civita=False, name="synthetic", box=1.5)
 
 
+def point_carrier(pt):
+    """A frame used only to hand `pt` and order 3 to `component_jets` providers."""
+    return PointFrame(make_flat(1), pt)
+
+
 class TestChristoffel:
     def test_euclidean_vanishes(self, flat2):
         f = flat2.frame((0.3, -0.2, 0.1, 0.9))
@@ -50,7 +55,7 @@ class TestChristoffel:
         # g = exp(2 x1) * identity in two dimensions, evaluated at x1 = 0
         g = component_jets(2, 2, [["exp(2*x1)", "0"], ["0", "exp(2*x1)"]])
         ginv = component_jets(2, 2, [["exp(-2*x1)", "0"], ["0", "exp(-2*x1)"]])
-        f = PointFrame(make_cpn(1), (0.0, 0.7))     # a frame of order 3 at the point
+        f = point_carrier((0.0, 0.7))
         gam = christoffel_jet(g(f), ginv(f)).val
         assert gam[0, 0, 0] == pytest.approx(1.0)
         assert gam[0, 1, 1] == pytest.approx(-1.0)
@@ -73,7 +78,7 @@ class TestChristoffel:
     def test_degenerate_metric_error(self):
         g = component_jets(2, 2, [["x1", "0"], ["0", "1"]])
         with pytest.raises(DegenerateMetricError):
-            g(PointFrame(make_cpn(1), (0.0, 0.5))).matinv()
+            g(point_carrier((0.0, 0.5))).matinv()
 
 
 class TestCurvature:
