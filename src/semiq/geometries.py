@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigError, UnknownCheckError
+from .errors import ConfigError, EvalError, UnknownCheckError
 from .geometry import Field, GeometryData, PointFrame, per_frame
 from .lambda_core import Jet, LJet, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
@@ -117,6 +117,8 @@ def _cpn_base(n: int, pt: tuple, order: int = 3):
     xs = jet_einsum("ab,b->a", _shift_matrix(n), x)          # x^{a+n}
     s = jet_einsum("a,a->", x, x)
     t2 = (Jet.const(d, 1.0, order) + s).reciprocal()
+    if t2.value == 0:                                         # |x|^2 overflowed
+        raise EvalError(f"CP^{n} at {pt} is out of floating-point range")
     return x, xs, t2
 
 
@@ -251,30 +253,27 @@ def cpn_at(G: GeometryData, pt) -> CPnPoint:
 # Each check pairs an engine and an expected callable. Both take the complex
 # frame at the point and return (classical, first-order) value arrays of
 # identical shape, so suites can report both residual slots per check.
-# Most checks are an n x n grid of cells indexed by the complex frame.
-
-def _grid(x: CPnPoint, rank: int, cell, dims: int = 2):
-    """Stack cell(i, j) = (classical, first-order) over the n x n grid, or
-    cell(i) over i alone when dims=1; each cell has shape (dim,)*rank."""
-    shape = (x.n,) * dims + (x.d,) * rank
-    c = np.zeros(shape, dtype=np.complex128)
-    l = np.zeros(shape, dtype=np.complex128)
-    for idx in np.ndindex((x.n,) * dims):
-        c[idx], l[idx] = cell(*idx)
-    return c, l
-
+# Most checks are an n x n grid [i, j, ...] indexed by the complex frame;
+# an engine evaluates the whole grid at once over families of fields.
 
 def _lam_cells(rank: int, cell):
-    """Expected grid with a vanishing classical slot; cell(x, i, j) gives
-    the first-order slot."""
-    return lambda x: _grid(x, rank, lambda i, j: (0, cell(x, i, j)))
+    """Expected [i, j] grid with a vanishing classical slot; cell(x, i, j)
+    gives the first-order slot of shape (dim,)*rank."""
+    def exp(x):
+        shape = (x.n, x.n) + (x.d,) * rank
+        l = np.zeros(shape, dtype=np.complex128)
+        for i, j in np.ndindex(x.n, x.n):
+            l[i, j] = cell(x, i, j)
+        return np.zeros(shape, dtype=np.complex128), l
+    return exp
 
 
 def _zero(rank: int):
     return _lam_cells(rank, lambda x, i, j: 0)
 
 
-# families of functions and one-forms indexed by the complex frame
+# families of functions and one-forms indexed by the complex frame: one field
+# each, its leading axis i the frame index
 
 def _read(x: CPnPoint, jet, conj: bool = False):
     """Provider p -> jet(complex frame at p), conjugated if asked."""
@@ -284,21 +283,20 @@ def _read(x: CPnPoint, jet, conj: bool = False):
     return fn
 
 
-def _zs(x: CPnPoint, conj: bool = False) -> list:
-    return [Field(_read(x, lambda c, i=i: c.z.take_index(i), conj)) for i in range(x.n)]
+def _zs(x: CPnPoint, conj: bool = False) -> Field:
+    return Field(_read(x, lambda c: c.z, conj))
 
 
-def _ws(x: CPnPoint, conj: bool = False) -> list:
-    return [Field(_read(x, lambda c, i=i: c.w.take_index(i), conj)) for i in range(x.n)]
+def _ws(x: CPnPoint, conj: bool = False) -> Field:
+    return Field(_read(x, lambda c: c.w, conj))
 
 
-def _dzs(x: CPnPoint, conj: bool = False) -> list:
-    return [QTensor.constant_oneform(x.G, np.conjugate(v) if conj else v) for v in x.cm]
+def _dzs(x: CPnPoint, conj: bool = False) -> QTensor:
+    return QTensor.constant_oneform(x.G, np.conjugate(x.cm) if conj else x.cm)
 
 
-def _dws(x: CPnPoint, conj: bool = False) -> list:
-    return [QTensor.from_oneform(x.G, _read(x, lambda c, i=i: c.w.grad().take_index(i), conj))
-            for i in range(x.n)]
+def _dws(x: CPnPoint, conj: bool = False) -> QTensor:
+    return QTensor.from_oneform(x.G, _read(x, lambda c: c.w.grad(), conj))
 
 
 _zbars, _wbars, _dzbars, _dwbars = (partial(f, conj=True) for f in (_zs, _ws, _dzs, _dws))
@@ -313,54 +311,55 @@ def _q_factor(x: CPnPoint, inverse: bool = False) -> Field:
 
 # engines
 
+def _swapped(v: LJet) -> LJet:
+    """A family product b_j . a_i, computed as [j, i, ...], as [i, j, ...]."""
+    return LJet(v.c.reorder("ji->ij"), v.lam().reorder("ji->ij"))
+
+
 def _comm(left, right, q=None):
-    """a_i . b_j - b_j . a_i, or q . (a_i . b_j) - b_j . a_i, for functions
-    a_i and functions or one-forms b_j."""
+    """a_i . b_j - b_j . a_i, or q . (a_i . b_j) - b_j . a_i, for a family
+    a of functions and a family b of functions or one-forms."""
     def eng(x):
-        A, B, qf = left(x), right(x), q(x) if q else None
-        form = isinstance(B[0], QTensor)
+        A, B = left(x), right(x)
 
         def prod(u, v):
-            return module_action(u, v) if form else star_product(u, v, x.G)
+            return module_action(u, v) if isinstance(B, QTensor) else star_product(u, v, x.G)
 
-        def cell(i, j):
-            lhs = prod(A[i], B[j])
-            if qf:
-                lhs = prod(qf, lhs)
-            return (lhs.at(x.pt) - prod(B[j], A[i]).at(x.pt)).values()
-        return _grid(x, int(form), cell)
+        lhs = prod(A, B)
+        if q:
+            lhs = prod(q(x), lhs)
+        return (lhs.at(x.pt) - _swapped(prod(B, A).at(x.pt))).values()
     return eng
 
 
 def _eng_dz_dz_wedge(x):
-    dz = _dzs(x)
+    dz, cm = _dzs(x), x.cm
+    v = wedge1(dz, dz).at(x.pt)
+    classical = np.einsum("ia,jb->ijab", cm, cm) - np.einsum("ja,ib->ijab", cm, cm)
+    return v.c.val - classical, v.lam().val
 
-    def cell(i, j):
-        v = wedge1(dz[i], dz[j]).at(x.pt)
-        return v.c.val - _wedge_of(x.cm[i], x.cm[j]), v.lam().val
-    return _grid(x, 2, cell)
+
+@per_frame
+def _dz_dzbar_wedges(f: PointFrame) -> tuple:
+    """dz^i ^ dzbar^j and dzbar^j ^ dz^i, each as [i, j, a, b]: built once
+    per frame for both wedge anticommutators."""
+    x = _cpn_point(f)
+    dz, dzb = _dzs(x), _dzbars(x)
+    return wedge1(dz, dzb).at(x.pt), _swapped(wedge1(dzb, dz).at(x.pt))
 
 
 def _anticomm(qinv: bool):
     """dz^i ^ dzbar^j + dzbar^j ^ dz^i, the first term times q^-1 if qinv."""
     def eng(x):
-        dz, dzb = _dzs(x), _dzbars(x)
-
-        def cell(i, j):
-            w1 = wedge1(dz[i], dzb[j]).at(x.pt)
-            w2 = wedge1(dzb[j], dz[i]).at(x.pt)
-            if qinv:    # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
-                w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2.value))
-            return (w1 + w2).values()
-        return _grid(x, 2, cell)
+        w1, w2 = _dz_dzbar_wedges(x.G.frame(x.pt))
+        if qinv:    # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
+            w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2.value))
+        return (w1 + w2).values()
     return eng
 
 
 def _nablaq_dz(sgn: int):
-    def eng(x):
-        dz = _dzs(x, conj=sgn < 0)
-        return _grid(x, 2, lambda i: nabla_Q(dz[i]).at(x.pt).values(), dims=1)
-    return eng
+    return lambda x: nabla_Q(_dzs(x, conj=sgn < 0)).at(x.pt).values()
 
 
 # expected values, from the complex frame's values at the point
@@ -460,9 +459,8 @@ def _exp_g1(x):
         return QTensor.from_oneform(x.G, _read(
             x, lambda c: jet_einsum("j,ja->a", c.g_hermitian.take_index(i), cmb)))
 
-    dz, dzb = _dzs(x), _dzbars(x)
-    terms = ([otimes1(column(j), dzb[j]) for j in range(x.n)]
-             + [otimes1(row(i), dz[i]) for i in range(x.n)])
+    terms = ([otimes1(column(j), QTensor.constant_oneform(x.G, cmb[j])) for j in range(x.n)]
+             + [otimes1(row(i), QTensor.constant_oneform(x.G, x.cm[i])) for i in range(x.n)])
     v = sum(terms[1:], terms[0]).at(x.pt)
     gam = x.gamma.val
     return v.c.val, v.lam().val + 0.5 * (x.n + 1) * 1j * (gam - np.conjugate(gam))
@@ -472,11 +470,9 @@ def _exp_nablaq_dz(sgn: int):
     def exp(x):
         tau = QTensor.from_oneform(x.G, _read(x, lambda c: c.tau, conj=sgn < 0))
         dz = _dzs(x, conj=sgn < 0)
-        def cell(i):
-            # the factor (1 + sgn i lam), as lam-slot arithmetic on the pair
-            v = (otimes1(tau, dz[i]) + otimes1(dz[i], tau)).at(x.pt)
-            return v.c.val, v.lam().val + sgn * 1j * v.c.val
-        return _grid(x, 2, cell, dims=1)
+        v = (otimes1(tau, dz) + otimes1(dz, tau)).at(x.pt)
+        # the factor (1 + sgn i lam), as lam-slot arithmetic on the pair
+        return v.c.val, v.lam().val + sgn * 1j * v.c.val
     return exp
 
 

@@ -125,14 +125,17 @@ def contorsion_jet(torsion: Jet, g: Jet, ginv: Jet) -> Jet:
 
 
 def cov_deriv_jet(x: Jet, gam: Jet, p: int, q: int) -> Jet:
-    """Covariant derivative, derivative slot appended last; costs one order."""
-    idx = _LETTERS[: p + q]
+    """Covariant derivative, derivative slot appended last; costs one order.
+    Axes of x before its p upper and q lower slots form a family, carried
+    member by member."""
+    nf = len(x.shape) - p - q
+    idx = _LETTERS[: nf + p + q]
     out = idx + "t"
     res = x.grad()
-    for m in range(p):
+    for m in range(nf, nf + p):
         src = idx[:m] + "r" + idx[m + 1:]
         res = res + jet_einsum(f"{idx[m]}tr,{src}->{out}", gam, x)
-    for term in gamma_slot_terms(x, gam, range(p, p + q)):
+    for term in gamma_slot_terms(x, gam, range(nf + p, nf + p + q)):
         res = res - term
     return res
 

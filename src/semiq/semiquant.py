@@ -22,6 +22,13 @@ product ``_otimes`` gives a . b, a . xi, xi . a and xi (x)_1 eta. Quantum
 forms (``form=True``) store classical antisymmetric components per lam
 grade; the deformed wedge acts on those components directly. The classical
 side of the quantisation isomorphism is a plain ``Field`` (``q_map``).
+
+Families
+--------
+Axes of a tensor's jets before its ``rank`` slots form a family, carried
+member by member through products, the wedge and rank-1 ``nabla_Q``; a
+product of two families has the left operand's family axes first. A lone
+tensor is a family of no axes.
 """
 
 from __future__ import annotations
@@ -37,6 +44,13 @@ from .geometry import (Field, GeometryData, PointFrame, cov_deriv_jet, gamma_slo
 from .lambda_core import Jet, LJet, jet_einsum
 
 _L = "abcdefghmnopqrs"
+_FAM = "IJKLMN"        # einsum letters of family axes
+
+
+def _fams(a: Jet, p: int, b: Jet, q: int) -> tuple[str, str]:
+    """Letters of the family axes of a and of b: their axes before p and q slots."""
+    na = len(a.shape) - p
+    return _FAM[:na], _FAM[na: na + len(b.shape) - q]
 
 
 # -- graded star-einsum ----------------------------------------------------------
@@ -77,8 +91,9 @@ def _collect_correction(c0: Jet, f: PointFrame) -> Jet:
     The first-order cost of collecting classical coefficients to the left
     of the cobasis.
     """
-    half = jet_einsum("uz,zt->ut", c0.grad(), f.om)
-    return 0.5 * jet_einsum("uta,ut->a", f.gam, half)
+    F = _FAM[: len(c0.shape) - 1]
+    half = jet_einsum(f"{F}uz,zt->{F}ut", c0.grad(), f.om)
+    return 0.5 * jet_einsum(f"uta,{F}ut->{F}a", f.gam, half)
 
 
 # -- QTensor ---------------------------------------------------------------------
@@ -160,13 +175,14 @@ def _otimes(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
     """A (x)_1 B for normal-form coefficients A[ia], B[ib], with B's
     coefficients collected to the left across A's slots. A function is the
     rank-0 case, so this is also a . b, a . xi and xi . a."""
-    base = _fstar(f"{ia},{ib}->{ia}{ib}", A, B, f.om)
+    fa, fb = _fams(A.c, len(ia), B.c, len(ib))
+    base = _fstar(f"{fa}{ia},{fb}{ib}->{fa}{fb}{ia}{ib}", A, B, f.om)
     if not ia:
         return base
-    terms = gamma_slot_terms(A.c, f.gam, range(len(ia)))
+    terms = gamma_slot_terms(A.c, f.gam, range(len(fa), len(fa) + len(ia)))
     slot = sum(terms[1:], terms[0])             # Gam^u_{t m_j} A[.. u at j ..]
-    mov = jet_einsum(f"{ib}i,it->{ib}t", B.c.grad(), f.om)
-    corr = jet_einsum(f"{ia}t,{ib}t->{ia}{ib}", slot, mov)
+    mov = jet_einsum(f"{fb}{ib}i,it->{fb}{ib}t", B.c.grad(), f.om)
+    corr = jet_einsum(f"{fa}{ia}t,{fb}{ib}t->{fa}{fb}{ia}{ib}", slot, mov)
     return LJet(base.c, base.lam() + corr)
 
 
@@ -198,16 +214,18 @@ def otimes1(X: QTensor, Y: QTensor) -> QTensor:
 
 def _antisym(t: Jet, *degrees: int) -> Jet:
     """Wedge components of a product whose axes fall into antisymmetric
-    blocks of the given degrees: the signed sum of t over every permutation
-    of its axes, divided by the blocks' factorials. A product with at most
-    one nonempty block is already antisymmetric."""
+    blocks of the given degrees, after its family axes: the signed sum of t
+    over every permutation of those form axes, divided by the blocks'
+    factorials. A product with at most one nonempty block is already
+    antisymmetric."""
     if sum(k > 0 for k in degrees) < 2:
         return t
     idx = _L[: sum(degrees)]
+    F = _FAM[: len(t.shape) - len(idx)]
     total = None
     for perm in permutations(range(len(idx))):
         dst = "".join(idx[k] for k in perm)
-        term = t if dst == idx else t.reorder(f"{idx}->{dst}")
+        term = t if dst == idx else t.reorder(f"{F}{idx}->{F}{dst}")
         if sum(x > y for x, y in combinations(perm, 2)) % 2:   # odd inversion count
             term = -term
         total = term if total is None else total + term
@@ -217,8 +235,9 @@ def _antisym(t: Jet, *degrees: int) -> Jet:
 
 def _wedge_arrays(A: Jet, B: Jet, p: int, q: int) -> Jet:
     """Components of the classical wedge of antisymmetric components."""
+    fa, fb = _fams(A, p, B, q)
     ia, ib = _L[:p], _L[p: p + q]
-    return _antisym(jet_einsum(f"{ia},{ib}->{ia}{ib}", A, B), p, q)
+    return _antisym(jet_einsum(f"{fa}{ia},{fb}{ib}->{fa}{fb}{ia}{ib}", A, B), p, q)
 
 
 def wedge1(xi: QTensor, eta: QTensor) -> QTensor:
@@ -234,20 +253,21 @@ def wedge1(xi: QTensor, eta: QTensor) -> QTensor:
     def fn(pt):
         f = G.frame(pt)
         A, B = _model(xi, pt), _model(eta, pt)
+        fa, fb = _fams(A.c, p, B.c, q)
         c = _wedge_arrays(A.c, B.c, p, q)
         lam = _wedge_arrays(A.c, B.lam(), p, q) + _wedge_arrays(A.lam(), B.c, p, q)
         # functorial correction: (1/2) om^{ij} nabla_i A ^ nabla_j B
         dA = cov_deriv_jet(A.c, f.gam, 0, p)
         dB = cov_deriv_jet(B.c, f.gam, 0, q)
-        half = jet_einsum(f"{ia}i,ij->{ia}j", dA, f.om)
-        t = jet_einsum(f"{ia}j,{ib}j->{ia}{ib}", half, dB)
+        half = jet_einsum(f"{fa}{ia}i,ij->{fa}{ia}j", dA, f.om)
+        t = jet_einsum(f"{fa}{ia}j,{fb}{ib}j->{fa}{fb}{ia}{ib}", half, dB)
         lam = lam + 0.5 * _antisym(t, p, q)
         # quantum correction through the H family, H^{ij} ^ A_i ^ B_j: the sign
         # pairing with the reported H is pinned by the graded Leibniz rule of d
         # (and by the closed-form wedge anticommutator on the projective space)
         sign = -1.0 if (p % 2 == 1) else 1.0
-        ab = jet_einsum(f"i{ra},j{rb}->ij{ra}{rb}", A.c, B.c)
-        hterm = jet_einsum(f"ij{ra}{rb},ijab->ab{ra}{rb}", ab, f.h_fam)
+        ab = jet_einsum(f"{fa}i{ra},{fb}j{rb}->{fa}{fb}ij{ra}{rb}", A.c, B.c)
+        hterm = jet_einsum(f"{fa}{fb}ij{ra}{rb},ijab->{fa}{fb}ab{ra}{rb}", ab, f.h_fam)
         lam = lam + sign * _antisym(hterm, 2, p - 1, q - 1)
         return LJet(c, lam)
 
@@ -393,7 +413,8 @@ def nabla_Q(xi: QTensor) -> QTensor:
     if xi.rank == 1:
         def fn(pt):
             f = G.frame(pt)
-            return _nabla_normal(xi.at(pt), nq_basis(f), f, "r", "mn")
+            v = xi.at(pt)
+            return _nabla_normal(v, nq_basis(f), f, "r", "mn", _FAM[: len(v.c.shape) - 1])
         return QTensor(G, 2, fn)
     if xi.rank == 2:
         def fn2(pt):

@@ -230,6 +230,21 @@ class TestCatalogue:
         # two points at order 1 (classical-compat) and two at order 2, per seed
         assert len(calls) == len(set(calls)) <= 16
 
+    def test_wedges_evaluated_once_per_family_and_frame(self, monkeypatch):
+        # dz-dz-wedge reads one family wedge; both anticommutators share the
+        # pair dz ^ dzbar, dzbar ^ dz, built once per frame
+        evaluated, wedge1 = [], geometries.wedge1
+
+        def counted(xi, eta):
+            w = wedge1(xi, eta)
+            fn = w.fn
+            w.fn = lambda pt: evaluated.append(pt) or fn(pt)
+            return w
+
+        monkeypatch.setattr(geometries, "wedge1", counted)
+        run_suite("cpn-catalogue", make_cpn(2), points=2)
+        assert len(evaluated) == 3 * 2
+
     def test_every_check_small_on_samples(self, cpn1, cpn2):
         for G in (cpn1, cpn2):
             for name in sorted(CATALOGUE):

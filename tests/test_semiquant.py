@@ -5,7 +5,7 @@ from conftest import maxabs, sample
 from oracles import cpn_omega_lower, gen_ricci, quantum_torsion, to_classical
 from test_geometry import synthetic_torsion_geometry
 from semiq.geometry import Field
-from semiq.geometries import _zs, cpn_at, make_cpn, make_flat
+from semiq.geometries import cpn_at, make_cpn, make_flat
 from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.semiquant import (QTensor, classical_metric, g1_build, g_q_build,
                              module_action, nabla_Q, otimes1,
@@ -318,7 +318,7 @@ class TestSigmaQ:
         # expansion through the braiding of cobasis monomials
         pt = (0.25, 0.45)
         x = cpn_at(cpn1, pt)
-        a = _zs(x)[0]
+        a = Field(lambda p: LJet(cpn_at(cpn1, p).z.take_index(0)))      # z^1
         xi = QTensor.constant_oneform(cpn1, np.conjugate(x.cm[0]))
         f = cpn1.frame(pt)
         sig = sigma_Q(a, xi).at(pt)

@@ -276,6 +276,23 @@ class TestNonFiniteResult:
         assert err.startswith("error:") and named in err and "range" in err
 
 
+class TestProjectiveChartRange:
+    """On CP^n a point whose |x|^2 overflows, so that t^2 = 1/(1 + |x|^2)
+    vanishes, is out of floating-point range, as on the flat chart; it used
+    to end in an error about a reciprocal of zero."""
+
+    @pytest.mark.parametrize("at", ["1e154,1e154", "1e200,0"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "star", "--b", "x2^2"],
+        ["eval", "commutator", "--b", "x2^2"],
+        ["evolve", "--H", "x2^2"]], ids=["star", "commutator", "evolve"])
+    def test_exits_2_naming_the_range(self, argv, at, capsys):
+        assert main(argv + ["--geometry", "cpn", "--n", "1", "--a", "x1", f"--at={at}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+        assert "out of floating-point range" in out.err and "reciprocal" not in out.err
+
+
 class TestConfigNumbers:
     """Malformed numeric config entries end in a ConfigError and exit 2."""
 
