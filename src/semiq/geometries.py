@@ -254,22 +254,15 @@ def cpn_at(G: GeometryData, pt) -> CPnPoint:
 # frame at the point and return (classical, first-order) value arrays of
 # identical shape, so suites can report both residual slots per check.
 # Most checks are an n x n grid [i, j, ...] indexed by the complex frame;
-# an engine evaluates the whole grid at once over families of fields.
+# both sides evaluate the whole grid at once, the engine over field families.
 
-def _lam_cells(rank: int, cell):
-    """Expected [i, j] grid with a vanishing classical slot; cell(x, i, j)
-    gives the first-order slot of shape (dim,)*rank."""
-    def exp(x):
-        shape = (x.n, x.n) + (x.d,) * rank
-        l = np.zeros(shape, dtype=np.complex128)
-        for i, j in np.ndindex(x.n, x.n):
-            l[i, j] = cell(x, i, j)
-        return np.zeros(shape, dtype=np.complex128), l
-    return exp
+def _lam(l):
+    """An expected value whose classical slot vanishes."""
+    return np.zeros_like(l), l
 
 
 def _zero(rank: int):
-    return _lam_cells(rank, lambda x, i, j: 0)
+    return lambda x: _lam(np.zeros((x.n, x.n) + (x.d,) * rank, dtype=np.complex128))
 
 
 # families of functions and one-forms indexed by the complex frame: one field
@@ -362,82 +355,90 @@ def _nablaq_dz(sgn: int):
     return lambda x: nabla_Q(_dzs(x, conj=sgn < 0)).at(x.pt).values()
 
 
-# expected values, from the complex frame's values at the point
+# expected values, from the complex frame's values at the point; each grid
+# keeps the operations of one [i, j] cell in their order, so its bits are
+# those of the cell computed alone
 
 def _wedge_of(u, v):
-    return np.einsum("a,b->ab", u, v) - np.einsum("a,b->ab", v, u)
+    return np.einsum("...a,...b->...ab", u, v) - np.einsum("...a,...b->...ab", v, u)
 
 
-def _anticomm_bracket(x: CPnPoint, i: int, j: int):
+def _coef(z, zb):
+    """delta_ij + z_i zb_j."""
+    return np.eye(len(z)) + np.einsum("i,j->ij", z, zb)
+
+
+def _anticomm_bracket(x: CPnPoint):
     """The shared two-form bracket in the wedge anticommutator displays."""
-    z, tau = x.z.val, x.tau.val
+    z, tau, cm = x.z.val, x.tau.val, x.cm
+    zb, cmb = np.conjugate(z), np.conjugate(cm)
     dzk = np.zeros((x.d, x.d), dtype=np.complex128)
     for k in range(x.n):
-        dzk += _wedge_of(x.cm[k], np.conjugate(x.cm[k]))
-    ci, cbj = x.cm[i], np.conjugate(x.cm[j])
-    return ((float(i == j) + z[i] * np.conjugate(z[j])) * x.t2.value * dzk
-            + _wedge_of(tau, z[i] * cbj) + _wedge_of(np.conjugate(z[j]) * ci, np.conjugate(tau)))
+        dzk += _wedge_of(cm[k], cmb[k])
+    return ((_coef(z, zb) * x.t2.value)[:, :, None, None] * dzk
+            + _wedge_of(tau, z[:, None, None] * cmb)
+            + _wedge_of(zb[None, :, None] * cm[:, None, :], np.conjugate(tau)))
 
 
 def _exp_z_zbar(x):
-    n, z = x.n, x.z.val
-    return (np.zeros((n, n), dtype=np.complex128),
-            1j / x.t2.value * (np.eye(n) + np.einsum("i,j->ij", z, np.conjugate(z))))
+    return _lam(1j / x.t2.value * _coef(x.z.val, np.conjugate(x.z.val)))
 
 
 def _exp_w_wbar(x):
-    return np.zeros((x.n, x.n), dtype=np.complex128), 1j * np.eye(x.n, dtype=np.complex128)
+    return _lam(1j * np.eye(x.n, dtype=np.complex128))
 
 
 def _exp_q_comm_scalar(x):
     # (lam t^-2 / i) delta_ij
-    return np.zeros((x.n, x.n), dtype=np.complex128), -1j / x.t2.value * np.eye(x.n)
+    return _lam(-1j / x.t2.value * np.eye(x.n))
 
 
-def _exp_z_dzbar(x, i, j):
+def _exp_z_dzbar(x):
     z = x.z.val
-    return 1j / x.t2.value * ((float(i == j) + z[i] * np.conjugate(z[j])) * np.conjugate(x.tau.val)
-                              + z[i] * np.conjugate(x.cm[j]))
+    return _lam(1j / x.t2.value * (_coef(z, np.conjugate(z))[:, :, None] * np.conjugate(x.tau.val)
+                                   + z[:, None, None] * np.conjugate(x.cm)))
 
 
-def _exp_zbar_dz(x, i, j):
+def _exp_zbar_dz(x):
+    zb = np.conjugate(x.z.val)
+    return _lam(-1j / x.t2.value * (_coef(zb, x.z.val)[:, :, None] * x.tau.val
+                                    + zb[:, None, None] * x.cm))
+
+
+def _exp_dz_dzbar_anticomm(x):
+    return _lam(1j / x.t2.value * (_anticomm_bracket(x)
+                                   + _wedge_of(x.cm[:, None, :], np.conjugate(x.cm))))
+
+
+def _exp_q_comm_form(x):
     z = x.z.val
-    return -1j / x.t2.value * ((float(i == j) + np.conjugate(z[i]) * z[j]) * x.tau.val
-                               + np.conjugate(z[i]) * x.cm[j])
+    return _lam((-1j / x.t2.value * _coef(np.conjugate(z), z))[:, :, None] * x.tau.val)
 
 
-def _exp_dz_dzbar_anticomm(x, i, j):
-    return 1j / x.t2.value * (_anticomm_bracket(x, i, j)
-                              + _wedge_of(x.cm[i], np.conjugate(x.cm[j])))
-
-
-def _exp_q_comm_form(x, i, j):
+def _exp_qinv_comm_form(x):
     z = x.z.val
-    return -1j / x.t2.value * (float(i == j) + np.conjugate(z[i]) * z[j]) * x.tau.val
+    return _lam((1j / x.t2.value * _coef(z, np.conjugate(z)))[:, :, None]
+                * np.conjugate(x.tau.val))
 
 
-def _exp_qinv_comm_form(x, i, j):
-    z = x.z.val
-    return 1j / x.t2.value * (float(i == j) + z[i] * np.conjugate(z[j])) * np.conjugate(x.tau.val)
+def _exp_qinv_wedge_anticomm(x):
+    return _lam(1j / x.t2.value * _anticomm_bracket(x))
 
 
-def _exp_qinv_wedge_anticomm(x, i, j):
-    return 1j / x.t2.value * _anticomm_bracket(x, i, j)
-
-
-def _exp_w_dwbar(x, i, j):
+def _exp_w_dwbar(x):
     w, dw, tau = x.w.val, x.w.d1, x.tau.val
     wb, dwb = np.conjugate(w), np.conjugate(dw)
-    return 0.5j * ((2 * float(i == j) + w[i] * wb[j] * (1.0 / x.t2.value - 2.0))
-                   * (np.conjugate(tau) - tau) / 2.0
-                   + w[i] * dwb[j] - wb[j] * dw[i])
+    c = 2 * np.eye(x.n) + np.einsum("i,j->ij", w, wb) * (1.0 / x.t2.value - 2.0)
+    return _lam(0.5j * (c[:, :, None] * (np.conjugate(tau) - tau) / 2.0
+                        + w[:, None, None] * dwb - wb[None, :, None] * dw[:, None, :]))
 
 
-def _exp_w_dw(x, i, j):
+def _exp_w_dw(x):
     w, dw, tau = x.w.val, x.w.d1, x.tau.val
     taub = np.conjugate(tau)
-    return -0.5j * (w[i] * w[j] * (2 * taub + (taub - tau) / (2 * x.t2.value))
-                    + w[i] * dw[j] + w[j] * dw[i])
+    return _lam(-0.5j * (np.einsum("i,j->ij", w, w)[:, :, None]
+                         * (2 * taub + (taub - tau) / (2 * x.t2.value))
+                         + w[:, None, None] * dw + w[None, :, None] * dw[:, None, :]))
 
 
 def _exp_g1(x):
@@ -482,19 +483,18 @@ CATALOGUE = {
     "z-zbar-comm": (_comm(_zs, _zbars), _exp_z_zbar),
     "z-dz-comm": (_comm(_zs, _dzs), _zero(1)),
     "zbar-dzbar-comm": (_comm(_zbars, _dzbars), _zero(1)),
-    "z-dzbar-comm": (_comm(_zs, _dzbars), _lam_cells(1, _exp_z_dzbar)),
-    "zbar-dz-comm": (_comm(_zbars, _dzs), _lam_cells(1, _exp_zbar_dz)),
+    "z-dzbar-comm": (_comm(_zs, _dzbars), _exp_z_dzbar),
+    "zbar-dz-comm": (_comm(_zbars, _dzs), _exp_zbar_dz),
     "dz-dz-wedge": (_eng_dz_dz_wedge, _zero(2)),
-    "dz-dzbar-anticomm": (_anticomm(False), _lam_cells(2, _exp_dz_dzbar_anticomm)),
+    "dz-dzbar-anticomm": (_anticomm(False), _exp_dz_dzbar_anticomm),
     "q-comm-scalar": (_comm(_zbars, _zs, _q_factor), _exp_q_comm_scalar),
-    "q-comm-form": (_comm(_zbars, _dzs, _q_factor), _lam_cells(1, _exp_q_comm_form)),
-    "qinv-comm-form": (_comm(_zs, _dzbars, partial(_q_factor, inverse=True)),
-                       _lam_cells(1, _exp_qinv_comm_form)),
-    "qinv-wedge-anticomm": (_anticomm(True), _lam_cells(2, _exp_qinv_wedge_anticomm)),
+    "q-comm-form": (_comm(_zbars, _dzs, _q_factor), _exp_q_comm_form),
+    "qinv-comm-form": (_comm(_zs, _dzbars, partial(_q_factor, inverse=True)), _exp_qinv_comm_form),
+    "qinv-wedge-anticomm": (_anticomm(True), _exp_qinv_wedge_anticomm),
     "w-w-comm": (_comm(_ws, _ws), _zero(0)),
     "w-wbar-comm": (_comm(_ws, _wbars), _exp_w_wbar),
-    "w-dwbar-comm": (_comm(_ws, _dwbars), _lam_cells(1, _exp_w_dwbar)),
-    "w-dw-comm": (_comm(_ws, _dws), _lam_cells(1, _exp_w_dw)),
+    "w-dwbar-comm": (_comm(_ws, _dwbars), _exp_w_dwbar),
+    "w-dw-comm": (_comm(_ws, _dws), _exp_w_dw),
     "g1": (lambda x: g1_build(x.G).at(x.pt).values(), _exp_g1),
     "nablaQ-dz+": (_nablaq_dz(+1), _exp_nablaq_dz(+1)),
     "nablaQ-dz-": (_nablaq_dz(-1), _exp_nablaq_dz(-1)),

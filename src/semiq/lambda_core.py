@@ -136,7 +136,8 @@ class Jet:
     def reciprocal(self) -> "Jet":
         if self.value == 0:
             raise SingularScalarError("reciprocal of a jet with zero value")
-        return self.compose(lambda v: (1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3, -6.0 / v ** 4))
+        return self.compose((lambda v: 1.0 / v, lambda v: _over_pow(-1.0, v, 2),
+                             lambda v: _over_pow(2.0, v, 3), lambda v: _over_pow(-6.0, v, 4)))
 
     def __truediv__(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -168,24 +169,26 @@ class Jet:
             raise JetDomainError("non-integer power of a zero-valued jet")
         if v.imag == 0 and v.real < 0:
             raise JetDomainError("non-integer power of a negative real jet value")
-        return self.compose(lambda v: (v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2),
-                                       p * (p - 1) * (p - 2) * v ** (p - 3)))
+        return self.compose((lambda v: v ** p, lambda v: p * v ** (p - 1),
+                             lambda v: p * (p - 1) * v ** (p - 2),
+                             lambda v: p * (p - 1) * (p - 2) * v ** (p - 3)))
 
-    def compose(self, fn: Callable[[complex], Sequence[complex]]) -> "Jet":
+    def compose(self, fns: Sequence[Callable[[complex], complex]]) -> "Jet":
         """Chain rule with a univariate function given by value and derivatives.
 
-        ``fn(u)`` returns ``(f(u), f'(u), f''(u), f'''(u))`` at this jet's
-        value u; a result out of floating-point range is a JetDomainError.
-        Scalar-shaped jets only.
+        ``fns`` is the table ``(f, f', f'', f''')`` of one-argument functions.
+        Only the first ``order + 1`` are called, at this jet's value u, so a
+        derivative the jet does not carry is never computed; a called one
+        out of floating-point range is a JetDomainError. Scalar-shaped jets
+        only.
         """
         if self.shape != ():
             raise ValueError("compose applies to scalar-shaped jets")
         u = self.value
         try:
-            derivs = fn(u)
+            f = [np.asarray(fn(u), dtype=np.complex128) for fn in fns[: self.order + 1]]
         except ArithmeticError as exc:
             raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
-        f = [np.asarray(d, dtype=np.complex128) for d in derivs]
         out = [f[0]]
         if self.order >= 1:
             u1 = self.levels[1]
@@ -299,41 +302,33 @@ def jet_einsum(spec: str, a, b) -> "Jet":
 
 # -- univariate function table ----------------------------------------------
 
-def _domain_positive(v: complex, name: str) -> None:
+def _positive(v: complex, name: str) -> complex:
     if v == 0 or (v.imag == 0 and v.real <= 0):
         raise JetDomainError(f"{name} of a jet with non-positive real value {v}")
+    return v
 
 
-def _f_exp(v):
-    e = cmath.exp(v)
-    return (e, e, e, e)
+def _over_pow(c, v: complex, k: int) -> complex:
+    """c / v**k for k >= 2, or c * (1/v)**k where v**k overflows (complex ``**``
+    raises, or for k >= 4 may return nan), so a quotient that only underflows
+    toward 0 is not refused. 1/v through ``**`` can flip a zero's sign."""
+    try:
+        p = v ** k
+    except OverflowError:
+        p = cmath.inf
+    return c / p if cmath.isfinite(p) else c * (1 / v) ** k
 
 
-def _f_ln(v):
-    _domain_positive(v, "ln")
-    return (cmath.log(v), 1 / v, -1 / v ** 2, 2 / v ** 3)
-
-
-def _f_sqrt(v):
-    _domain_positive(v, "sqrt")
-    w = cmath.sqrt(v)
-    return (w, 0.5 / w, -0.25 / w ** 3, 0.375 / w ** 5)
-
-
-def _f_sin(v):
-    return (cmath.sin(v), cmath.cos(v), -cmath.sin(v), -cmath.cos(v))
-
-
-def _f_cos(v):
-    return (cmath.cos(v), -cmath.sin(v), -cmath.cos(v), cmath.sin(v))
-
-
-UNARY_FUNCS: dict[str, Callable[[complex], tuple]] = {
-    "exp": _f_exp,
-    "ln": _f_ln,
-    "sqrt": _f_sqrt,
-    "sin": _f_sin,
-    "cos": _f_cos,
+# name -> (f, f', f'', f'''), each a function of the jet's value
+UNARY_FUNCS: dict[str, tuple] = {
+    "exp": (cmath.exp,) * 4,
+    "ln": (lambda v: cmath.log(_positive(v, "ln")), lambda v: 1 / v,
+           lambda v: _over_pow(-1, v, 2), lambda v: _over_pow(2, v, 3)),
+    "sqrt": (lambda v: cmath.sqrt(_positive(v, "sqrt")), lambda v: 0.5 / cmath.sqrt(v),
+             lambda v: _over_pow(-0.25, cmath.sqrt(v), 3),
+             lambda v: _over_pow(0.375, cmath.sqrt(v), 5)),
+    "sin": (cmath.sin, cmath.cos, lambda v: -cmath.sin(v), lambda v: -cmath.cos(v)),
+    "cos": (cmath.cos, lambda v: -cmath.sin(v), lambda v: -cmath.cos(v), cmath.sin),
 }
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EvalError
-from .geometry import Field, GeometryData, compat_residuals
+from .geometry import MAX_JET_BYTES, Field, GeometryData, compat_residuals
 from .lambda_core import Jet, LJet, jet_einsum
 from . import semiquant as sq
 from . import geometries as geos
@@ -241,6 +241,9 @@ def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if points < 1:
         raise ConfigError(f"a suite needs at least one sample point, got {points}")
+    if 8 * points * G.dim > MAX_JET_BYTES:     # the (points, dim) float64 sample
+        raise ConfigError(f"{points} sample points take {8 * points * G.dim} bytes "
+                          f"of coordinates, over {MAX_JET_BYTES}")
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"the sampling seed must be an integer >= 0, got {seed!r}")
     tol = G.tol if tol is None else float(tol)

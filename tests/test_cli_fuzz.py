@@ -5,10 +5,16 @@ built-in charts and on random JSON configs of dimension 1 to 4, and runs
 ``cli.main`` in-process. Whatever the input, the exit code is 0, 1 or 2,
 no exception escapes, stdout holds no nan or inf, and exit 2 comes with an
 ``error:`` line on stderr.
+
+A second gate runs ``eval`` at coordinates 10^k, k in [-300, 300], where
+mpmath gives the exact output and every derivative the command reads.
 """
 
 import json
 import re
+import sys
+
+import mpmath as mp
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -111,3 +117,88 @@ def test_cli_exits_cleanly(case, tmp_path, capsys):
     assert not NON_FINITE.search(out.out), (argv, out.out)
     if code == 2:
         assert out.err.startswith("error:"), (argv, out.err)
+
+
+# -- magnitude gate ---------------------------------------------------------------
+
+# a function of one coordinate -> its value and first three derivatives, exact
+DERIVS = {
+    "ln({})": lambda x: [mp.log(x), 1 / x, -1 / x ** 2, 2 / x ** 3],
+    "sqrt({})": lambda x: [mp.sqrt(x), x ** -0.5 / 2, -x ** -1.5 / 4, 3 * x ** -2.5 / 8],
+    "1/{}": lambda x: [1 / x, -1 / x ** 2, 2 / x ** 3, -6 / x ** 4],
+    "exp({})": lambda x: [mp.exp(x)] * 4,
+}
+UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+# a printed complex number: (re+imj), an array entry re+im.j, or imj alone
+COMPLEX = re.compile(rf"([-+]?{UNSIGNED})\s*([-+]\s*{UNSIGNED})j|([-+]?{UNSIGNED})j")
+
+
+def magnitude_case(op, f, k, g, j):
+    """(argv, the exact values it prints, the exact derivatives it reads) on a
+    flat plane at (10^k, 10^j), a function f of x1 and, for wedge, g of x2;
+    or ``star`` on CP^1 at (10^k, 0)."""
+    X, Y = (mp.mpf(float(f"1e{e}")) for e in (k, j))
+    if op == "cpn-star":
+        return (["eval", "star", "--geometry", "cpn", "--n", "1", "--a", "x1", "--b", "x2",
+                 f"--at=1e{k},0"], [0, -(1 + X ** 2) ** 2 / 4], [])
+    argv = ["eval", op, "--geometry", "flat", "--n", "1", "--a", f.format("x1"),
+            f"--at=1e{k},1e{j}"]
+    a = DERIVS[f](X)
+    if op == "star":            # a * x2 at Y = 1
+        return argv + ["--b", "x2"], [a[0], a[1] / 2], a[:2]
+    if op == "nablaQ":          # the Hessian of a in [0, 0], the lam slot 0
+        return argv, [a[2]] + [0] * 7, a
+    b = DERIVS[g](Y)            # da ^ db, and its lam slot (1/2) a'' b''
+    return argv + ["--b", g.format("x2")], \
+        [0, a[1] * b[1], -a[1] * b[1], 0, 0, a[2] * b[2] / 2, -a[2] * b[2] / 2, 0], a[:3] + b[:3]
+
+
+def printed(text):
+    """The complex numbers after 'classical', each with whether it is an
+    array entry printed in fixed notation."""
+    out, text = [], text[text.index("classical"):]
+    for m in COMPLEX.finditer(text):
+        re_, im = (m.group(1), m.group(2).replace(" ", "")) if m.group(2) else ("0", m.group(3))
+        out.append((complex(float(re_), float(im)), "[" in text and "e" not in re_))
+    return out
+
+
+@st.composite
+def magnitudes(draw):
+    """star and nablaQ of each function on the plane, star on CP^1; wedge,
+    a product of two derivatives, is pinned by its example only."""
+    op = draw(st.sampled_from(["star", "nablaQ", "cpn-star"]))
+    f = None if op == "cpn-star" else draw(st.sampled_from(sorted(DERIVS)))
+    return op, f, draw(st.integers(-300, 300)), None, 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=magnitudes())
+@example(case=("star", "ln({})", 130, None, 0))
+@example(case=("star", "sqrt({})", 130, None, 0))
+@example(case=("star", "1/{}", 80, None, 0))
+@example(case=("cpn-star", None, 40, None, 0))
+@example(case=("nablaQ", "ln({})", 130, None, 0))
+@example(case=("wedge", "ln({})", 200, "sqrt({})", 300))
+def test_magnitudes_against_exact_values(case, capsys):
+    """Exit 0 with every printed value within 1e-12 relative (1e-300
+    absolute) where every exact value and every derivative the command reads
+    is at most 1e300 in magnitude; exit 2 with an error line where one leaves
+    the double range; in between, either. An array prints 12 decimals, so a
+    fixed-notation entry may also be off by half its last place."""
+    argv, exact, read = magnitude_case(*case)
+    code = main(argv)
+    out = capsys.readouterr()
+    size = max(abs(mp.mpmathify(v)) for v in exact + read)
+    if size > sys.float_info.max:
+        assert code == 2 and out.err.startswith("error:"), (argv, code, out)
+        return
+    if size > 1e300 and code == 2:
+        return
+    assert code == 0, (argv, out.err)
+    got = printed(out.out)
+    assert len(got) == len(exact), (argv, out.out)
+    for (v, fixed), x in zip(got, exact):
+        tol = max(1e-12 * abs(x), 1e-300) + (5e-13 if fixed else 0)
+        assert abs(mp.mpc(v.real, v.imag) - x) <= tol, (argv, v, x)

@@ -170,7 +170,7 @@ class TestIntegerPower:
 
 
 class TestFloatingPointRange:
-    @pytest.mark.parametrize("fn, v", [("exp", 1000.0), ("sin", 1000j), ("sqrt", 1e308),
+    @pytest.mark.parametrize("fn, v", [("exp", 1000.0), ("sin", 1000j), ("sqrt", 1e-320),
                                        ("ln", 1e-200)])
     def test_overflow_is_a_domain_error(self, fn, v):
         with pytest.raises(JetDomainError, match="floating-point range"):

@@ -7,6 +7,7 @@ import pytest
 from conftest import run_cli
 from semiq.cli import build_geometry, main
 from semiq.errors import ConfigError
+from semiq.geometry import MAX_JET_BYTES
 from semiq.suites import emit_report, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +165,12 @@ class TestInputValidation:
         assert main(["check", "flat", "--points", points, "--format", fmt]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
+
+    @pytest.mark.parametrize("points", [10 ** 13, MAX_JET_BYTES // (8 * 2) + 1])
+    def test_check_refuses_points_it_cannot_sample(self, points, capsys):
+        assert main(["check", "flat", "--points", str(points)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {points} sample points")
 
     @pytest.mark.parametrize("at", ["nan,0.1", "0.1,inf", "a,0.1", "0.1,"])
     @pytest.mark.parametrize("cmd", ["eval", "evolve"])
