@@ -111,14 +111,15 @@ def make_flat_torsion() -> GeometryData:
 # -- CP^n -------------------------------------------------------------------------
 
 def _cpn_base(n: int, pt: tuple, order: int = 3):
-    """Common jets at a point: x, x_shift, t^2 and friends."""
+    """Common jets at a point, or over a batch of points: x, x_shift, t^2."""
     d = 2 * n
     x = Jet.coords(d, pt, order)
     xs = jet_einsum("ab,b->a", _shift_matrix(n), x)          # x^{a+n}
     s = jet_einsum("a,a->", x, x)
     t2 = (Jet.const(d, 1.0, order) + s).reciprocal()
-    if t2.value == 0:                                         # |x|^2 overflowed
-        raise EvalError(f"CP^{n} at {pt} is out of floating-point range")
+    for at, v in zip(pt if t2.batch else [pt], t2.member_values()):
+        if v == 0:                                            # |x|^2 overflowed
+            raise EvalError(f"CP^{n} at {at} is out of floating-point range")
     return x, xs, t2
 
 
@@ -187,9 +188,10 @@ def _cobasis(n: int) -> np.ndarray:
 
 
 class CPnPoint:
-    """The complex frame of CP^n at one chart point, as jets of the frame's
-    order, each built by one formula on first use (Beggs-Majid,
-    arXiv:1410.8191). One-form and tensor components are in the real frame.
+    """The complex frame of CP^n at one chart point, or over a frame's batch
+    of points, as jets of the frame's order, each built by one formula on
+    first use (Beggs-Majid, arXiv:1410.8191). One-form and tensor components
+    are in the real frame.
 
         z^i = x^i + i x^{i+n},   t^2 = 1/(1 + |z|^2),   w^i = t z^i,
         tau = t^2 zbar^i dz^i,   gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau,
@@ -240,8 +242,8 @@ def _cpn_point(f: PointFrame) -> CPnPoint:
 
 
 def cpn_at(G: GeometryData, pt) -> CPnPoint:
-    """The complex frame of a geometry built by make_cpn at a chart point,
-    built once per frame."""
+    """The complex frame of a geometry built by make_cpn at a chart point or
+    a batch of points, built once per frame."""
     if "cpn-catalogue" not in G.suites:
         raise ConfigError("the catalogue suite runs only on geometries that list it: "
                           "the projective space built by make_cpn")
@@ -251,10 +253,11 @@ def cpn_at(G: GeometryData, pt) -> CPnPoint:
 # -- expected-value catalogue for the projective space -----------------------------
 #
 # Each check pairs an engine and an expected callable. Both take the complex
-# frame at the point and return (classical, first-order) value arrays of
-# identical shape, so suites can report both residual slots per check.
-# Most checks are an n x n grid [i, j, ...] indexed by the complex frame;
-# both sides evaluate the whole grid at once, the engine over field families.
+# frame at the point or batch and return (classical, first-order) value
+# arrays that broadcast against each other, batch axes first, so suites can
+# report both residual slots per check. Most checks are an n x n grid
+# [i, j, ...] indexed by the complex frame; both sides evaluate the whole
+# grid at once, the engine over field families.
 
 def _lam(l):
     """An expected value whose classical slot vanishes."""
@@ -263,6 +266,16 @@ def _lam(l):
 
 def _zero(rank: int):
     return lambda x: _lam(np.zeros((x.n, x.n) + (x.d,) * rank, dtype=np.complex128))
+
+
+def _per(x: CPnPoint, fn, rank: int):
+    """fn(t^2) in Python complex arithmetic at each point: a number at one
+    point, and over a batch an array of one per point with ``rank`` unit
+    axes, to scale a grid of that rank member by member."""
+    vals = [fn(t) for t in x.t2.member_values()]
+    if not x.t2.batch:
+        return vals[0]
+    return np.array(vals).reshape(x.t2.val.shape + (1,) * rank)
 
 
 # families of functions and one-forms indexed by the complex frame: one field
@@ -346,7 +359,7 @@ def _anticomm(qinv: bool):
     def eng(x):
         w1, w2 = _dz_dzbar_wedges(x.G.frame(x.pt))
         if qinv:    # (1 - i lam t^-2) . (dz w1 dzbar): scalar prefactor on a form
-            w1 = LJet(w1.c, w1.lam() - w1.c.scale(1j / x.t2.value))
+            w1 = LJet(w1.c, w1.lam() - w1.c.scale(_per(x, lambda t: 1j / t, 0)))
         return (w1 + w2).values()
     return eng
 
@@ -355,9 +368,10 @@ def _nablaq_dz(sgn: int):
     return lambda x: nabla_Q(_dzs(x, conj=sgn < 0)).at(x.pt).values()
 
 
-# expected values, from the complex frame's values at the point; each grid
-# keeps the operations of one [i, j] cell in their order, so its bits are
-# those of the cell computed alone
+# expected values, from the complex frame's values at the point or batch;
+# each grid keeps the operations of one [i, j] cell in their order, so its
+# bits are those of the cell computed alone. Arrays index batch axes first:
+# a frame value v[..., a] enters cell [..., i, j, a] as v[..., None, None, :].
 
 def _wedge_of(u, v):
     return np.einsum("...a,...b->...ab", u, v) - np.einsum("...a,...b->...ab", v, u)
@@ -365,7 +379,7 @@ def _wedge_of(u, v):
 
 def _coef(z, zb):
     """delta_ij + z_i zb_j."""
-    return np.eye(len(z)) + np.einsum("i,j->ij", z, zb)
+    return np.eye(z.shape[-1]) + np.einsum("...i,...j->...ij", z, zb)
 
 
 def _anticomm_bracket(x: CPnPoint):
@@ -375,13 +389,14 @@ def _anticomm_bracket(x: CPnPoint):
     dzk = np.zeros((x.d, x.d), dtype=np.complex128)
     for k in range(x.n):
         dzk += _wedge_of(cm[k], cmb[k])
-    return ((_coef(z, zb) * x.t2.value)[:, :, None, None] * dzk
-            + _wedge_of(tau, z[:, None, None] * cmb)
-            + _wedge_of(zb[None, :, None] * cm[:, None, :], np.conjugate(tau)))
+    return ((_coef(z, zb) * _per(x, lambda t: t, 2))[..., None, None] * dzk
+            + _wedge_of(tau[..., None, None, :], z[..., :, None, None] * cmb)
+            + _wedge_of(zb[..., None, :, None] * cm[:, None, :],
+                        np.conjugate(tau)[..., None, None, :]))
 
 
 def _exp_z_zbar(x):
-    return _lam(1j / x.t2.value * _coef(x.z.val, np.conjugate(x.z.val)))
+    return _lam(_per(x, lambda t: 1j / t, 2) * _coef(x.z.val, np.conjugate(x.z.val)))
 
 
 def _exp_w_wbar(x):
@@ -390,55 +405,61 @@ def _exp_w_wbar(x):
 
 def _exp_q_comm_scalar(x):
     # (lam t^-2 / i) delta_ij
-    return _lam(-1j / x.t2.value * np.eye(x.n))
+    return _lam(_per(x, lambda t: -1j / t, 2) * np.eye(x.n))
 
 
 def _exp_z_dzbar(x):
     z = x.z.val
-    return _lam(1j / x.t2.value * (_coef(z, np.conjugate(z))[:, :, None] * np.conjugate(x.tau.val)
-                                   + z[:, None, None] * np.conjugate(x.cm)))
+    return _lam(_per(x, lambda t: 1j / t, 3)
+                * (_coef(z, np.conjugate(z))[..., None] * np.conjugate(x.tau.val)[..., None, None, :]
+                   + z[..., :, None, None] * np.conjugate(x.cm)))
 
 
 def _exp_zbar_dz(x):
     zb = np.conjugate(x.z.val)
-    return _lam(-1j / x.t2.value * (_coef(zb, x.z.val)[:, :, None] * x.tau.val
-                                    + zb[:, None, None] * x.cm))
+    return _lam(_per(x, lambda t: -1j / t, 3)
+                * (_coef(zb, x.z.val)[..., None] * x.tau.val[..., None, None, :]
+                   + zb[..., :, None, None] * x.cm))
 
 
 def _exp_dz_dzbar_anticomm(x):
-    return _lam(1j / x.t2.value * (_anticomm_bracket(x)
-                                   + _wedge_of(x.cm[:, None, :], np.conjugate(x.cm))))
+    return _lam(_per(x, lambda t: 1j / t, 4)
+                * (_anticomm_bracket(x) + _wedge_of(x.cm[:, None, :], np.conjugate(x.cm))))
 
 
 def _exp_q_comm_form(x):
     z = x.z.val
-    return _lam((-1j / x.t2.value * _coef(np.conjugate(z), z))[:, :, None] * x.tau.val)
+    return _lam((_per(x, lambda t: -1j / t, 2) * _coef(np.conjugate(z), z))[..., None]
+                * x.tau.val[..., None, None, :])
 
 
 def _exp_qinv_comm_form(x):
     z = x.z.val
-    return _lam((1j / x.t2.value * _coef(z, np.conjugate(z)))[:, :, None]
-                * np.conjugate(x.tau.val))
+    return _lam((_per(x, lambda t: 1j / t, 2) * _coef(z, np.conjugate(z)))[..., None]
+                * np.conjugate(x.tau.val)[..., None, None, :])
 
 
 def _exp_qinv_wedge_anticomm(x):
-    return _lam(1j / x.t2.value * _anticomm_bracket(x))
+    return _lam(_per(x, lambda t: 1j / t, 4) * _anticomm_bracket(x))
 
 
 def _exp_w_dwbar(x):
     w, dw, tau = x.w.val, x.w.d1, x.tau.val
     wb, dwb = np.conjugate(w), np.conjugate(dw)
-    c = 2 * np.eye(x.n) + np.einsum("i,j->ij", w, wb) * (1.0 / x.t2.value - 2.0)
-    return _lam(0.5j * (c[:, :, None] * (np.conjugate(tau) - tau) / 2.0
-                        + w[:, None, None] * dwb - wb[None, :, None] * dw[:, None, :]))
+    c = 2 * np.eye(x.n) + (np.einsum("...i,...j->...ij", w, wb)
+                           * _per(x, lambda t: 1.0 / t - 2.0, 2))
+    return _lam(0.5j * (c[..., None] * (np.conjugate(tau) - tau)[..., None, None, :] / 2.0
+                        + w[..., :, None, None] * dwb[..., None, :, :]
+                        - wb[..., None, :, None] * dw[..., :, None, :]))
 
 
 def _exp_w_dw(x):
     w, dw, tau = x.w.val, x.w.d1, x.tau.val
     taub = np.conjugate(tau)
-    return _lam(-0.5j * (np.einsum("i,j->ij", w, w)[:, :, None]
-                         * (2 * taub + (taub - tau) / (2 * x.t2.value))
-                         + w[:, None, None] * dw + w[None, :, None] * dw[:, None, :]))
+    return _lam(-0.5j * (np.einsum("...i,...j->...ij", w, w)[..., None]
+                         * (2 * taub + (taub - tau) / _per(x, lambda t: 2 * t, 1))[..., None, None, :]
+                         + w[..., :, None, None] * dw[..., None, :, :]
+                         + w[..., None, :, None] * dw[..., :, None, :]))
 
 
 def _exp_g1(x):
@@ -509,12 +530,13 @@ def _entry(check_id: str) -> tuple:
 
 def cpn_expected(G: GeometryData, check_id: str, point):
     """Closed-form expected value (classical, first-order arrays) for a
-    registered catalogue check at a point."""
+    registered catalogue check at a point or over a batch of points."""
     return _entry(check_id)[1](cpn_at(G, point))
 
 
 def cpn_catalogue_residual(G: GeometryData, check_id: str, point) -> tuple:
-    """(classical, first-order) max-abs residual of a catalogue check."""
+    """(classical, first-order) max-abs residual of a catalogue check at a
+    point, or its max over a batch of points."""
     eng, exp = _entry(check_id)
     x = cpn_at(G, point)
     ec, el = eng(x)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from . import fieldexpr
-from .lambda_core import MAX_ORDER, Jet, LJet, jet_einsum
+from .lambda_core import MAX_ORDER, Jet, LJet, is_batch, jet_einsum
 
 _LETTERS = "abcdefghijklmnopqrs"
 
@@ -154,11 +154,13 @@ class GeometryData:
     """A chart x1..x{dim} with metric, Poisson bivector, connection and jet
     providers, sampled in the box [-box, box]^dim.
 
-    Providers take a frame and return jets of its order at its point; a
-    frame reads each of them once. ``order`` is the depth of every frame
-    built through this geometry: the highest derivative its caller reads.
-    ``at_order`` gives a view at another depth that shares the frame cache,
-    keyed by (point, order).
+    Providers take a frame and return jets of its order at its point, or
+    over its batch of points; a frame reads each of them once. A
+    ``pointwise`` geometry's providers read one point only: the frame of a
+    batch reads them at its members' frames and stacks the jets. ``order``
+    is the depth of every frame built through this geometry: the highest
+    derivative its caller reads. ``at_order`` gives a view at another depth
+    that shares the frame cache, keyed by (point or batch, order).
     """
 
     dim: int
@@ -173,6 +175,7 @@ class GeometryData:
     default_seed: int = 0
     suites: tuple = GENERIC_SUITES  # default suites; cpn-catalogue runs only where listed
     parallel_cobasis: bool = False  # coordinate one-forms are parallel (flat chart)
+    pointwise: bool = False         # providers read one point; a batch stacks them
     order: int = 3                  # jet depth of frames and provider calls
     _frames: dict = field(default_factory=dict, repr=False)
 
@@ -185,7 +188,12 @@ class GeometryData:
         return replace(self, order=order)
 
     def frame(self, point) -> "PointFrame":
-        pt = tuple(float(c) for c in point)
+        """The frame at a point, a tuple of coordinates, or at a batch of
+        points, a tuple of such tuples."""
+        if is_batch(point):
+            pt = tuple(tuple(map(float, p)) for p in point)
+        else:
+            pt = tuple(map(float, point))
         fr = self._frames.get((pt, self.order))
         if fr is None:
             fr = PointFrame(self, pt)
@@ -200,7 +208,9 @@ class GeometryData:
 
 
 class PointFrame:
-    """All geometric data of one geometry at one chart point, cached lazily."""
+    """All geometric data of one geometry at one chart point, or at each
+    point of a batch (a tuple of point tuples), cached lazily. A batch
+    frame's jets hold one batch axis."""
 
     def __init__(self, geom: GeometryData, point: tuple):
         self.G = geom
@@ -209,21 +219,28 @@ class PointFrame:
         self.order = geom.order
         self.built: dict = {}       # @per_frame results, keyed by builder
 
+    def _provided(self, fn, attr: str) -> Jet:
+        """fn(self), or for a batch on a pointwise geometry, ``attr`` of each
+        member's own frame, stacked."""
+        if self.G.pointwise and is_batch(self.point):
+            return Jet.stack([getattr(self.G.frame(p), attr) for p in self.point])
+        return fn(self)
+
     @cached_property
     def g(self) -> Jet:
-        return self.G.g_fn(self)
+        return self._provided(self.G.g_fn, "g")
 
     @cached_property
     def ginv(self) -> Jet:
-        return self.G.ginv_fn(self)
+        return self._provided(self.G.ginv_fn, "ginv")
 
     @cached_property
     def om(self) -> Jet:
-        return self.G.omega_fn(self)
+        return self._provided(self.G.omega_fn, "om")
 
     @cached_property
     def gam(self) -> Jet:
-        return self.G.gamma_fn(self)
+        return self._provided(self.G.gamma_fn, "gam")
 
     @cached_property
     def om_gam(self) -> Jet:
@@ -395,7 +412,7 @@ def geometry_from_config(cfg: dict) -> GeometryData:
     G = GeometryData(dim, g, lambda f: f.g.matinv(), om,
                      levi_civita_gamma if levi_civita else component_jets(dim, 3, conn),
                      levi_civita=levi_civita, name=name, box=float(box), tol=1e-6,
-                     default_seed=seed)
+                     default_seed=seed, pointwise=True)
     # a metric must be symmetric and a bivector antisymmetric; compared by
     # value at three points of the box, so entries written differently agree
     probes = box * np.sin(np.outer(np.arange(1.0, 4.0), np.arange(1.0, dim + 1.0)))

@@ -10,6 +10,12 @@ to third order at a chart point. All geometry providers evaluate through
 jets, so derivatives of rational closed forms are exact to machine
 rounding. Jets may be tensor-shaped: ``levels[k]`` has shape
 ``shape + (dim,)*k`` and is symmetric in the trailing derivative axes.
+
+A jet may also hold a batch: ``batch`` leading axes of every level, one
+member per chart point, which ``shape`` excludes. Every operation acts on
+each member as it would on that member alone: einsum carries the batch
+through a leading ``...``, and functions of a value are evaluated member
+by member in Python complex arithmetic.
 """
 
 from __future__ import annotations
@@ -28,46 +34,54 @@ MAX_ORDER = 3      # deepest derivative level the jet arithmetic propagates
 
 
 class Jet:
-    """Truncated Taylor data of a (possibly tensor-shaped) field at a point.
+    """Truncated Taylor data of a (possibly tensor-shaped) field at a point,
+    or at each point of a batch.
 
     ``order`` is the deepest stored derivative level, ``len(levels) - 1``;
     arithmetic results carry the minimum order of their operands, and
     ``grad`` consumes one level. Level arrays are complex and symmetric in
-    derivative axes.
+    derivative axes. ``batch`` counts the leading batch axes of every level.
     """
 
-    __slots__ = ("dim", "order", "levels")
+    __slots__ = ("dim", "order", "levels", "batch")
 
-    def __init__(self, dim: int, levels: Sequence[np.ndarray]):
+    def __init__(self, dim: int, levels: Sequence[np.ndarray], batch: int = 0):
         self.dim = dim
         self.levels = tuple(np.asarray(l, dtype=np.complex128) for l in levels)
         self.order = len(self.levels) - 1
+        self.batch = batch
 
     # -- constructors ------------------------------------------------------
+    # the first ``batch`` axes of ``shape`` or of ``value`` are batch axes
 
     @classmethod
-    def zeros(cls, dim: int, shape: tuple = (), order: int = 3) -> "Jet":
+    def zeros(cls, dim: int, shape: tuple = (), order: int = 3, batch: int = 0) -> "Jet":
         return cls(dim, [np.zeros(shape + (dim,) * k, dtype=np.complex128)
-                         for k in range(order + 1)])
+                         for k in range(order + 1)], batch)
 
     @classmethod
-    def const(cls, dim: int, value, order: int = 3) -> "Jet":
+    def const(cls, dim: int, value, order: int = 3, batch: int = 0) -> "Jet":
         v = np.asarray(value, dtype=np.complex128)
         levels = [v] + [np.zeros(v.shape + (dim,) * k, dtype=np.complex128)
                         for k in range(1, order + 1)]
-        return cls(dim, levels)
+        return cls(dim, levels, batch)
 
     @classmethod
     def coords(cls, dim: int, point, order: int = 3) -> "Jet":
-        """Jet of the identity chart map; shape (dim,)."""
+        """Jet of the identity chart map; shape (dim,). ``point`` may be a batch."""
         p = np.asarray(point, dtype=np.complex128)
+        lead = p.shape[:-1]
         levels = [p, np.eye(dim, dtype=np.complex128)]
+        if lead:
+            levels[1] = np.broadcast_to(levels[1], lead + (dim, dim)).copy()
         for k in range(2, order + 1):
-            levels.append(np.zeros((dim,) * (k + 1), dtype=np.complex128))
-        return cls(dim, levels[: order + 1])
+            levels.append(np.zeros(lead + (dim,) * (k + 1), dtype=np.complex128))
+        return cls(dim, levels[: order + 1], len(lead))
 
     @classmethod
     def coordinate(cls, dim: int, point, k: int, order: int = 3) -> "Jet":
+        if is_batch(point):
+            return cls.coords(dim, point, order).take_index(k)
         levels = [np.asarray(complex(point[k]))]
         d1 = np.zeros(dim, dtype=np.complex128)
         d1[k] = 1.0
@@ -76,11 +90,18 @@ class Jet:
             levels.append(np.zeros((dim,) * m, dtype=np.complex128))
         return cls(dim, levels[: order + 1])
 
+    @classmethod
+    def stack(cls, jets: Sequence["Jet"]) -> "Jet":
+        """Lone jets of one shape and order as one batch, member k the k-th."""
+        return cls(jets[0].dim, [np.stack(ls) for ls in zip(*(j.levels for j in jets))], 1)
+
     # -- basic access ------------------------------------------------------
 
     @property
     def shape(self) -> tuple:
-        return self.levels[0].shape
+        """The tensor shape, without the batch axes."""
+        s = self.levels[0].shape
+        return s[self.batch:] if self.batch else s
 
     @property
     def val(self) -> np.ndarray:
@@ -89,6 +110,13 @@ class Jet:
     @property
     def value(self) -> complex:
         return complex(self.levels[0])
+
+    def member_values(self) -> list:
+        """The value of a scalar jet as Python complex numbers, one per batch
+        member in C order; a lone jet has one."""
+        if not self.batch:
+            return [self.value]
+        return [complex(v) for v in self.levels[0].reshape(-1)]
 
     @property
     def d1(self) -> Optional[np.ndarray]:
@@ -104,7 +132,8 @@ class Jet:
     def __add__(self, other) -> "Jet":
         o = self._coerce(other)
         n = min(self.order, o.order)
-        return Jet(self.dim, [self.levels[k] + o.levels[k] for k in range(n + 1)])
+        return Jet(self.dim, [self.levels[k] + o.levels[k] for k in range(n + 1)],
+                   max(self.batch, o.batch))
 
     __radd__ = __add__
 
@@ -115,10 +144,15 @@ class Jet:
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return Jet(self.dim, [-l for l in self.levels])
+        return Jet(self.dim, [-l for l in self.levels], self.batch)
 
-    def scale(self, c: complex) -> "Jet":
-        return Jet(self.dim, [c * l for l in self.levels])
+    def scale(self, c) -> "Jet":
+        """Multiply by a number, or member by member by an array of the batch
+        shape; a lone jet so scaled takes on the batch."""
+        if isinstance(c, np.ndarray) and c.ndim:
+            return Jet(self.dim, [_over_members(c, l, self.batch) * l for l in self.levels],
+                       c.ndim)
+        return Jet(self.dim, [c * l for l in self.levels], self.batch)
 
     # -- products ----------------------------------------------------------
 
@@ -134,7 +168,7 @@ class Jet:
         return self.scale(complex(other))
 
     def reciprocal(self) -> "Jet":
-        if self.value == 0:
+        if 0 in self.member_values():
             raise SingularScalarError("reciprocal of a jet with zero value")
         return self.compose((lambda v: 1.0 / v, lambda v: _over_pow(-1.0, v, 2),
                              lambda v: _over_pow(2.0, v, 3), lambda v: _over_pow(-6.0, v, 4)))
@@ -153,7 +187,7 @@ class Jet:
             if k < 0:
                 return self.reciprocal() ** (-k)
             if k == 0:
-                return Jet.const(self.dim, np.ones(self.shape), self.order)
+                return Jet.const(self.dim, np.ones(self.val.shape), self.order, self.batch)
             # by squaring, each new factor on the left: up to k = 3 this is
             # the left-to-right product, bit for bit
             out, base = None, self
@@ -164,11 +198,11 @@ class Jet:
                 if not k:
                     return out
                 base = base * base
-        v = self.value
-        if v == 0:
-            raise JetDomainError("non-integer power of a zero-valued jet")
-        if v.imag == 0 and v.real < 0:
-            raise JetDomainError("non-integer power of a negative real jet value")
+        for v in self.member_values():
+            if v == 0:
+                raise JetDomainError("non-integer power of a zero-valued jet")
+            if v.imag == 0 and v.real < 0:
+                raise JetDomainError("non-integer power of a negative real jet value")
         return self.compose((lambda v: v ** p, lambda v: p * v ** (p - 1),
                              lambda v: p * (p - 1) * v ** (p - 2),
                              lambda v: p * (p - 1) * (p - 2) * v ** (p - 3)))
@@ -177,31 +211,42 @@ class Jet:
         """Chain rule with a univariate function given by value and derivatives.
 
         ``fns`` is the table ``(f, f', f'', f''')`` of one-argument functions.
-        Only the first ``order + 1`` are called, at this jet's value u, so a
-        derivative the jet does not carry is never computed; a called one
+        Only the first ``order + 1`` are called, at each member's value u, so
+        a derivative the jet does not carry is never computed; a called one
         out of floating-point range is a JetDomainError. Scalar-shaped jets
         only.
         """
         if self.shape != ():
             raise ValueError("compose applies to scalar-shaped jets")
-        u = self.value
-        try:
-            f = [np.asarray(fn(u), dtype=np.complex128) for fn in fns[: self.order + 1]]
-        except ArithmeticError as exc:
-            raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
+        rows = []
+        for u in self.member_values():
+            try:
+                rows.append([fn(u) for fn in fns[: self.order + 1]])
+            except ArithmeticError as exc:
+                raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
+        if self.batch:
+            f = [np.array(col, dtype=np.complex128).reshape(self.val.shape) for col in zip(*rows)]
+        else:
+            f = [np.asarray(v, dtype=np.complex128) for v in rows[0]]
+        e = "..." if self.batch else ""
+
+        def times(k, l):        # f^(k) times l, member by member
+            return _over_members(f[k], l, self.batch) * l if self.batch else f[k] * l
+
         out = [f[0]]
         if self.order >= 1:
             u1 = self.levels[1]
-            out.append(f[1] * u1)
+            out.append(times(1, u1))
         if self.order >= 2:
             u2 = self.levels[2]
-            out.append(f[2] * np.einsum("i,j->ij", u1, u1) + f[1] * u2)
+            out.append(times(2, np.einsum(f"{e}i,{e}j->{e}ij", u1, u1)) + times(1, u2))
         if self.order >= 3:
             u3 = self.levels[3]
-            cross = np.einsum("ij,k->ijk", u2, u1)
+            cross = np.einsum(f"{e}ij,{e}k->{e}ijk", u2, u1)
             sym = cross + np.moveaxis(cross, -1, -2) + np.moveaxis(cross, -1, -3)
-            out.append(f[3] * np.einsum("i,j,k->ijk", u1, u1, u1) + f[2] * sym + f[1] * u3)
-        return Jet(self.dim, out)
+            out.append(times(3, np.einsum(f"{e}i,{e}j,{e}k->{e}ijk", u1, u1, u1))
+                       + times(2, sym) + times(1, u3))
+        return Jet(self.dim, out, self.batch)
 
     # -- structure ---------------------------------------------------------
 
@@ -209,63 +254,85 @@ class Jet:
         """Partial derivatives as one extra trailing tensor axis; order drops."""
         if self.order < 1:
             raise JetDomainError("jet order exhausted, cannot differentiate")
-        return Jet(self.dim, self.levels[1:])
+        return Jet(self.dim, self.levels[1:], self.batch)
 
     def conj(self) -> "Jet":
         # valid because chart coordinates are real
-        return Jet(self.dim, [np.conjugate(l) for l in self.levels])
+        return Jet(self.dim, [np.conjugate(l) for l in self.levels], self.batch)
 
     def reorder(self, spec: str) -> "Jet":
-        """Relabel tensor axes with an einsum-style spec, e.g. 'ijk->kij'."""
+        """Relabel the leading tensor axes with an einsum-style spec, e.g.
+        'ijk->kij'; batch axes and the axes after the named ones, derivative
+        axes included, keep their places. The result is a view."""
         src, dst = spec.split("->")
-        return Jet(self.dim, [np.einsum(f"{src}...->{dst}...", l) for l in self.levels])
+        b = self.batch
+        head = list(range(b)) + [b + src.index(c) for c in dst]
+        return Jet(self.dim, [l.transpose(head + list(range(len(head), l.ndim)))
+                              for l in self.levels], b)
 
     def take_index(self, idx: int, axis: int = 0) -> "Jet":
         """Slice one tensor axis at a fixed index."""
-        return Jet(self.dim, [np.take(l, idx, axis=axis) for l in self.levels])
+        return Jet(self.dim, [np.take(l, idx, axis=axis + self.batch) for l in self.levels],
+                   self.batch)
 
     def matinv(self) -> "Jet":
         """Inverse of a square-matrix jet, solved level by level."""
         a = self.levels
         d0 = a[0]
-        if d0.ndim != 2 or d0.shape[0] != d0.shape[1]:
+        if len(self.shape) != 2 or d0.shape[-1] != d0.shape[-2]:
             raise ValueError("matinv needs a square matrix jet")
         try:
             b0 = np.linalg.inv(d0)
         except np.linalg.LinAlgError as exc:
             raise DegenerateMetricError(f"singular matrix at evaluation point: {exc}")
+        eye = np.eye(d0.shape[-1])
         if not np.all(np.isfinite(b0)) or \
-                np.max(np.abs(d0 @ b0 - np.eye(d0.shape[0]))) > 1e-6:
+                any(np.max(np.abs(d0[m] @ b0[m] - eye)) > 1e-6
+                    for m in np.ndindex(d0.shape[: self.batch])):
             raise DegenerateMetricError("matrix numerically singular at evaluation point")
+        e = "..." if self.batch else ""
         out = [b0]
         if self.order >= 1:
-            b1 = -np.einsum("im,mnK,nj->ijK", b0, a[1], b0)
+            b1 = -np.einsum(f"{e}im,{e}mnK,{e}nj->{e}ijK", b0, a[1], b0)
             out.append(b1)
         if self.order >= 2:
-            t = np.einsum("mnKL,nj->mjKL", a[2], b0)
-            t += np.einsum("mnK,njL->mjKL", a[1], b1)
-            t += np.einsum("mnL,njK->mjKL", a[1], b1)
-            out.append(-np.einsum("im,mjKL->ijKL", b0, t))
+            t = np.einsum(f"{e}mnKL,{e}nj->{e}mjKL", a[2], b0)
+            t += np.einsum(f"{e}mnK,{e}njL->{e}mjKL", a[1], b1)
+            t += np.einsum(f"{e}mnL,{e}njK->{e}mjKL", a[1], b1)
+            out.append(-np.einsum(f"{e}im,{e}mjKL->{e}ijKL", b0, t))
         if self.order >= 3:
             b2 = out[2]
-            t = np.einsum("mnKLM,nj->mjKLM", a[3], b0)
-            c21 = np.einsum("mnKL,njM->mjKLM", a[2], b1)
+            t = np.einsum(f"{e}mnKLM,{e}nj->{e}mjKLM", a[3], b0)
+            c21 = np.einsum(f"{e}mnKL,{e}njM->{e}mjKLM", a[2], b1)
             t += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
-            c12 = np.einsum("mnK,njLM->mjKLM", a[1], b2)
+            c12 = np.einsum(f"{e}mnK,{e}njLM->{e}mjKLM", a[1], b2)
             t += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
-            out.append(-np.einsum("im,mjKLM->ijKLM", b0, t))
-        return Jet(self.dim, out)
+            out.append(-np.einsum(f"{e}im,{e}mjKLM->{e}ijKLM", b0, t))
+        return Jet(self.dim, out, self.batch)
 
 
 def _subscript(shape: tuple) -> str:
     return "abcdefghijklmnopqrs"[: len(shape)]
 
 
+def is_batch(point) -> bool:
+    """Whether ``point`` is a batch of chart points rather than one point."""
+    return isinstance(point[0], (tuple, list, np.ndarray))
+
+
+def _over_members(c: np.ndarray, l: np.ndarray, batch: int) -> np.ndarray:
+    """c, an array of the batch shape, with a unit axis for each axis of l
+    after its ``batch`` batch axes, so that c * l multiplies member by member."""
+    return c.reshape(c.shape + (1,) * (l.ndim - batch))
+
+
 def jet_einsum(spec: str, a, b) -> "Jet":
     """Einsum of two jets with the Leibniz rule across derivative levels.
 
     ``spec`` refers to tensor axes only; derivative axes are appended and
-    handled automatically. Plain arrays and numbers coerce to constants.
+    handled automatically. If an operand holds a batch, a leading ``...``
+    on both operands and the output carries it. Plain arrays and numbers
+    coerce to constants without a batch.
     """
     if not isinstance(a, Jet) and not isinstance(b, Jet):
         raise TypeError("jet_einsum needs at least one Jet operand")
@@ -276,6 +343,9 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         b = Jet.const(ref.dim, b, ref.order)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
+    batch = max(a.batch, b.batch)
+    if batch:
+        sa, sb, out = "..." + sa, "..." + sb, "..." + out
     order = min(a.order, b.order)
     T, U, V = _DLETTERS[0], _DLETTERS[1], _DLETTERS[2]
     a0, b0 = a.levels[0], b.levels[0]
@@ -297,7 +367,7 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", a.levels[1], b.levels[2])
         l3 += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
         levels.append(l3)
-    return Jet(ref.dim, levels)
+    return Jet(ref.dim, levels, batch)
 
 
 # -- univariate function table ----------------------------------------------
@@ -350,8 +420,9 @@ class LJet(NamedTuple):
     l: Optional[Jet] = None
 
     def lam(self) -> Jet:
-        return self.l if self.l is not None else Jet.zeros(self.c.dim, self.c.shape,
-                                                           max(self.c.order - 1, 0))
+        c = self.c
+        return self.l if self.l is not None else Jet.zeros(c.dim, c.val.shape,
+                                                           max(c.order - 1, 0), c.batch)
 
     def __add__(self, other: "LJet") -> "LJet":
         if self.l is None and other.l is None:
@@ -367,5 +438,5 @@ class LJet(NamedTuple):
                     None if self.l is None else self.l.scale(complex(z)))
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
-        zero = np.zeros(self.c.shape, dtype=np.complex128)
+        zero = np.zeros(self.c.val.shape, dtype=np.complex128)
         return (self.c.val, self.l.val if self.l is not None else zero)

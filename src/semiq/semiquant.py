@@ -29,6 +29,16 @@ Axes of a tensor's jets before its ``rank`` slots form a family, carried
 member by member through products, the wedge and rank-1 ``nabla_Q``; a
 product of two families has the left operand's family axes first. A lone
 tensor is a family of no axes.
+
+Batches
+-------
+A field evaluated at a batch of points, a tuple of point tuples, gives
+jets whose leading ``batch`` axes index the points (see ``Jet``). The
+axes of a level are then, in order: batch axes, family axes, tensor slots
+and derivative axes. Einsum specs here name family axes, slots and
+derivatives only; ``jet_einsum`` and ``Jet.reorder`` carry the batch in
+front, so each member's bits are those of its point evaluated alone, and
+a result that does not depend on the point may keep no batch axis.
 """
 
 from __future__ import annotations
@@ -352,30 +362,30 @@ def sigma_basis(f: PointFrame) -> np.ndarray:
     """
     N, P = nq_basis(f), f.om_gam
     x = Jet.coords(f.dim, f.point, f.order)
-    # dx^i . x^j in normal form, batched over j and i
+    # dx^i . x^j in normal form, a family over j and i
     c = jet_einsum("j,ir->jir", x, np.eye(f.dim))
     A = _nabla_normal(LJet(c, P.reorder("ijr->jir")), N, f, "r", "mn", "jo")
-    # (nabla_Q dx^i) . x^j, batched over j and i
+    # (nabla_Q dx^i) . x^j, a family over j and i
     base = _fstar("imn,j->jimn", N, LJet(x), f.om)
     corr = jet_einsum("ujm,iun->jimn", P, N.c) + jet_einsum("ujn,imu->jimn", P, N.c)
     return A.lam().val - (base.lam() + corr).val
 
 
 def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
-                  batch: str = "") -> LJet:
-    """Quantised connection on normal-form coefficients cf[batch, coeff] of
+                  fam: str = "") -> LJet:
+    """Quantised connection on normal-form coefficients cf[fam, coeff] of
     the cobasis monomials whose own connection is conn[coeff, out]; the
-    output is [batch, out], direction slot first.
+    output is [fam, out], direction slot first.
 
     The basis connection is contracted through the deformed product, and
     the differential of the coefficients is collected to the left of the
     monomial.
     """
-    base = _fstar(f"{batch}{coeff},{coeff}{out}->{batch}{out}", cf, conn, f.om)
-    dc = cf.c.grad()                                    # [batch, coeff, k]
-    corr = 0.5 * jet_einsum(f"usk,{batch}{coeff}us->{batch}{coeff}k", f.om_gam, dc.grad())
+    base = _fstar(f"{fam}{coeff},{coeff}{out}->{fam}{out}", cf, conn, f.om)
+    dc = cf.c.grad()                                    # [fam, coeff, k]
+    corr = 0.5 * jet_einsum(f"usk,{fam}{coeff}us->{fam}{coeff}k", f.om_gam, dc.grad())
     dl = corr if cf.l is None else cf.lam().grad() + corr
-    flip = f"{batch}{coeff}k->{batch}k{coeff}"
+    flip = f"{fam}{coeff}k->{fam}k{coeff}"
     return LJet(base.c + dc.reorder(flip), base.lam() + dl.reorder(flip))
 
 
@@ -397,6 +407,7 @@ def nq2_basis(f: PointFrame) -> LJet:
     # braid the first two output slots; the braiding array is indexed by
     # (differential slot, form slot), the extension feeds (element, direction)
     s1 = sigma_basis(f)
+    s1 = Jet.const(d, s1, N.c.order, s1.ndim - 4)   # its batch axes, if any, lead
     bc = zc.reorder("mnvut->mnuvt")
     bl = zl.reorder("mnvut->mnuvt") + jet_einsum("nst,smuv->mnuvt", N.c, s1)
     return LJet(p1c + bc, p1l + bl)

@@ -4,7 +4,9 @@ Each suite evaluates a set of named checks at seeded random points of a
 geometry and records the max-abs residual of the classical and
 first-order slots separately. Residuals are always read off the graded
 arithmetic exactly; no numerical limit in the deformation parameter is
-ever taken.
+ever taken. A suite evaluates each check once over a batch of its points
+(``evolution`` still point by point); a sample too large for one batch's
+jets is split into consecutive batches, and the maxima fold across them.
 """
 
 from __future__ import annotations
@@ -83,6 +85,16 @@ def random_oneform(G: GeometryData, rng) -> sq.QTensor:
     return sq.QTensor.from_oneform(G, fn)
 
 
+def _members(fields):
+    """Provider of a batch whose member k is ``fields[k]`` at the batch's
+    k-th point: fields drawn one per point, each evaluated at its own."""
+    def fn(pts):
+        vs = [x.at(pt) for x, pt in zip(fields, pts)]
+        l = None if all(v.l is None for v in vs) else Jet.stack([v.lam() for v in vs])
+        return LJet(Jet.stack([v.c for v in vs]), l)
+    return fn
+
+
 def finite(what: str, *values) -> tuple:
     """``values``, or an EvalError naming ``what`` if any entry is not finite."""
     if not all(np.isfinite(v).all() for v in values):
@@ -91,7 +103,9 @@ def finite(what: str, *values) -> tuple:
 
 
 def _acc(worst: dict, name: str, c, l) -> None:
-    """Fold the classical and first-order residuals c, l into check ``name``."""
+    """Fold the classical and first-order residuals c, l, each over a batch
+    of points or one point, into check ``name``: float max is exact, so the
+    maximum does not depend on how the points were batched."""
     rec = worst.setdefault(name, [0.0, 0.0])
     c, l = finite(f"the residual of check {name!r}", np.max(np.abs(c)), np.max(np.abs(l)))
     rec[0], rec[1] = max(rec[0], float(c)), max(rec[1], float(l))
@@ -99,54 +113,58 @@ def _acc(worst: dict, name: str, c, l) -> None:
 
 # -- individual suites -----------------------------------------------------------
 
+# each suite takes a batch of points, a tuple of point tuples
+
 def _suite_classical(G: GeometryData, pts, rng) -> dict:
     worst = {}
     t1, t2, mg = compat_residuals(G)
-    for pt in pts:
-        f = G.frame(pt)
-        ident = jet_einsum("am,mb->ab", f.g, f.ginv).val - np.eye(G.dim)
-        _acc(worst, "metric-inverse", ident, 0.0)
-        _acc(worst, "poisson-compat", *t1.at(pt).values())
-        _acc(worst, "poisson-jacobi", *t2.at(pt).values())
-        _acc(worst, "metric-parallel", *mg.at(pt).values())
+    f = G.frame(pts)
+    ident = jet_einsum("am,mb->ab", f.g, f.ginv).val - np.eye(G.dim)
+    _acc(worst, "metric-inverse", ident, 0.0)
+    _acc(worst, "poisson-compat", *t1.at(pts).values())
+    _acc(worst, "poisson-jacobi", *t2.at(pts).values())
+    _acc(worst, "metric-parallel", *mg.at(pts).values())
     return worst
 
 
 def _suite_dga(G: GeometryData, pts, rng) -> dict:
     worst = {}
-    for pt in pts:
-        a, b, c = (random_poly_field(G.dim, rng, order=G.order) for _ in range(3))
-        ab_c = sq.star_product(sq.star_product(a, b, G), c, G)
-        a_bc = sq.star_product(a, sq.star_product(b, c, G), G)
-        _acc(worst, "star-associator", *(ab_c.at(pt) - a_bc.at(pt)).values())
+    # every point draws its own a, b, c, xi and eta, in that order, as a
+    # loop over the points would; each is evaluated at its own point alone
+    drawn = [[random_poly_field(G.dim, rng, order=G.order) for _ in range(3)]
+             + [random_oneform(G, rng) for _ in range(2)] for _ in pts]
+    a, b, c = (Field(_members([d[k] for d in drawn])) for k in range(3))
+    xi, eta = (sq.QTensor(G, 1, _members([d[k] for d in drawn])) for k in (3, 4))
 
-        xi = random_oneform(G, rng)
-        a_xi_b = sq.module_action(a, sq.module_action(xi, b))
-        axi_b = sq.module_action(sq.module_action(a, xi), b)
-        _acc(worst, "bimodule-assoc", *(a_xi_b.at(pt) - axi_b.at(pt)).values())
+    ab_c = sq.star_product(sq.star_product(a, b, G), c, G)
+    a_bc = sq.star_product(a, sq.star_product(b, c, G), G)
+    _acc(worst, "star-associator", *(ab_c.at(pts) - a_bc.at(pts)).values())
 
-        d_ab = sq.QTensor.differential(G, sq.star_product(a, b, G))
-        da, db = sq.QTensor.differential(G, a), sq.QTensor.differential(G, b)
-        rhs = sq.module_action(da, b) + sq.module_action(a, db)
-        _acc(worst, "quantum-leibniz", *(d_ab.at(pt) - rhs.at(pt)).values())
+    a_xi_b = sq.module_action(a, sq.module_action(xi, b))
+    axi_b = sq.module_action(sq.module_action(a, xi), b)
+    _acc(worst, "bimodule-assoc", *(a_xi_b.at(pts) - axi_b.at(pts)).values())
 
-        eta = random_oneform(G, rng)
-        w_xe = sq.wedge1(xi, eta).at(pt)
-        w_ex = sq.wedge1(eta, xi).at(pt)
-        _acc(worst, "wedge1-graded-antisym", w_xe.c.val + w_ex.c.val, 0.0)
+    d_ab = sq.QTensor.differential(G, sq.star_product(a, b, G))
+    da, db = sq.QTensor.differential(G, a), sq.QTensor.differential(G, b)
+    rhs = sq.module_action(da, b) + sq.module_action(a, db)
+    _acc(worst, "quantum-leibniz", *(d_ab.at(pts) - rhs.at(pts)).values())
 
-        lhs = sq.nabla_Q(sq.module_action(a, xi)).at(pt)
-        t1 = sq.module_action(a, sq.nabla_Q(xi)).at(pt)
-        t2 = sq.otimes1(da, xi).at(pt)
-        _acc(worst, "nablaq-left-leibniz", *(lhs - (t1 + t2)).values())
+    w_xe = sq.wedge1(xi, eta).at(pts)
+    w_ex = sq.wedge1(eta, xi).at(pts)
+    _acc(worst, "wedge1-graded-antisym", w_xe.c.val + w_ex.c.val, 0.0)
 
-        # the braiding evaluated on xi (x) da reduces classically to the
-        # flip da (x) xi, direction slot first
-        sig = sq.sigma_Q(a, xi).at(pt)
-        av = a.at(pt)
-        xv = sq._model(xi, pt)
-        flip = jet_einsum("m,n->mn", av.c.grad(), xv.c)
-        _acc(worst, "sigma-classical-flip", sig.c.val - flip.val, 0.0)
+    lhs = sq.nabla_Q(sq.module_action(a, xi)).at(pts)
+    t1 = sq.module_action(a, sq.nabla_Q(xi)).at(pts)
+    t2 = sq.otimes1(da, xi).at(pts)
+    _acc(worst, "nablaq-left-leibniz", *(lhs - (t1 + t2)).values())
+
+    # the braiding evaluated on xi (x) da reduces classically to the
+    # flip da (x) xi, direction slot first
+    sig = sq.sigma_Q(a, xi).at(pts)
+    av = a.at(pts)
+    xv = sq._model(xi, pts)
+    flip = jet_einsum("m,n->mn", av.c.grad(), xv.c)
+    _acc(worst, "sigma-classical-flip", sig.c.val - flip.val, 0.0)
     return worst
 
 
@@ -156,40 +174,37 @@ def _suite_metric(G: GeometryData, pts, rng) -> dict:
     g1 = sq.g1_build(G)
     ngq = sq.nabla_Q(gq)
     qinv_g = sq.q_map(sq.classical_metric(G), G)
-    for pt in pts:
-        f = G.frame(pt)
-        _acc(worst, "ricci-two-routes", 0.0, (f.ricci2 - f.ricci2_direct).val)
-        _acc(worst, "gq-vs-q-inverse", *(gq.at(pt) - qinv_g.at(pt)).values())
-        wq = sq.wedge1_map(gq).at(pt)
-        # the deformed wedge of the quantum metric is minus the generalized
-        # Ricci two-form; see docs/criterion5.md for the orientation
-        _acc(worst, "wedge-gq-ricci-pairing", wq.c.val, wq.lam().val + f.ricci2.val)
-        w1 = sq.wedge1_map(g1).at(pt)
-        _acc(worst, "wedge-g1-zero", *w1.values())
-        _acc(worst, "nablaq-gq-zero", *ngq.at(pt).values())
-        arr0 = rng.normal(size=(G.dim, G.dim)) + 1j * rng.normal(size=(G.dim, G.dim))
-        arr1 = rng.normal(size=(G.dim, G.dim)) + 1j * rng.normal(size=(G.dim, G.dim))
-        X = sq.QTensor(G, 2, lambda p, a0=arr0, a1=arr1:
-                       LJet(Jet.const(G.dim, a0, G.order), Jet.const(G.dim, a1, G.order)))
-        rt = sq.q_map(sq.q_map(X), G).at(pt)
-        _acc(worst, "q-roundtrip", rt.c.val - arr0, rt.lam().val - arr1)
+    f = G.frame(pts)
+    _acc(worst, "ricci-two-routes", 0.0, (f.ricci2 - f.ricci2_direct).val)
+    _acc(worst, "gq-vs-q-inverse", *(gq.at(pts) - qinv_g.at(pts)).values())
+    wq = sq.wedge1_map(gq).at(pts)
+    # the deformed wedge of the quantum metric is minus the generalized
+    # Ricci two-form; see docs/criterion5.md for the orientation
+    _acc(worst, "wedge-gq-ricci-pairing", wq.c.val, wq.lam().val + f.ricci2.val)
+    w1 = sq.wedge1_map(g1).at(pts)
+    _acc(worst, "wedge-g1-zero", *w1.values())
+    _acc(worst, "nablaq-gq-zero", *ngq.at(pts).values())
+    # per point, in the order a loop over the points would draw them
+    arrs = [[rng.normal(size=(G.dim, G.dim)) + 1j * rng.normal(size=(G.dim, G.dim))
+             for _ in range(2)] for _ in pts]
+    arr0, arr1 = (np.stack([a[k] for a in arrs]) for k in range(2))
+    X = sq.QTensor(G, 2, lambda p: LJet(Jet.const(G.dim, arr0, G.order, 1),
+                                        Jet.const(G.dim, arr1, G.order, 1)))
+    rt = sq.q_map(sq.q_map(X), G).at(pts)
+    _acc(worst, "q-roundtrip", rt.c.val - arr0, rt.lam().val - arr1)
     return worst
 
 
 def _suite_qlc(G: GeometryData, pts, rng) -> dict:
     worst = {}
-    res = sq.qlc_residual(G)
-    for pt in pts:
-        _acc(worst, "qlc-residual", *res.at(pt).values())
+    _acc(worst, "qlc-residual", *sq.qlc_residual(G).at(pts).values())
     return worst
 
 
 def _suite_catalogue(G: GeometryData, pts, rng) -> dict:
     worst = {}
     for name in sorted(geos.CATALOGUE):
-        for pt in pts:
-            rc, rl = geos.cpn_catalogue_residual(G, name, pt)
-            _acc(worst, name, rc, rl)
+        _acc(worst, name, *geos.cpn_catalogue_residual(G, name, pts))
     return worst
 
 
@@ -234,6 +249,13 @@ SUITE_ORDERS: dict = {
 }
 
 
+def batch_size(G: GeometryData) -> int:
+    """Points per batch: the most whose largest jet array, at most
+    16 * dim**(5 + order) bytes per point (see ``check_jet_bytes``), fits in
+    MAX_JET_BYTES, and at least one."""
+    return max(1, MAX_JET_BYTES // (16 * G.dim ** (5 + G.order)))
+
+
 def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
               tol: Optional[float] = None, timing: bool = False) -> SuiteResult:
     """Run one named suite at seeded random chart points."""
@@ -250,9 +272,14 @@ def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"the tolerance must be a finite number >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
-    pts = [tuple(p) for p in G.sample_points(points, seed)]
+    pts = tuple(tuple(p) for p in G.sample_points(points, seed))
     start = time.perf_counter()
-    worst = _SUITE_FNS[suite](G.at_order(SUITE_ORDERS[suite]), pts, rng)
+    Gs = G.at_order(SUITE_ORDERS[suite])
+    worst = {}
+    size = batch_size(Gs)
+    for k in range(0, len(pts), size):
+        for name, (c, l) in _SUITE_FNS[suite](Gs, pts[k: k + size], rng).items():
+            _acc(worst, name, c, l)
     elapsed = (time.perf_counter() - start) * 1000.0
     checks = [CheckRecord(name, vals[0], vals[1], tol)
               for name, vals in sorted(worst.items())]

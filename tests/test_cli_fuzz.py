@@ -136,11 +136,15 @@ COMPLEX = re.compile(rf"([-+]?{UNSIGNED})\s*([-+]\s*{UNSIGNED})j|([-+]?{UNSIGNED
 def magnitude_case(op, f, k, g, j):
     """(argv, the exact values it prints, the exact derivatives it reads) on a
     flat plane at (10^k, 10^j), a function f of x1 and, for wedge, g of x2;
-    or ``star`` on CP^1 at (10^k, 0)."""
+    or ``star`` of the real and imaginary parts of z1 on CP^1 at (10^k, 0)
+    and on CP^2 at (10^k, 0, 0, 0)."""
     X, Y = (mp.mpf(float(f"1e{e}")) for e in (k, j))
     if op == "cpn-star":
         return (["eval", "star", "--geometry", "cpn", "--n", "1", "--a", "x1", "--b", "x2",
                  f"--at=1e{k},0"], [0, -(1 + X ** 2) ** 2 / 4], [])
+    if op == "cpn2-star":
+        return (["eval", "star", "--geometry", "cpn", "--n", "2", "--a", "x1", "--b", "x3",
+                 f"--at=1e{k},0,0,0"], [0, -(1 + X ** 2) ** 2 / 4], [])
     argv = ["eval", op, "--geometry", "flat", "--n", "1", "--a", f.format("x1"),
             f"--at=1e{k},1e{j}"]
     a = DERIVS[f](X)
@@ -165,10 +169,10 @@ def printed(text):
 
 @st.composite
 def magnitudes(draw):
-    """star and nablaQ of each function on the plane, star on CP^1; wedge,
-    a product of two derivatives, is pinned by its example only."""
-    op = draw(st.sampled_from(["star", "nablaQ", "cpn-star"]))
-    f = None if op == "cpn-star" else draw(st.sampled_from(sorted(DERIVS)))
+    """star and nablaQ of each function on the plane, star on CP^1 and CP^2;
+    wedge, a product of two derivatives, is pinned by its example only."""
+    op = draw(st.sampled_from(["star", "nablaQ", "cpn-star", "cpn2-star"]))
+    f = None if op.startswith("cpn") else draw(st.sampled_from(sorted(DERIVS)))
     return op, f, draw(st.integers(-300, 300)), None, 0
 
 
@@ -179,6 +183,7 @@ def magnitudes(draw):
 @example(case=("star", "sqrt({})", 130, None, 0))
 @example(case=("star", "1/{}", 80, None, 0))
 @example(case=("cpn-star", None, 40, None, 0))
+@example(case=("cpn2-star", None, 40, None, 0))
 @example(case=("nablaQ", "ln({})", 130, None, 0))
 @example(case=("wedge", "ln({})", 200, "sqrt({})", 300))
 def test_magnitudes_against_exact_values(case, capsys):
