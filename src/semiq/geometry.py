@@ -78,18 +78,24 @@ class Field:
 
 
 def component_jets(dim: int, rank: int, comps) -> Callable[["PointFrame"], Jet]:
-    """Jet provider of a tensor given by component expressions."""
+    """Jet provider of a tensor given by component expressions; a batch's
+    frame evaluates them at each member point and stacks the jets."""
     arr = np.asarray(comps, dtype=object)
     shape = (dim,) * rank
     if arr.shape != shape:
         raise ConfigError(f"component array has shape {arr.shape}, expected {shape}")
     trees = [fieldexpr.parse(str(arr[idx]), dim) for idx in np.ndindex(shape)]
 
-    def fn(f):
-        out = [fieldexpr.eval_jet(t, f.point, dim, f.order) for t in trees]
+    def at(point, order: int) -> Jet:
+        out = [fieldexpr.eval_jet(t, point, dim, order) for t in trees]
         levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (dim,) * k)
-                  for k in range(f.order + 1)]
+                  for k in range(order + 1)]
         return Jet(dim, levels)
+
+    def fn(f):
+        if is_batch(f.point):
+            return Jet.stack([at(p, f.order) for p in f.point])
+        return at(f.point, f.order)
 
     return fn
 
@@ -155,9 +161,7 @@ class GeometryData:
     providers, sampled in the box [-box, box]^dim.
 
     Providers take a frame and return jets of its order at its point, or
-    over its batch of points; a frame reads each of them once. A
-    ``pointwise`` geometry's providers read one point only: the frame of a
-    batch reads them at its members' frames and stacks the jets. ``order``
+    over its batch of points; a frame reads each of them once. ``order``
     is the depth of every frame built through this geometry: the highest
     derivative its caller reads. ``at_order`` gives a view at another depth
     that shares the frame cache, keyed by (point or batch, order).
@@ -175,7 +179,6 @@ class GeometryData:
     default_seed: int = 0
     suites: tuple = GENERIC_SUITES  # default suites; cpn-catalogue runs only where listed
     parallel_cobasis: bool = False  # coordinate one-forms are parallel (flat chart)
-    pointwise: bool = False         # providers read one point; a batch stacks them
     order: int = 3                  # jet depth of frames and provider calls
     _frames: dict = field(default_factory=dict, repr=False)
 
@@ -219,28 +222,21 @@ class PointFrame:
         self.order = geom.order
         self.built: dict = {}       # @per_frame results, keyed by builder
 
-    def _provided(self, fn, attr: str) -> Jet:
-        """fn(self), or for a batch on a pointwise geometry, ``attr`` of each
-        member's own frame, stacked."""
-        if self.G.pointwise and is_batch(self.point):
-            return Jet.stack([getattr(self.G.frame(p), attr) for p in self.point])
-        return fn(self)
-
     @cached_property
     def g(self) -> Jet:
-        return self._provided(self.G.g_fn, "g")
+        return self.G.g_fn(self)
 
     @cached_property
     def ginv(self) -> Jet:
-        return self._provided(self.G.ginv_fn, "ginv")
+        return self.G.ginv_fn(self)
 
     @cached_property
     def om(self) -> Jet:
-        return self._provided(self.G.omega_fn, "om")
+        return self.G.omega_fn(self)
 
     @cached_property
     def gam(self) -> Jet:
-        return self._provided(self.G.gamma_fn, "gam")
+        return self.G.gamma_fn(self)
 
     @cached_property
     def om_gam(self) -> Jet:
@@ -412,7 +408,7 @@ def geometry_from_config(cfg: dict) -> GeometryData:
     G = GeometryData(dim, g, lambda f: f.g.matinv(), om,
                      levi_civita_gamma if levi_civita else component_jets(dim, 3, conn),
                      levi_civita=levi_civita, name=name, box=float(box), tol=1e-6,
-                     default_seed=seed, pointwise=True)
+                     default_seed=seed)
     # a metric must be symmetric and a bivector antisymmetric; compared by
     # value at three points of the box, so entries written differently agree
     probes = box * np.sin(np.outer(np.arange(1.0, 4.0), np.arange(1.0, dim + 1.0)))

@@ -249,11 +249,21 @@ SUITE_ORDERS: dict = {
 }
 
 
+# Working set of one batch. Beyond what one point per batch holds, a suite
+# keeps per point at most about six arrays the size of its largest jet array,
+# 16 * dim**(5 + order) bytes (see ``check_jet_bytes``): the kernels'
+# transient levels, and dga's drawn fields with their jets (tracemalloc, at
+# dims 2, 4 and 6); LIVE_ARRAYS rounds that up. Batching pays Python dispatch
+# once per check, which a few points already amortize at dim 4, so a larger
+# budget buys memory and no speed.
+BATCH_BYTES = 2 ** 26
+LIVE_ARRAYS = 8
+
+
 def batch_size(G: GeometryData) -> int:
-    """Points per batch: the most whose largest jet array, at most
-    16 * dim**(5 + order) bytes per point (see ``check_jet_bytes``), fits in
-    MAX_JET_BYTES, and at least one."""
-    return max(1, MAX_JET_BYTES // (16 * G.dim ** (5 + G.order)))
+    """Points per batch: the most whose working set fits in BATCH_BYTES, and
+    at least one."""
+    return max(1, BATCH_BYTES // (LIVE_ARRAYS * 16 * G.dim ** (5 + G.order)))
 
 
 def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,

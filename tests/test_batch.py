@@ -6,11 +6,13 @@ byte for byte, the same route evaluated at each point alone and stacked; a
 batch is never contracted across members. A result that does not depend on
 the point (a constant metric, say) may keep no batch axis and is compared
 broadcast. The suites then evaluate each check once per batch, and a sample
-too large for one batch is split without changing a report byte.
+too large for one batch is split without changing a report byte or holding
+more than the batch budget beyond one point at a time.
 """
 
 import json
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from semiq import semiquant as sq
 from semiq import suites
-from semiq.cli import main
+from semiq.cli import build_geometry, main
 from semiq.errors import SemiqError
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
 from semiq.geometry import Field, geometry_from_config
@@ -240,8 +242,8 @@ def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
     argv = ["check", "cpn", "--n", "1", "--points", "5", "--seed", "3"]
     assert main(argv) == 0
     whole = capsys.readouterr().out
-    # a budget that holds the 5 x 2 sample but not one more point per batch
-    monkeypatch.setattr(suites, "MAX_JET_BYTES", 8 * 5 * 2)
+    # a budget below one point's working set: one point per batch
+    monkeypatch.setattr(suites, "BATCH_BYTES", 1)
     assert suites.batch_size(make_cpn(1).at_order(1)) == 1
     batches = []
     for name, fn in list(suites._SUITE_FNS.items()):
@@ -250,3 +252,29 @@ def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
     assert batches == [1] * 5 * len(make_cpn(1).suites)
+
+
+@pytest.mark.parametrize("geometry, n, suite, per_batch, points", [
+    ("cpn", 2, "metric", 3, 12),     # the most live arrays per point at dim 4
+    ("flat", 1, "dga", 16, 64),      # drawn fields and their jets per point
+])
+def test_batch_working_set_within_budget(geometry, n, suite, per_batch, points,
+                                         monkeypatch):
+    # a budget of ``per_batch`` points' working sets
+    G0 = build_geometry(geometry, n).at_order(suites.SUITE_ORDERS[suite])
+    budget = per_batch * suites.LIVE_ARRAYS * 16 * G0.dim ** (5 + G0.order)
+
+    def peak(batch_bytes):
+        monkeypatch.setattr(suites, "BATCH_BYTES", batch_bytes)
+        G = build_geometry(geometry, n)
+        tracemalloc.start()
+        try:
+            suites.run_suite(suite, G, points=points, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1)           # one point per batch
+    monkeypatch.setattr(suites, "BATCH_BYTES", budget)
+    assert suites.batch_size(G0) == per_batch
+    assert peak(budget) <= one + budget

@@ -313,6 +313,8 @@ class TestProviders:
         G.g_fn = counted
         suites.run_suite("classical-compat", G, points=3, seed=1)
         suites.run_suite("metric", G, points=3, seed=1)
-        # the order-1 frames' Levi-Civita Gamma reads g from the order-2 frames
+        # one frame holds each suite's batch of the three points; the order-1
+        # frame's Levi-Civita Gamma reads g from the order-2 frame
+        assert all(len(pt) == 3 for pt, k in asked)
         assert set(asked.values()) == {1}
-        assert sum(n for (pt, k), n in asked.items() if k == 2) == 3
+        assert sum(n for (pt, k), n in asked.items() if k == 2) == 1
