@@ -77,7 +77,8 @@ def evolution_defect(a: Field, H: Field, G: GeometryData) -> Field:
 
 def defect_two_route_residual(a: Field, H: Field, G: GeometryData,
                               point) -> float:
-    """Max-abs difference between -nabla_{ahat}(dH) and (da)dot - d(adot)."""
+    """Max-abs difference between -nabla_{ahat}(dH) and (da)dot - d(adot),
+    at a point or over a batch of points."""
     direct = evolution_defect(a, H, G).at(point).c.val
 
     da = Field(lambda pt: LJet(a.at(pt).c.grad()))

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownSymbolError
-from .lambda_core import UNARY_FUNCS, Jet, jet_apply
+from .lambda_core import UNARY_FUNCS, Jet, is_batch, jet_apply
 
 FUNCTIONS = (*UNARY_FUNCS, "conj")
 
@@ -238,14 +238,20 @@ def parse(text: str, dim: int) -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
-    """Jet of the expression at a real chart point."""
-    point = list(point)
-    d = dim if dim is not None else len(point)
-    if len(point) != d:
-        raise EvalError(f"point has {len(point)} coordinates, chart has {d}")
+    """Jet of the expression at a real chart point, or over a batch of
+    points, a tuple of point tuples. A batch gives each member's jet as that
+    point alone would, and a member's error as that point alone would; a
+    constant expression keeps no batch axis."""
+    pts = point if is_batch(point) else (point,)
+    d = dim if dim is not None else len(pts[0])
+    for p in pts:
+        if len(p) != d:
+            raise EvalError(f"point has {len(p)} coordinates, chart has {d}")
     out = _eval(e, point, d, order)
     if not all(np.isfinite(l).all() for l in out.levels):
-        raise EvalError(f"expression or its derivatives not finite at {tuple(point)}")
+        for k, p in enumerate(pts):
+            if not all(np.isfinite(l[k] if out.batch else l).all() for l in out.levels):
+                raise EvalError(f"expression or its derivatives not finite at {tuple(p)}")
     return out
 
 

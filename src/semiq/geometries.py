@@ -268,14 +268,12 @@ def _zero(rank: int):
     return lambda x: _lam(np.zeros((x.n, x.n) + (x.d,) * rank, dtype=np.complex128))
 
 
-def _per(x: CPnPoint, fn, rank: int):
-    """fn(t^2) in Python complex arithmetic at each point: a number at one
-    point, and over a batch an array of one per point with ``rank`` unit
-    axes, to scale a grid of that rank member by member."""
-    vals = [fn(t) for t in x.t2.member_values()]
-    if not x.t2.batch:
-        return vals[0]
-    return np.array(vals).reshape(x.t2.val.shape + (1,) * rank)
+def _per(x: CPnPoint, fn, rank: int) -> np.ndarray:
+    """fn(t^2) in Python complex arithmetic at each point, an array of the
+    batch shape with ``rank`` unit axes, to scale a grid of that rank member
+    by member."""
+    return np.array([fn(t) for t in x.t2.member_values()]).reshape(
+        x.t2.val.shape + (1,) * rank)
 
 
 # families of functions and one-forms indexed by the complex frame: one field

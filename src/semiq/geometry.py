@@ -78,24 +78,22 @@ class Field:
 
 
 def component_jets(dim: int, rank: int, comps) -> Callable[["PointFrame"], Jet]:
-    """Jet provider of a tensor given by component expressions; a batch's
-    frame evaluates them at each member point and stacks the jets."""
+    """Jet provider of a tensor given by component expressions, each
+    evaluated once at the frame's point or over its batch."""
     arr = np.asarray(comps, dtype=object)
     shape = (dim,) * rank
     if arr.shape != shape:
         raise ConfigError(f"component array has shape {arr.shape}, expected {shape}")
     trees = [fieldexpr.parse(str(arr[idx]), dim) for idx in np.ndindex(shape)]
 
-    def at(point, order: int) -> Jet:
-        out = [fieldexpr.eval_jet(t, point, dim, order) for t in trees]
-        levels = [np.stack([j.levels[k] for j in out]).reshape(shape + (dim,) * k)
-                  for k in range(order + 1)]
-        return Jet(dim, levels)
-
     def fn(f):
-        if is_batch(f.point):
-            return Jet.stack([at(p, f.order) for p in f.point])
-        return at(f.point, f.order)
+        lead = np.shape(f.point)[:-1]       # the batch shape
+        out = [fieldexpr.eval_jet(t, f.point, dim, f.order) for t in trees]
+        # a constant component holds no batch axis and is broadcast
+        levels = [np.stack([np.broadcast_to(j.levels[k], lead + (dim,) * k) for j in out],
+                           axis=len(lead)).reshape(lead + shape + (dim,) * k)
+                  for k in range(f.order + 1)]
+        return Jet(dim, levels, len(lead))
 
     return fn
 
@@ -410,16 +408,17 @@ def geometry_from_config(cfg: dict) -> GeometryData:
                      levi_civita=levi_civita, name=name, box=float(box), tol=1e-6,
                      default_seed=seed)
     # a metric must be symmetric and a bivector antisymmetric; compared by
-    # value at three points of the box, so entries written differently agree
+    # value on one frame of three points of the box, so entries written
+    # differently agree, and the first failing point is named
     probes = box * np.sin(np.outer(np.arange(1.0, 4.0), np.arange(1.0, dim + 1.0)))
-    frames = [PointFrame(G.at_order(0), tuple(pt)) for pt in probes]
+    f = PointFrame(G.at_order(0), tuple(map(tuple, probes)))
     for key, attr, sign, what in (("metric", "g", 1, "symmetric"),
                                   ("poisson", "om", -1, "antisymmetric")):
-        for f in frames:
-            m = getattr(f, attr).val
-            gap = float(np.max(np.abs(m - sign * m.T)))
-            if not gap <= 1e-9 * max(1.0, float(np.max(np.abs(m)))):
-                at = ", ".join(f"{c:.6g}" for c in f.point)
+        m = getattr(f, attr).val
+        gaps = np.max(np.abs(m - sign * np.swapaxes(m, -1, -2)), axis=(-2, -1))
+        for pt, gap, size in zip(f.point, gaps, np.max(np.abs(m), axis=(-2, -1))):
+            if not gap <= 1e-9 * max(1.0, float(size)):
+                at = ", ".join(f"{c:.6g}" for c in pt)
                 raise ConfigError(f"config entry {key!r} must be {what}: its "
                                   f"transpose differs by {gap:.3g} at ({at})")
     return G

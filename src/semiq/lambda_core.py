@@ -12,10 +12,11 @@ rounding. Jets may be tensor-shaped: ``levels[k]`` has shape
 ``shape + (dim,)*k`` and is symmetric in the trailing derivative axes.
 
 A jet may also hold a batch: ``batch`` leading axes of every level, one
-member per chart point, which ``shape`` excludes. Every operation acts on
-each member as it would on that member alone: einsum carries the batch
-through a leading ``...``, and functions of a value are evaluated member
-by member in Python complex arithmetic.
+member per chart point, which ``shape`` excludes. A lone jet is a batch of
+no axes, never a batch of one, and takes the same code: einsum always
+carries a leading ``...``, and functions of a value are evaluated member
+by member in Python complex arithmetic. Every operation acts on each
+member as it would on that member alone.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ class Jet:
     @property
     def shape(self) -> tuple:
         """The tensor shape, without the batch axes."""
-        s = self.levels[0].shape
-        return s[self.batch:] if self.batch else s
+        return self.levels[0].shape[self.batch:]
 
     @property
     def val(self) -> np.ndarray:
@@ -114,9 +114,7 @@ class Jet:
     def member_values(self) -> list:
         """The value of a scalar jet as Python complex numbers, one per batch
         member in C order; a lone jet has one."""
-        if not self.batch:
-            return [self.value]
-        return [complex(v) for v in self.levels[0].reshape(-1)]
+        return self.levels[0].reshape(-1).tolist()
 
     @property
     def d1(self) -> Optional[np.ndarray]:
@@ -222,16 +220,12 @@ class Jet:
         for u in self.member_values():
             try:
                 rows.append([fn(u) for fn in fns[: self.order + 1]])
-            except ArithmeticError as exc:
+            except (ArithmeticError, ValueError) as exc:    # cmath.sin(inf): ValueError
                 raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
-        if self.batch:
-            f = [np.array(col, dtype=np.complex128).reshape(self.val.shape) for col in zip(*rows)]
-        else:
-            f = [np.asarray(v, dtype=np.complex128) for v in rows[0]]
-        e = "..." if self.batch else ""
+        f = [np.array(col, dtype=np.complex128).reshape(self.val.shape) for col in zip(*rows)]
 
         def times(k, l):        # f^(k) times l, member by member
-            return _over_members(f[k], l, self.batch) * l if self.batch else f[k] * l
+            return _over_members(f[k], l, self.batch) * l
 
         out = [f[0]]
         if self.order >= 1:
@@ -239,12 +233,12 @@ class Jet:
             out.append(times(1, u1))
         if self.order >= 2:
             u2 = self.levels[2]
-            out.append(times(2, np.einsum(f"{e}i,{e}j->{e}ij", u1, u1)) + times(1, u2))
+            out.append(times(2, np.einsum("...i,...j->...ij", u1, u1)) + times(1, u2))
         if self.order >= 3:
             u3 = self.levels[3]
-            cross = np.einsum(f"{e}ij,{e}k->{e}ijk", u2, u1)
+            cross = np.einsum("...ij,...k->...ijk", u2, u1)
             sym = cross + np.moveaxis(cross, -1, -2) + np.moveaxis(cross, -1, -3)
-            out.append(times(3, np.einsum(f"{e}i,{e}j,{e}k->{e}ijk", u1, u1, u1))
+            out.append(times(3, np.einsum("...i,...j,...k->...ijk", u1, u1, u1))
                        + times(2, sym) + times(1, u3))
         return Jet(self.dim, out, self.batch)
 
@@ -290,24 +284,23 @@ class Jet:
                 any(np.max(np.abs(d0[m] @ b0[m] - eye)) > 1e-6
                     for m in np.ndindex(d0.shape[: self.batch])):
             raise DegenerateMetricError("matrix numerically singular at evaluation point")
-        e = "..." if self.batch else ""
         out = [b0]
         if self.order >= 1:
-            b1 = -np.einsum(f"{e}im,{e}mnK,{e}nj->{e}ijK", b0, a[1], b0)
+            b1 = -np.einsum("...im,...mnK,...nj->...ijK", b0, a[1], b0)
             out.append(b1)
         if self.order >= 2:
-            t = np.einsum(f"{e}mnKL,{e}nj->{e}mjKL", a[2], b0)
-            t += np.einsum(f"{e}mnK,{e}njL->{e}mjKL", a[1], b1)
-            t += np.einsum(f"{e}mnL,{e}njK->{e}mjKL", a[1], b1)
-            out.append(-np.einsum(f"{e}im,{e}mjKL->{e}ijKL", b0, t))
+            t = np.einsum("...mnKL,...nj->...mjKL", a[2], b0)
+            t += np.einsum("...mnK,...njL->...mjKL", a[1], b1)
+            t += np.einsum("...mnL,...njK->...mjKL", a[1], b1)
+            out.append(-np.einsum("...im,...mjKL->...ijKL", b0, t))
         if self.order >= 3:
             b2 = out[2]
-            t = np.einsum(f"{e}mnKLM,{e}nj->{e}mjKLM", a[3], b0)
-            c21 = np.einsum(f"{e}mnKL,{e}njM->{e}mjKLM", a[2], b1)
+            t = np.einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
+            c21 = np.einsum("...mnKL,...njM->...mjKLM", a[2], b1)
             t += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
-            c12 = np.einsum(f"{e}mnK,{e}njLM->{e}mjKLM", a[1], b2)
+            c12 = np.einsum("...mnK,...njLM->...mjKLM", a[1], b2)
             t += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
-            out.append(-np.einsum(f"{e}im,{e}mjKLM->{e}ijKLM", b0, t))
+            out.append(-np.einsum("...im,...mjKLM->...ijKLM", b0, t))
         return Jet(self.dim, out, self.batch)
 
 
@@ -330,8 +323,8 @@ def jet_einsum(spec: str, a, b) -> "Jet":
     """Einsum of two jets with the Leibniz rule across derivative levels.
 
     ``spec`` refers to tensor axes only; derivative axes are appended and
-    handled automatically. If an operand holds a batch, a leading ``...``
-    on both operands and the output carries it. Plain arrays and numbers
+    handled automatically. A leading ``...`` on both operands and the
+    output carries their batch axes, if any. Plain arrays and numbers
     coerce to constants without a batch.
     """
     if not isinstance(a, Jet) and not isinstance(b, Jet):
@@ -343,9 +336,7 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         b = Jet.const(ref.dim, b, ref.order)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    batch = max(a.batch, b.batch)
-    if batch:
-        sa, sb, out = "..." + sa, "..." + sb, "..." + out
+    sa, sb, out = "..." + sa, "..." + sb, "..." + out
     order = min(a.order, b.order)
     T, U, V = _DLETTERS[0], _DLETTERS[1], _DLETTERS[2]
     a0, b0 = a.levels[0], b.levels[0]
@@ -367,7 +358,7 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", a.levels[1], b.levels[2])
         l3 += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
         levels.append(l3)
-    return Jet(ref.dim, levels, batch)
+    return Jet(ref.dim, levels, max(a.batch, b.batch))
 
 
 # -- univariate function table ----------------------------------------------

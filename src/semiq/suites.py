@@ -4,9 +4,9 @@ Each suite evaluates a set of named checks at seeded random points of a
 geometry and records the max-abs residual of the classical and
 first-order slots separately. Residuals are always read off the graded
 arithmetic exactly; no numerical limit in the deformation parameter is
-ever taken. A suite evaluates each check once over a batch of its points
-(``evolution`` still point by point); a sample too large for one batch's
-jets is split into consecutive batches, and the maxima fold across them.
+ever taken. A suite evaluates each check once over a batch of its points;
+a sample too large for one batch's jets is split into consecutive
+batches, and the maxima fold across them.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def random_poly_field(d: int, rng, order: int = 3) -> Field:
     return Field(fn)
 
 
-def random_oneform(G: GeometryData, rng) -> sq.QTensor:
+def random_covector(G: GeometryData, rng) -> Field:
+    """Classical components of a random one-form, a random_poly_field each."""
     comps = [random_poly_field(G.dim, rng, order=G.order) for _ in range(G.dim)]
 
     def fn(pt):
@@ -82,7 +83,7 @@ def random_oneform(G: GeometryData, rng) -> sq.QTensor:
         levels = [np.stack([j.levels[k] for j in jets]) for k in range(G.order + 1)]
         return LJet(Jet(G.dim, levels))
 
-    return sq.QTensor.from_oneform(G, fn)
+    return Field(fn)
 
 
 def _members(fields):
@@ -132,9 +133,9 @@ def _suite_dga(G: GeometryData, pts, rng) -> dict:
     # every point draws its own a, b, c, xi and eta, in that order, as a
     # loop over the points would; each is evaluated at its own point alone
     drawn = [[random_poly_field(G.dim, rng, order=G.order) for _ in range(3)]
-             + [random_oneform(G, rng) for _ in range(2)] for _ in pts]
+             + [random_covector(G, rng) for _ in range(2)] for _ in pts]
     a, b, c = (Field(_members([d[k] for d in drawn])) for k in range(3))
-    xi, eta = (sq.QTensor(G, 1, _members([d[k] for d in drawn])) for k in (3, 4))
+    xi, eta = (sq.QTensor.from_oneform(G, _members([d[k] for d in drawn])) for k in (3, 4))
 
     ab_c = sq.star_product(sq.star_product(a, b, G), c, G)
     a_bc = sq.star_product(a, sq.star_product(b, c, G), G)
@@ -211,20 +212,21 @@ def _suite_catalogue(G: GeometryData, pts, rng) -> dict:
 def _suite_evolution(G: GeometryData, pts, rng) -> dict:
     from . import evolution as ev
     worst = {}
-    for pt in pts:
-        a, b, H = (random_poly_field(G.dim, rng, order=G.order) for _ in range(3))
-        _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pt), 0.0)
-        # hamiltonian field acts as a derivation on products
-        prod = Field(lambda p: LJet(a.at(p).c * b.at(p).c))
-        adot = ev.evolve_scalar(a, H, G)
-        bdot = ev.evolve_scalar(b, H, G)
-        v = ev.evolve_scalar(prod, H, G).at(pt)
-        rhs_c = a.at(pt).c * bdot.at(pt).c + b.at(pt).c * adot.at(pt).c
-        _acc(worst, "hamvf-derivation", (v.c - rhs_c).val, 0.0)
-        if G.parallel_cobasis:
-            for k in range(G.dim):
-                basis = Field(lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k], G.order)))
-                _acc(worst, "cobasis-invariance", *ev.evolve_oneform(basis, H, G).at(pt).values())
+    # every point draws its own a, b and H, in that order, as in _suite_dga
+    drawn = [[random_poly_field(G.dim, rng, order=G.order) for _ in range(3)] for _ in pts]
+    a, b, H = (Field(_members([d[k] for d in drawn])) for k in range(3))
+    _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pts), 0.0)
+    # hamiltonian field acts as a derivation on products
+    prod = Field(lambda p: LJet(a.at(p).c * b.at(p).c))
+    adot = ev.evolve_scalar(a, H, G)
+    bdot = ev.evolve_scalar(b, H, G)
+    v = ev.evolve_scalar(prod, H, G).at(pts)
+    rhs_c = a.at(pts).c * bdot.at(pts).c + b.at(pts).c * adot.at(pts).c
+    _acc(worst, "hamvf-derivation", (v.c - rhs_c).val, 0.0)
+    if G.parallel_cobasis:
+        for k in range(G.dim):
+            basis = Field(lambda p, k=k: LJet(Jet.const(G.dim, np.eye(G.dim)[k], G.order)))
+            _acc(worst, "cobasis-invariance", *ev.evolve_oneform(basis, H, G).at(pts).values())
     return worst
 
 

@@ -4,7 +4,8 @@ Each is a second route to something the engine builds or checks: the
 index-folding symbol, the projective-space curvature and symplectic form,
 the Kaehler potential, the classical components of a quantum one-form,
 the generalized Ricci two-form held to both of its construction routes,
-and the torsion of the quantised connection.
+and the torsion of the quantised connection; and a random quantum
+one-form, which only the tests draw.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from semiq.geometries import CPnPoint, _cpn_base, _cpn_g, _shift_matrix, fold_in
 from semiq.geometry import Field, GeometryData, cov_deriv_jet
 from semiq.lambda_core import Jet, LJet, jet_apply, jet_einsum
 from semiq.semiquant import QTensor, _model, wedge1_map
+from semiq.suites import random_covector
 
 
 # -- the projective space ------------------------------------------------------
@@ -64,6 +66,11 @@ def to_classical(xi: QTensor) -> Field:
     if xi.rank != 1 or xi.form:
         raise ValueError("to_classical applies to rank-1 tensor-basis elements")
     return Field(lambda pt: _model(xi, pt))
+
+
+def random_oneform(G: GeometryData, rng) -> QTensor:
+    """A quantum one-form with random polynomial classical components."""
+    return QTensor.from_oneform(G, random_covector(G, rng).at)
 
 
 def gen_ricci(G: GeometryData, tol: float = 1e-8) -> Field:

@@ -5,9 +5,12 @@ jet operation and every kernel route evaluated over a batch must equal,
 byte for byte, the same route evaluated at each point alone and stacked; a
 batch is never contracted across members. A result that does not depend on
 the point (a constant metric, say) may keep no batch axis and is compared
-broadcast. The suites then evaluate each check once per batch, and a sample
-too large for one batch is split without changing a report byte or holding
-more than the batch budget beyond one point at a time.
+broadcast. Field expressions and the evolution routes are held to the same
+rule; an expression that fails at one point of a batch fails with the error
+that point gives alone. The suites then evaluate each check once per batch,
+`check` builds only batch frames, and a sample too large for one batch is
+split without changing a report byte or holding more than the batch budget
+beyond one point at a time.
 """
 
 import json
@@ -18,15 +21,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from semiq import evolution as ev
+from semiq import fieldexpr
+from semiq import geometry as geo
 from semiq import semiquant as sq
 from semiq import suites
 from semiq.cli import build_geometry, main
-from semiq.errors import SemiqError
+from semiq.errors import ConfigError, SemiqError
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
 from semiq.geometry import Field, geometry_from_config
-from semiq.lambda_core import UNARY_FUNCS, Jet, LJet, jet_einsum
+from semiq.lambda_core import UNARY_FUNCS, Jet, LJet, is_batch, jet_einsum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,6 +135,66 @@ def test_jet_operations_batch_is_stacked(n, dim, order, seed):
         check(lambda x: x.grad(), t)
 
 
+# -- field expressions ---------------------------------------------------------------
+
+def _expr(dim: int):
+    """Expressions of the grammar over an x1..x{dim} chart: coordinates, z
+    aliases, constants, every function, powers with constant exponents and
+    the four operators; some are undefined or overflow at some points."""
+    names = [f"x{k}" for k in range(1, dim + 1)] + [f"z{k}" for k in range(1, dim // 2 + 1)]
+    consts = st.sampled_from(["0", "2", "0.5", "3i", "i", "1e200", "(1+i)"])
+    atoms = st.one_of(st.sampled_from(names), consts) if names else consts
+    exponents = st.sampled_from(["2", "3", "0", "-1", "-2", "0.5", "-1.5", "2.5", "(1-i)"])
+
+    def grow(e):
+        return st.one_of(
+            st.tuples(st.sampled_from(fieldexpr.FUNCTIONS), e).map(lambda t: f"{t[0]}({t[1]})"),
+            e.map(lambda x: f"-({x})"),
+            st.tuples(e, exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(e, st.sampled_from("+-*/"), e).map(lambda t: f"({t[0]}){t[1]}({t[2]})"))
+
+    return st.recursive(atoms, grow, max_leaves=5)
+
+
+@st.composite
+def _expr_batches(draw):
+    dim = draw(st.sampled_from((1, 2, 4)))
+    text = draw(st.one_of(_expr(dim), _expr(0)))     # the second: constants only
+    n = draw(st.sampled_from(BATCHES))
+    values = st.sampled_from([-1.5, -0.3, 0.0, 0.2, 0.7, 1.0, 2.0, 400.0])
+    pts = tuple(tuple(draw(values) for _ in range(dim)) for _ in range(n))
+    return text, dim, draw(st.integers(0, 3)), pts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_expr_batches())
+@example(case=("ln(x1)+z1", 2, 2, ((0.7, 0.2), (-0.3, 1.0), (2.0, 0.0))))
+@example(case=("sqrt(z1)*x2^-1", 2, 3, ((1.0, 2.0), (0.0, 0.0))))
+@example(case=("exp(x1*400)", 1, 1, ((1.0,), (2.0,), (0.5,))))
+@example(case=("x1*x1+z1", 2, 1, ((1.0, 0.5), (1e200, 0.0), (2.0, -1.5))))
+@example(case=("sin(1e200*1e200)", 1, 2, ((0.0,), (2.0,))))
+@example(case=("(1e200)*(1e200)+2", 2, 0, ((1.0, 1.0), (2.0, 2.0))))
+def test_eval_jet_batch_is_stacked(case):
+    # a batch equals its points evaluated alone; where points fail alone,
+    # the batch raises one of their errors, and the one error if one fails
+    text, dim, order, pts = case
+    tree = fieldexpr.parse(text, dim)
+    alone, errors = [], []
+    with np.errstate(all="ignore"):
+        for p in pts:
+            try:
+                alone.append(fieldexpr.eval_jet(tree, p, dim, order))
+            except SemiqError as exc:
+                errors.append((type(exc), str(exc)))
+        if not errors:
+            assert_stacked(fieldexpr.eval_jet(tree, pts, dim, order), alone)
+            return
+        with pytest.raises(SemiqError) as info:
+            fieldexpr.eval_jet(tree, pts, dim, order)
+    got = (type(info.value), str(info.value))
+    assert got in errors if len(errors) > 1 else got == errors[0], (text, pts, got, errors)
+
+
 # -- kernel routes -------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -194,6 +260,40 @@ def test_kernel_routes_batch_is_stacked(geometry, n, order, seed):
                     route(p)
             continue
         assert_stacked(whole, [route(p) for p in pts])
+
+
+def _evolution_routes(G, rng):
+    """Each evolution route as a function of a point or a batch of points."""
+    a, H = Field(_poly(G, rng, ())), Field(_poly(G, rng, ()))
+    xi = Field(_poly(G, rng, (G.dim,)))
+    return {
+        "evolve_scalar": lambda p: ev.evolve_scalar(a, H, G).at(p),
+        "evolve_oneform": lambda p: ev.evolve_oneform(xi, H, G).at(p),
+        "evolution_defect": lambda p: ev.evolution_defect(a, H, G).at(p),
+    }, lambda p: ev.defect_two_route_residual(a, H, G, p)
+
+
+@pytest.mark.parametrize("geometry", ["flat1", "cpn1", "cpn2", "flat-torsion", "exp-plane"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(n=st.sampled_from(BATCHES), order=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_evolution_routes_batch_is_stacked(geometry, n, order, seed):
+    G = _geometry(geometry).at_order(order)
+    pts = tuple(tuple(p) for p in G.sample_points(n, seed))
+    routes, residual = _evolution_routes(G, np.random.default_rng(seed))
+    for name, route in routes.items():
+        try:
+            whole = route(pts)
+        except SemiqError as exc:      # too shallow a jet order for this route
+            for p in pts:
+                with pytest.raises(type(exc)):
+                    route(p)
+            continue
+        assert_stacked(whole, [route(p) for p in pts])
+    try:
+        whole = residual(pts)
+    except SemiqError:
+        return
+    assert whole == max(residual(p) for p in pts)
 
 
 # -- the suites batch ------------------------------------------------------------------
@@ -278,3 +378,83 @@ def test_batch_working_set_within_budget(geometry, n, suite, per_batch, points,
     monkeypatch.setattr(suites, "BATCH_BYTES", budget)
     assert suites.batch_size(G0) == per_batch
     assert peak(budget) <= one + budget
+
+
+def _uncounted_draws(monkeypatch, calls) -> None:
+    """Leave out of ``calls`` the jet_einsum calls that evaluate the suites'
+    random fields, which each point draws and evaluates on its own."""
+    draw = suites.random_poly_field
+
+    def quiet(*args, **kwargs):
+        fn = draw(*args, **kwargs).fn
+
+        def at(pt):
+            n = len(calls)
+            v = fn(pt)
+            del calls[n:]
+            return v
+
+        return Field(at)
+
+    monkeypatch.setattr(suites, "random_poly_field", quiet)
+
+
+@pytest.mark.parametrize("geometry, suite", [
+    ("flat", "dga"), ("flat", "evolution"), ("cpn", "dga"), ("cpn", "evolution")])
+def test_drawn_field_checks_are_evaluated_once_per_batch(geometry, suite, monkeypatch,
+                                                         capsys):
+    # beyond evaluating the fields each point draws, the checks make as many
+    # calls at five points as at one; a loop over the points would not
+    calls = _count_jet_einsum(monkeypatch)
+    _uncounted_draws(monkeypatch, calls)
+
+    def count(points):
+        del calls[:]
+        assert main(["check", geometry, "--n", "1", "--points", str(points),
+                     "--suite", suite]) == 0
+        return len(calls)
+
+    one, five = count(1), count(5)
+    capsys.readouterr()
+    assert one > 0 and five == one, (one, five)
+
+
+def _frames_built(monkeypatch) -> list:
+    """(whether a batch, order) of each PointFrame built from now on."""
+    built, init = [], geo.PointFrame.__init__
+
+    def counted(self, G, point):
+        built.append((is_batch(point), G.order))
+        init(self, G, point)
+
+    monkeypatch.setattr(geo.PointFrame, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv, orders", [
+    (["flat", "--n", "1"], [1, 2]),
+    (["cpn", "--n", "1"], [1, 2]),
+    (["cpn", "--n", "2"], [1, 2]),
+    # the config's probe frame (order 0), then the suites' frames; a
+    # Levi-Civita connection reads g one order deeper, so order 3 as well
+    ([str(ROOT / "perfbench" / "exp_plane.json")], [0, 1, 2, 3]),
+])
+def test_check_builds_only_batch_frames(argv, orders, monkeypatch, capsys):
+    built = _frames_built(monkeypatch)
+    main(["check", *argv, "--points", "5"])
+    capsys.readouterr()
+    assert built == [(True, k) for k in orders], built
+
+
+def test_config_probes_name_the_first_failing_probe(monkeypatch):
+    # the probes are (1.26221, 1.36395), (1.36395, -1.1352), (0.21168, -0.419123)
+    cfg = {"dim": 2, "metric": [["1", "x1-x2"], ["x2-x1", "1"]],
+           "poisson": [["0", "1"], ["-1", "0"]]}
+    built = _frames_built(monkeypatch)
+    with pytest.raises(ConfigError, match=r"'metric' must be symmetric: .* at \(1\.26221, 1\.36395\)"):
+        geometry_from_config(cfg)
+    assert built == [(True, 0)]         # one frame holds the three probes
+    # symmetric where x2 > 0, at the first probe only
+    cfg["metric"] = [["1", "sqrt(x2^2)"], ["x2", "1"]]
+    with pytest.raises(ConfigError, match=r"'metric' must be symmetric: .* at \(1\.36395, -1\.1352\)"):
+        geometry_from_config(cfg)

@@ -13,6 +13,7 @@ mpmath gives the exact output and every derivative the command reads.
 import json
 import re
 import sys
+from pathlib import Path
 
 import mpmath as mp
 
@@ -20,6 +21,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from semiq.cli import main
 from semiq.suites import SUITES
+
+EXP_PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "exp_plane.json"
 
 NON_FINITE = re.compile(r"(?i)\b(nan|inf)")
 
@@ -136,9 +139,14 @@ COMPLEX = re.compile(rf"([-+]?{UNSIGNED})\s*([-+]\s*{UNSIGNED})j|([-+]?{UNSIGNED
 def magnitude_case(op, f, k, g, j):
     """(argv, the exact values it prints, the exact derivatives it reads) on a
     flat plane at (10^k, 10^j), a function f of x1 and, for wedge, g of x2;
-    or ``star`` of the real and imaginary parts of z1 on CP^1 at (10^k, 0)
-    and on CP^2 at (10^k, 0, 0, 0)."""
+    ``evolve`` of f under H = x2 there; ``star`` of the real and imaginary
+    parts of z1 on CP^1 at (10^k, 0) and on CP^2 at (10^k, 0, 0, 0); or
+    ``star`` of x1 and x2 on the plane of ``perfbench/exp_plane.json`` at
+    (10^k, 1), where om^12 = exp(-2 x1)."""
     X, Y = (mp.mpf(float(f"1e{e}")) for e in (k, j))
+    if op == "config-star":
+        return (["eval", "star", "--geometry", str(EXP_PLANE), "--a", "x1", "--b", "x2",
+                 f"--at=1e{k},1"], [X, mp.exp(-2 * X) / 2], [])
     if op == "cpn-star":
         return (["eval", "star", "--geometry", "cpn", "--n", "1", "--a", "x1", "--b", "x2",
                  f"--at=1e{k},0"], [0, -(1 + X ** 2) ** 2 / 4], [])
@@ -148,6 +156,9 @@ def magnitude_case(op, f, k, g, j):
     argv = ["eval", op, "--geometry", "flat", "--n", "1", "--a", f.format("x1"),
             f"--at=1e{k},1e{j}"]
     a = DERIVS[f](X)
+    if op == "evolve":          # adot = {a, x2} = a', and the defect of a linear H
+        return (["evolve", "--geometry", "flat", "--n", "1", "--a", f.format("x1"),
+                 "--H", "x2", f"--at=1e{k},1e{j}"], [a[1], 0, 0], a[:3])
     if op == "star":            # a * x2 at Y = 1
         return argv + ["--b", "x2"], [a[0], a[1] / 2], a[:2]
     if op == "nablaQ":          # the Hessian of a in [0, 0], the lam slot 0
@@ -157,22 +168,25 @@ def magnitude_case(op, f, k, g, j):
         [0, a[1] * b[1], -a[1] * b[1], 0, 0, a[2] * b[2] / 2, -a[2] * b[2] / 2, 0], a[:3] + b[:3]
 
 
-def printed(text):
-    """The complex numbers after 'classical', each with whether it is an
+def printed(text, start="classical"):
+    """The complex numbers after ``start``, each with whether it is an
     array entry printed in fixed notation."""
-    out, text = [], text[text.index("classical"):]
+    out, text = [], text[text.index(start):]
     for m in COMPLEX.finditer(text):
         re_, im = (m.group(1), m.group(2).replace(" ", "")) if m.group(2) else ("0", m.group(3))
-        out.append((complex(float(re_), float(im)), "[" in text and "e" not in re_))
+        entry = text.rfind("[", 0, m.start()) > text.rfind("]", 0, m.start())
+        out.append((complex(float(re_), float(im)), entry and "e" not in re_))
     return out
 
 
 @st.composite
 def magnitudes(draw):
-    """star and nablaQ of each function on the plane, star on CP^1 and CP^2;
-    wedge, a product of two derivatives, is pinned by its example only."""
-    op = draw(st.sampled_from(["star", "nablaQ", "cpn-star", "cpn2-star"]))
-    f = None if op.startswith("cpn") else draw(st.sampled_from(sorted(DERIVS)))
+    """star, nablaQ and evolve of each function on the plane, star on CP^1,
+    CP^2 and a config; wedge, a product of two derivatives, is pinned by its
+    example only."""
+    op = draw(st.sampled_from(["star", "nablaQ", "evolve", "cpn-star", "cpn2-star",
+                               "config-star"]))
+    f = None if op.endswith("-star") else draw(st.sampled_from(sorted(DERIVS)))
     return op, f, draw(st.integers(-300, 300)), None, 0
 
 
@@ -186,6 +200,8 @@ def magnitudes(draw):
 @example(case=("cpn2-star", None, 40, None, 0))
 @example(case=("nablaQ", "ln({})", 130, None, 0))
 @example(case=("wedge", "ln({})", 200, "sqrt({})", 300))
+@example(case=("config-star", None, 300, None, 0))
+@example(case=("evolve", "ln({})", 130, None, 0))
 def test_magnitudes_against_exact_values(case, capsys):
     """Exit 0 with every printed value within 1e-12 relative (1e-300
     absolute) where every exact value and every derivative the command reads
@@ -202,7 +218,7 @@ def test_magnitudes_against_exact_values(case, capsys):
     if size > 1e300 and code == 2:
         return
     assert code == 0, (argv, out.err)
-    got = printed(out.out)
+    got = printed(out.out, "adot" if argv[0] == "evolve" else "classical")
     assert len(got) == len(exact), (argv, out.out)
     for (v, fixed), x in zip(got, exact):
         tol = max(1e-12 * abs(x), 1e-300) + (5e-13 if fixed else 0)

@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import quantum_torsion
+from oracles import quantum_torsion, random_oneform
 from semiq.errors import JetDomainError
 from semiq.geometries import (CATALOGUE, cpn_catalogue_residual, cpn_expected, make_cpn,
                               make_flat, make_flat_torsion)
 from semiq.geometry import Field, geometry_from_config
 from semiq.lambda_core import Jet, LJet
 from semiq import semiquant as sq
-from semiq.suites import random_oneform
 
 EXP_PLANE = Path(__file__).resolve().parent.parent / "perfbench" / "exp_plane.json"
 
