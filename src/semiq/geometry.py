@@ -409,9 +409,10 @@ def geometry_from_config(cfg: dict) -> GeometryData:
                      default_seed=seed)
     # a metric must be symmetric and a bivector antisymmetric; compared by
     # value on one frame of three points of the box, so entries written
-    # differently agree, and the first failing point is named
+    # differently agree, and the first failing point is named, in Python
+    # floats as the sample points are
     probes = box * np.sin(np.outer(np.arange(1.0, 4.0), np.arange(1.0, dim + 1.0)))
-    f = PointFrame(G.at_order(0), tuple(map(tuple, probes)))
+    f = PointFrame(G.at_order(0), tuple(map(tuple, probes.tolist())))
     for key, attr, sign, what in (("metric", "g", 1, "symmetric"),
                                   ("poisson", "om", -1, "antisymmetric")):
         m = getattr(f, attr).val

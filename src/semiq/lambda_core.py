@@ -91,11 +91,6 @@ class Jet:
             levels.append(np.zeros((dim,) * m, dtype=np.complex128))
         return cls(dim, levels[: order + 1])
 
-    @classmethod
-    def stack(cls, jets: Sequence["Jet"]) -> "Jet":
-        """Lone jets of one shape and order as one batch, member k the k-th."""
-        return cls(jets[0].dim, [np.stack(ls) for ls in zip(*(j.levels for j in jets))], 1)
-
     # -- basic access ------------------------------------------------------
 
     @property

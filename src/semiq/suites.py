@@ -6,7 +6,10 @@ first-order slots separately. Residuals are always read off the graded
 arithmetic exactly; no numerical limit in the deformation parameter is
 ever taken. A suite evaluates each check once over a batch of its points;
 a sample too large for one batch's jets is split into consecutive
-batches, and the maxima fold across them.
+batches, and the maxima fold across them. The random polynomial fields of
+``dga`` and ``evolution`` are drawn point by point, in the order a loop
+over the points would draw them, and all of a batch's are evaluated in
+one jet pass that gives each member the bits of its polynomial alone.
 """
 
 from __future__ import annotations
@@ -52,48 +55,57 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-def random_poly_field(d: int, rng, order: int = 3) -> Field:
-    """Random complex polynomial of four monomials, each of degree at most 2,
-    in the coordinates of a d-dimensional chart, as jets of ``order``."""
+def draw_poly(d: int, rng) -> tuple:
+    """A random complex polynomial in the coordinates of a d-dimensional
+    chart: four monomials (coefficient, factor indices), each of degree at
+    most 2."""
     monos = []
     for _ in range(4):
         k = int(rng.integers(0, 3))
         idxs = tuple(int(i) for i in rng.integers(0, d, size=k))
         coef = complex(rng.normal(), rng.normal())
         monos.append((coef, idxs))
-
-    def fn(pt):
-        total = Jet.zeros(d, (), order)
-        for coef, idxs in monos:
-            term = Jet.const(d, coef, order)
-            for i in idxs:
-                term = term * Jet.coordinate(d, pt, i, order)
-            total = total + term
-        return LJet(total)
-
-    return Field(fn)
+    return tuple(monos)
 
 
-def random_covector(G: GeometryData, rng) -> Field:
-    """Classical components of a random one-form, a random_poly_field each."""
-    comps = [random_poly_field(G.dim, rng, order=G.order) for _ in range(G.dim)]
+def poly_jets(d: int, polys, pts, order: int) -> Jet:
+    """Jets of drawn polynomials over a batch, shape (F,): member k,
+    component f is ``polys[k][f]``, a ``draw_poly``, at the point ``pts[k]``.
 
-    def fn(pt):
-        jets = [c.at(pt).c for c in comps]
-        levels = [np.stack([j.levels[k] for j in jets]) for k in range(G.order + 1)]
-        return LJet(Jet(G.dim, levels))
+    Every monomial of every member lies on one batch axis, so the batch
+    takes two jet products: the coefficient times its first coordinate,
+    then times its second. A monomial of fewer factors keeps its shorter
+    product, and the four are summed as (((0 + m0) + m1) + m2) + m3; so each
+    member holds the bits of its polynomial evaluated at its point alone.
+    """
+    monos = [m for row in polys for poly in row for m in poly]
+    lead = (len(pts), len(polys[0]), 4)          # member, component, monomial
+    x = np.asarray(pts, dtype=np.complex128)
+    eye = np.eye(d, dtype=np.complex128)
+    nfac = np.array([len(ix) for _, ix in monos]).reshape(lead)
 
-    return Field(fn)
+    def factor(j):      # each monomial's j-th coordinate, x_1 where it has none
+        i = np.array([ix[j] if j < len(ix) else 0 for _, ix in monos]).reshape(lead)
+        levels = [x[np.arange(lead[0])[:, None, None], i], eye[i]]
+        levels += [np.zeros(lead + (d,) * k, dtype=np.complex128) for k in range(2, order + 1)]
+        return Jet(d, levels[: order + 1], 3)
+
+    t0 = Jet.const(d, np.array([c for c, _ in monos]).reshape(lead), order, 3)
+    t1 = t0 * factor(0)
+    t2 = t1 * factor(1)
+    levels = []
+    for k in range(order + 1):
+        n = nfac.reshape(lead + (1,) * k)
+        term = np.where(n == 0, t0.levels[k], np.where(n == 1, t1.levels[k], t2.levels[k]))
+        levels.append(sum(term[:, :, m] for m in range(4)))     # 0 + m0 first
+    return Jet(d, levels, 1)
 
 
-def _members(fields):
-    """Provider of a batch whose member k is ``fields[k]`` at the batch's
-    k-th point: fields drawn one per point, each evaluated at its own."""
-    def fn(pts):
-        vs = [x.at(pt) for x, pt in zip(fields, pts)]
-        l = None if all(v.l is None for v in vs) else Jet.stack([v.lam() for v in vs])
-        return LJet(Jet.stack([v.c for v in vs]), l)
-    return fn
+def _drawn(d: int, rng, per_point: int, pts, order: int) -> Jet:
+    """``per_point`` polynomials drawn at each point of the batch in turn, as
+    a loop over the points would draw them, evaluated by ``poly_jets``."""
+    return poly_jets(d, [[draw_poly(d, rng) for _ in range(per_point)] for _ in pts],
+                     pts, order)
 
 
 def finite(what: str, *values) -> tuple:
@@ -130,12 +142,13 @@ def _suite_classical(G: GeometryData, pts, rng) -> dict:
 
 def _suite_dga(G: GeometryData, pts, rng) -> dict:
     worst = {}
-    # every point draws its own a, b, c, xi and eta, in that order, as a
-    # loop over the points would; each is evaluated at its own point alone
-    drawn = [[random_poly_field(G.dim, rng, order=G.order) for _ in range(3)]
-             + [random_covector(G, rng) for _ in range(2)] for _ in pts]
-    a, b, c = (Field(_members([d[k] for d in drawn])) for k in range(3))
-    xi, eta = (sq.QTensor.from_oneform(G, _members([d[k] for d in drawn])) for k in (3, 4))
+    # every point draws its own a, b, c and the components of xi and eta,
+    # in that order, as a loop over the points would
+    n = G.dim
+    drawn = _drawn(n, rng, 3 + 2 * n, pts, G.order)    # read at pts only
+    a, b, c = (Field(lambda p, k=k: LJet(drawn.take_index(k))) for k in range(3))
+    xi, eta = (sq.QTensor.from_oneform(G, lambda p, s=s: LJet(
+        Jet(n, [l[:, s: s + n] for l in drawn.levels], 1))) for s in (3, 3 + n))
 
     ab_c = sq.star_product(sq.star_product(a, b, G), c, G)
     a_bc = sq.star_product(a, sq.star_product(b, c, G), G)
@@ -213,8 +226,8 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
     from . import evolution as ev
     worst = {}
     # every point draws its own a, b and H, in that order, as in _suite_dga
-    drawn = [[random_poly_field(G.dim, rng, order=G.order) for _ in range(3)] for _ in pts]
-    a, b, H = (Field(_members([d[k] for d in drawn])) for k in range(3))
+    drawn = _drawn(G.dim, rng, 3, pts, G.order)        # read at pts only
+    a, b, H = (Field(lambda p, k=k: LJet(drawn.take_index(k))) for k in range(3))
     _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pts), 0.0)
     # hamiltonian field acts as a derivation on products
     prod = Field(lambda p: LJet(a.at(p).c * b.at(p).c))
@@ -251,13 +264,14 @@ SUITE_ORDERS: dict = {
 }
 
 
-# Working set of one batch. Beyond what one point per batch holds, a suite
-# keeps per point at most about six arrays the size of its largest jet array,
-# 16 * dim**(5 + order) bytes (see ``check_jet_bytes``): the kernels'
-# transient levels, and dga's drawn fields with their jets (tracemalloc, at
-# dims 2, 4 and 6); LIVE_ARRAYS rounds that up. Batching pays Python dispatch
-# once per check, which a few points already amortize at dim 4, so a larger
-# budget buys memory and no speed.
+# Working set of one batch. Beyond what one point per batch holds (the
+# tracemalloc measure of the budget test), a suite keeps per point at most
+# about five arrays the size of its largest jet array, 16 * dim**(5 + order)
+# bytes (see ``check_jet_bytes``): the kernels' transient levels, most in
+# metric at dim 4; the one pass over dga's and evolution's drawn polynomials
+# holds under three at dim 2 (dims 2, 4 and 6); LIVE_ARRAYS rounds that up.
+# Batching pays Python dispatch once per check, which a few points already
+# amortize at dim 4, so a larger budget buys memory and no speed.
 BATCH_BYTES = 2 ** 26
 LIVE_ARRAYS = 8
 

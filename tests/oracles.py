@@ -4,8 +4,8 @@ Each is a second route to something the engine builds or checks: the
 index-folding symbol, the projective-space curvature and symplectic form,
 the Kaehler potential, the classical components of a quantum one-form,
 the generalized Ricci two-form held to both of its construction routes,
-and the torsion of the quantised connection; and a random quantum
-one-form, which only the tests draw.
+and the torsion of the quantised connection; and random polynomials and
+a random quantum one-form at a lone point, which only the tests draw.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from semiq.geometries import CPnPoint, _cpn_base, _cpn_g, _shift_matrix, fold_in
 from semiq.geometry import Field, GeometryData, cov_deriv_jet
 from semiq.lambda_core import Jet, LJet, jet_apply, jet_einsum
 from semiq.semiquant import QTensor, _model, wedge1_map
-from semiq.suites import random_covector
+from semiq.suites import draw_poly, poly_jets
 
 
 # -- the projective space ------------------------------------------------------
@@ -66,6 +66,22 @@ def to_classical(xi: QTensor) -> Field:
     if xi.rank != 1 or xi.form:
         raise ValueError("to_classical applies to rank-1 tensor-basis elements")
     return Field(lambda pt: _model(xi, pt))
+
+
+def random_poly_field(d: int, rng, order: int = 3) -> Field:
+    """A random polynomial of four monomials, each of degree at most 2, in
+    the coordinates of a d-dimensional chart, at a lone point."""
+    poly = draw_poly(d, rng)
+    return Field(lambda pt: LJet(Jet(d, [l[0, 0] for l in
+                                         poly_jets(d, [[poly]], (pt,), order).levels])))
+
+
+def random_covector(G: GeometryData, rng) -> Field:
+    """Classical components of a random one-form at a lone point, a random
+    polynomial each."""
+    polys = [draw_poly(G.dim, rng) for _ in range(G.dim)]
+    return Field(lambda pt: LJet(Jet(G.dim, [l[0] for l in
+                                             poly_jets(G.dim, [polys], (pt,), G.order).levels])))
 
 
 def random_oneform(G: GeometryData, rng) -> QTensor:

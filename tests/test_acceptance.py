@@ -22,14 +22,14 @@ import pytest
 
 from conftest import maxabs, run_cli, sample
 from conftest import canonical_hamiltonian
-from oracles import cpn_omega_lower, cpn_riemann, gen_ricci
+from oracles import cpn_omega_lower, cpn_riemann, gen_ricci, random_poly_field
 from semiq.geometry import Field, christoffel_jet, compat_residuals, curvature_jet
 from semiq.geometries import (CATALOGUE, _cpn_base, _cpn_gamma, cpn_catalogue_residual,
                               make_cpn, make_flat, make_flat_torsion)
 from semiq.lambda_core import Jet, LJet
 from semiq.semiquant import (QTensor, g1_build, g_q_build, module_action, nabla_Q,
                              nq_basis, qlc_residual, star_product, wedge1_map)
-from semiq.suites import SUITE_ORDERS, random_poly_field
+from semiq.suites import SUITE_ORDERS
 from semiq import evolution as ev
 
 

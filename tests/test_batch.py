@@ -195,6 +195,48 @@ def test_eval_jet_batch_is_stacked(case):
     assert got in errors if len(errors) > 1 else got == errors[0], (text, pts, got, errors)
 
 
+# -- drawn polynomials ---------------------------------------------------------------
+
+def lone_chain(d: int, poly, pt, order: int) -> Jet:
+    """A drawn polynomial at one point as a chain of lone jets: each
+    monomial's coefficient times its factors left to right, summed from 0."""
+    total = Jet.zeros(d, (), order)
+    for coef, idxs in poly:
+        term = Jet.const(d, coef, order)
+        for i in idxs:
+            term = term * Jet.coordinate(d, pt, i, order)
+        total = total + term
+    return total
+
+
+@st.composite
+def _poly_shapes(draw):
+    """A chart dimension and, per point and component, the factor indices
+    of four monomials: 0, 1 or 2 factors, repeats allowed."""
+    d = draw(st.sampled_from((1, 2, 4, 6)))
+    poly = st.lists(st.lists(st.integers(0, d - 1), max_size=2).map(tuple),
+                    min_size=4, max_size=4)
+    fields = draw(st.integers(1, 3))
+    return d, draw(st.lists(st.lists(poly, min_size=fields, max_size=fields),
+                            min_size=1, max_size=7))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_poly_shapes(), order=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(case=(2, [[[(), (0,), (1, 1), (0, 1)]], [[(1,), (0, 0), (), (1, 0)]]]),
+         order=2, seed=0)
+def test_drawn_polynomials_hold_the_lone_chains_bits(case, order, seed):
+    d, shapes = case
+    rng = np.random.default_rng(seed)
+    polys = [[tuple((complex(rng.normal(), rng.normal()), tuple(ix)) for ix in poly)
+              for poly in row] for row in shapes]
+    pts = tuple(tuple(p) for p in rng.uniform(-1.5, 1.5, size=(len(shapes), d)))
+    whole = suites.poly_jets(d, polys, pts, order)
+    assert whole.batch == 1 and whole.shape == (len(shapes[0]),)
+    assert_stacked(whole, [Jet(d, [np.stack(ls) for ls in zip(
+        *(lone_chain(d, poly, pt, order).levels for poly in row))]) for row, pt in zip(polys, pts)])
+
+
 # -- kernel routes -------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -331,11 +373,7 @@ def test_checks_are_evaluated_once_per_batch(geometry, suite, monkeypatch, capsy
 
     one, five = count(1), count(5)
     capsys.readouterr()
-    assert one > 0
-    if suite == "dga":      # its random fields are drawn and evaluated per point
-        assert five < 2 * one, (one, five)
-    else:
-        assert five == one, (one, five)
+    assert one > 0 and five == one, (one, five)
 
 
 def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
@@ -380,33 +418,13 @@ def test_batch_working_set_within_budget(geometry, n, suite, per_batch, points,
     assert peak(budget) <= one + budget
 
 
-def _uncounted_draws(monkeypatch, calls) -> None:
-    """Leave out of ``calls`` the jet_einsum calls that evaluate the suites'
-    random fields, which each point draws and evaluates on its own."""
-    draw = suites.random_poly_field
-
-    def quiet(*args, **kwargs):
-        fn = draw(*args, **kwargs).fn
-
-        def at(pt):
-            n = len(calls)
-            v = fn(pt)
-            del calls[n:]
-            return v
-
-        return Field(at)
-
-    monkeypatch.setattr(suites, "random_poly_field", quiet)
-
-
 @pytest.mark.parametrize("geometry, suite", [
     ("flat", "dga"), ("flat", "evolution"), ("cpn", "dga"), ("cpn", "evolution")])
 def test_drawn_field_checks_are_evaluated_once_per_batch(geometry, suite, monkeypatch,
                                                          capsys):
-    # beyond evaluating the fields each point draws, the checks make as many
-    # calls at five points as at one; a loop over the points would not
+    # the fields each point draws are evaluated with the checks, once per
+    # batch, so every call counts: as many at five points as at one
     calls = _count_jet_einsum(monkeypatch)
-    _uncounted_draws(monkeypatch, calls)
 
     def count(points):
         del calls[:]
@@ -458,3 +476,13 @@ def test_config_probes_name_the_first_failing_probe(monkeypatch):
     cfg["metric"] = [["1", "sqrt(x2^2)"], ["x2", "1"]]
     with pytest.raises(ConfigError, match=r"'metric' must be symmetric: .* at \(1\.36395, -1\.1352\)"):
         geometry_from_config(cfg)
+
+
+def test_config_probe_errors_print_python_floats():
+    # the first probe, where x1*1e200*1e200 overflows, as the sample points print
+    cfg = {"dim": 2, "metric": [["x1*1e200*1e200", "0"], ["0", "1"]],
+           "poisson": [["0", "1"], ["-1", "0"]]}
+    with pytest.raises(SemiqError) as info:
+        geometry_from_config(cfg)
+    msg = str(info.value)
+    assert "not finite at (1.2622064772118446, 1.3639461" in msg and "np." not in msg, msg

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import canonical_hamiltonian, maxabs, sample
+from oracles import random_poly_field
 from semiq.evolution import (defect_two_route_residual, evolution_defect, evolve_oneform,
                              evolve_scalar, ham_vf)
 from semiq.geometry import Field
 from semiq.lambda_core import Jet, LJet, jet_einsum
-from semiq.suites import random_poly_field
 
 
 class TestHamVf:

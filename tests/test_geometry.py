@@ -193,7 +193,7 @@ class TestPoissonBracket:
 
     def test_leibniz(self, cpn1):
         rng = np.random.default_rng(13)
-        from semiq.suites import random_poly_field
+        from oracles import random_poly_field
         for _ in range(10):
             a = random_poly_field(cpn1.dim, rng)
             b = random_poly_field(cpn1.dim, rng)
@@ -251,28 +251,25 @@ class TestCompatResiduals:
 class TestFieldCache:
     """Field.at calls its provider once per point and keeps the jets."""
 
-    def test_random_field_providers_run_once_per_point(self, monkeypatch):
-        calls, made = {}, []
-        make = suites.random_poly_field
+    def test_drawn_polynomials_are_evaluated_once_per_batch(self, monkeypatch):
+        draws, evals = [], []
+        draw, evaluate = suites.draw_poly, suites.poly_jets
 
-        def counted(*args, **kwargs):
-            f, key = make(*args, **kwargs), len(made)
-            fn = f.fn
+        def drawn(*args):
+            draws.append(draw(*args))
+            return draws[-1]
 
-            def provider(pt):
-                calls[key, pt] = calls.get((key, pt), 0) + 1
-                return fn(pt)
+        def evaluated(d, polys, pts, order):
+            evals.append([list(row) for row in polys])
+            return evaluate(d, polys, pts, order)
 
-            f.fn = provider
-            made.append(f)
-            return f
-
-        monkeypatch.setattr(suites, "random_poly_field", counted)
+        monkeypatch.setattr(suites, "draw_poly", drawn)
+        monkeypatch.setattr(suites, "poly_jets", evaluated)
         suites.run_suite("dga", make_cpn(1), points=2)
-        # three scalars and two one-forms of two components per point
-        assert len(made) == 14
-        assert sorted(k for k, _ in calls) == list(range(14))
-        assert set(calls.values()) == {1}
+        # three scalars and two one-forms of two components per point, all
+        # in the one batch's one evaluation, point by point in draw order
+        assert len(draws) == 14
+        assert evals == [[draws[:7], draws[7:]]]
 
     def test_cache_is_bounded(self):
         f = Field(lambda pt: LJet(Jet.const(1, pt[0], 0)))
