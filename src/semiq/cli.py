@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, SemiqError
 from .geometry import Field, GeometryData, check_jet_bytes, geometry_from_config
 from .geometries import make_cpn, make_flat, make_flat_torsion
-from .suites import SUITES, emit_report, finite, run_suite
+from .suites import SUITES, emit_report, finite, run_suites
 from . import semiquant as sq
 
 
@@ -76,10 +76,8 @@ def cmd_check(args) -> int:
     G = build_geometry(args.geometry, args.n)
     suites = args.suite or G.suites
     seed = G.default_seed if args.seed is None else args.seed
-    results = []
-    for s in suites:
-        results.append(run_suite(s, G, points=args.points, seed=seed,
-                                 tol=args.tol, timing=args.timing))
+    results = run_suites(suites, G, points=args.points, seed=seed,
+                         tol=args.tol, timing=args.timing)
     doc = emit_report(results, args.format)
     if path:
         _write_report(path, doc)

@@ -33,9 +33,6 @@ _LETTERS = "abcdefghijklmnopqrs"
 # the suites that apply to any chart; built-in geometries may name others
 GENERIC_SUITES = ("classical-compat", "dga", "metric", "evolution")
 
-# a per-point cache is cleared once it holds more entries than this
-CACHE_ENTRIES = 4096
-
 # the most bytes one jet array may take; a chart that needs more is refused
 MAX_JET_BYTES = 2 ** 30
 
@@ -53,22 +50,21 @@ class Field:
     """A field on the chart with a lam-graded jet provider: a scalar, or the
     component array of a tensor (contravariant slots first).
 
-    ``at`` calls the provider once per point and keeps its jets, so a field
-    read by several nodes of an expression tree is evaluated once.
+    ``at`` calls the provider once per point or batch and keeps the jets of
+    the last one only, so a field read by several nodes of an expression
+    tree is evaluated once, and its jets die with the batch.
     """
 
     def __init__(self, fn: Callable[[tuple], LJet]):
         self.fn = fn
-        self._jets: dict = {}
+        self._jets: dict = {}       # {last point or batch: its jets}
 
     def at(self, point) -> LJet:
         pt = tuple(point)
-        v = self._jets.get(pt)
+        v = self._jets.get(pt)      # by hash: == of numpy-scalar points and a batch is ambiguous
         if v is None:
             v = self.fn(pt)
-            if len(self._jets) > CACHE_ENTRIES:
-                self._jets.clear()
-            self._jets[pt] = v
+            self._jets = {pt: v}
         return v
 
     @classmethod
@@ -162,7 +158,8 @@ class GeometryData:
     over its batch of points; a frame reads each of them once. ``order``
     is the depth of every frame built through this geometry: the highest
     derivative its caller reads. ``at_order`` gives a view at another depth
-    that shares the frame cache, keyed by (point or batch, order).
+    that shares the frame cache: one frame per order, of the point or batch
+    last asked for, so a batch's frames die with it.
     """
 
     dim: int
@@ -195,12 +192,9 @@ class GeometryData:
             pt = tuple(tuple(map(float, p)) for p in point)
         else:
             pt = tuple(map(float, point))
-        fr = self._frames.get((pt, self.order))
-        if fr is None:
-            fr = PointFrame(self, pt)
-            if len(self._frames) > CACHE_ENTRIES:
-                self._frames.clear()
-            self._frames[(pt, self.order)] = fr
+        fr = self._frames.get(self.order)
+        if fr is None or fr.point != pt:    # Python floats, so == compares values
+            fr = self._frames[self.order] = PointFrame(self, pt)
         return fr
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:

@@ -266,14 +266,14 @@ SUITE_ORDERS: dict = {
 
 # Working set of one batch. Beyond what one point per batch holds (the
 # tracemalloc measure of the budget test), a suite keeps per point at most
-# about five arrays the size of its largest jet array, 16 * dim**(5 + order)
-# bytes (see ``check_jet_bytes``): the kernels' transient levels, most in
-# metric at dim 4; the one pass over dga's and evolution's drawn polynomials
-# holds under three at dim 2 (dims 2, 4 and 6); LIVE_ARRAYS rounds that up.
+# about 18 arrays the size of its largest jet array, 16 * dim**(5 + order)
+# bytes (see ``check_jet_bytes``): metric reads 18.4 on exp_plane.json and
+# 17.7 on CP^1, dga 14.7 on CP^1 and 10.8 on flat n=1 (64-point batches),
+# and metric at most 7.3 at dim 4 (CP^2, 12 points); LIVE_ARRAYS rounds up.
 # Batching pays Python dispatch once per check, which a few points already
 # amortize at dim 4, so a larger budget buys memory and no speed.
 BATCH_BYTES = 2 ** 26
-LIVE_ARRAYS = 8
+LIVE_ARRAYS = 20
 
 
 def batch_size(G: GeometryData) -> int:
@@ -282,11 +282,15 @@ def batch_size(G: GeometryData) -> int:
     return max(1, BATCH_BYTES // (LIVE_ARRAYS * 16 * G.dim ** (5 + G.order)))
 
 
-def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
-              tol: Optional[float] = None, timing: bool = False) -> SuiteResult:
-    """Run one named suite at seeded random chart points."""
-    if suite not in _SUITE_FNS:
-        raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+def run_suites(suites, G: GeometryData, points: int = 50, seed: int = 0,
+               tol: Optional[float] = None, timing: bool = False) -> list:
+    """Run the named suites at seeded random chart points, batch by batch:
+    every suite takes a batch before the next one, so a batch's frames serve
+    all the suites and die with it. Each suite draws from its own rng seeded
+    with ``seed`` and folds its own maxima, as if it ran alone."""
+    for suite in suites:
+        if suite not in _SUITE_FNS:
+            raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if points < 1:
         raise ConfigError(f"a suite needs at least one sample point, got {points}")
     if 8 * points * G.dim > MAX_JET_BYTES:     # the (points, dim) float64 sample
@@ -297,20 +301,22 @@ def run_suite(suite: str, G: GeometryData, points: int = 50, seed: int = 0,
     tol = G.tol if tol is None else float(tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"the tolerance must be a finite number >= 0, got {tol!r}")
-    rng = np.random.default_rng(seed)
     pts = tuple(tuple(p) for p in G.sample_points(points, seed))
-    start = time.perf_counter()
-    Gs = G.at_order(SUITE_ORDERS[suite])
-    worst = {}
-    size = batch_size(Gs)
+    views = [G.at_order(SUITE_ORDERS[s]) for s in suites]
+    rngs = [np.random.default_rng(seed) for _ in suites]
+    worst = [{} for _ in suites]
+    elapsed = [0.0 for _ in suites]
+    size = min(batch_size(Gs) for Gs in views)
     for k in range(0, len(pts), size):
-        for name, (c, l) in _SUITE_FNS[suite](Gs, pts[k: k + size], rng).items():
-            _acc(worst, name, c, l)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    checks = [CheckRecord(name, vals[0], vals[1], tol)
-              for name, vals in sorted(worst.items())]
-    return SuiteResult(suite=suite, geometry=G.name, points=points, seed=seed,
-                       checks=checks, elapsed_ms=elapsed if timing else None)
+        for i, suite in enumerate(suites):
+            start = time.perf_counter()
+            for name, (c, l) in _SUITE_FNS[suite](views[i], pts[k: k + size], rngs[i]).items():
+                _acc(worst[i], name, c, l)
+            elapsed[i] += (time.perf_counter() - start) * 1000.0
+    return [SuiteResult(suite=suite, geometry=G.name, points=points, seed=seed,
+                        checks=[CheckRecord(name, c, l, tol) for name, (c, l) in sorted(w.items())],
+                        elapsed_ms=ms if timing else None)
+            for suite, w, ms in zip(suites, worst, elapsed)]
 
 
 # -- reports ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each is a second route to something the engine builds or checks: the
 index-folding symbol, the projective-space curvature and symplectic form,
 the Kaehler potential, the classical components of a quantum one-form,
 the generalized Ricci two-form held to both of its construction routes,
-and the torsion of the quantised connection; and random polynomials and
-a random quantum one-form at a lone point, which only the tests draw.
+and the torsion of the quantised connection; random polynomials and a
+random quantum one-form at a lone point, which only the tests draw; and
+one suite run alone.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from semiq.geometries import CPnPoint, _cpn_base, _cpn_g, _shift_matrix, fold_in
 from semiq.geometry import Field, GeometryData, cov_deriv_jet
 from semiq.lambda_core import Jet, LJet, jet_apply, jet_einsum
 from semiq.semiquant import QTensor, _model, wedge1_map
-from semiq.suites import draw_poly, poly_jets
+from semiq.suites import SuiteResult, draw_poly, poly_jets, run_suites
 
 
 # -- the projective space ------------------------------------------------------
@@ -126,3 +127,10 @@ def quantum_torsion(xi: QTensor) -> QTensor:
         return LJet(xc, xl)
 
     return wedge1_map(QTensor(G, 2, coeff))
+
+
+# -- the suites ----------------------------------------------------------------
+
+def run_suite(suite: str, G: GeometryData, **kwargs) -> SuiteResult:
+    """One named suite, run as ``check`` runs it beside others."""
+    return run_suites([suite], G, **kwargs)[0]

@@ -10,12 +10,16 @@ rule; an expression that fails at one point of a batch fails with the error
 that point gives alone. The suites then evaluate each check once per batch,
 `check` builds only batch frames, and a sample too large for one batch is
 split without changing a report byte or holding more than the batch budget
-beyond one point at a time.
+beyond one point at a time; every suite takes a batch before the next one,
+and a batch's frames die with it.
 """
 
+import gc
 import json
 import sys
 import tracemalloc
+import weakref
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import run_suite
+from semiq import cli
 from semiq import evolution as ev
 from semiq import fieldexpr
 from semiq import geometry as geo
@@ -394,6 +400,7 @@ def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
 
 @pytest.mark.parametrize("geometry, n, suite, per_batch, points", [
     ("cpn", 2, "metric", 3, 12),     # the most live arrays per point at dim 4
+    ("cpn", 1, "metric", 16, 64),    # the most at dim 2
     ("flat", 1, "dga", 16, 64),      # drawn fields and their jets per point
 ])
 def test_batch_working_set_within_budget(geometry, n, suite, per_batch, points,
@@ -407,7 +414,7 @@ def test_batch_working_set_within_budget(geometry, n, suite, per_batch, points,
         G = build_geometry(geometry, n)
         tracemalloc.start()
         try:
-            suites.run_suite(suite, G, points=points, seed=1)
+            run_suite(suite, G, points=points, seed=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -447,6 +454,34 @@ def _frames_built(monkeypatch) -> list:
 
     monkeypatch.setattr(geo.PointFrame, "__init__", counted)
     return built
+
+
+def test_frames_die_with_their_batch(monkeypatch, capsys):
+    # one point per batch; the geometry is kept, so only its cache can keep
+    # a frame alive once the run ends
+    monkeypatch.setattr(suites, "BATCH_BYTES", 1)
+    kept, build = [], build_geometry
+    monkeypatch.setattr(cli, "build_geometry", lambda *a: kept.append(build(*a)) or kept[-1])
+    frames, init = [], geo.PointFrame.__init__
+
+    def counted(self, G, point):
+        frames.append(weakref.ref(self))
+        init(self, G, point)
+
+    monkeypatch.setattr(geo.PointFrame, "__init__", counted)
+    calls = []          # (the batch's first point, suite) per suite call
+    for name, fn in list(suites._SUITE_FNS.items()):
+        monkeypatch.setitem(suites._SUITE_FNS, name, lambda G, pts, rng, name=name, fn=fn:
+                            calls.append((pts[0], name)) or fn(G, pts, rng))
+    assert main(["check", "cpn", "--n", "1", "--points", "5"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    alive = Counter(ref().order for ref in frames if ref() is not None)
+    assert len(frames) == 10 and alive == {1: 1, 2: 1}, (len(frames), alive)
+    # every suite takes a batch before the next batch
+    firsts = list(dict.fromkeys(p for p, _ in calls))
+    assert len(firsts) == 5
+    assert calls == [(p, s) for p in firsts for s in kept[0].suites], calls
 
 
 @pytest.mark.parametrize("argv, orders", [

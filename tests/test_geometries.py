@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import maxabs, sample
-from oracles import k0, kappa, varpi
+from oracles import k0, kappa, run_suite, varpi
 from semiq import geometries
 from semiq.cli import main
 from semiq.errors import ConfigError, UnknownCheckError
@@ -11,7 +11,6 @@ from semiq.geometries import (CATALOGUE, CPnPoint, cpn_at, cpn_catalogue_residua
                               make_flat_torsion, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
 from semiq.lambda_core import jet_einsum
-from semiq.suites import run_suite
 
 
 class TestIndexFolding:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import maxabs, sample
-from oracles import cpn_riemann
+from oracles import cpn_riemann, run_suite
 from semiq.errors import DegenerateMetricError
 from semiq import suites
 from semiq.evolution import evolve_scalar
-from semiq.geometry import (CACHE_ENTRIES, Field, GeometryData, PointFrame, christoffel_jet,
+from semiq.geometry import (Field, GeometryData, PointFrame, christoffel_jet,
                             compat_residuals, component_jets, cov_deriv_jet,
                             geometry_from_config, torsion_jet)
 from semiq.geometries import _cpn_base, _cpn_gamma, make_cpn, make_flat
@@ -249,7 +249,7 @@ class TestCompatResiduals:
 
 
 class TestFieldCache:
-    """Field.at calls its provider once per point and keeps the jets."""
+    """Field.at calls its provider once per point and keeps the jets of the last."""
 
     def test_drawn_polynomials_are_evaluated_once_per_batch(self, monkeypatch):
         draws, evals = [], []
@@ -265,17 +265,23 @@ class TestFieldCache:
 
         monkeypatch.setattr(suites, "draw_poly", drawn)
         monkeypatch.setattr(suites, "poly_jets", evaluated)
-        suites.run_suite("dga", make_cpn(1), points=2)
+        run_suite("dga", make_cpn(1), points=2)
         # three scalars and two one-forms of two components per point, all
         # in the one batch's one evaluation, point by point in draw order
         assert len(draws) == 14
         assert evals == [[draws[:7], draws[7:]]]
 
     def test_cache_is_bounded(self):
-        f = Field(lambda pt: LJet(Jet.const(1, pt[0], 0)))
-        for k in range(CACHE_ENTRIES + 100):
-            assert f.at((float(k),)).c.value == k
-        assert len(f._jets) <= CACHE_ENTRIES + 1
+        # the jets of the last point only: a point read twice in a row calls
+        # the provider once, and a point read again after another twice
+        calls = []
+        f = Field(lambda pt: calls.append(pt) or LJet(Jet.const(1, pt[0], 0)))
+        for k in range(100):
+            for _ in range(2):
+                assert f.at((float(k),)).c.value == k
+        assert len(calls) == 100 and len(f._jets) == 1
+        f.at((0.0,))
+        assert len(calls) == 101
 
     def test_sum_reads_the_operands_cached_jets(self, cpn1):
         calls = []
@@ -308,8 +314,8 @@ class TestProviders:
             return g_fn(f)
 
         G.g_fn = counted
-        suites.run_suite("classical-compat", G, points=3, seed=1)
-        suites.run_suite("metric", G, points=3, seed=1)
+        run_suite("classical-compat", G, points=3, seed=1)
+        run_suite("metric", G, points=3, seed=1)
         # one frame holds each suite's batch of the three points; the order-1
         # frame's Levi-Civita Gamma reads g from the order-2 frame
         assert all(len(pt) == 3 for pt, k in asked)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import run_suite
 from semiq import cli, suites
 from semiq.cli import build_geometry, main, make_parser
 from semiq.errors import JetDomainError
@@ -157,7 +158,7 @@ GEOMETRIES = {
 
 def suite_report(suite, G, order, monkeypatch):
     monkeypatch.setitem(suites.SUITE_ORDERS, suite, order)
-    return suites.emit_report(suites.run_suite(suite, G, points=2, seed=1))
+    return suites.emit_report(run_suite(suite, G, points=2, seed=1))
 
 
 @pytest.mark.parametrize("suite", suites.SUITES)

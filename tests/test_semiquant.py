@@ -3,7 +3,7 @@ import pytest
 
 from conftest import maxabs, sample
 from oracles import (cpn_omega_lower, gen_ricci, quantum_torsion, random_oneform,
-                     random_poly_field, to_classical)
+                     random_poly_field, run_suite, to_classical)
 from test_geometry import synthetic_torsion_geometry
 from semiq.geometry import Field
 from semiq.geometries import cpn_at, make_cpn, make_flat
@@ -12,7 +12,6 @@ from semiq.semiquant import (QTensor, classical_metric, g1_build, g_q_build,
                              module_action, nabla_Q, otimes1,
                              q_map, qlc_residual, sigma_Q,
                              sigma_basis, star_product, wedge1, wedge1_map)
-from semiq.suites import run_suite
 from semiq import semiquant
 
 

@@ -2,7 +2,9 @@
 
 A function, class or method is reached when ``src/semiq`` or
 ``perfbench/`` names it outside its own body: as a name, as an attribute,
-or as a string constant, since the benchmark's tracer binds by string.
+or as a string constant, since the benchmark's tracer binds by string. An
+attribute read off a name that the file binds by ``import`` names nothing
+here: ``np.stack`` is numpy's, not a ``stack`` method of ``src/semiq``.
 Code that only the tests read belongs in ``tests/oracles.py``. Dunders and
 ``main`` are entry points and exempt.
 """
@@ -28,13 +30,22 @@ def definitions(node, prefix=""):
             yield from definitions(child, prefix)
 
 
+def modules(tree) -> set:
+    """The names that ``import`` statements bind: np, math, cli."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names}
+
+
 def mentions(tree):
-    """(name, line) of every Name, Attribute and string constant."""
+    """(name, line) of every Name, string constant and Attribute, except an
+    attribute read off an imported module."""
+    mods = modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if not (isinstance(node.value, ast.Name) and node.value.id in mods):
+                yield node.attr, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value, node.lineno
 
@@ -54,3 +65,10 @@ def test_every_src_definition_is_named_by_the_product():
             if all(inside(p, line) for p, line in named[node.name]):
                 unreached.append(f"{path.name}:{qual}")
     assert not unreached, f"named nowhere in src/semiq or perfbench/: {unreached}"
+
+
+def test_an_attribute_of_an_imported_module_names_nothing():
+    tree = ast.parse("import numpy as np\nfrom . import suites as s\n"
+                     "np.stack(x)\ns.run_suites()\ny.stack\n")
+    names = [name for name, _ in mentions(tree)]
+    assert names.count("stack") == 1 and "run_suites" in names, names

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from oracles import run_suite
 from semiq.cli import build_geometry, main
 from semiq.errors import ConfigError
 from semiq.geometry import MAX_JET_BYTES
-from semiq.suites import emit_report, run_suite
+from semiq.suites import emit_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
