@@ -215,6 +215,8 @@ class Jet:
         for u in self.member_values():
             try:
                 rows.append([fn(u) for fn in fns[: self.order + 1]])
+            except JetDomainError:      # outside f's domain (_positive): not a range error
+                raise
             except (ArithmeticError, ValueError) as exc:    # cmath.sin(inf): ValueError
                 raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
         f = [np.array(col, dtype=np.complex128).reshape(self.val.shape) for col in zip(*rows)]

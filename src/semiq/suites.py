@@ -253,15 +253,8 @@ _SUITE_FNS: dict = {
 }
 SUITES = tuple(_SUITE_FNS)
 
-# the highest derivative order each suite reads; its jets are built to it
-SUITE_ORDERS: dict = {
-    "classical-compat": 1,      # g_{mn;k}, om^{ij}_{;k}
-    "dga": 2,                   # nabla_Q of a one-form: second derivatives of it
-    "metric": 2,                # nabla_Q g_Q, and H reads dGamma
-    "qlc": 2,                   # nabla of the Ricci two-form, which reads dGamma
-    "cpn-catalogue": 2,         # nabla_Q of the frame one-forms
-    "evolution": 2,             # nabla dH: second derivatives of H
-}
+# the jet order of every suite: no identity a suite checks reads a third derivative
+CHECK_ORDER = 2
 
 
 # Working set of one batch. Beyond what one point per batch holds (the
@@ -285,8 +278,8 @@ def batch_size(G: GeometryData) -> int:
 def run_suites(suites, G: GeometryData, points: int = 50, seed: int = 0,
                tol: Optional[float] = None, timing: bool = False) -> list:
     """Run the named suites at seeded random chart points, batch by batch:
-    every suite takes a batch before the next one, so a batch's frames serve
-    all the suites and die with it. Each suite draws from its own rng seeded
+    every suite takes a batch before the next one, so a batch's frame serves
+    all the suites and dies with it. Each suite draws from its own rng seeded
     with ``seed`` and folds its own maxima, as if it ran alone."""
     for suite in suites:
         if suite not in _SUITE_FNS:
@@ -302,15 +295,15 @@ def run_suites(suites, G: GeometryData, points: int = 50, seed: int = 0,
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"the tolerance must be a finite number >= 0, got {tol!r}")
     pts = tuple(tuple(p) for p in G.sample_points(points, seed))
-    views = [G.at_order(SUITE_ORDERS[s]) for s in suites]
+    G = G.at_order(CHECK_ORDER)
     rngs = [np.random.default_rng(seed) for _ in suites]
     worst = [{} for _ in suites]
     elapsed = [0.0 for _ in suites]
-    size = min(batch_size(Gs) for Gs in views)
+    size = batch_size(G)
     for k in range(0, len(pts), size):
         for i, suite in enumerate(suites):
             start = time.perf_counter()
-            for name, (c, l) in _SUITE_FNS[suite](views[i], pts[k: k + size], rngs[i]).items():
+            for name, (c, l) in _SUITE_FNS[suite](G, pts[k: k + size], rngs[i]).items():
                 _acc(worst[i], name, c, l)
             elapsed[i] += (time.perf_counter() - start) * 1000.0
     return [SuiteResult(suite=suite, geometry=G.name, points=points, seed=seed,

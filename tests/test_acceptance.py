@@ -29,7 +29,7 @@ from semiq.geometries import (CATALOGUE, _cpn_base, _cpn_gamma, cpn_catalogue_re
 from semiq.lambda_core import Jet, LJet
 from semiq.semiquant import (QTensor, g1_build, g_q_build, module_action, nabla_Q,
                              nq_basis, qlc_residual, star_product, wedge1_map)
-from semiq.suites import SUITE_ORDERS
+from semiq.suites import CHECK_ORDER
 from semiq import evolution as ev
 
 
@@ -149,7 +149,7 @@ def test_criterion_06_quantum_levi_civita():
 def test_criterion_07_catalogue():
     worst = 0.0
     for n in (1, 2):
-        G = make_cpn(n).at_order(SUITE_ORDERS["cpn-catalogue"])
+        G = make_cpn(n).at_order(CHECK_ORDER)
         for name in sorted(CATALOGUE):
             for pt in sample(G, 50, 8):
                 rc, rl = cpn_catalogue_residual(G, name, pt)

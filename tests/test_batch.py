@@ -388,7 +388,7 @@ def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
     whole = capsys.readouterr().out
     # a budget below one point's working set: one point per batch
     monkeypatch.setattr(suites, "BATCH_BYTES", 1)
-    assert suites.batch_size(make_cpn(1).at_order(1)) == 1
+    assert suites.batch_size(make_cpn(1).at_order(suites.CHECK_ORDER)) == 1
     batches = []
     for name, fn in list(suites._SUITE_FNS.items()):
         monkeypatch.setitem(suites._SUITE_FNS, name,
@@ -406,7 +406,7 @@ def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
 def test_batch_working_set_within_budget(geometry, n, suite, per_batch, points,
                                          monkeypatch):
     # a budget of ``per_batch`` points' working sets
-    G0 = build_geometry(geometry, n).at_order(suites.SUITE_ORDERS[suite])
+    G0 = build_geometry(geometry, n).at_order(suites.CHECK_ORDER)
     budget = per_batch * suites.LIVE_ARRAYS * 16 * G0.dim ** (5 + G0.order)
 
     def peak(batch_bytes):
@@ -477,7 +477,7 @@ def test_frames_die_with_their_batch(monkeypatch, capsys):
     capsys.readouterr()
     gc.collect()
     alive = Counter(ref().order for ref in frames if ref() is not None)
-    assert len(frames) == 10 and alive == {1: 1, 2: 1}, (len(frames), alive)
+    assert len(frames) == 5 and alive == {2: 1}, (len(frames), alive)
     # every suite takes a batch before the next batch
     firsts = list(dict.fromkeys(p for p, _ in calls))
     assert len(firsts) == 5
@@ -485,12 +485,12 @@ def test_frames_die_with_their_batch(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, orders", [
-    (["flat", "--n", "1"], [1, 2]),
-    (["cpn", "--n", "1"], [1, 2]),
-    (["cpn", "--n", "2"], [1, 2]),
-    # the config's probe frame (order 0), then the suites' frames; a
+    (["flat", "--n", "1"], [2]),
+    (["cpn", "--n", "1"], [2]),
+    (["cpn", "--n", "2"], [2]),
+    # the config's probe frame (order 0), then the suites' frame; a
     # Levi-Civita connection reads g one order deeper, so order 3 as well
-    ([str(ROOT / "perfbench" / "exp_plane.json")], [0, 1, 2, 3]),
+    ([str(ROOT / "perfbench" / "exp_plane.json")], [0, 2, 3]),
 ])
 def test_check_builds_only_batch_frames(argv, orders, monkeypatch, capsys):
     built = _frames_built(monkeypatch)

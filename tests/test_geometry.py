@@ -316,8 +316,8 @@ class TestProviders:
         G.g_fn = counted
         run_suite("classical-compat", G, points=3, seed=1)
         run_suite("metric", G, points=3, seed=1)
-        # one frame holds each suite's batch of the three points; the order-1
-        # frame's Levi-Civita Gamma reads g from the order-2 frame
+        # both suites read one order-2 frame of the three points, whose
+        # Levi-Civita Gamma reads g from the order-3 frame
         assert all(len(pt) == 3 for pt, k in asked)
         assert set(asked.values()) == {1}
         assert sum(n for (pt, k), n in asked.items() if k == 2) == 1

@@ -4,9 +4,9 @@ that reproduces its full-depth output.
 Level k of every jet operation reads only levels <= k of its operands, so
 an operation on jets truncated to order k equals the full-order result
 truncated to k, bit for bit. The suites and commands build their jets to
-the order they read (``suites.SUITE_ORDERS``, the first two entries of each
-``cli.EVAL_OPS`` op, ``cli.EVOLVE_ORDERS``); the order-table tests pin those
-numbers from both sides.
+the order they read (``suites.CHECK_ORDER`` for every suite, the first two
+entries of each ``cli.EVAL_OPS`` op, ``cli.EVOLVE_ORDERS``); the order tests
+pin those numbers from both sides.
 """
 
 import json
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import run_suite
 from semiq import cli, suites
 from semiq.cli import build_geometry, main, make_parser
 from semiq.errors import JetDomainError
@@ -156,27 +155,31 @@ GEOMETRIES = {
 }
 
 
-def suite_report(suite, G, order, monkeypatch):
-    monkeypatch.setitem(suites.SUITE_ORDERS, suite, order)
-    return suites.emit_report(run_suite(suite, G, points=2, seed=1))
+def check_report(G, names, order, monkeypatch):
+    monkeypatch.setattr(suites, "CHECK_ORDER", order)
+    return suites.emit_report(suites.run_suites(names, G, points=2, seed=1))
 
 
 @pytest.mark.parametrize("suite", suites.SUITES)
 def test_suite_order_is_sufficient_and_tight(suite, monkeypatch):
-    stated = suites.SUITE_ORDERS[suite]
+    stated = suites.CHECK_ORDER
     ran, starved = 0, 0
-    for make in GEOMETRIES.values():
+    for geometry, make in GEOMETRIES.items():
         G = make()
         if suite == "cpn-catalogue" and suite not in G.suites:
             continue
-        full = suite_report(suite, G, 3, monkeypatch)
-        assert suite_report(suite, G, stated, monkeypatch) == full
+        full = check_report(G, [suite], 3, monkeypatch)
+        assert check_report(G, [suite], stated, monkeypatch) == full, geometry
         ran += 1
         try:
-            suite_report(suite, G, stated - 1, monkeypatch)
+            lower = check_report(G, [suite], stated - 1, monkeypatch)
         except JetDomainError:
             starved += 1
-    assert ran and starved, (ran, starved)
+        else:
+            # only classical-compat reads first derivatives alone
+            assert suite == "classical-compat" and lower == full, geometry
+    assert ran
+    assert bool(starved) == (suite != "classical-compat"), (ran, starved)
 
 
 EVAL_ARGS = {

@@ -245,11 +245,13 @@ class TestInputValidation:
 
 class TestFloatingPointRange:
     """An expression whose value or derivatives leave the floating-point
-    range is an error, never a traceback or a NaN printed with exit 0."""
+    range is an error, never a traceback or a NaN printed with exit 0; one
+    outside its function's domain is an error that says so, not a range
+    error."""
 
     @pytest.mark.parametrize("a", ["exp(1000)", "sin(1000i)", "sqrt(1e308)*1e308*10", "1e400",
                                    "x1^1e400", "(x1+2)^1e3", "x1^(-300000)", "x1^(10^400)",
-                                   "x1^(1/0)", "config"])
+                                   "x1^(1/0)", "config", "sqrt(-x1)"])
     def test_exits_2(self, a, tmp_path):
         if a == "config":
             big = "exp(5000*x1)"
@@ -263,6 +265,8 @@ class TestFloatingPointRange:
         err = r.stderr.decode()
         assert r.returncode == 2 and r.stdout == b""
         assert err.startswith("error:") and "Traceback" not in err
+        if a == "sqrt(-x1)":
+            assert "sqrt of a jet with non-positive real value" in err and "range" not in err, err
 
 
 class TestNonFiniteResult:
