@@ -5,11 +5,11 @@
 Poisson bivector and the trivial connection.
 
 ``make_cpn``: the complex projective space CP^n on its standard affine
-chart, in real coordinates x^a with z^k = x^k + i x^{k+n}. Index
-expressions such as x^{a+n} beyond the chart range fold back with a sign
-(x^b = -x^{b+2n}). The metric, its inverse, the Poisson bivector and the
-Levi-Civita coefficients have rational closed forms evaluated through
-jets, hence exact.
+chart, in real coordinates x^a with z^k = x^k + i x^{k+n}. The shift
+x^{a+n} folds back with a sign beyond the chart range (x^b = -x^{b+2n}),
+so it is the matrix [[0, I], [-I, 0]]. The metric, its inverse, the
+Poisson bivector and the Levi-Civita coefficients have rational closed
+forms evaluated through jets, hence exact.
 
 ``make_flat_torsion``: a flat 2d chart with one coordinate-dependent
 connection coefficient, used as the registered counterexample that
@@ -31,28 +31,15 @@ from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star
 CPN_SUITES = ("classical-compat", "dga", "metric", "qlc", "cpn-catalogue")
 
 
-# -- index folding for CP^n -----------------------------------------------------
-
-def fold_index(a: int, two_n: int) -> tuple[int, int]:
-    """Reduce an index to 0..2n-1 with the sign of the folding rule."""
-    sign = 1
-    while a >= two_n:
-        a -= two_n
-        sign = -sign
-    while a < 0:
-        a += two_n
-        sign = -sign
-    return sign, a
-
+# -- the shift x^a -> x^{a+n} -------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _shift_matrix(n: int) -> np.ndarray:
-    """P with (P x)_a = x^{a+n} under the folding rule; 2n x 2n."""
-    two_n = 2 * n
-    P = np.zeros((two_n, two_n))
-    for a in range(two_n):
-        s, i = fold_index(a + n, two_n)
-        P[a, i] = s
+    """P with (P x)_a = x^{a+n} under the folding rule: [[0, I], [-I, 0]],
+    2n x 2n, every other entry +0.0."""
+    i = np.arange(n)
+    P = np.zeros((2 * n, 2 * n))
+    P[i, i + n], P[i + n, i] = 1.0, -1.0
     return P
 
 
@@ -63,14 +50,14 @@ def make_flat(n: int) -> GeometryData:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     d = 2 * n
-    eye = np.eye(d)
+    eye, zero = np.eye(d), np.zeros((d, d, d))
     om0 = _shift_matrix(n)              # the canonical Poisson bivector
     return GeometryData(
         d,
         g_fn=lambda f: Jet.const(d, eye, f.order),
         ginv_fn=lambda f: Jet.const(d, eye, f.order),
         omega_fn=lambda f: Jet.const(d, om0, f.order),
-        gamma_fn=lambda f: Jet.zeros(d, (d, d, d), f.order),
+        gamma_fn=lambda f: Jet.const(d, zero, f.order),
         levi_civita=True,
         name=f"flat(n={n})",
         parallel_cobasis=True,
@@ -86,15 +73,11 @@ def make_flat_torsion() -> GeometryData:
     an order-one obstruction residual for the quantum connection. This is
     the registered counterexample geometry.
     """
-    eye, om0 = np.eye(2), _shift_matrix(1)
+    eye, om0, basis = np.eye(2), _shift_matrix(1), np.zeros((2, 2, 2))
+    basis[0, 0, 1], basis[1, 0, 0] = 1.0, -1.0
 
     def gamma_fn(f):
-        x2 = Jet.coordinate(2, f.point, 1, f.order)
-        basis = np.zeros((2, 2, 2))
-        basis[0, 0, 1] = 1.0
-        basis2 = np.zeros((2, 2, 2))
-        basis2[1, 0, 0] = -1.0
-        return jet_einsum(",ijk->ijk", x2, basis + basis2)
+        return jet_einsum(",ijk->ijk", Jet.coordinate(2, f.point, 1, f.order), basis)
 
     return GeometryData(
         2,
@@ -179,10 +162,11 @@ def make_cpn(n: int) -> GeometryData:
 
 @lru_cache(maxsize=None)
 def _cobasis(n: int) -> np.ndarray:
-    """Row i: the coefficients of dz^i = dx^i + i dx^{i+n} in the real frame."""
+    """Row i: the coefficients of dz^i = dx^i + i dx^{i+n} in the real frame,
+    [I, iI]."""
+    i = np.arange(n)
     cm = np.zeros((n, 2 * n), dtype=np.complex128)
-    for i in range(n):
-        cm[i, i], cm[i, i + n] = 1.0, 1j
+    cm[i, i], cm[i, i + n] = 1.0, 1j
     cm.setflags(write=False)
     return cm
 
@@ -384,9 +368,7 @@ def _anticomm_bracket(x: CPnPoint):
     """The shared two-form bracket in the wedge anticommutator displays."""
     z, tau, cm = x.z.val, x.tau.val, x.cm
     zb, cmb = np.conjugate(z), np.conjugate(cm)
-    dzk = np.zeros((x.d, x.d), dtype=np.complex128)
-    for k in range(x.n):
-        dzk += _wedge_of(cm[k], cmb[k])
+    dzk = _wedge_of(cm, cmb).sum(axis=0)         # sum_k dz^k ^ dzbar^k
     return ((_coef(z, zb) * _per(x, lambda t: t, 2))[..., None, None] * dzk
             + _wedge_of(tau[..., None, None, :], z[..., :, None, None] * cmb)
             + _wedge_of(zb[..., None, :, None] * cm[:, None, :],
@@ -406,18 +388,21 @@ def _exp_q_comm_scalar(x):
     return _lam(_per(x, lambda t: -1j / t, 2) * np.eye(x.n))
 
 
-def _exp_z_dzbar(x):
-    z = x.z.val
-    return _lam(_per(x, lambda t: 1j / t, 3)
-                * (_coef(z, np.conjugate(z))[..., None] * np.conjugate(x.tau.val)[..., None, None, :]
-                   + z[..., :, None, None] * np.conjugate(x.cm)))
+def _z_side(x: CPnPoint, sgn: int) -> tuple:
+    """(z, taubar, dzbar, i), or for sgn < 0 the conjugates (zbar, tau, dz, -i)."""
+    if sgn < 0:
+        return np.conjugate(x.z.val), x.tau.val, x.cm, -1j
+    return x.z.val, np.conjugate(x.tau.val), np.conjugate(x.cm), 1j
 
 
-def _exp_zbar_dz(x):
-    zb = np.conjugate(x.z.val)
-    return _lam(_per(x, lambda t: -1j / t, 3)
-                * (_coef(zb, x.z.val)[..., None] * x.tau.val[..., None, None, :]
-                   + zb[..., :, None, None] * x.cm))
+def _exp_z_dzbar(sgn: int):
+    """[z^i, dzbar^j], or [zbar^i, dz^j] for sgn < 0."""
+    def exp(x):
+        z, taub, cmb, i = _z_side(x, sgn)
+        return _lam(_per(x, lambda t: i / t, 3)
+                    * (_coef(z, np.conjugate(z))[..., None] * taub[..., None, None, :]
+                       + z[..., :, None, None] * cmb))
+    return exp
 
 
 def _exp_dz_dzbar_anticomm(x):
@@ -425,16 +410,13 @@ def _exp_dz_dzbar_anticomm(x):
                 * (_anticomm_bracket(x) + _wedge_of(x.cm[:, None, :], np.conjugate(x.cm))))
 
 
-def _exp_q_comm_form(x):
-    z = x.z.val
-    return _lam((_per(x, lambda t: -1j / t, 2) * _coef(np.conjugate(z), z))[..., None]
-                * x.tau.val[..., None, None, :])
-
-
-def _exp_qinv_comm_form(x):
-    z = x.z.val
-    return _lam((_per(x, lambda t: 1j / t, 2) * _coef(z, np.conjugate(z)))[..., None]
-                * np.conjugate(x.tau.val)[..., None, None, :])
+def _exp_qinv_comm_form(sgn: int):
+    """q^-1 . (z^i dzbar^j) - dzbar^j . z^i, or its conjugate for sgn < 0."""
+    def exp(x):
+        z, taub, _, i = _z_side(x, sgn)
+        return _lam((_per(x, lambda t: i / t, 2) * _coef(z, np.conjugate(z)))[..., None]
+                    * taub[..., None, None, :])
+    return exp
 
 
 def _exp_qinv_wedge_anticomm(x):
@@ -502,13 +484,14 @@ CATALOGUE = {
     "z-zbar-comm": (_comm(_zs, _zbars), _exp_z_zbar),
     "z-dz-comm": (_comm(_zs, _dzs), _zero(1)),
     "zbar-dzbar-comm": (_comm(_zbars, _dzbars), _zero(1)),
-    "z-dzbar-comm": (_comm(_zs, _dzbars), _exp_z_dzbar),
-    "zbar-dz-comm": (_comm(_zbars, _dzs), _exp_zbar_dz),
+    "z-dzbar-comm": (_comm(_zs, _dzbars), _exp_z_dzbar(+1)),
+    "zbar-dz-comm": (_comm(_zbars, _dzs), _exp_z_dzbar(-1)),
     "dz-dz-wedge": (_eng_dz_dz_wedge, _zero(2)),
     "dz-dzbar-anticomm": (_anticomm(False), _exp_dz_dzbar_anticomm),
     "q-comm-scalar": (_comm(_zbars, _zs, _q_factor), _exp_q_comm_scalar),
-    "q-comm-form": (_comm(_zbars, _dzs, _q_factor), _exp_q_comm_form),
-    "qinv-comm-form": (_comm(_zs, _dzbars, partial(_q_factor, inverse=True)), _exp_qinv_comm_form),
+    "q-comm-form": (_comm(_zbars, _dzs, _q_factor), _exp_qinv_comm_form(-1)),
+    "qinv-comm-form": (_comm(_zs, _dzbars, partial(_q_factor, inverse=True)),
+                       _exp_qinv_comm_form(+1)),
     "qinv-wedge-anticomm": (_anticomm(True), _exp_qinv_wedge_anticomm),
     "w-w-comm": (_comm(_ws, _ws), _zero(0)),
     "w-wbar-comm": (_comm(_ws, _wbars), _exp_w_wbar),

@@ -53,12 +53,8 @@ class Jet:
         self.batch = batch
 
     # -- constructors ------------------------------------------------------
-    # the first ``batch`` axes of ``shape`` or of ``value`` are batch axes
-
-    @classmethod
-    def zeros(cls, dim: int, shape: tuple = (), order: int = 3, batch: int = 0) -> "Jet":
-        return cls(dim, [np.zeros(shape + (dim,) * k, dtype=np.complex128)
-                         for k in range(order + 1)], batch)
+    # the first ``batch`` axes of ``value`` are batch axes, and a point's
+    # leading axes are its batch, as a jet's are
 
     @classmethod
     def const(cls, dim: int, value, order: int = 3, batch: int = 0) -> "Jet":
@@ -68,28 +64,29 @@ class Jet:
         return cls(dim, levels, batch)
 
     @classmethod
-    def coords(cls, dim: int, point, order: int = 3) -> "Jet":
-        """Jet of the identity chart map; shape (dim,). ``point`` may be a batch."""
-        p = np.asarray(point, dtype=np.complex128)
-        lead = p.shape[:-1]
-        levels = [p, np.eye(dim, dtype=np.complex128)]
-        if lead:
-            levels[1] = np.broadcast_to(levels[1], lead + (dim, dim)).copy()
+    def affine(cls, dim: int, value, d1, order: int = 3, batch: int = 0) -> "Jet":
+        """Jet of a field affine in the chart coordinates: ``value`` with the
+        constant first derivatives ``d1``, every higher level zero."""
+        levels = [value, d1][: order + 1]
         for k in range(2, order + 1):
-            levels.append(np.zeros(lead + (dim,) * (k + 1), dtype=np.complex128))
-        return cls(dim, levels[: order + 1], len(lead))
+            levels.append(np.zeros(value.shape + (dim,) * k, dtype=np.complex128))
+        return cls(dim, levels, batch)
+
+    @classmethod
+    def coords(cls, dim: int, point, order: int = 3) -> "Jet":
+        """Jet of the identity chart map; shape (dim,)."""
+        p, i = np.asarray(point, dtype=np.complex128), np.arange(dim)
+        eye = np.zeros(p.shape + (dim,), dtype=np.complex128)
+        eye[..., i, i] = 1.0
+        return cls.affine(dim, p, eye, order, p.ndim - 1)
 
     @classmethod
     def coordinate(cls, dim: int, point, k: int, order: int = 3) -> "Jet":
-        if is_batch(point):
-            return cls.coords(dim, point, order).take_index(k)
-        levels = [np.asarray(complex(point[k]))]
-        d1 = np.zeros(dim, dtype=np.complex128)
-        d1[k] = 1.0
-        levels.append(d1)
-        for m in range(2, order + 1):
-            levels.append(np.zeros((dim,) * m, dtype=np.complex128))
-        return cls(dim, levels[: order + 1])
+        """Jet of the chart coordinate x^k; a scalar."""
+        p = np.asarray(point, dtype=np.complex128)
+        d1 = np.zeros(p.shape, dtype=np.complex128)
+        d1[..., k] = 1.0
+        return cls.affine(dim, p[..., k].copy(), d1, order, p.ndim - 1)
 
     # -- basic access ------------------------------------------------------
 
@@ -409,8 +406,8 @@ class LJet(NamedTuple):
 
     def lam(self) -> Jet:
         c = self.c
-        return self.l if self.l is not None else Jet.zeros(c.dim, c.val.shape,
-                                                           max(c.order - 1, 0), c.batch)
+        return self.l if self.l is not None else Jet.const(
+            c.dim, np.zeros(c.val.shape, dtype=np.complex128), max(c.order - 1, 0), c.batch)
 
     def __add__(self, other: "LJet") -> "LJet":
         if self.l is None and other.l is None:

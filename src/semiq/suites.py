@@ -86,9 +86,7 @@ def poly_jets(d: int, polys, pts, order: int) -> Jet:
 
     def factor(j):      # each monomial's j-th coordinate, x_1 where it has none
         i = np.array([ix[j] if j < len(ix) else 0 for _, ix in monos]).reshape(lead)
-        levels = [x[np.arange(lead[0])[:, None, None], i], eye[i]]
-        levels += [np.zeros(lead + (d,) * k, dtype=np.complex128) for k in range(2, order + 1)]
-        return Jet(d, levels[: order + 1], 3)
+        return Jet.affine(d, x[np.arange(lead[0])[:, None, None], i], eye[i], order, 3)
 
     t0 = Jet.const(d, np.array([c for c, _ in monos]).reshape(lead), order, 3)
     t1 = t0 * factor(0)

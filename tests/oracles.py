@@ -1,17 +1,17 @@
 """Closed forms and quantities that only the tests read.
 
 Each is a second route to something the engine builds or checks: the
-index-folding symbol, the projective-space curvature and symplectic form,
-the Kaehler potential, the classical components of a quantum one-form,
-the generalized Ricci two-form held to both of its construction routes,
-and the torsion of the quantised connection; random polynomials and a
-random quantum one-form at a lone point, which only the tests draw; and
-one suite run alone.
+index-folding rule and symbol, the projective-space curvature and
+symplectic form, the Kaehler potential, the classical components of a
+quantum one-form, the generalized Ricci two-form held to both of its
+construction routes, and the torsion of the quantised connection; random
+polynomials and a random quantum one-form at a lone point, which only the
+tests draw; and one suite run alone.
 """
 
 import numpy as np
 
-from semiq.geometries import CPnPoint, _cpn_base, _cpn_g, _shift_matrix, fold_index
+from semiq.geometries import CPnPoint, _cpn_base, _cpn_g, _shift_matrix
 from semiq.geometry import Field, GeometryData, cov_deriv_jet
 from semiq.lambda_core import Jet, LJet, jet_apply, jet_einsum
 from semiq.semiquant import QTensor, _model, wedge1_map
@@ -19,6 +19,19 @@ from semiq.suites import SuiteResult, draw_poly, poly_jets, run_suites
 
 
 # -- the projective space ------------------------------------------------------
+
+def fold_index(a: int, two_n: int) -> tuple[int, int]:
+    """Reduce an index to 0..2n-1 with the sign of the folding rule
+    x^b = -x^{b+2n}."""
+    sign = 1
+    while a >= two_n:
+        a -= two_n
+        sign = -sign
+    while a < 0:
+        a += two_n
+        sign = -sign
+    return sign, a
+
 
 def kappa(a: int, c: int, two_n: int) -> int:
     """The folding symbol: the relative sign of two indices that fold to

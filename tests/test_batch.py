@@ -141,6 +141,32 @@ def test_jet_operations_batch_is_stacked(n, dim, order, seed):
         check(lambda x: x.grad(), t)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lead=st.sampled_from(((), (3,), (2, 3))), dim=st.integers(1, 4),
+       order=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_coordinate_jets_are_their_members_alone(lead, dim, order, seed):
+    # a point's leading axes are the batch; each member holds the bits of the
+    # jet built at its point alone, and that jet is the affine one: the
+    # coordinates, the unit gradients, then zeros
+    pts = np.random.default_rng(seed).normal(size=lead + (dim,))
+    eye = np.eye(dim, dtype=np.complex128)
+    routes = [(lambda p: Jet.coords(dim, p, order), lambda p: (p, eye))]
+    routes += [(lambda p, k=k: Jet.coordinate(dim, p, k, order), lambda p, k=k: (p[k], eye[k]))
+               for k in range(dim)]
+    for build, affine in routes:
+        j = build(pts)
+        assert j.batch == len(lead) and len(j.levels) == order + 1
+        for m in np.ndindex(lead):
+            alone = build(tuple(float(v) for v in pts[m]))
+            value, d1 = affine(np.asarray(pts[m], dtype=np.complex128))
+            direct = [value, d1] + [np.zeros(np.shape(value) + (dim,) * l, dtype=np.complex128)
+                                    for l in (2, 3)]
+            assert alone.batch == 0 and len(alone.levels) == order + 1
+            for got, one, want in zip(j.levels, alone.levels, direct):
+                assert got[m].shape == one.shape == np.shape(want)
+                assert got[m].tobytes() == one.tobytes() == want.tobytes()
+
+
 # -- field expressions ---------------------------------------------------------------
 
 def _expr(dim: int):
@@ -206,7 +232,7 @@ def test_eval_jet_batch_is_stacked(case):
 def lone_chain(d: int, poly, pt, order: int) -> Jet:
     """A drawn polynomial at one point as a chain of lone jets: each
     monomial's coefficient times its factors left to right, summed from 0."""
-    total = Jet.zeros(d, (), order)
+    total = Jet.const(d, 0.0, order)
     for coef, idxs in poly:
         term = Jet.const(d, coef, order)
         for i in idxs:

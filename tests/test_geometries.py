@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import maxabs, sample
-from oracles import k0, kappa, run_suite, varpi
+from oracles import fold_index, k0, kappa, run_suite, varpi
 from semiq import geometries
 from semiq.cli import main
 from semiq.errors import ConfigError, UnknownCheckError
 from semiq.geometries import (CATALOGUE, CPnPoint, cpn_at, cpn_catalogue_residual,
-                              cpn_expected, fold_index, make_cpn, make_flat,
+                              cpn_expected, make_cpn, make_flat,
                               make_flat_torsion, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
 from semiq.lambda_core import jet_einsum
@@ -33,7 +33,7 @@ class TestIndexFolding:
     def test_shift_matrix_is_shifted_kappa(self):
         for n in range(1, 5):
             KP = [[kappa(a + n, c, 2 * n) for c in range(2 * n)] for a in range(2 * n)]
-            assert np.array_equal(_shift_matrix(n), np.array(KP, dtype=float))
+            assert _shift_matrix(n).tobytes() == np.array(KP, dtype=float).tobytes()
             # the flat chart's Poisson bivector is the same matrix
             pt = (0.1,) * (2 * n)
             assert np.array_equal(make_flat(n).frame(pt).om.val, _shift_matrix(n))

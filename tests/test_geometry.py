@@ -27,7 +27,7 @@ def synthetic_torsion_geometry(entries):
 
     def gamma_fn(f):
         pt, order = f.point, f.order
-        total = Jet.zeros(2, (2, 2, 2), order)
+        total = Jet.const(2, np.zeros((2, 2, 2)), order)
         for (i, j, k, axis) in entries:
             basis = np.zeros((2, 2, 2))
             basis[i, j, k] = 1.0

@@ -88,7 +88,7 @@ def test_jet_einsum_truncates(seed, dim, spec):
     # a jet's order is its level count, from every constructor
     pt = rng.normal(size=dim)
     for k in range(4):
-        for j in (Jet.zeros(dim, sa, k), Jet.const(dim, const, k), Jet.coords(dim, pt, k),
+        for j in (Jet.const(dim, np.zeros(sa), k), Jet.const(dim, const, k), Jet.coords(dim, pt, k),
                   Jet.coordinate(dim, pt, dim - 1, k), op(trunc(a, k), const)):
             assert len(j.levels) == j.order + 1 == k + 1
 

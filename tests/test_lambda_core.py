@@ -55,7 +55,7 @@ class TestJet:
             def jet_at(q):
                 x = Jet.coordinate(d, q, 0)
                 y = Jet.coordinate(d, q, 1)
-                total = Jet.zeros(d)
+                total = Jet.const(d, 0.0)
                 for i in range(3):
                     for j in range(3):
                         total = total + (x ** i) * (y ** j) * coef[i, j]

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +145,31 @@ class TestCli:
                      "--H", "x2^2/2", "--a", "x1", "--at", "0.1,0.5"]) == 0
         out = capsys.readouterr().out
         assert "adot" in out
+
+    def test_timing_adds_only_suite_times(self, capsys):
+        argv = ["check", "flat", "--n", "1", "--points", "2", "--seed", "1"]
+        out = {}
+        for fmt in ("json", "text"):
+            for timing in ((), ("--timing",)):
+                assert main(argv + ["--format", fmt, *timing]) == 0
+                out[fmt, bool(timing)] = capsys.readouterr().out
+        report = json.loads(out["json", True])
+        for r in report:
+            assert math.isfinite(r["elapsed_ms"]) and r["elapsed_ms"] >= 0
+            r["elapsed_ms"] = None
+        assert json.dumps(report, indent=2) + "\n" == out["json", False]
+        # text: each suite header gains " [t ms]", and its underline follows it
+        plain, timed = out["text", False].split("\n"), out["text", True].split("\n")
+        assert len(plain) == len(timed)
+        heads = 0
+        for k, (a, b) in enumerate(zip(plain, timed)):
+            if a.startswith("suite "):
+                heads += 1
+                assert re.fullmatch(re.escape(a) + r" \[\d+\.\d ms\]", b), b
+                assert (plain[k + 1], timed[k + 1]) == ("-" * len(a), "-" * len(b))
+            elif not (k and plain[k - 1].startswith("suite ")):
+                assert a == b
+        assert heads == len(report) > 1
 
     def test_subprocess_byte_identical_reports(self, tmp_path):
         outs = []
