@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -165,6 +166,7 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+@functools.cache      # built on first use, then shared: parsing leaves it unchanged
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="semiq",

@@ -256,6 +256,9 @@ def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
 
 
 def _eval(e: Expr, point, d: int, order: int) -> Jet:
+    # eval_jet reads every level, so each operand's levels are read at once:
+    # a long expression would otherwise defer a chain of levels as long as
+    # itself, for one read to recurse through
     if isinstance(e, Num):
         return Jet.const(d, e.val, order)
     if isinstance(e, Var):
@@ -267,10 +270,12 @@ def _eval(e: Expr, point, d: int, order: int) -> Jet:
             Jet.coordinate(d, point, k + n, order).scale(1j)
     if isinstance(e, Un):
         u = _eval(e.arg, point, d, order)
+        list(u.levels)
         if e.op == "neg":
             return -u
         return jet_apply(e.op, u)
     a = _eval(e.left, point, d, order)
+    list(a.levels)
     if e.op == "^":
         try:
             p = _const_value(e.right)
@@ -281,7 +286,9 @@ def _eval(e: Expr, point, d: int, order: int) -> Jet:
         if p.imag == 0:
             p = p.real
         return a ** p
-    return _ARITH[e.op](a, _eval(e.right, point, d, order))
+    b = _eval(e.right, point, d, order)
+    list(b.levels)
+    return _ARITH[e.op](a, b)
 
 
 def _const_value(e: Expr) -> Optional[complex]:

@@ -17,6 +17,12 @@ no axes, never a batch of one, and takes the same code: einsum always
 carries a leading ``...``, and functions of a value are evaluated member
 by member in Python complex arithmetic. Every operation acts on each
 member as it would on that member alone.
+
+``jet_einsum``, ``+``, ``-``, ``scale``, ``conj``, ``reorder`` and
+``take_index`` compute level 0 at once and defer each higher level to its
+first read, which makes the numpy calls of the eager formula in the same
+order: a level read has the same bits, and one never read is never
+computed. ``compose``, ``matinv`` and the constructors are eager.
 """
 
 from __future__ import annotations
@@ -48,8 +54,10 @@ class Jet:
 
     def __init__(self, dim: int, levels: Sequence[np.ndarray], batch: int = 0):
         self.dim = dim
-        self.levels = tuple(np.asarray(l, dtype=np.complex128) for l in levels)
-        self.order = len(self.levels) - 1
+        if not isinstance(levels, Levels):
+            levels = Levels([np.asarray(l, dtype=np.complex128) for l in levels])
+        self.levels = levels
+        self.order = len(levels) - 1
         self.batch = batch
 
     # -- constructors ------------------------------------------------------
@@ -121,9 +129,8 @@ class Jet:
 
     def __add__(self, other) -> "Jet":
         o = self._coerce(other)
-        n = min(self.order, o.order)
-        return Jet(self.dim, [self.levels[k] + o.levels[k] for k in range(n + 1)],
-                   max(self.batch, o.batch))
+        return deferred_jet(self.dim, lambda k: self.levels[k] + o.levels[k],
+                            min(self.order, o.order), max(self.batch, o.batch))
 
     __radd__ = __add__
 
@@ -134,15 +141,15 @@ class Jet:
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return Jet(self.dim, [-l for l in self.levels], self.batch)
+        return deferred_jet(self.dim, lambda k: -self.levels[k], self.order, self.batch)
 
     def scale(self, c) -> "Jet":
         """Multiply by a number, or member by member by an array of the batch
         shape; a lone jet so scaled takes on the batch."""
         if isinstance(c, np.ndarray) and c.ndim:
-            return Jet(self.dim, [_over_members(c, l, self.batch) * l for l in self.levels],
-                       c.ndim)
-        return Jet(self.dim, [c * l for l in self.levels], self.batch)
+            return deferred_jet(self.dim, lambda k: _over_members(c, self.levels[k], self.batch)
+                                * self.levels[k], self.order, c.ndim)
+        return deferred_jet(self.dim, lambda k: c * self.levels[k], self.order, self.batch)
 
     # -- products ----------------------------------------------------------
 
@@ -246,7 +253,8 @@ class Jet:
 
     def conj(self) -> "Jet":
         # valid because chart coordinates are real
-        return Jet(self.dim, [np.conjugate(l) for l in self.levels], self.batch)
+        return deferred_jet(self.dim, lambda k: np.conjugate(self.levels[k]), self.order,
+                            self.batch)
 
     def reorder(self, spec: str) -> "Jet":
         """Relabel the leading tensor axes with an einsum-style spec, e.g.
@@ -255,13 +263,15 @@ class Jet:
         src, dst = spec.split("->")
         b = self.batch
         head = list(range(b)) + [b + src.index(c) for c in dst]
-        return Jet(self.dim, [l.transpose(head + list(range(len(head), l.ndim)))
-                              for l in self.levels], b)
+        n = self.levels[0].ndim          # level k has n + k axes
+        return deferred_jet(self.dim, lambda k: self.levels[k].transpose(
+            head + list(range(len(head), n + k))), self.order, b)
 
     def take_index(self, idx: int, axis: int = 0) -> "Jet":
         """Slice one tensor axis at a fixed index."""
-        return Jet(self.dim, [np.take(l, idx, axis=axis + self.batch) for l in self.levels],
-                   self.batch)
+        b = self.batch
+        return deferred_jet(self.dim, lambda k: np.take(self.levels[k], idx, axis=axis + b),
+                            self.order, b)
 
     def matinv(self) -> "Jet":
         """Inverse of a square-matrix jet, solved level by level."""
@@ -298,6 +308,57 @@ class Jet:
         return Jet(self.dim, out, self.batch)
 
 
+class Levels:
+    """A jet's derivative levels, a read-only sequence of arrays.
+
+    A cell holds either its level's array or the function ``level`` of a
+    deferred level k, which ``evaluate_level`` runs on the first read; the
+    array it returns then replaces it. A slice shares the cells, so a level
+    read through ``grad`` is kept for the jet it was taken from too.
+    """
+
+    __slots__ = ("_cells", "_start", "_stop")
+
+    def __init__(self, cells: list, start: int = 0, stop: Optional[int] = None):
+        self._cells, self._start = cells, start
+        self._stop = len(cells) if stop is None else stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __getitem__(self, k):
+        n = self._stop - self._start
+        if isinstance(k, slice):
+            start, stop, step = k.indices(n)
+            if step != 1:
+                raise ValueError("jet levels slice with step 1 only")
+            return Levels(self._cells, self._start + start, self._start + max(start, stop))
+        if not 0 <= k < n:
+            raise IndexError(f"jet level {k} of {n}")
+        i = self._start + k
+        cell = self._cells[i]
+        if callable(cell):
+            cell = self._cells[i] = evaluate_level(i, cell)
+        return cell
+
+    def __iter__(self):
+        return (self[k] for k in range(self._stop - self._start))
+
+
+def evaluate_level(k: int, level: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Level ``k`` of the jet that deferred it; every deferred level is
+    computed here, once."""
+    return level(k)
+
+
+def deferred_jet(dim: int, level: Callable[[int], np.ndarray], order: int,
+                 batch: int) -> Jet:
+    """The jet whose level k is ``level(k)``: level 0 now, each level above
+    it on its first read."""
+    return Jet(dim, Levels([np.asarray(level(0), dtype=np.complex128)] + [level] * order),
+               batch)
+
+
 def _subscript(shape: tuple) -> str:
     return "abcdefghijklmnopqrs"[: len(shape)]
 
@@ -331,28 +392,29 @@ def jet_einsum(spec: str, a, b) -> "Jet":
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     sa, sb, out = "..." + sa, "..." + sb, "..." + out
-    order = min(a.order, b.order)
     T, U, V = _DLETTERS[0], _DLETTERS[1], _DLETTERS[2]
-    a0, b0 = a.levels[0], b.levels[0]
-    levels = [np.einsum(f"{sa},{sb}->{out}", a0, b0)]
-    if order >= 1:
-        levels.append(
-            np.einsum(f"{sa}{T},{sb}->{out}{T}", a.levels[1], b0)
-            + np.einsum(f"{sa},{sb}{T}->{out}{T}", a0, b.levels[1]))
-    if order >= 2:
-        l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", a.levels[2], b0)
-              + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, b.levels[2]))
-        cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", a.levels[1], b.levels[1])
-        levels.append(l2 + cross + np.swapaxes(cross, -1, -2))
-    if order >= 3:
-        l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", a.levels[3], b0)
-              + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, b.levels[3]))
-        c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", a.levels[2], b.levels[1])
+    al, bl = a.levels, b.levels
+
+    def level(k):
+        a0, b0 = al[0], bl[0]
+        if k == 0:
+            return np.einsum(f"{sa},{sb}->{out}", a0, b0)
+        if k == 1:
+            return (np.einsum(f"{sa}{T},{sb}->{out}{T}", al[1], b0)
+                    + np.einsum(f"{sa},{sb}{T}->{out}{T}", a0, bl[1]))
+        if k == 2:
+            l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", al[2], b0)
+                  + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, bl[2]))
+            cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", al[1], bl[1])
+            return l2 + cross + np.swapaxes(cross, -1, -2)
+        l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", al[3], b0)
+              + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, bl[3]))
+        c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", al[2], bl[1])
         l3 += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
-        c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", a.levels[1], b.levels[2])
+        c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", al[1], bl[2])
         l3 += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
-        levels.append(l3)
-    return Jet(ref.dim, levels, max(a.batch, b.batch))
+        return l3
+    return deferred_jet(ref.dim, level, min(a.order, b.order), max(a.batch, b.batch))
 
 
 # -- univariate function table ----------------------------------------------

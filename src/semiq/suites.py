@@ -257,12 +257,14 @@ CHECK_ORDER = 2
 
 # Working set of one batch. Beyond what one point per batch holds (the
 # tracemalloc measure of the budget test), a suite keeps per point at most
-# about 18 arrays the size of its largest jet array, 16 * dim**(5 + order)
-# bytes (see ``check_jet_bytes``): metric reads 18.4 on exp_plane.json and
-# 17.7 on CP^1, dga 14.7 on CP^1 and 10.8 on flat n=1 (64-point batches),
-# and metric at most 7.3 at dim 4 (CP^2, 12 points); LIVE_ARRAYS rounds up.
-# Batching pays Python dispatch once per check, which a few points already
-# amortize at dim 4, so a larger budget buys memory and no speed.
+# about 17 arrays the size of its largest jet array, 16 * dim**(5 + order)
+# bytes (see ``check_jet_bytes``). With levels computed only where read,
+# metric reads 16.5 on CP^1 and 15.0 on exp_plane.json, dga 11.7 on CP^1
+# and 8.9 on flat n=1 (64-point batches); at dim 4 (CP^2, 12 and 36
+# points) metric reads 2.3-2.7 and dga 0.8-0.9. Dim 2 binds, and
+# LIVE_ARRAYS rounds it up. Batching pays Python dispatch once per check,
+# which a few points already amortize at dim 4, so a larger budget buys
+# memory and no speed.
 BATCH_BYTES = 2 ** 26
 LIVE_ARRAYS = 20
 

@@ -6,7 +6,8 @@ symplectic form, the Kaehler potential, the classical components of a
 quantum one-form, the generalized Ricci two-form held to both of its
 construction routes, and the torsion of the quantised connection; random
 polynomials and a random quantum one-form at a lone point, which only the
-tests draw; and one suite run alone.
+tests draw; one suite run alone; and the jet operations that defer their
+levels, each computed eagerly, every level at once.
 """
 
 import numpy as np
@@ -147,3 +148,65 @@ def quantum_torsion(xi: QTensor) -> QTensor:
 def run_suite(suite: str, G: GeometryData, **kwargs) -> SuiteResult:
     """One named suite, run as ``check`` runs it beside others."""
     return run_suites([suite], G, **kwargs)[0]
+
+
+# -- eager jet arithmetic --------------------------------------------------------
+# Each takes its operands' level arrays and returns every level of the result
+# at once, by the same numpy calls the engine's deferred levels make.
+
+def eager_einsum(spec: str, a: list, b: list) -> list:
+    """The levels of ``jet_einsum(spec, a, b)``: the Leibniz rule."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    sa, sb, out = "..." + sa, "..." + sb, "..." + out
+    order = min(len(a), len(b)) - 1
+    T, U, V = "TUV"
+    a0, b0 = a[0], b[0]
+    levels = [np.einsum(f"{sa},{sb}->{out}", a0, b0)]
+    if order >= 1:
+        levels.append(
+            np.einsum(f"{sa}{T},{sb}->{out}{T}", a[1], b0)
+            + np.einsum(f"{sa},{sb}{T}->{out}{T}", a0, b[1]))
+    if order >= 2:
+        l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", a[2], b0)
+              + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, b[2]))
+        cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", a[1], b[1])
+        levels.append(l2 + cross + np.swapaxes(cross, -1, -2))
+    if order >= 3:
+        l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", a[3], b0)
+              + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, b[3]))
+        c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", a[2], b[1])
+        l3 += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
+        c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", a[1], b[2])
+        l3 += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
+        levels.append(l3)
+    return levels
+
+
+def eager_add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def eager_neg(a: list) -> list:
+    return [-l for l in a]
+
+
+def eager_scale(a: list, c, batch: int) -> list:
+    """By a number, or member by member by an array of the batch shape."""
+    if isinstance(c, np.ndarray) and c.ndim:
+        return [c.reshape(c.shape + (1,) * (l.ndim - batch)) * l for l in a]
+    return [c * l for l in a]
+
+
+def eager_conj(a: list) -> list:
+    return [np.conjugate(l) for l in a]
+
+
+def eager_reorder(a: list, spec: str, batch: int) -> list:
+    src, dst = spec.split("->")
+    head = list(range(batch)) + [batch + src.index(c) for c in dst]
+    return [l.transpose(head + list(range(len(head), l.ndim))) for l in a]
+
+
+def eager_take_index(a: list, idx: int, axis: int, batch: int) -> list:
+    return [np.take(l, idx, axis=axis + batch) for l in a]

@@ -1,0 +1,41 @@
+"""The pair summary of ``tools/bench_pairs.py``, on made-up result lines."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "op_wall_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+
+
+def run(tree, pair, p50, ops, failed=0, seed=1):
+    result = {"correct": not failed, "failed": failed,
+              "metrics": {"op_wall_p50_ms": {"value": p50}, "ops_per_s": {"value": ops}}}
+    return {"tree": tree, "workload": "w", "seed": seed, "pair": pair, "result": result}
+
+
+def test_summary_counts_pairs_won_by_each_metric_direction():
+    runs = [run("parent", 0, 10.0, 5.0), run("change", 0, 4.0, 5.0),
+            run("change", 1, 6.0, 4.0), run("parent", 1, 6.0, 6.0),
+            run("parent", 2, 12.0, 7.0), run("change", 2, 5.0, 9.0, failed=1),
+            run("parent", 0, 1.0, 1.0, seed=2), run("change", 0, 2.0, 1.0, seed=2)]
+    s = bench_pairs.summarize(runs, METRICS)
+    assert list(s) == ["w seed 1", "w seed 2"]
+    one = s["w seed 1"]
+    assert (one["pairs"], one["correct"], one["failed"]) == (3, False, 1)
+    p50 = one["op_wall_p50_ms"]
+    assert p50["parent"] == {"median": 10.0, "q1": 8.0, "q3": 11.0}
+    assert p50["change"]["median"] == 5.0
+    assert p50["change_better_pairs"] == 2            # the tie in pair 1 counts for neither
+    assert p50["ratio_of_medians"] == pytest.approx(0.5)
+    ops = one["ops_per_s"]
+    assert ops["change_better_pairs"] == 1            # higher is better
+    assert ops["ratio_of_medians"] == pytest.approx(5.0 / 6.0)
+    two = s["w seed 2"]
+    assert two["pairs"] == 1 and two["op_wall_p50_ms"]["change_better_pairs"] == 0
+    assert two["ops_per_s"]["ratio_of_medians"] == 1.0

@@ -226,3 +226,12 @@ class TestEvalJet:
         j = eval_jet(parse("z1*conj(z1)", 2), [0.3, 0.1])
         assert j.value == pytest.approx(0.3 ** 2 + 0.1 ** 2)
         assert np.max(np.abs(j.value.imag)) < 1e-15
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_expression_reads_its_levels_without_deep_recursion(self, op):
+        # 600 terms parse into a tree 600 deep, which evaluation walks
+        # recursively; its levels must not add a chain as deep for one read
+        # to recurse through
+        j = eval_jet(parse(op.join(["x1"] * 600), 1), [1.0])
+        want = [600.0, 600.0, 0.0, 0.0] if op == "+" else [1.0, 600.0, 599.0 * 600, 598.0 * 599 * 600]
+        assert [complex(l.reshape(-1)[0]) for l in j.levels] == pytest.approx(want)

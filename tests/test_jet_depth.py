@@ -6,7 +6,8 @@ an operation on jets truncated to order k equals the full-order result
 truncated to k, bit for bit. The suites and commands build their jets to
 the order they read (``suites.CHECK_ORDER`` for every suite, the first two
 entries of each ``cli.EVAL_OPS`` op, ``cli.EVOLVE_ORDERS``); the order tests
-pin those numbers from both sides.
+pin those numbers from both sides. Within that depth, a deferred level that
+no check reads is never computed.
 """
 
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiq import cli, suites
+from semiq import cli, lambda_core, suites
 from semiq.cli import build_geometry, main, make_parser
 from semiq.errors import JetDomainError
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
@@ -248,3 +249,32 @@ def test_check_builds_no_third_order_jets(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)
     assert t.calls["lambda_core.jet_einsum.order2"] > 0
     assert t.calls["lambda_core.jet_einsum.order3"] == 0
+
+
+# -- unread levels ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cpn", "--n", "2", "--points", "2", "--seed", "1"],
+    ["check", "flat", "--n", "1", "--points", "5", "--seed", "1"],
+    ["check", "cpn", "--n", "2", "--points", "2", "--seed", "1", "--suite", "classical-compat"],
+], ids=["cpn2", "flat1", "cpn2-classical-compat"])
+def test_check_computes_few_second_derivative_levels(argv, monkeypatch, capsys):
+    # every suite runs at order 2, but most second derivatives feed only
+    # values that no check reads; a deferred level 2 is computed on its read
+    deferred, evaluated = [], []
+    make, evaluate = lambda_core.deferred_jet, lambda_core.evaluate_level
+
+    def counted_make(dim, level, order, batch):
+        deferred.append(order >= 2)
+        return make(dim, level, order, batch)
+
+    def counted_evaluate(k, level):
+        evaluated.append(k == 2)
+        return evaluate(k, level)
+
+    monkeypatch.setattr(lambda_core, "deferred_jet", counted_make)
+    monkeypatch.setattr(lambda_core, "evaluate_level", counted_evaluate)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    made, read = sum(deferred), sum(evaluated)
+    assert made > 0 and read < made / 4, (read, made)

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from semiq import lambda_core
 from semiq.errors import JetDomainError, SingularScalarError
 from semiq.lambda_core import Jet, jet_apply, jet_einsum
 
@@ -181,3 +186,94 @@ class TestFloatingPointRange:
             Jet.coordinate(1, [1e-200], 0).reciprocal()
         with pytest.raises(JetDomainError, match="floating-point range"):
             Jet.coordinate(1, [1e300], 0) ** 2.5
+
+
+# -- lazy levels --------------------------------------------------------------
+
+LAZY_SPECS = (",->", "i,i->", "i,j->ij", "ij,jk->ik", "ijk,k->ij", ",ab->ab")
+LEADS = st.sampled_from(((), (3,)))
+EINSUMS_PER_LEVEL = {1: 2, 2: 3, 3: 4}      # the Leibniz terms of each level
+
+
+def batched_jet(rng, dim, lead, shape, order):
+    """A jet of random complex level arrays with batch axes ``lead``."""
+    return Jet(dim, [rng.normal(size=lead + shape + (dim,) * k)
+                     + 1j * rng.normal(size=lead + shape + (dim,) * k)
+                     for k in range(order + 1)], len(lead))
+
+
+def lazy_cases(seed, dim, orders, leads, spec):
+    """(name, lazy result, eager levels) for every operation that defers its
+    levels; each lazy result is built on fresh operands, never read before."""
+    sa, sb = ((dim,) * len(s) for s in spec.split("->")[0].split(","))
+
+    def operands():
+        rng = np.random.default_rng(seed)
+        a = batched_jet(rng, dim, leads[0], sa, orders[0])
+        b = batched_jet(rng, dim, leads[1], sb, orders[1])
+        a2 = batched_jet(rng, dim, leads[1], sa, orders[1])
+        c = complex(rng.normal(), rng.normal())
+        m = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return a, b, a2, c, m
+
+    def levels(*jets):
+        return [list(j.levels) for j in jets]
+
+    r, ba = len(sa), len(leads[0])
+    src = "abc"[:r]
+    cases = [
+        ("einsum", lambda a, b, a2, c, m: jet_einsum(spec, a, b),
+         lambda a, b, a2, c, m: oracles.eager_einsum(spec, *levels(a, b))),
+        ("add", lambda a, b, a2, c, m: a + a2,
+         lambda a, b, a2, c, m: oracles.eager_add(*levels(a, a2))),
+        ("neg", lambda a, b, a2, c, m: -a, lambda a, b, a2, c, m: oracles.eager_neg(*levels(a))),
+        ("scale", lambda a, b, a2, c, m: a.scale(c),
+         lambda a, b, a2, c, m: oracles.eager_scale(*levels(a), c, ba)),
+        ("scale-members", lambda a, b, a2, c, m: a.scale(m),
+         lambda a, b, a2, c, m: oracles.eager_scale(*levels(a), m, ba)),
+        ("conj", lambda a, b, a2, c, m: a.conj(),
+         lambda a, b, a2, c, m: oracles.eager_conj(*levels(a))),
+    ]
+    if r:
+        cases += [
+            ("reorder", lambda a, b, a2, c, m: a.reorder(f"{src}->{src[::-1]}"),
+             lambda a, b, a2, c, m: oracles.eager_reorder(*levels(a), f"{src}->{src[::-1]}", ba)),
+            ("take_index", lambda a, b, a2, c, m: a.take_index(dim - 1, r - 1),
+             lambda a, b, a2, c, m: oracles.eager_take_index(*levels(a), dim - 1, r - 1, ba)),
+        ]
+    for name, lazy, eager in cases:
+        yield name, lazy(*operands()), eager(*operands())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+       orders=st.tuples(st.integers(0, 3), st.integers(0, 3)), leads=st.tuples(LEADS, LEADS),
+       spec=st.sampled_from(LAZY_SPECS))
+def test_lazy_levels_equal_eager(seed, dim, orders, leads, spec):
+    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum, \
+            mock.patch.object(lambda_core, "evaluate_level",
+                              wraps=lambda_core.evaluate_level) as evaluate:
+        for name, j, want in lazy_cases(seed, dim, orders, leads, spec):
+            assert len(j.levels) == j.order + 1 == len(want), name
+            for k, w in enumerate(want):
+                e0, v0 = einsum.call_count, evaluate.call_count
+                got = j.levels[k]
+                e1, v1 = einsum.call_count, evaluate.call_count
+                # level 0 was computed with the jet; a higher one on its first read
+                assert v1 - v0 == (k > 0), (name, k)
+                if name == "einsum":
+                    assert e1 - e0 == EINSUMS_PER_LEVEL.get(k, 0), k
+                assert j.levels[k] is got
+                assert (einsum.call_count, evaluate.call_count) == (e1, v1), (name, k)
+                assert got.shape == w.shape and got.tobytes() == w.tobytes(), (name, k)
+            assert all(x is y for x, y in zip(j.levels, [j.levels[k] for k in range(len(want))]))
+        # a level read through grad() is the parent's, computed once
+        for name, j, want in lazy_cases(seed, dim, orders, leads, spec):
+            if j.order:
+                g = j.grad()
+                assert g.order == j.order - 1 and len(g.levels) == len(want) - 1
+                for k in range(1, j.order + 1):
+                    v0 = evaluate.call_count
+                    assert g.levels[k - 1] is j.levels[k], (name, k)
+                    assert evaluate.call_count - v0 == 1
+                    assert j.levels[k].tobytes() == want[k].tobytes()

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import run_cli
 from oracles import run_suite
-from semiq.cli import build_geometry, main
+from semiq.cli import build_geometry, main, make_parser
 from semiq.errors import ConfigError
 from semiq.geometry import MAX_JET_BYTES
 from semiq.suites import emit_report
@@ -170,6 +170,21 @@ class TestCli:
             elif not (k and plain[k - 1].startswith("suite ")):
                 assert a == b
         assert heads == len(report) > 1
+
+    def test_parser_keeps_no_state_between_commands(self, capsys):
+        # one parser serves every command of a process: neither an appended
+        # --suite nor a refused command may reach the next command
+        assert make_parser() is make_parser()
+        argv = ["check", "cpn", "--n", "1", "--points", "2"]
+        assert main(argv + ["--suite", "dga"]) == 0
+        assert [r["suite"] for r in json.loads(capsys.readouterr().out)] == ["dga"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--suite", "no-such-suite"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        suites = [r["suite"] for r in json.loads(capsys.readouterr().out)]
+        assert suites == list(build_geometry("cpn", 1).suites) and len(suites) > 1
 
     def test_subprocess_byte_identical_reports(self, tmp_path):
         outs = []
