@@ -256,51 +256,54 @@ def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
 
 
 def _eval(e: Expr, point, d: int, order: int) -> Jet:
-    # eval_jet reads every level, so each operand's levels are read at once:
-    # a long expression would otherwise defer a chain of levels as long as
-    # itself, for one read to recurse through
+    # a + - * / ^ chain parses into a left spine as long as itself, walked in
+    # a loop, innermost node first. eval_jet reads every level, so each
+    # operand's levels are read at once: a long expression would otherwise
+    # defer a chain of levels as long as itself, for one read to recurse through
+    spine = []
+    while isinstance(e, Bin):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return Jet.const(d, e.val, order)
-    if isinstance(e, Var):
+        a = Jet.const(d, e.val, order)
+    elif isinstance(e, Var):
         k = int(e.name[1:]) - 1
-        if e.name[0] == "x":
-            return Jet.coordinate(d, point, k, order)
-        n = d // 2
-        return Jet.coordinate(d, point, k, order) + \
-            Jet.coordinate(d, point, k + n, order).scale(1j)
-    if isinstance(e, Un):
+        a = Jet.coordinate(d, point, k, order)
+        if e.name[0] == "z":
+            a = a + Jet.coordinate(d, point, k + d // 2, order).scale(1j)
+    else:
         u = _eval(e.arg, point, d, order)
         list(u.levels)
-        if e.op == "neg":
-            return -u
-        return jet_apply(e.op, u)
-    a = _eval(e.left, point, d, order)
-    list(a.levels)
-    if e.op == "^":
-        try:
-            p = _const_value(e.right)
-        except ArithmeticError as exc:
-            raise EvalError(f"exponent out of floating-point range: {exc}")
-        if p is None:
-            raise EvalError("exponent must be a constant")
-        if p.imag == 0:
-            p = p.real
-        return a ** p
-    b = _eval(e.right, point, d, order)
-    list(b.levels)
-    return _ARITH[e.op](a, b)
+        a = -u if e.op == "neg" else jet_apply(e.op, u)
+    for node in reversed(spine):
+        list(a.levels)
+        if node.op == "^":
+            try:
+                p = _const_value(node.right)
+            except ArithmeticError as exc:
+                raise EvalError(f"exponent out of floating-point range: {exc}")
+            if p is None:
+                raise EvalError("exponent must be a constant")
+            a = a ** (p.real if p.imag == 0 else p)
+            continue
+        b = _eval(node.right, point, d, order)
+        list(b.levels)
+        a = _ARITH[node.op](a, b)
+    return a
 
 
 def _const_value(e: Expr) -> Optional[complex]:
-    """The value of a constant subtree in Python complex arithmetic, else None."""
-    if isinstance(e, Num):
-        return e.val
+    """The value of a constant subtree in Python complex arithmetic, else
+    None; a left spine is walked in a loop, as in ``_eval``."""
+    spine = []
+    while isinstance(e, Bin):
+        spine.append(e)
+        e = e.left
+    v = e.val if isinstance(e, Num) else None
     if isinstance(e, Un) and e.op == "neg":
         v = _const_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, Bin):
-        a, b = _const_value(e.left), _const_value(e.right)
-        if a is None or b is None:
-            return None
-        return a ** b if e.op == "^" else _ARITH[e.op](a, b)
-    return None
+        v = None if v is None else -v
+    for node in reversed(spine):
+        b = _const_value(node.right)
+        v = None if v is None or b is None else v ** b if node.op == "^" else _ARITH[node.op](v, b)
+    return v

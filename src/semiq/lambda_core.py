@@ -22,7 +22,9 @@ member as it would on that member alone.
 ``take_index`` compute level 0 at once and defer each higher level to its
 first read, which makes the numpy calls of the eager formula in the same
 order: a level read has the same bits, and one never read is never
-computed. ``compose``, ``matinv`` and the constructors are eager.
+computed. ``compose``, ``matinv`` and the constructors are eager. ``val``
+keeps level 0 on the jet from its first read on, and the level formulas
+permute derivative axes by the views ``np.moveaxis`` would build.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class Jet:
     derivative axes. ``batch`` counts the leading batch axes of every level.
     """
 
-    __slots__ = ("dim", "order", "levels", "batch")
+    __slots__ = ("dim", "order", "levels", "batch", "_val")
 
     def __init__(self, dim: int, levels: Sequence[np.ndarray], batch: int = 0):
         self.dim = dim
@@ -59,6 +61,7 @@ class Jet:
         self.levels = levels
         self.order = len(levels) - 1
         self.batch = batch
+        self._val = None    # level 0, kept on its first read; a grad view's may be deferred
 
     # -- constructors ------------------------------------------------------
     # the first ``batch`` axes of ``value`` are batch axes, and a point's
@@ -101,20 +104,23 @@ class Jet:
     @property
     def shape(self) -> tuple:
         """The tensor shape, without the batch axes."""
-        return self.levels[0].shape[self.batch:]
+        return self.val.shape[self.batch:]
 
     @property
     def val(self) -> np.ndarray:
-        return self.levels[0]
+        v = self._val
+        if v is None:
+            v = self._val = self.levels[0]
+        return v
 
     @property
     def value(self) -> complex:
-        return complex(self.levels[0])
+        return complex(self.val)
 
     def member_values(self) -> list:
         """The value of a scalar jet as Python complex numbers, one per batch
         member in C order; a lone jet has one."""
-        return self.levels[0].reshape(-1).tolist()
+        return self.val.reshape(-1).tolist()
 
     @property
     def d1(self) -> Optional[np.ndarray]:
@@ -238,7 +244,7 @@ class Jet:
         if self.order >= 3:
             u3 = self.levels[3]
             cross = np.einsum("...ij,...k->...ijk", u2, u1)
-            sym = cross + np.moveaxis(cross, -1, -2) + np.moveaxis(cross, -1, -3)
+            sym = cross + cross.swapaxes(-1, -2) + _last3(cross, (2, 0, 1))
             out.append(times(3, np.einsum("...i,...j,...k->...ijk", u1, u1, u1))
                        + times(2, sym) + times(1, u3))
         return Jet(self.dim, out, self.batch)
@@ -263,7 +269,7 @@ class Jet:
         src, dst = spec.split("->")
         b = self.batch
         head = list(range(b)) + [b + src.index(c) for c in dst]
-        n = self.levels[0].ndim          # level k has n + k axes
+        n = self.val.ndim                # level k has n + k axes
         return deferred_jet(self.dim, lambda k: self.levels[k].transpose(
             head + list(range(len(head), n + k))), self.order, b)
 
@@ -275,8 +281,7 @@ class Jet:
 
     def matinv(self) -> "Jet":
         """Inverse of a square-matrix jet, solved level by level."""
-        a = self.levels
-        d0 = a[0]
+        a, d0 = self.levels, self.val
         if len(self.shape) != 2 or d0.shape[-1] != d0.shape[-2]:
             raise ValueError("matinv needs a square matrix jet")
         try:
@@ -301,9 +306,9 @@ class Jet:
             b2 = out[2]
             t = np.einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
             c21 = np.einsum("...mnKL,...njM->...mjKLM", a[2], b1)
-            t += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
+            t += c21 + c21.swapaxes(-1, -2) + _last3(c21, (2, 0, 1))
             c12 = np.einsum("...mnK,...njLM->...mjKLM", a[1], b2)
-            t += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
+            t += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
             out.append(-np.einsum("...im,...mjKLM->...ijKLM", b0, t))
         return Jet(self.dim, out, self.batch)
 
@@ -328,6 +333,12 @@ class Levels:
 
     def __getitem__(self, k):
         n = self._stop - self._start
+        if k.__class__ is int and 0 <= k < n:
+            i = self._start + k
+            cell = self._cells[i]
+            if callable(cell):
+                cell = self._cells[i] = evaluate_level(i, cell)
+            return cell
         if isinstance(k, slice):
             start, stop, step = k.indices(n)
             if step != 1:
@@ -335,11 +346,7 @@ class Levels:
             return Levels(self._cells, self._start + start, self._start + max(start, stop))
         if not 0 <= k < n:
             raise IndexError(f"jet level {k} of {n}")
-        i = self._start + k
-        cell = self._cells[i]
-        if callable(cell):
-            cell = self._cells[i] = evaluate_level(i, cell)
-        return cell
+        return self[int(k)]         # a numpy integer
 
     def __iter__(self):
         return (self[k] for k in range(self._stop - self._start))
@@ -357,6 +364,12 @@ def deferred_jet(dim: int, level: Callable[[int], np.ndarray], order: int,
     it on its first read."""
     return Jet(dim, Levels([np.asarray(level(0), dtype=np.complex128)] + [level] * order),
                batch)
+
+
+def _last3(x: np.ndarray, perm: tuple) -> np.ndarray:
+    """The view of x with its last three axes in the order perm, e.g. (2, 0, 1)."""
+    n = x.ndim - 3
+    return x.transpose((*range(n), n + perm[0], n + perm[1], n + perm[2]))
 
 
 def _subscript(shape: tuple) -> str:
@@ -393,10 +406,9 @@ def jet_einsum(spec: str, a, b) -> "Jet":
     sa, sb = ins.split(",")
     sa, sb, out = "..." + sa, "..." + sb, "..." + out
     T, U, V = _DLETTERS[0], _DLETTERS[1], _DLETTERS[2]
-    al, bl = a.levels, b.levels
+    al, bl, a0, b0 = a.levels, b.levels, a.val, b.val
 
     def level(k):
-        a0, b0 = al[0], bl[0]
         if k == 0:
             return np.einsum(f"{sa},{sb}->{out}", a0, b0)
         if k == 1:
@@ -406,13 +418,13 @@ def jet_einsum(spec: str, a, b) -> "Jet":
             l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", al[2], b0)
                   + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, bl[2]))
             cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", al[1], bl[1])
-            return l2 + cross + np.swapaxes(cross, -1, -2)
+            return l2 + cross + cross.swapaxes(-1, -2)
         l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", al[3], b0)
               + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, bl[3]))
         c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", al[2], bl[1])
-        l3 += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
+        l3 += c21 + c21.swapaxes(-1, -2) + _last3(c21, (2, 0, 1))
         c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", al[1], bl[2])
-        l3 += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
+        l3 += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
         return l3
     return deferred_jet(ref.dim, level, min(a.order, b.order), max(a.batch, b.batch))
 

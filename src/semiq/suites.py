@@ -58,11 +58,12 @@ class SuiteResult:
 def draw_poly(d: int, rng) -> tuple:
     """A random complex polynomial in the coordinates of a d-dimensional
     chart: four monomials (coefficient, factor indices), each of degree at
-    most 2."""
+    most 2. Its k factor indices are k scalar draws: the stream of one
+    ``rng.integers(0, d, size=k)``, which fills its array draw by draw."""
     monos = []
     for _ in range(4):
         k = int(rng.integers(0, 3))
-        idxs = tuple(int(i) for i in rng.integers(0, d, size=k))
+        idxs = tuple(int(rng.integers(0, d)) for _ in range(k))
         coef = complex(rng.normal(), rng.normal())
         monos.append((coef, idxs))
     return tuple(monos)

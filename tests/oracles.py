@@ -6,8 +6,10 @@ symplectic form, the Kaehler potential, the classical components of a
 quantum one-form, the generalized Ricci two-form held to both of its
 construction routes, and the torsion of the quantised connection; random
 polynomials and a random quantum one-form at a lone point, which only the
-tests draw; one suite run alone; and the jet operations that defer their
-levels, each computed eagerly, every level at once.
+tests draw, and the route that drew polynomials before ``draw_poly``; one
+suite run alone; and the jet operations that defer their levels, with
+``compose`` and ``matinv``, each computed eagerly, every level at once, by
+the formulas that permuted derivative axes with ``np.moveaxis``.
 """
 
 import numpy as np
@@ -81,6 +83,18 @@ def to_classical(xi: QTensor) -> Field:
     if xi.rank != 1 or xi.form:
         raise ValueError("to_classical applies to rank-1 tensor-basis elements")
     return Field(lambda pt: _model(xi, pt))
+
+
+def draw_poly_sized(d: int, rng) -> tuple:
+    """``draw_poly`` as it was drawn before: a monomial's k factor indices
+    in one ``rng.integers(0, d, size=k)``."""
+    monos = []
+    for _ in range(4):
+        k = int(rng.integers(0, 3))
+        idxs = tuple(int(i) for i in rng.integers(0, d, size=k))
+        coef = complex(rng.normal(), rng.normal())
+        monos.append((coef, idxs))
+    return tuple(monos)
 
 
 def random_poly_field(d: int, rng, order: int = 3) -> Field:
@@ -210,3 +224,52 @@ def eager_reorder(a: list, spec: str, batch: int) -> list:
 
 def eager_take_index(a: list, idx: int, axis: int, batch: int) -> list:
     return [np.take(l, idx, axis=axis + batch) for l in a]
+
+
+def eager_compose(a: list, fns, batch: int) -> list:
+    """The levels of ``Jet.compose(fns)`` on a scalar jet: the chain rule."""
+    u0, order = a[0], len(a) - 1
+    rows = [[fn(v) for fn in fns[: order + 1]] for v in u0.reshape(-1).tolist()]
+    f = [np.array(col, dtype=np.complex128).reshape(u0.shape) for col in zip(*rows)]
+
+    def times(k, l):
+        return f[k].reshape(f[k].shape + (1,) * (l.ndim - batch)) * l
+
+    out = [f[0]]
+    if order >= 1:
+        u1 = a[1]
+        out.append(times(1, u1))
+    if order >= 2:
+        u2 = a[2]
+        out.append(times(2, np.einsum("...i,...j->...ij", u1, u1)) + times(1, u2))
+    if order >= 3:
+        u3 = a[3]
+        cross = np.einsum("...ij,...k->...ijk", u2, u1)
+        sym = cross + np.moveaxis(cross, -1, -2) + np.moveaxis(cross, -1, -3)
+        out.append(times(3, np.einsum("...i,...j,...k->...ijk", u1, u1, u1))
+                   + times(2, sym) + times(1, u3))
+    return out
+
+
+def eager_matinv(a: list) -> list:
+    """The levels of ``Jet.matinv()``, solved level by level."""
+    order = len(a) - 1
+    b0 = np.linalg.inv(a[0])
+    out = [b0]
+    if order >= 1:
+        b1 = -np.einsum("...im,...mnK,...nj->...ijK", b0, a[1], b0)
+        out.append(b1)
+    if order >= 2:
+        t = np.einsum("...mnKL,...nj->...mjKL", a[2], b0)
+        t += np.einsum("...mnK,...njL->...mjKL", a[1], b1)
+        t += np.einsum("...mnL,...njK->...mjKL", a[1], b1)
+        out.append(-np.einsum("...im,...mjKL->...ijKL", b0, t))
+    if order >= 3:
+        b2 = out[2]
+        t = np.einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
+        c21 = np.einsum("...mnKL,...njM->...mjKLM", a[2], b1)
+        t += c21 + np.moveaxis(c21, -1, -2) + np.moveaxis(c21, -1, -3)
+        c12 = np.einsum("...mnK,...njLM->...mjKLM", a[1], b2)
+        t += c12 + np.moveaxis(c12, -3, -2) + np.moveaxis(c12, -3, -1)
+        out.append(-np.einsum("...im,...mjKLM->...ijKLM", b0, t))
+    return out

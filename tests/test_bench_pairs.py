@@ -39,3 +39,21 @@ def test_summary_counts_pairs_won_by_each_metric_direction():
     two = s["w seed 2"]
     assert two["pairs"] == 1 and two["op_wall_p50_ms"]["change_better_pairs"] == 0
     assert two["ops_per_s"]["ratio_of_medians"] == 1.0
+
+
+def test_run_once_gives_both_trees_one_bytecode_cache(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.append((cwd, env))
+        line = '{"correct": true, "failed": 0, "metrics": {}}'
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    cache = tmp_path / "pycache"
+    for tree in (tmp_path / "parent", tmp_path / "change"):
+        assert bench_pairs.run_once(tree, "w", 1, 0.1, cache)["correct"]
+    (parent_cwd, parent_env), (change_cwd, change_env) = seen
+    assert (parent_cwd, change_cwd) == (tmp_path / "parent", tmp_path / "change")
+    assert parent_env == change_env
+    assert parent_env["PYTHONPYCACHEPREFIX"] == str(cache)

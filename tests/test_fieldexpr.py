@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from semiq.errors import EvalError, ParseError, UnknownSymbolError
 from semiq.fieldexpr import Bin, Num, Un, Var, eval_jet, parse
 
@@ -235,3 +236,27 @@ class TestEvalJet:
         j = eval_jet(parse(op.join(["x1"] * 600), 1), [1.0])
         want = [600.0, 600.0, 0.0, 0.0] if op == "+" else [1.0, 600.0, 599.0 * 600, 598.0 * 599 * 600]
         assert [complex(l.reshape(-1)[0]) for l in j.levels] == pytest.approx(want)
+
+    def test_long_sum_is_the_left_fold_of_its_terms(self):
+        terms = ["x1*x2", "2*x1^2", "sin(x2)", "x1/x2", "-x2^3"] * 1000
+        pt = (0.3, 0.7)
+        jets = {t: eval_jet(parse(t, 2), pt) for t in set(terms)}
+        want = jets[terms[0]]
+        for t in terms[1:]:
+            want = want + jets[t]
+            list(want.levels)       # as eval_jet reads each operand's levels
+        got = eval_jet(parse("+".join(terms), 2), pt)
+        assert [l.tobytes() for l in got.levels] == [l.tobytes() for l in want.levels]
+
+    def test_long_constant_exponent_is_folded_without_recursion_error(self):
+        e = parse("x1^((" + "+".join(["1"] * 5000) + ")/2500)", 1)
+        got, want = eval_jet(e, [3.0]), eval_jet(parse("x1^2", 1), [3.0])
+        assert [l.tobytes() for l in got.levels] == [l.tobytes() for l in want.levels]
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_five_thousand_terms_evaluate_without_recursion_error(self, op, tmp_path):
+        a = op.join(["x1*x2" if op == "+" else "x1"] * 5000)
+        proc = run_cli(["eval", "wedge", "--geometry", "flat", "--n", "1", "--a", a,
+                        "--b", "x2^2", "--at", "0.1,0.2"], tmp_path)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.startswith(b"da wedge1 db components:")

@@ -277,3 +277,47 @@ def test_lazy_levels_equal_eager(seed, dim, orders, leads, spec):
                     assert g.levels[k - 1] is j.levels[k], (name, k)
                     assert evaluate.call_count - v0 == 1
                     assert j.levels[k].tobytes() == want[k].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4), order=st.integers(0, 3),
+       lead=LEADS, fn=st.sampled_from((*lambda_core.UNARY_FUNCS, "reciprocal")))
+def test_compose_and_matinv_equal_eager(seed, dim, order, lead, fn):
+    rng = np.random.default_rng(seed)
+    u = batched_jet(rng, dim, lead, (), order)
+    with mock.patch.object(Jet, "compose", autospec=True, side_effect=Jet.compose) as compose:
+        got = u.reciprocal() if fn == "reciprocal" else jet_apply(fn, u)
+    want = oracles.eager_compose(list(u.levels), compose.call_args.args[1], len(lead))
+    m = batched_jet(rng, dim, lead, (dim, dim), order)
+    m = Jet(dim, [m.val + 3 * np.eye(dim)] + list(m.levels[1:]), len(lead))
+    for name, j, w in (("compose", got, want),
+                       ("matinv", m.matinv(), oracles.eager_matinv(list(m.levels)))):
+        assert len(j.levels) == len(w) == order + 1, name
+        for k, (l, lw) in enumerate(zip(j.levels, w)):
+            assert l.shape == lw.shape and l.tobytes() == lw.tobytes(), (name, k)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (5, 2, 3, 4), (3, 1, 2, 2, 2)])
+def test_last_three_axes_views_match_moveaxis(shape):
+    x = np.arange(np.prod(shape), dtype=np.complex128).reshape(shape)
+    for view, want in ((lambda_core._last3(x, (2, 0, 1)), np.moveaxis(x, -1, -3)),
+                       (lambda_core._last3(x, (1, 2, 0)), np.moveaxis(x, -3, -1)),
+                       (x.swapaxes(-1, -2), np.moveaxis(x, -1, -2)),
+                       (x.swapaxes(-3, -2), np.moveaxis(x, -3, -2))):
+        # the same memory, read with the same shape and strides
+        assert (view.ctypes.data, view.shape, view.strides) == \
+            (want.ctypes.data, want.shape, want.strides)
+        assert np.shares_memory(view, x) and view.tobytes() == want.tobytes()
+
+
+def test_grad_view_reads_its_value_from_the_parent_on_first_use():
+    x = Jet.coordinate(2, (0.3, 0.7), 0)
+    j = x * x
+    g = j.grad()
+    with mock.patch.object(lambda_core, "evaluate_level",
+                           wraps=lambda_core.evaluate_level) as evaluate:
+        assert evaluate.call_count == 0
+        assert g.val is j.levels[1] and g.shape == (2,)
+        assert evaluate.call_count == 1
+        assert g.grad().val is j.levels[2] and evaluate.call_count == 2
+        assert g.val is j.levels[1] and evaluate.call_count == 2

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_cli
-from oracles import run_suite
+from oracles import draw_poly_sized, run_suite
 from semiq.cli import build_geometry, main, make_parser
 from semiq.errors import ConfigError
 from semiq.geometry import MAX_JET_BYTES
-from semiq.suites import emit_report
+from semiq.suites import draw_poly, emit_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -529,3 +530,12 @@ def test_benchmark_trace_binds(monkeypatch, capsys):
                  "semiquant.wedge1.at", "semiquant.q_map.at",
                  "geometries.catalogue.z-zbar-comm"):
         assert t.calls[name] > 0, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_draw_poly_keeps_the_stream_of_sized_draws(d, seed):
+    mine, sized = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert repr([draw_poly(d, mine) for _ in range(30)]) == \
+        repr([draw_poly_sized(d, sized) for _ in range(30)])
+    assert mine.bit_generator.state == sized.bit_generator.state

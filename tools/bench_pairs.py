@@ -13,14 +13,20 @@ and quartiles, the pairs the change won (ties apart) and the ratio of the
 change's median to the parent's. Pairs already in an existing OUT file are
 kept, so one file can gather runs made at different times; ``--pairs 0``
 only rewrites its summary and ``about``.
+
+Every run writes and reads bytecode in one directory the tool makes empty
+(``PYTHONPYCACHEPREFIX``), never in a ``__pycache__`` of either checkout:
+a cache left in one tree only would lower that tree's ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +34,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+    """The result line of one perfbench run in ``tree``, its bytecode cached
+    under ``pycache``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -87,18 +95,20 @@ def main() -> int:
         args.out.write_text(json.dumps({"about": args.about, "summary": summarize(runs, metrics),
                                         "end_to_end_pairs": runs}, indent=1) + "\n")
 
-    for seed in args.seed:
-        for workload in args.workload:
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for tree in order:
-                    result = run_once(trees[tree], workload, seed, args.seconds)
-                    runs.append({"tree": tree, "workload": workload, "seed": seed,
-                                 "pair": i, "result": result})
-                    print(f"{workload} seed {seed} pair {i} {tree}: op_wall_p50_ms "
-                          f"{result['metrics']['op_wall_p50_ms']['value']:.3f}",
-                          file=sys.stderr, flush=True)
-                save()      # after every pair, so an interrupted run keeps its pairs
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as pycache:
+        for seed in args.seed:
+            for workload in args.workload:
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    for tree in order:
+                        result = run_once(trees[tree], workload, seed, args.seconds,
+                                          Path(pycache))
+                        runs.append({"tree": tree, "workload": workload, "seed": seed,
+                                     "pair": i, "result": result})
+                        print(f"{workload} seed {seed} pair {i} {tree}: op_wall_p50_ms "
+                              f"{result['metrics']['op_wall_p50_ms']['value']:.3f}",
+                              file=sys.stderr, flush=True)
+                    save()      # after every pair, so an interrupted run keeps its pairs
     save()
     return 0
 
