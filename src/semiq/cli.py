@@ -105,33 +105,27 @@ def _parse_point(text: str, dim: int):
     return tuple(vals)
 
 
-# each eval op: the highest derivative orders it reads, as (frame order, field
-# order), which the geometry's jets and the parsed fields are built to; the
-# heading above an array value (None: a scalar); and its value at a point, which
-# looks each kernel function up when called, as perfbench/tracer.py rebinds them.
+# each eval op: the heading above an array value (None: a scalar), and its
+# value at a point, which looks each kernel function up when called, as
+# perfbench/tracer.py rebinds them
 EVAL_OPS = {
-    "star": (0, 1, None,        # om's value and the fields' gradients
-             lambda G, a, b, pt: sq.star_product(a, b, G).at(pt)),
-    "wedge": (1, 2, "da wedge1 db components:",
+    "star": (None, lambda G, a, b, pt: sq.star_product(a, b, G).at(pt)),
+    "wedge": ("da wedge1 db components:",
               lambda G, a, b, pt: sq.wedge1(sq.QTensor.differential(G, a),
                                             sq.QTensor.differential(G, b)).at(pt)),
-    # nabla_Q(da) reads third derivatives of a, first of Gam
-    "nablaQ": (1, 3, "nabla_Q(da) coefficients (direction slot first):",
+    "nablaQ": ("nabla_Q(da) coefficients (direction slot first):",
                lambda G, a, b, pt: sq.nabla_Q(sq.QTensor.differential(G, a)).at(pt)),
-    "commutator": (0, 1, None,
-                   lambda G, a, b, pt: (sq.star_product(a, b, G).at(pt)
-                                        - sq.star_product(b, a, G).at(pt))),
+    "commutator": (None, lambda G, a, b, pt: (sq.star_product(a, b, G).at(pt)
+                                              - sq.star_product(b, a, G).at(pt))),
 }
-
-EVOLVE_ORDERS = (1, 2)      # (frame order, field order) of evolve
 
 
 def cmd_eval(args) -> int:
-    frame_order, field_order, heading, value = EVAL_OPS[args.op]
-    G = build_geometry(args.geometry, args.n).at_order(frame_order)
+    heading, value = EVAL_OPS[args.op]
+    G = build_geometry(args.geometry, args.n)
     pt = _parse_point(args.at, G.dim)
-    a = Field.from_expr(G.dim, args.a, field_order)
-    b = Field.from_expr(G.dim, args.b, field_order)    # parsed for every op; nablaQ reads none
+    a = Field.from_expr(G.dim, args.a)
+    b = Field.from_expr(G.dim, args.b)      # parsed for every op; nablaQ reads none
     c, l = finite(f"eval {args.op} at {pt}", *value(G, a, b, pt).values())
     if heading is None:
         c, l = complex(c), complex(l)
@@ -144,14 +138,13 @@ def cmd_eval(args) -> int:
 
 def cmd_evolve(args) -> int:
     from . import evolution as ev
-    frame_order, field_order = EVOLVE_ORDERS
-    G = build_geometry(args.geometry, args.n).at_order(frame_order)
+    G = build_geometry(args.geometry, args.n)
     points = [_parse_point(chunk, G.dim)
               for chunk in args.at.split(";") if chunk.strip()]
     if not points:
         raise ConfigError(f"--at names no point: {args.at!r}")
-    a = Field.from_expr(G.dim, args.a, field_order)
-    H = Field.from_expr(G.dim, args.hamiltonian, field_order)
+    a = Field.from_expr(G.dim, args.a)
+    H = Field.from_expr(G.dim, args.hamiltonian)
     adot = ev.evolve_scalar(a, H, G)
     defect = ev.evolution_defect(a, H, G)
     # every point is evaluated before anything is printed

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownSymbolError
-from .lambda_core import UNARY_FUNCS, Jet, is_batch, jet_apply
+from .lambda_core import UNARY_FUNCS, Jet, deferred_jet, is_batch, jet_apply
 
 FUNCTIONS = (*UNARY_FUNCS, "conj")
 
@@ -241,25 +241,34 @@ def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
     """Jet of the expression at a real chart point, or over a batch of
     points, a tuple of point tuples. A batch gives each member's jet as that
     point alone would, and a member's error as that point alone would; a
-    constant expression keeps no batch axis."""
+    constant expression keeps no batch axis. A level above 0 is computed,
+    and checked finite, on its first read, after that level and those below
+    it of every node, innermost first: no read recurses through the chain of
+    deferred levels that a long expression builds."""
     pts = point if is_batch(point) else (point,)
     d = dim if dim is not None else len(pts[0])
     for p in pts:
         if len(p) != d:
             raise EvalError(f"point has {len(p)} coordinates, chart has {d}")
-    out = _eval(e, point, d, order)
-    if not all(np.isfinite(l).all() for l in out.levels):
-        for k, p in enumerate(pts):
-            if not all(np.isfinite(l[k] if out.batch else l).all() for l in out.levels):
-                raise EvalError(f"expression or its derivatives not finite at {tuple(p)}")
-    return out
+    nodes = []
+    out = _eval(e, point, d, order, nodes)
+
+    def level(k):
+        for n in nodes:
+            for i in range(1, k + 1):
+                n.levels[i]
+        l = out.levels[k]
+        if not np.isfinite(l).all():
+            for m, p in enumerate(pts):
+                if not np.isfinite(l[m] if out.batch else l).all():
+                    raise EvalError(f"expression or its derivatives not finite at {tuple(p)}")
+        return l
+    return deferred_jet(d, level, out.order, out.batch)
 
 
-def _eval(e: Expr, point, d: int, order: int) -> Jet:
+def _eval(e: Expr, point, d: int, order: int, nodes: list) -> Jet:
     # a + - * / ^ chain parses into a left spine as long as itself, walked in
-    # a loop, innermost node first. eval_jet reads every level, so each
-    # operand's levels are read at once: a long expression would otherwise
-    # defer a chain of levels as long as itself, for one read to recurse through
+    # a loop, innermost node first; each jet an operator builds joins nodes
     spine = []
     while isinstance(e, Bin):
         spine.append(e)
@@ -272,11 +281,10 @@ def _eval(e: Expr, point, d: int, order: int) -> Jet:
         if e.name[0] == "z":
             a = a + Jet.coordinate(d, point, k + d // 2, order).scale(1j)
     else:
-        u = _eval(e.arg, point, d, order)
-        list(u.levels)
+        u = _eval(e.arg, point, d, order, nodes)
         a = -u if e.op == "neg" else jet_apply(e.op, u)
+        nodes.append(a)
     for node in reversed(spine):
-        list(a.levels)
         if node.op == "^":
             try:
                 p = _const_value(node.right)
@@ -285,10 +293,9 @@ def _eval(e: Expr, point, d: int, order: int) -> Jet:
             if p is None:
                 raise EvalError("exponent must be a constant")
             a = a ** (p.real if p.imag == 0 else p)
-            continue
-        b = _eval(node.right, point, d, order)
-        list(b.levels)
-        a = _ARITH[node.op](a, b)
+        else:
+            a = _ARITH[node.op](a, _eval(node.right, point, d, order, nodes))
+        nodes.append(a)
     return a
 
 

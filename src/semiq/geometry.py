@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from . import fieldexpr
-from .lambda_core import MAX_ORDER, Jet, LJet, is_batch, jet_einsum
+from .lambda_core import MAX_ORDER, Jet, LJet, deferred_jet, is_batch, jet_einsum
 
 _LETTERS = "abcdefghijklmnopqrs"
 
@@ -68,14 +68,15 @@ class Field:
         return v
 
     @classmethod
-    def from_expr(cls, dim: int, text: str, order: int = 3) -> "Field":
+    def from_expr(cls, dim: int, text: str) -> "Field":
         tree = fieldexpr.parse(text, dim)
-        return cls(lambda p: LJet(fieldexpr.eval_jet(tree, p, dim, order)))
+        return cls(lambda p: LJet(fieldexpr.eval_jet(tree, p, dim)))
 
 
 def component_jets(dim: int, rank: int, comps) -> Callable[["PointFrame"], Jet]:
     """Jet provider of a tensor given by component expressions, each
-    evaluated once at the frame's point or over its batch."""
+    evaluated once at the frame's point or over its batch; a level of the
+    tensor is stacked from the components' on its first read."""
     arr = np.asarray(comps, dtype=object)
     shape = (dim,) * rank
     if arr.shape != shape:
@@ -86,10 +87,9 @@ def component_jets(dim: int, rank: int, comps) -> Callable[["PointFrame"], Jet]:
         lead = np.shape(f.point)[:-1]       # the batch shape
         out = [fieldexpr.eval_jet(t, f.point, dim, f.order) for t in trees]
         # a constant component holds no batch axis and is broadcast
-        levels = [np.stack([np.broadcast_to(j.levels[k], lead + (dim,) * k) for j in out],
-                           axis=len(lead)).reshape(lead + shape + (dim,) * k)
-                  for k in range(f.order + 1)]
-        return Jet(dim, levels, len(lead))
+        return deferred_jet(dim, lambda k: np.stack(
+            [np.broadcast_to(j.levels[k], lead + (dim,) * k) for j in out],
+            axis=len(lead)).reshape(lead + shape + (dim,) * k), f.order, len(lead))
 
     return fn
 
@@ -155,11 +155,11 @@ class GeometryData:
     providers, sampled in the box [-box, box]^dim.
 
     Providers take a frame and return jets of its order at its point, or
-    over its batch of points; a frame reads each of them once. ``order``
-    is the depth of every frame built through this geometry: the highest
-    derivative its caller reads. ``at_order`` gives a view at another depth
-    that shares the frame cache: one frame per order, of the point or batch
-    last asked for, so a batch's frames die with it.
+    over its batch of points; a frame reads each of them once. ``order`` is
+    the depth of every frame built through this geometry, ``MAX_ORDER``
+    unless ``at_order`` gives a view at another depth. The views share the
+    frame cache: one frame per order, of the point or batch last asked for,
+    so a batch's frames die with it.
     """
 
     dim: int
@@ -174,7 +174,7 @@ class GeometryData:
     default_seed: int = 0
     suites: tuple = GENERIC_SUITES  # default suites; cpn-catalogue runs only where listed
     parallel_cobasis: bool = False  # coordinate one-forms are parallel (flat chart)
-    order: int = 3                  # jet depth of frames and provider calls
+    order: int = MAX_ORDER          # jet depth of frames and provider calls
     _frames: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):

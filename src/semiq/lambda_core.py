@@ -18,13 +18,13 @@ carries a leading ``...``, and functions of a value are evaluated member
 by member in Python complex arithmetic. Every operation acts on each
 member as it would on that member alone.
 
-``jet_einsum``, ``+``, ``-``, ``scale``, ``conj``, ``reorder`` and
-``take_index`` compute level 0 at once and defer each higher level to its
-first read, which makes the numpy calls of the eager formula in the same
-order: a level read has the same bits, and one never read is never
-computed. ``compose``, ``matinv`` and the constructors are eager. ``val``
-keeps level 0 on the jet from its first read on, and the level formulas
-permute derivative axes by the views ``np.moveaxis`` would build.
+Every jet operation computes level 0 at once and defers each higher level
+to its first read, which makes the numpy calls of the eager formula in the
+same order: a level read has the same bits, and one never read is never
+computed. Only the constructors are eager. No level reads its own jet,
+which would be a reference cycle. ``val`` keeps level 0 on the jet from
+its first read on, and the level formulas permute derivative axes by the
+views ``np.moveaxis`` would build.
 """
 
 from __future__ import annotations
@@ -213,41 +213,44 @@ class Jet:
     def compose(self, fns: Sequence[Callable[[complex], complex]]) -> "Jet":
         """Chain rule with a univariate function given by value and derivatives.
 
-        ``fns`` is the table ``(f, f', f'', f''')`` of one-argument functions.
-        Only the first ``order + 1`` are called, at each member's value u, so
-        a derivative the jet does not carry is never computed; a called one
-        out of floating-point range is a JetDomainError. Scalar-shaped jets
-        only.
+        ``fns`` is the table ``(f, f', f'', f''')`` of one-argument functions,
+        called at each member's value u. Level k, on its first read, calls
+        each f^(j), j <= k, not called yet, once per member, so a derivative
+        that no read level needs is never computed; a called one out of
+        floating-point range is a JetDomainError. Scalar-shaped jets only.
         """
         if self.shape != ():
             raise ValueError("compose applies to scalar-shaped jets")
-        rows = []
-        for u in self.member_values():
-            try:
-                rows.append([fn(u) for fn in fns[: self.order + 1]])
-            except JetDomainError:      # outside f's domain (_positive): not a range error
-                raise
-            except (ArithmeticError, ValueError) as exc:    # cmath.sin(inf): ValueError
-                raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
-        f = [np.array(col, dtype=np.complex128).reshape(self.val.shape) for col in zip(*rows)]
+        us, shape, a, batch = self.member_values(), self.val.shape, self.levels, self.batch
+        f = []          # f^(j) at each member's value, for each j called so far
 
-        def times(k, l):        # f^(k) times l, member by member
-            return _over_members(f[k], l, self.batch) * l
+        def times(k, l):        # f^(k) times l, member by member; f^(k) alone if l is None
+            for fn in fns[len(f): k + 1]:
+                col = []
+                try:
+                    for u in us:
+                        col.append(fn(u))
+                except JetDomainError:      # outside f's domain (_positive): not a range error
+                    raise
+                except (ArithmeticError, ValueError) as exc:    # cmath.sin(inf): ValueError
+                    raise JetDomainError(f"function out of floating-point range at {u}: {exc}")
+                f.append(np.array(col, dtype=np.complex128).reshape(shape))
+            return f[k] if l is None else _over_members(f[k], l, batch) * l
 
-        out = [f[0]]
-        if self.order >= 1:
-            u1 = self.levels[1]
-            out.append(times(1, u1))
-        if self.order >= 2:
-            u2 = self.levels[2]
-            out.append(times(2, np.einsum("...i,...j->...ij", u1, u1)) + times(1, u2))
-        if self.order >= 3:
-            u3 = self.levels[3]
+        def level(k):
+            if k == 0:
+                return times(0, None)
+            u1 = a[1]
+            if k == 1:
+                return times(1, u1)
+            u2 = a[2]
+            if k == 2:
+                return times(2, np.einsum("...i,...j->...ij", u1, u1)) + times(1, u2)
             cross = np.einsum("...ij,...k->...ijk", u2, u1)
             sym = cross + cross.swapaxes(-1, -2) + _last3(cross, (2, 0, 1))
-            out.append(times(3, np.einsum("...i,...j,...k->...ijk", u1, u1, u1))
-                       + times(2, sym) + times(1, u3))
-        return Jet(self.dim, out, self.batch)
+            return (times(3, np.einsum("...i,...j,...k->...ijk", u1, u1, u1))
+                    + times(2, sym) + times(1, a[3]))
+        return deferred_jet(self.dim, level, self.order, batch)
 
     # -- structure ---------------------------------------------------------
 
@@ -280,7 +283,7 @@ class Jet:
                             self.order, b)
 
     def matinv(self) -> "Jet":
-        """Inverse of a square-matrix jet, solved level by level."""
+        """Inverse of a square-matrix jet, each level solved from the ones below it."""
         a, d0 = self.levels, self.val
         if len(self.shape) != 2 or d0.shape[-1] != d0.shape[-2]:
             raise ValueError("matinv needs a square matrix jet")
@@ -293,24 +296,26 @@ class Jet:
                 any(np.max(np.abs(d0[m] @ b0[m] - eye)) > 1e-6
                     for m in np.ndindex(d0.shape[: self.batch])):
             raise DegenerateMetricError("matrix numerically singular at evaluation point")
-        out = [b0]
-        if self.order >= 1:
-            b1 = -np.einsum("...im,...mnK,...nj->...ijK", b0, a[1], b0)
-            out.append(b1)
-        if self.order >= 2:
-            t = np.einsum("...mnKL,...nj->...mjKL", a[2], b0)
-            t += np.einsum("...mnK,...njL->...mjKL", a[1], b1)
-            t += np.einsum("...mnL,...njK->...mjKL", a[1], b1)
-            out.append(-np.einsum("...im,...mjKL->...ijKL", b0, t))
-        if self.order >= 3:
-            b2 = out[2]
-            t = np.einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
-            c21 = np.einsum("...mnKL,...njM->...mjKLM", a[2], b1)
-            t += c21 + c21.swapaxes(-1, -2) + _last3(c21, (2, 0, 1))
-            c12 = np.einsum("...mnK,...njLM->...mjKLM", a[1], b2)
-            t += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
-            out.append(-np.einsum("...im,...mjKLM->...ijKLM", b0, t))
-        return Jet(self.dim, out, self.batch)
+        b = [b0]        # the levels solved so far, kept here, not read off the result
+
+        def level(k):
+            for n in range(len(b), k + 1):
+                if n == 1:
+                    b.append(-np.einsum("...im,...mnK,...nj->...ijK", b0, a[1], b0))
+                elif n == 2:
+                    t = np.einsum("...mnKL,...nj->...mjKL", a[2], b0)
+                    t += np.einsum("...mnK,...njL->...mjKL", a[1], b[1])
+                    t += np.einsum("...mnL,...njK->...mjKL", a[1], b[1])
+                    b.append(-np.einsum("...im,...mjKL->...ijKL", b0, t))
+                else:
+                    t = np.einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
+                    c21 = np.einsum("...mnKL,...njM->...mjKLM", a[2], b[1])
+                    t += c21 + c21.swapaxes(-1, -2) + _last3(c21, (2, 0, 1))
+                    c12 = np.einsum("...mnK,...njLM->...mjKLM", a[1], b[2])
+                    t += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
+                    b.append(-np.einsum("...im,...mjKLM->...ijKLM", b0, t))
+            return b[k]
+        return deferred_jet(self.dim, level, self.order, self.batch)
 
 
 class Levels:

@@ -202,6 +202,7 @@ def magnitudes(draw):
 @example(case=("wedge", "ln({})", 200, "sqrt({})", 300))
 @example(case=("config-star", None, 300, None, 0))
 @example(case=("evolve", "ln({})", 130, None, 0))
+@example(case=("star", "1/{}", -77, None, 0))
 def test_magnitudes_against_exact_values(case, capsys):
     """Exit 0 with every printed value within 1e-12 relative (1e-300
     absolute) where every exact value and every derivative the command reads

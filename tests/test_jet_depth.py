@@ -1,16 +1,18 @@
-"""Jet depth: truncation is exact, and each entry point's order is the least
-that reproduces its full-depth output.
+"""Jet depth: truncation is exact, each check reads no level above its
+order, and each command computes no level above the one it reads.
 
 Level k of every jet operation reads only levels <= k of its operands, so
 an operation on jets truncated to order k equals the full-order result
-truncated to k, bit for bit. The suites and commands build their jets to
-the order they read (``suites.CHECK_ORDER`` for every suite, the first two
-entries of each ``cli.EVAL_OPS`` op, ``cli.EVOLVE_ORDERS``); the order tests
-pin those numbers from both sides. Within that depth, a deferred level that
-no check reads is never computed.
+truncated to k, bit for bit. The suites build their jets to one order,
+``suites.CHECK_ORDER``, which the order tests pin from both sides. The
+commands build theirs to ``MAX_ORDER``, and every operation defers its
+levels above 0 to their first read: a level that nothing reads is never
+computed, so ``eval star`` and ``eval commutator`` compute none above the
+first, ``eval wedge`` and ``evolve`` none above the second.
 """
 
 import json
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -18,8 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiq import cli, lambda_core, suites
-from semiq.cli import build_geometry, main, make_parser
+from semiq import lambda_core, suites
+from semiq.cli import build_geometry, main
 from semiq.errors import JetDomainError
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
 from semiq.lambda_core import Jet, jet_apply, jet_einsum
@@ -190,49 +192,36 @@ EVAL_ARGS = {
     "nablaQ": ["--a", "x1^2*x2^2+x1^3"],
 }
 
+# the highest derivative level each command reads: star and commutator the
+# fields' gradients and om's value, wedge and evolve second derivatives,
+# nablaQ(da) third derivatives of a and first of Gam
+COMMAND_LEVELS = {"star": 1, "commutator": 1, "wedge": 2, "evolve": 2, "nablaQ": 3}
 
-def command(op, geometry):
-    geo = ["--geometry", geometry, "--n", "1", "--at", "0.3,-0.2"]
+
+def command(op, geometry, n=1):
+    point = ",".join(("0.3", "-0.2", "0.1", "0.4")[: 2 * n])
+    geo = ["--geometry", geometry, "--n", str(n), "--at", point]
     if op == "evolve":
         return ["evolve", *geo, "--H", "x2^2/2+x1^2*x2", "--a", "x1^2+x2"]
     return ["eval", op, *geo, *EVAL_ARGS[op]]
 
 
-def set_orders(monkeypatch, op, orders):
-    """Build op's frame and fields to orders = (frame order, field order)."""
-    if op == "evolve":
-        monkeypatch.setattr(cli, "EVOLVE_ORDERS", orders)
-    else:
-        monkeypatch.setitem(cli.EVAL_OPS, op, orders + cli.EVAL_OPS[op][2:])
-
-
-@pytest.mark.parametrize("op", sorted([*cli.EVAL_OPS, "evolve"]))
+@pytest.mark.parametrize("op", sorted(COMMAND_LEVELS))
 def test_command_order_is_sufficient_and_tight(op, monkeypatch, capsys):
-    # (frame order, field order): each is checked on its own with the other
-    # at full depth, then both together
-    frame, field = cli.EVOLVE_ORDERS if op == "evolve" else cli.EVAL_OPS[op][:2]
-    for geometry in ("cpn", "flat"):
-        argv = command(op, geometry)
+    # every command builds its jets to MAX_ORDER, and a deferred level is
+    # computed on its read: the highest level computed is the one it reads
+    evaluate = lambda_core.evaluate_level
+    for geometry, n in (("cpn", 2), ("flat", 1)):
+        levels = Counter()
 
-        def output(orders):
-            set_orders(monkeypatch, op, orders)
-            assert main(argv) == 0
-            return capsys.readouterr().out
+        def counted(k, level):
+            levels[k] += 1
+            return evaluate(k, level)
 
-        def starves(orders):
-            set_orders(monkeypatch, op, orders)
-            args = make_parser().parse_args(argv)
-            with pytest.raises(JetDomainError):
-                args.fn(args)
-            capsys.readouterr()
-
-        full = output((3, 3))
-        assert full and output((frame, field)) == full
-        assert output((frame, 3)) == full and output((3, field)) == full
-        starves((3, field - 1))
-        if frame:           # a frame of order 0 cannot be built shallower
-            starves((frame - 1, 3))
-        starves((max(frame - 1, 0), field - 1))
+        monkeypatch.setattr(lambda_core, "evaluate_level", counted)
+        assert main(command(op, geometry, n)) == 0
+        assert capsys.readouterr().out
+        assert max(levels) == COMMAND_LEVELS[op], (geometry, dict(levels))
 
 
 def test_check_builds_no_third_order_jets(monkeypatch, capsys):

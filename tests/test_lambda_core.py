@@ -178,12 +178,23 @@ class TestFloatingPointRange:
     @pytest.mark.parametrize("fn, v", [("exp", 1000.0), ("sin", 1000j), ("sqrt", 1e-320),
                                        ("ln", 1e-200)])
     def test_overflow_is_a_domain_error(self, fn, v):
+        # the error comes on the read of the first level whose derivative of
+        # f overflows, f'' for sqrt and ln here; the levels below it read fine
+        bad = {"sqrt": 2, "ln": 2}.get(fn, 0)
+
+        def read():
+            j = jet_apply(fn, Jet.const(1, v))
+            for k in range(bad):
+                assert np.isfinite(j.levels[k]).all(), k
+            return j.levels[bad]
         with pytest.raises(JetDomainError, match="floating-point range"):
-            jet_apply(fn, Jet.const(1, v))
+            read()
 
     def test_reciprocal_and_power(self):
+        r = Jet.coordinate(1, [1e-200], 0).reciprocal()
+        assert r.value == 1e200
         with pytest.raises(JetDomainError, match="floating-point range"):
-            Jet.coordinate(1, [1e-200], 0).reciprocal()
+            r.levels[1]
         with pytest.raises(JetDomainError, match="floating-point range"):
             Jet.coordinate(1, [1e300], 0) ** 2.5
 
@@ -285,16 +296,47 @@ def test_lazy_levels_equal_eager(seed, dim, orders, leads, spec):
 def test_compose_and_matinv_equal_eager(seed, dim, order, lead, fn):
     rng = np.random.default_rng(seed)
     u = batched_jet(rng, dim, lead, (), order)
-    with mock.patch.object(Jet, "compose", autospec=True, side_effect=Jet.compose) as compose:
-        got = u.reciprocal() if fn == "reciprocal" else jet_apply(fn, u)
-    want = oracles.eager_compose(list(u.levels), compose.call_args.args[1], len(lead))
+    members = int(np.prod(lead))
+    table, calls = [], [0] * 4      # the function table compose is given; calls into each f^(k)
+    compose = Jet.compose
+
+    def counted(jet, fns):
+        table[:] = fns
+
+        def count(k, f):
+            def fk(v):
+                calls[k] += 1
+                return f(v)
+            return fk
+        return compose(jet, [count(k, f) for k, f in enumerate(fns)])
+
+    def make_compose():
+        calls[:] = [0] * 4
+        with mock.patch.object(Jet, "compose", autospec=True, side_effect=counted):
+            return u.reciprocal() if fn == "reciprocal" else jet_apply(fn, u)
+
     m = batched_jet(rng, dim, lead, (dim, dim), order)
     m = Jet(dim, [m.val + 3 * np.eye(dim)] + list(m.levels[1:]), len(lead))
-    for name, j, w in (("compose", got, want),
-                       ("matinv", m.matinv(), oracles.eager_matinv(list(m.levels)))):
-        assert len(j.levels) == len(w) == order + 1, name
-        for k, (l, lw) in enumerate(zip(j.levels, w)):
-            assert l.shape == lw.shape and l.tobytes() == lw.tobytes(), (name, k)
+    make_compose()
+    want = {"compose": oracles.eager_compose(list(u.levels), table, len(lead)),
+            "matinv": oracles.eager_matinv(list(m.levels))}
+    for top in range(order + 1):
+        # level `top` read first, through grad(), then every level highest first
+        for name, j in (("compose", make_compose()), ("matinv", m.matinv())):
+            w = want[name]
+            assert len(j.levels) == len(w) == order + 1, name
+            g = j
+            for _ in range(top):
+                g = g.grad()
+            assert g.val.tobytes() == w[top].tobytes(), (name, top)
+            if name == "compose":
+                # each f^(k) once per member up to the level read, none above it
+                assert calls == [members] * (top + 1) + [0] * (3 - top), (top, calls)
+            for k in reversed(range(order + 1)):
+                l = j.levels[k]
+                assert l.shape == w[k].shape and l.tobytes() == w[k].tobytes(), (name, k)
+            if name == "compose":
+                assert calls == [members] * (order + 1) + [0] * (3 - order), calls
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4), (5, 2, 3, 4), (3, 1, 2, 2, 2)])

@@ -312,6 +312,25 @@ class TestFloatingPointRange:
             assert "sqrt of a jet with non-positive real value" in err and "range" not in err, err
 
 
+class TestUnreadDerivatives:
+    """A derivative that the command does not read refuses nothing, though
+    every jet is built to third order: ``eval star`` reads the Poisson
+    bivector's value, exp(x1^2), which is finite at x1 = 26.5 where its
+    second derivative overflows."""
+
+    def test_star_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "geometry.json"
+        big = "exp(x1^2)"
+        path.write_text(json.dumps({"dim": 2, "metric": [["1", "0"], ["0", "1"]],
+                                    "poisson": [["0", big], ["-" + big, "0"]]}))
+        argv = ["eval", "star", "--geometry", str(path), "--a", "x1", "--b", "x2",
+                "--at", "26.5,0.1"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert "lambda-coefficient (4.811382906046422e+304+0j)" in out.out
+
+
 class TestNonFiniteResult:
     """A residual or value that leaves the floating-point range is an error
     naming the check or the command, never a pass or a printed nan or inf."""
