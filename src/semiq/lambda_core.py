@@ -21,10 +21,11 @@ member as it would on that member alone.
 Every jet operation computes level 0 at once and defers each higher level
 to its first read, which makes the numpy calls of the eager formula in the
 same order: a level read has the same bits, and one never read is never
-computed. Only the constructors are eager. No level reads its own jet,
-which would be a reference cycle. ``val`` keeps level 0 on the jet from
-its first read on, and the level formulas permute derivative axes by the
-views ``np.moveaxis`` would build.
+computed; a difference subtracts once per level, which has the bits of
+adding the negation but for a NaN's sign. Only the constructors are
+eager. No level reads its own jet, which would be a reference cycle.
+``val`` keeps level 0 on the jet from its first read on, and the level
+formulas permute derivative axes by the views ``np.moveaxis`` would build.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ import cmath
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+# numpy's C einsum: np.einsum with its default optimize=False returns this
+# call unchanged, after an array-function dispatcher and a Python frame
+from numpy._core.multiarray import c_einsum as einsum
 
 from .errors import DegenerateMetricError, JetDomainError, SingularScalarError
 
@@ -141,7 +145,11 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        return self + (-self._coerce(other))
+        # one subtract per level: IEEE 754 defines x - y as x + (-y), so
+        # every level but a NaN's sign bit is that of self + (-other)
+        o = self._coerce(other)
+        return deferred_jet(self.dim, lambda k: self.levels[k] - o.levels[k],
+                            min(self.order, o.order), max(self.batch, o.batch))
 
     def __rsub__(self, other) -> "Jet":
         return (-self) + other
@@ -245,10 +253,10 @@ class Jet:
                 return times(1, u1)
             u2 = a[2]
             if k == 2:
-                return times(2, np.einsum("...i,...j->...ij", u1, u1)) + times(1, u2)
-            cross = np.einsum("...ij,...k->...ijk", u2, u1)
+                return times(2, einsum("...i,...j->...ij", u1, u1)) + times(1, u2)
+            cross = einsum("...ij,...k->...ijk", u2, u1)
             sym = cross + cross.swapaxes(-1, -2) + _last3(cross, (2, 0, 1))
-            return (times(3, np.einsum("...i,...j,...k->...ijk", u1, u1, u1))
+            return (times(3, einsum("...i,...j,...k->...ijk", u1, u1, u1))
                     + times(2, sym) + times(1, a[3]))
         return deferred_jet(self.dim, level, self.order, batch)
 
@@ -301,19 +309,19 @@ class Jet:
         def level(k):
             for n in range(len(b), k + 1):
                 if n == 1:
-                    b.append(-np.einsum("...im,...mnK,...nj->...ijK", b0, a[1], b0))
+                    b.append(-einsum("...im,...mnK,...nj->...ijK", b0, a[1], b0))
                 elif n == 2:
-                    t = np.einsum("...mnKL,...nj->...mjKL", a[2], b0)
-                    t += np.einsum("...mnK,...njL->...mjKL", a[1], b[1])
-                    t += np.einsum("...mnL,...njK->...mjKL", a[1], b[1])
-                    b.append(-np.einsum("...im,...mjKL->...ijKL", b0, t))
+                    t = einsum("...mnKL,...nj->...mjKL", a[2], b0)
+                    t += einsum("...mnK,...njL->...mjKL", a[1], b[1])
+                    t += einsum("...mnL,...njK->...mjKL", a[1], b[1])
+                    b.append(-einsum("...im,...mjKL->...ijKL", b0, t))
                 else:
-                    t = np.einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
-                    c21 = np.einsum("...mnKL,...njM->...mjKLM", a[2], b[1])
+                    t = einsum("...mnKLM,...nj->...mjKLM", a[3], b0)
+                    c21 = einsum("...mnKL,...njM->...mjKLM", a[2], b[1])
                     t += c21 + c21.swapaxes(-1, -2) + _last3(c21, (2, 0, 1))
-                    c12 = np.einsum("...mnK,...njLM->...mjKLM", a[1], b[2])
+                    c12 = einsum("...mnK,...njLM->...mjKLM", a[1], b[2])
                     t += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
-                    b.append(-np.einsum("...im,...mjKLM->...ijKLM", b0, t))
+                    b.append(-einsum("...im,...mjKLM->...ijKLM", b0, t))
             return b[k]
         return deferred_jet(self.dim, level, self.order, self.batch)
 
@@ -415,20 +423,20 @@ def jet_einsum(spec: str, a, b) -> "Jet":
 
     def level(k):
         if k == 0:
-            return np.einsum(f"{sa},{sb}->{out}", a0, b0)
+            return einsum(f"{sa},{sb}->{out}", a0, b0)
         if k == 1:
-            return (np.einsum(f"{sa}{T},{sb}->{out}{T}", al[1], b0)
-                    + np.einsum(f"{sa},{sb}{T}->{out}{T}", a0, bl[1]))
+            return (einsum(f"{sa}{T},{sb}->{out}{T}", al[1], b0)
+                    + einsum(f"{sa},{sb}{T}->{out}{T}", a0, bl[1]))
         if k == 2:
-            l2 = (np.einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", al[2], b0)
-                  + np.einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, bl[2]))
-            cross = np.einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", al[1], bl[1])
+            l2 = (einsum(f"{sa}{T}{U},{sb}->{out}{T}{U}", al[2], b0)
+                  + einsum(f"{sa},{sb}{T}{U}->{out}{T}{U}", a0, bl[2]))
+            cross = einsum(f"{sa}{T},{sb}{U}->{out}{T}{U}", al[1], bl[1])
             return l2 + cross + cross.swapaxes(-1, -2)
-        l3 = (np.einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", al[3], b0)
-              + np.einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, bl[3]))
-        c21 = np.einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", al[2], bl[1])
+        l3 = (einsum(f"{sa}{T}{U}{V},{sb}->{out}{T}{U}{V}", al[3], b0)
+              + einsum(f"{sa},{sb}{T}{U}{V}->{out}{T}{U}{V}", a0, bl[3]))
+        c21 = einsum(f"{sa}{T}{U},{sb}{V}->{out}{T}{U}{V}", al[2], bl[1])
         l3 += c21 + c21.swapaxes(-1, -2) + _last3(c21, (2, 0, 1))
-        c12 = np.einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", al[1], bl[2])
+        c12 = einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", al[1], bl[2])
         l3 += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
         return l3
     return deferred_jet(ref.dim, level, min(a.order, b.order), max(a.batch, b.batch))

@@ -35,7 +35,7 @@ from semiq import geometry as geo
 from semiq import semiquant as sq
 from semiq import suites
 from semiq.cli import build_geometry, main
-from semiq.errors import ConfigError, SemiqError
+from semiq.errors import ConfigError, EvalError, SemiqError
 from semiq.geometries import make_cpn, make_flat, make_flat_torsion
 from semiq.geometry import Field, geometry_from_config
 from semiq.lambda_core import UNARY_FUNCS, Jet, LJet, is_batch, jet_einsum
@@ -422,6 +422,39 @@ def test_sample_split_to_the_memory_budget(monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
     assert batches == [1] * 5 * len(make_cpn(1).suites)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf),
+                                 complex(np.nan, 1.0)])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_fold_refuses_a_residual_out_of_range(slot, bad, as_array):
+    residuals = [np.zeros((3, 2)), 0.0]
+    residuals[slot] = np.array([[0.5, 1.0], [bad, 2.0]]) if as_array else bad
+    worst = {"star-associator": [0.25, 0.5]}
+    with pytest.raises(EvalError) as exc:
+        suites._acc(worst, "star-associator", *residuals)
+    assert str(exc.value) == \
+        "the residual of check 'star-associator' is out of floating-point range"
+    assert worst == {"star-associator": [0.25, 0.5]}
+
+
+def test_fold_of_two_batches_is_the_fold_of_one():
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+    l = -np.abs(rng.normal(size=(6, 2)))
+    one = {}
+    suites._acc(one, "x", c, l)
+    suites._acc(one, "zero", c, 0.0)
+    assert one == {"x": [float(np.abs(c).max()), float(np.abs(l).max())],
+                   "zero": [float(np.abs(c).max()), 0.0]}
+    for k in range(1, 6):
+        two = {}
+        for part in (slice(None, k), slice(k, None)):
+            suites._acc(two, "x", c[part], l[part])
+            suites._acc(two, "zero", c[part], 0.0)
+        assert two == one, k
+        assert all(type(v) is float for rec in two.values() for v in rec)
 
 
 @pytest.mark.parametrize("geometry, n, suite, per_batch, points", [

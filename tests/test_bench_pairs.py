@@ -57,3 +57,32 @@ def test_run_once_gives_both_trees_one_bytecode_cache(monkeypatch, tmp_path):
     assert (parent_cwd, change_cwd) == (tmp_path / "parent", tmp_path / "change")
     assert parent_env == change_env
     assert parent_env["PYTHONPYCACHEPREFIX"] == str(cache)
+
+
+def test_a_second_invocation_numbers_its_pairs_on(monkeypatch, tmp_path):
+    def fake_run_once(tree, workload, seed, seconds, pycache):
+        p50 = 1.0 if tree.name == "change" else 2.0
+        return {"correct": True, "failed": 0,
+                "metrics": {m["name"]: {"value": p50} for m in metrics}}
+
+    metrics = bench_pairs.json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    argv = ["bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "w", "v", "--seed", "1", "--pairs", "3", "--out", str(out)]
+    for _ in range(2):
+        monkeypatch.setattr(bench_pairs.sys, "argv", argv)
+        assert bench_pairs.main() == 0
+    saved = bench_pairs.json.loads(out.read_text())
+    for workload in ("w", "v"):
+        runs = [r for r in saved["end_to_end_pairs"] if r["workload"] == workload]
+        assert [r["pair"] for r in runs] == [i for i in range(6) for _ in range(2)]
+        # pair i puts the parent first when i is even, across invocations too
+        assert [r["tree"] for r in runs[::2]] == ["parent", "change"] * 3
+        entry = saved["summary"][f"{workload} seed 1"]
+        assert entry["pairs"] == 6 and entry["op_wall_p50_ms"]["change_better_pairs"] == 6
+    # another seed, or --pairs 0, adds no pair to the ones held
+    assert bench_pairs.next_pair(saved["end_to_end_pairs"], "w", 2) == 0
+    monkeypatch.setattr(bench_pairs.sys, "argv", argv[:-3] + ["0", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    assert bench_pairs.json.loads(out.read_text())["summary"]["w seed 1"]["pairs"] == 6

@@ -237,6 +237,8 @@ def lazy_cases(seed, dim, orders, leads, spec):
          lambda a, b, a2, c, m: oracles.eager_einsum(spec, *levels(a, b))),
         ("add", lambda a, b, a2, c, m: a + a2,
          lambda a, b, a2, c, m: oracles.eager_add(*levels(a, a2))),
+        ("sub", lambda a, b, a2, c, m: a - a2,
+         lambda a, b, a2, c, m: oracles.eager_add(*levels(a), oracles.eager_neg(*levels(a2)))),
         ("neg", lambda a, b, a2, c, m: -a, lambda a, b, a2, c, m: oracles.eager_neg(*levels(a))),
         ("scale", lambda a, b, a2, c, m: a.scale(c),
          lambda a, b, a2, c, m: oracles.eager_scale(*levels(a), c, ba)),
@@ -261,7 +263,7 @@ def lazy_cases(seed, dim, orders, leads, spec):
        orders=st.tuples(st.integers(0, 3), st.integers(0, 3)), leads=st.tuples(LEADS, LEADS),
        spec=st.sampled_from(LAZY_SPECS))
 def test_lazy_levels_equal_eager(seed, dim, orders, leads, spec):
-    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum, \
+    with mock.patch.object(lambda_core, "einsum", wraps=lambda_core.einsum) as einsum, \
             mock.patch.object(lambda_core, "evaluate_level",
                               wraps=lambda_core.evaluate_level) as evaluate:
         for name, j, want in lazy_cases(seed, dim, orders, leads, spec):
@@ -288,6 +290,39 @@ def test_lazy_levels_equal_eager(seed, dim, orders, leads, spec):
                     assert g.levels[k - 1] is j.levels[k], (name, k)
                     assert evaluate.call_count - v0 == 1
                     assert j.levels[k].tobytes() == want[k].tobytes()
+
+
+# signed zeros, subnormals, normals and infinities
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-310, 1.5, -3.0, np.inf, -np.inf)
+
+
+def special_jet(pairs, side, lead, rotate, order=3, dim=2):
+    """A jet of tensor shape (len(pairs),) whose entry p, at every level
+    and every member, is pairs[p][side] + i pairs[p + rotate][side]."""
+    p = np.array(pairs)[:, side]
+    z = np.empty(p.shape, dtype=np.complex128)
+    z.real, z.imag = p, np.roll(p, -rotate)
+    levels = [np.broadcast_to(z.reshape(z.shape + (1,) * k), lead + z.shape + (dim,) * k).copy()
+              for k in range(order + 1)]
+    return Jet(dim, levels, len(lead))
+
+
+@pytest.mark.parametrize("leads", [((), (2,)), ((2,), ()), ((2,), (2,)), ((), ())])
+def test_sub_equals_add_of_negation_on_special_values(leads):
+    # every pair of SPECIAL but inf - inf of one sign, which is a NaN;
+    # real and imaginary parts each run through all of them
+    pairs = [(x, y) for x in SPECIAL for y in SPECIAL
+             if not (np.isinf(x) and x == y)]
+    for rotate in (0, 7):
+        a = special_jet(pairs, 0, leads[0], rotate)
+        b = special_jet(pairs, 1, leads[1], rotate)
+        want = oracles.eager_add(list(a.levels), oracles.eager_neg(list(b.levels)))
+        got = a - b
+        assert got.batch == max(len(l) for l in leads) and len(got.levels) == len(want)
+        for k, w in enumerate(want):
+            l = got.levels[k]
+            assert not np.isnan(w).any()
+            assert l.shape == w.shape and l.tobytes() == w.tobytes(), k
 
 
 @settings(max_examples=60, deadline=None)

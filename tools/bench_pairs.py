@@ -11,8 +11,9 @@ line is kept in ``end_to_end_pairs``. ``summary`` gives, per workload and
 seed and per end-to-end metric of ``BENCHMARK.json``, each side's median
 and quartiles, the pairs the change won (ties apart) and the ratio of the
 change's median to the parent's. Pairs already in an existing OUT file are
-kept, so one file can gather runs made at different times; ``--pairs 0``
-only rewrites its summary and ``about``.
+kept, so one file can gather runs made at different times: a new run's
+pairs are numbered on from the last one OUT holds for its workload and
+seed. ``--pairs 0`` only rewrites the summary and ``about``.
 
 Every run writes and reads bytecode in one directory the tool makes empty
 (``PYTHONPYCACHEPREFIX``), never in a ``__pycache__`` of either checkout:
@@ -75,6 +76,13 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def next_pair(runs: list, workload: str, seed: int) -> int:
+    """The number of the next pair of ``workload`` and ``seed``: one past the
+    highest in ``runs``, or 0."""
+    return 1 + max((r["pair"] for r in runs if (r["workload"], r["seed"]) == (workload, seed)),
+                   default=-1)
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", type=Path)
@@ -98,7 +106,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as pycache:
         for seed in args.seed:
             for workload in args.workload:
-                for i in range(args.pairs):
+                start = next_pair(runs, workload, seed)
+                for i in range(start, start + args.pairs):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     for tree in order:
                         result = run_once(trees[tree], workload, seed, args.seconds,
