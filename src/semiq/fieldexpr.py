@@ -250,20 +250,23 @@ def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
     for p in pts:
         if len(p) != d:
             raise EvalError(f"point has {len(p)} coordinates, chart has {d}")
-    nodes = []
+    nodes = []      # the levels of each node, innermost first
     out = _eval(e, point, d, order, nodes)
+    ol, batch = out.levels, out.batch
+
+    def finite(l):
+        if not np.isfinite(l).all():
+            for m, p in enumerate(pts):
+                if not np.isfinite(l[m] if batch else l).all():
+                    raise EvalError(f"expression or its derivatives not finite at {tuple(p)}")
+        return l
 
     def level(k):
         for n in nodes:
             for i in range(1, k + 1):
-                n.levels[i]
-        l = out.levels[k]
-        if not np.isfinite(l).all():
-            for m, p in enumerate(pts):
-                if not np.isfinite(l[m] if out.batch else l).all():
-                    raise EvalError(f"expression or its derivatives not finite at {tuple(p)}")
-        return l
-    return deferred_jet(d, level, out.order, out.batch)
+                n[i]
+        return finite(ol[k])
+    return deferred_jet(d, finite(out.val), level, out.order, batch)
 
 
 def _eval(e: Expr, point, d: int, order: int, nodes: list) -> Jet:
@@ -283,7 +286,7 @@ def _eval(e: Expr, point, d: int, order: int, nodes: list) -> Jet:
     else:
         u = _eval(e.arg, point, d, order, nodes)
         a = -u if e.op == "neg" else jet_apply(e.op, u)
-        nodes.append(a)
+        nodes.append(a.levels)
     for node in reversed(spine):
         if node.op == "^":
             try:
@@ -295,7 +298,7 @@ def _eval(e: Expr, point, d: int, order: int, nodes: list) -> Jet:
             a = a ** (p.real if p.imag == 0 else p)
         else:
             a = _ARITH[node.op](a, _eval(node.right, point, d, order, nodes))
-        nodes.append(a)
+        nodes.append(a.levels)
     return a
 
 

@@ -85,11 +85,13 @@ def component_jets(dim: int, rank: int, comps) -> Callable[["PointFrame"], Jet]:
 
     def fn(f):
         lead = np.shape(f.point)[:-1]       # the batch shape
-        out = [fieldexpr.eval_jet(t, f.point, dim, f.order) for t in trees]
-        # a constant component holds no batch axis and is broadcast
-        return deferred_jet(dim, lambda k: np.stack(
-            [np.broadcast_to(j.levels[k], lead + (dim,) * k) for j in out],
-            axis=len(lead)).reshape(lead + shape + (dim,) * k), f.order, len(lead))
+        out = [fieldexpr.eval_jet(t, f.point, dim, f.order).levels for t in trees]
+
+        def stacked(k):
+            # a constant component holds no batch axis and is broadcast
+            return np.stack([np.broadcast_to(l[k], lead + (dim,) * k) for l in out],
+                            axis=len(lead)).reshape(lead + shape + (dim,) * k)
+        return deferred_jet(dim, stacked(0), stacked, f.order, len(lead))
 
     return fn
 
@@ -188,18 +190,29 @@ class GeometryData:
     def frame(self, point) -> "PointFrame":
         """The frame at a point, a tuple of coordinates, or at a batch of
         points, a tuple of such tuples."""
+        fr = self._frames.get(self.order)
+        if fr is not None and fr.served is point:   # frozen, so still the same point
+            return fr
         if is_batch(point):
             pt = tuple(tuple(map(float, p)) for p in point)
         else:
             pt = tuple(map(float, point))
-        fr = self._frames.get(self.order)
         if fr is None or fr.point != pt:    # Python floats, so == compares values
             fr = self._frames[self.order] = PointFrame(self, pt)
+        fr.served = point if _frozen(point) else None
         return fr
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return rng.uniform(-self.box, self.box, size=(count, self.dim))
+
+
+def _frozen(point) -> bool:
+    """Whether ``point`` is a tuple of Python floats, or a tuple of such
+    tuples: an object that nothing can change in place."""
+    rows = point if is_batch(point) else (point,)
+    return point.__class__ is tuple and all(
+        r.__class__ is tuple and all(x.__class__ is float for x in r) for r in rows)
 
 
 class PointFrame:
@@ -210,6 +223,7 @@ class PointFrame:
     def __init__(self, geom: GeometryData, point: tuple):
         self.G = geom
         self.point = point
+        self.served = None          # the frozen object GeometryData.frame last served it for
         self.dim = geom.dim
         self.order = geom.order
         self.built: dict = {}       # @per_frame results, keyed by builder

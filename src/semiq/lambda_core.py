@@ -18,14 +18,16 @@ carries a leading ``...``, and functions of a value are evaluated member
 by member in Python complex arithmetic. Every operation acts on each
 member as it would on that member alone.
 
-Every jet operation computes level 0 at once and defers each higher level
-to its first read, which makes the numpy calls of the eager formula in the
-same order: a level read has the same bits, and one never read is never
-computed; a difference subtracts once per level, which has the bits of
-adding the negation but for a NaN's sign. Only the constructors are
-eager. No level reads its own jet, which would be a reference cycle.
-``val`` keeps level 0 on the jet from its first read on, and the level
-formulas permute derivative axes by the views ``np.moveaxis`` would build.
+Every jet operation computes level 0 itself and hands it to ``deferred_jet``,
+the one constructor of its result, with a function that computes each higher
+level on its first read by the numpy calls of the eager formula, in the same
+order: a level read has the same bits, and one never read is never computed;
+a difference subtracts once per level, which has the bits of adding the
+negation but for a NaN's sign. Only the constructors are eager. A level
+function reads the operands' ``Levels``, never a jet, so no result refers to
+itself. ``val`` is set on an operation's result, and kept on its first read
+otherwise; the level formulas permute derivative axes by the views
+``np.moveaxis`` would build.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from .errors import DegenerateMetricError, JetDomainError, SingularScalarError
 _DLETTERS = "TUVW"
 
 MAX_ORDER = 3      # deepest derivative level the jet arithmetic propagates
+
+_C128 = np.dtype(np.complex128)
+_new = object.__new__       # an instance with its slots still unset
 
 
 class Jet:
@@ -65,7 +70,7 @@ class Jet:
         self.levels = levels
         self.order = len(levels) - 1
         self.batch = batch
-        self._val = None    # level 0, kept on its first read; a grad view's may be deferred
+        self._val = None    # level 0, kept on its first read
 
     # -- constructors ------------------------------------------------------
     # the first ``batch`` axes of ``value`` are batch axes, and a point's
@@ -139,8 +144,10 @@ class Jet:
 
     def __add__(self, other) -> "Jet":
         o = self._coerce(other)
-        return deferred_jet(self.dim, lambda k: self.levels[k] + o.levels[k],
-                            min(self.order, o.order), max(self.batch, o.batch))
+        al, bl = self.levels, o.levels
+        return deferred_jet(self.dim, self.val + o.val, lambda k: al[k] + bl[k],
+                            self.order if self.order < o.order else o.order,
+                            self.batch if self.batch > o.batch else o.batch)
 
     __radd__ = __add__
 
@@ -148,22 +155,26 @@ class Jet:
         # one subtract per level: IEEE 754 defines x - y as x + (-y), so
         # every level but a NaN's sign bit is that of self + (-other)
         o = self._coerce(other)
-        return deferred_jet(self.dim, lambda k: self.levels[k] - o.levels[k],
-                            min(self.order, o.order), max(self.batch, o.batch))
+        al, bl = self.levels, o.levels
+        return deferred_jet(self.dim, self.val - o.val, lambda k: al[k] - bl[k],
+                            self.order if self.order < o.order else o.order,
+                            self.batch if self.batch > o.batch else o.batch)
 
     def __rsub__(self, other) -> "Jet":
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return deferred_jet(self.dim, lambda k: -self.levels[k], self.order, self.batch)
+        al = self.levels
+        return deferred_jet(self.dim, -self.val, lambda k: -al[k], self.order, self.batch)
 
     def scale(self, c) -> "Jet":
         """Multiply by a number, or member by member by an array of the batch
         shape; a lone jet so scaled takes on the batch."""
+        al, v, b = self.levels, self.val, self.batch
         if isinstance(c, np.ndarray) and c.ndim:
-            return deferred_jet(self.dim, lambda k: _over_members(c, self.levels[k], self.batch)
-                                * self.levels[k], self.order, c.ndim)
-        return deferred_jet(self.dim, lambda k: c * self.levels[k], self.order, self.batch)
+            return deferred_jet(self.dim, _over_members(c, v, b) * v,
+                                lambda k: _over_members(c, al[k], b) * al[k], self.order, c.ndim)
+        return deferred_jet(self.dim, c * v, lambda k: c * al[k], self.order, b)
 
     # -- products ----------------------------------------------------------
 
@@ -246,8 +257,6 @@ class Jet:
             return f[k] if l is None else _over_members(f[k], l, batch) * l
 
         def level(k):
-            if k == 0:
-                return times(0, None)
             u1 = a[1]
             if k == 1:
                 return times(1, u1)
@@ -258,7 +267,7 @@ class Jet:
             sym = cross + cross.swapaxes(-1, -2) + _last3(cross, (2, 0, 1))
             return (times(3, einsum("...i,...j,...k->...ijk", u1, u1, u1))
                     + times(2, sym) + times(1, a[3]))
-        return deferred_jet(self.dim, level, self.order, batch)
+        return deferred_jet(self.dim, times(0, None), level, self.order, batch)
 
     # -- structure ---------------------------------------------------------
 
@@ -266,29 +275,33 @@ class Jet:
         """Partial derivatives as one extra trailing tensor axis; order drops."""
         if self.order < 1:
             raise JetDomainError("jet order exhausted, cannot differentiate")
-        return Jet(self.dim, self.levels[1:], self.batch)
+        j = _new(Jet)
+        j.dim, j.order, j.levels, j.batch, j._val = (self.dim, self.order - 1, self.levels[1:],
+                                                     self.batch, None)
+        return j
 
     def conj(self) -> "Jet":
         # valid because chart coordinates are real
-        return deferred_jet(self.dim, lambda k: np.conjugate(self.levels[k]), self.order,
-                            self.batch)
+        al = self.levels
+        return deferred_jet(self.dim, np.conjugate(self.val), lambda k: np.conjugate(al[k]),
+                            self.order, self.batch)
 
     def reorder(self, spec: str) -> "Jet":
         """Relabel the leading tensor axes with an einsum-style spec, e.g.
         'ijk->kij'; batch axes and the axes after the named ones, derivative
         axes included, keep their places. The result is a view."""
         src, dst = spec.split("->")
-        b = self.batch
+        al, v, b = self.levels, self.val, self.batch
         head = list(range(b)) + [b + src.index(c) for c in dst]
-        n = self.val.ndim                # level k has n + k axes
-        return deferred_jet(self.dim, lambda k: self.levels[k].transpose(
-            head + list(range(len(head), n + k))), self.order, b)
+        m, n = len(head), v.ndim         # level k has n + k axes
+        return deferred_jet(self.dim, v.transpose(head + list(range(m, n))),
+                            lambda k: al[k].transpose(head + list(range(m, n + k))), self.order, b)
 
     def take_index(self, idx: int, axis: int = 0) -> "Jet":
         """Slice one tensor axis at a fixed index."""
-        b = self.batch
-        return deferred_jet(self.dim, lambda k: np.take(self.levels[k], idx, axis=axis + b),
-                            self.order, b)
+        al, ax = self.levels, axis + self.batch
+        return deferred_jet(self.dim, np.take(self.val, idx, axis=ax),
+                            lambda k: np.take(al[k], idx, axis=ax), self.order, self.batch)
 
     def matinv(self) -> "Jet":
         """Inverse of a square-matrix jet, each level solved from the ones below it."""
@@ -323,7 +336,7 @@ class Jet:
                     t += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
                     b.append(-einsum("...im,...mjKLM->...ijKLM", b0, t))
             return b[k]
-        return deferred_jet(self.dim, level, self.order, self.batch)
+        return deferred_jet(self.dim, b0, level, self.order, self.batch)
 
 
 class Levels:
@@ -371,12 +384,17 @@ def evaluate_level(k: int, level: Callable[[int], np.ndarray]) -> np.ndarray:
     return level(k)
 
 
-def deferred_jet(dim: int, level: Callable[[int], np.ndarray], order: int,
+def deferred_jet(dim: int, val, level: Callable[[int], np.ndarray], order: int,
                  batch: int) -> Jet:
-    """The jet whose level k is ``level(k)``: level 0 now, each level above
-    it on its first read."""
-    return Jet(dim, Levels([np.asarray(level(0), dtype=np.complex128)] + [level] * order),
-               batch)
+    """The result of every jet operation: level 0 is ``val``, which the
+    operation computed, and level k >= 1 is ``level(k)`` on its first read."""
+    if val.__class__ is not np.ndarray or val.dtype is not _C128:     # e.g. a 0-d numpy scalar
+        val = np.asarray(val, dtype=np.complex128)
+    levels = _new(Levels)
+    levels._cells, levels._start, levels._stop = [val] + [level] * order, 0, order + 1
+    j = _new(Jet)
+    j.dim, j.order, j.levels, j.batch, j._val = dim, order, levels, batch, val
+    return j
 
 
 def _last3(x: np.ndarray, perm: tuple) -> np.ndarray:
@@ -408,13 +426,11 @@ def jet_einsum(spec: str, a, b) -> "Jet":
     output carries their batch axes, if any. Plain arrays and numbers
     coerce to constants without a batch.
     """
-    if not isinstance(a, Jet) and not isinstance(b, Jet):
-        raise TypeError("jet_einsum needs at least one Jet operand")
-    ref = a if isinstance(a, Jet) else b
-    if not isinstance(a, Jet):
-        a = Jet.const(ref.dim, a, ref.order)
-    if not isinstance(b, Jet):
-        b = Jet.const(ref.dim, b, ref.order)
+    if a.__class__ is not Jet or b.__class__ is not Jet:
+        ref = a if isinstance(a, Jet) else b
+        if not isinstance(ref, Jet):
+            raise TypeError("jet_einsum needs at least one Jet operand")
+        a, b = ref._coerce(a), ref._coerce(b)
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     sa, sb, out = "..." + sa, "..." + sb, "..." + out
@@ -422,8 +438,6 @@ def jet_einsum(spec: str, a, b) -> "Jet":
     al, bl, a0, b0 = a.levels, b.levels, a.val, b.val
 
     def level(k):
-        if k == 0:
-            return einsum(f"{sa},{sb}->{out}", a0, b0)
         if k == 1:
             return (einsum(f"{sa}{T},{sb}->{out}{T}", al[1], b0)
                     + einsum(f"{sa},{sb}{T}->{out}{T}", a0, bl[1]))
@@ -439,7 +453,9 @@ def jet_einsum(spec: str, a, b) -> "Jet":
         c12 = einsum(f"{sa}{T},{sb}{U}{V}->{out}{T}{U}{V}", al[1], bl[2])
         l3 += c12 + c12.swapaxes(-3, -2) + _last3(c12, (1, 2, 0))
         return l3
-    return deferred_jet(ref.dim, level, min(a.order, b.order), max(a.batch, b.batch))
+    return deferred_jet(a.dim, einsum(f"{sa},{sb}->{out}", a0, b0), level,
+                        a.order if a.order < b.order else b.order,
+                        a.batch if a.batch > b.batch else b.batch)
 
 
 # -- univariate function table ----------------------------------------------

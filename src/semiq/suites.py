@@ -300,7 +300,7 @@ def run_suites(suites, G: GeometryData, points: int = 50, seed: int = 0,
     tol = G.tol if tol is None else float(tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"the tolerance must be a finite number >= 0, got {tol!r}")
-    pts = tuple(tuple(p) for p in G.sample_points(points, seed))
+    pts = tuple(map(tuple, G.sample_points(points, seed).tolist()))     # Python floats
     G = G.at_order(CHECK_ORDER)
     rngs = [np.random.default_rng(seed) for _ in suites]
     worst = [{} for _ in suites]

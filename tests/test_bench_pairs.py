@@ -59,13 +59,14 @@ def test_run_once_gives_both_trees_one_bytecode_cache(monkeypatch, tmp_path):
     assert parent_env["PYTHONPYCACHEPREFIX"] == str(cache)
 
 
-def test_a_second_invocation_numbers_its_pairs_on(monkeypatch, tmp_path):
-    def fake_run_once(tree, workload, seed, seconds, pycache):
-        p50 = 1.0 if tree.name == "change" else 2.0
-        return {"correct": True, "failed": 0,
-                "metrics": {m["name"]: {"value": p50} for m in metrics}}
-
+def fake_run_once(tree, workload, seed, seconds, pycache):
+    """A result line in which the change reads half the parent's every metric."""
+    p50 = 1.0 if tree.name == "change" else 2.0
     metrics = bench_pairs.json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return {"correct": True, "failed": 0, "metrics": {m["name"]: {"value": p50} for m in metrics}}
+
+
+def test_a_second_invocation_numbers_its_pairs_on(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "BENCH.json"
     argv = ["bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
@@ -86,3 +87,26 @@ def test_a_second_invocation_numbers_its_pairs_on(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs.sys, "argv", argv[:-3] + ["0", "--out", str(out)])
     assert bench_pairs.main() == 0
     assert bench_pairs.json.loads(out.read_text())["summary"]["w seed 1"]["pairs"] == 6
+
+
+def test_about_is_kept_unless_given_and_pairs_0_needs_no_workload(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    trees = ["bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+             "--out", str(out)]
+    pairs = ["--workload", "w", "--seed", "1", "--pairs", "1"]
+
+    def invoke(*argv):
+        monkeypatch.setattr(bench_pairs.sys, "argv", trees + list(argv))
+        assert bench_pairs.main() == 0
+        return bench_pairs.json.loads(out.read_text())
+
+    assert invoke(*pairs, "--about", "first")["about"] == "first"
+    assert invoke(*pairs)["about"] == "first"             # more pairs, the description kept
+    saved = invoke("--pairs", "0")                        # only the summary is rewritten
+    assert saved["about"] == "first" and saved["summary"]["w seed 1"]["pairs"] == 2
+    assert invoke("--pairs", "0", "--about", "second")["about"] == "second"
+    monkeypatch.setattr(bench_pairs.sys, "argv", trees + ["--pairs", "1"])
+    with pytest.raises(SystemExit):                       # pairs to run need a workload and seed
+        bench_pairs.main()
+    assert bench_pairs.json.loads(out.read_text())["summary"]["w seed 1"]["pairs"] == 2

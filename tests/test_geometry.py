@@ -321,3 +321,24 @@ class TestProviders:
         assert all(len(pt) == 3 for pt, k in asked)
         assert set(asked.values()) == {1}
         assert sum(n for (pt, k), n in asked.items() if k == 2) == 1
+
+    def test_frame_found_by_value_and_by_identity_only_when_frozen(self):
+        cpn1 = make_cpn(1)
+        pt = (0.3, -0.2)
+        f = cpn1.frame(pt)
+        assert cpn1.frame(pt) is f and f.served is pt
+        # an equal but distinct tuple still finds the frame
+        same = tuple([0.3, -0.2])
+        assert same is not pt and cpn1.frame(same) is f and f.served is same
+        # a list point changed in place between calls gets the right frame
+        p = [0.3, -0.2]
+        assert cpn1.frame(p) is f and f.served is None
+        p[0] = 0.5
+        g = cpn1.frame(p)
+        assert g is not f and g.point == (0.5, -0.2)
+        assert g.g.val.tobytes() == make_cpn(1).frame((0.5, -0.2)).g.val.tobytes()
+        # so does a batch whose rows are lists
+        rows = ([0.1, 0.2], [0.3, 0.4])
+        b = cpn1.frame(rows)
+        rows[1][1] = -0.4
+        assert cpn1.frame(rows) is not b and cpn1.frame(rows).point == ((0.1, 0.2), (0.3, -0.4))

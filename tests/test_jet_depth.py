@@ -253,9 +253,9 @@ def test_check_computes_few_second_derivative_levels(argv, monkeypatch, capsys):
     deferred, evaluated = [], []
     make, evaluate = lambda_core.deferred_jet, lambda_core.evaluate_level
 
-    def counted_make(dim, level, order, batch):
+    def counted_make(dim, val, level, order, batch):
         deferred.append(order >= 2)
-        return make(dim, level, order, batch)
+        return make(dim, val, level, order, batch)
 
     def counted_evaluate(k, level):
         evaluated.append(k == 2)

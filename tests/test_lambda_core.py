@@ -292,6 +292,33 @@ def test_lazy_levels_equal_eager(seed, dim, orders, leads, spec):
                     assert j.levels[k].tobytes() == want[k].tobytes()
 
 
+@pytest.mark.parametrize("orders", [(0, 2), (2, 3)])
+@pytest.mark.parametrize("leads", [((), ()), ((3,), ()), ((3,), (3,))])
+@pytest.mark.parametrize("spec", LAZY_SPECS)
+def test_operations_build_their_result_with_its_value(spec, leads, orders):
+    # every result holds its level 0 from the start: a complex128 array, also
+    # where numpy returns a 0-d scalar (lone scalar results), and no level
+    # function has run before a level above it is read
+    u = batched_jet(np.random.default_rng(5), 2, leads[0], (), orders[1])
+    m = batched_jet(np.random.default_rng(6), 2, leads[0], (2, 2), orders[1])
+    m = Jet(2, [m.val + 3 * np.eye(2)] + list(m.levels[1:]), len(leads[0]))
+    with mock.patch.object(lambda_core, "evaluate_level",
+                           wraps=lambda_core.evaluate_level) as evaluate:
+        cases = list(lazy_cases(5, 2, orders, leads, spec))
+        cases += [("compose", u.compose(lambda_core.UNARY_FUNCS["exp"]), None),
+                  ("matinv", m.matinv(), None)]
+        for name, j, want in cases:
+            v = j._val
+            assert v.__class__ is np.ndarray and v.dtype == np.complex128, name
+            assert j.levels[0] is v and evaluate.call_count == 0, name
+            if want is not None:
+                assert v.tobytes() == want[0].tobytes(), name
+            if j.order:
+                assert j.levels[1] is j.levels[1] and evaluate.call_count == 1, name
+            evaluate.reset_mock()
+    assert any(j.val.ndim == 0 for _, j, _ in cases) == (not leads[0])    # compose's, at least
+
+
 # signed zeros, subnormals, normals and infinities
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-310, 1.5, -3.0, np.inf, -np.inf)
 

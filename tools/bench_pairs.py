@@ -13,7 +13,9 @@ and quartiles, the pairs the change won (ties apart) and the ratio of the
 change's median to the parent's. Pairs already in an existing OUT file are
 kept, so one file can gather runs made at different times: a new run's
 pairs are numbered on from the last one OUT holds for its workload and
-seed. ``--pairs 0`` only rewrites the summary and ``about``.
+seed. ``--pairs 0`` only rewrites the summary (and ``about``, if given),
+and needs no ``--workload`` or ``--seed``. ``about`` keeps the text OUT
+holds unless ``--about`` is given.
 
 Every run writes and reads bytecode in one directory the tool makes empty
 (``PYTHONPYCACHEPREFIX``), never in a ``__pycache__`` of either checkout:
@@ -87,20 +89,24 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", nargs="+", required=True)
-    p.add_argument("--seed", type=int, nargs="+", required=True)
+    p.add_argument("--workload", nargs="+", default=[])
+    p.add_argument("--seed", type=int, nargs="+", default=[])
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--about", default="")
+    p.add_argument("--about")
     args = p.parse_args()
+    if args.pairs and not (args.workload and args.seed):
+        p.error("--workload and --seed are required unless --pairs is 0")
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = json.loads(args.out.read_text())["end_to_end_pairs"] if args.out.exists() else []
+    held = json.loads(args.out.read_text()) if args.out.exists() else {}
+    runs = held.get("end_to_end_pairs", [])
+    about = args.about if args.about is not None else held.get("about", "")
 
     def save():
-        args.out.write_text(json.dumps({"about": args.about, "summary": summarize(runs, metrics),
+        args.out.write_text(json.dumps({"about": about, "summary": summarize(runs, metrics),
                                         "end_to_end_pairs": runs}, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as pycache:
