@@ -150,7 +150,7 @@ def cmd_evolve(args) -> int:
     # every point is evaluated before anything is printed
     lines = []
     for pt in points:
-        rate, dfc, res = finite(f"evolve at {pt}", complex(adot.at(pt).c.value),
+        rate, dfc, res = finite(f"evolve at {pt}", adot.at(pt).c.value,
                                 defect.at(pt).c.val, ev.defect_two_route_residual(a, H, G, pt))
         lines += [f"at {pt}:", f"  adot = {rate}",
                   f"  (da)dot - d(adot) components = {np.array_str(dfc, precision=12)}",

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownSymbolError
-from .lambda_core import UNARY_FUNCS, Jet, deferred_jet, is_batch, jet_apply
+from .lambda_core import MAX_ORDER, UNARY_FUNCS, Jet, deferred_jet, is_batch, jet_apply
 
 FUNCTIONS = (*UNARY_FUNCS, "conj")
 
@@ -237,7 +237,7 @@ def parse(text: str, dim: int) -> Expr:
 
 # -- evaluation ---------------------------------------------------------------
 
-def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = 3) -> Jet:
+def eval_jet(e: Expr, point, dim: Optional[int] = None, order: int = MAX_ORDER) -> Jet:
     """Jet of the expression at a real chart point, or over a batch of
     points, a tuple of point tuples. A batch gives each member's jet as that
     point alone would, and a member's error as that point alone would; a

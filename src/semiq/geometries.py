@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, EvalError, UnknownCheckError
 from .geometry import Field, GeometryData, PointFrame, per_frame
-from .lambda_core import Jet, LJet, jet_einsum
+from .lambda_core import MAX_ORDER, Jet, LJet, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
                         wedge1)
 
@@ -93,7 +93,7 @@ def make_flat_torsion() -> GeometryData:
 
 # -- CP^n -------------------------------------------------------------------------
 
-def _cpn_base(n: int, pt: tuple, order: int = 3):
+def _cpn_base(n: int, pt: tuple, order: int = MAX_ORDER):
     """Common jets at a point, or over a batch of points: x, x_shift, t^2."""
     d = 2 * n
     x = Jet.coords(d, pt, order)

@@ -25,9 +25,8 @@ order: a level read has the same bits, and one never read is never computed;
 a difference subtracts once per level, which has the bits of adding the
 negation but for a NaN's sign. Only the constructors are eager. A level
 function reads the operands' ``Levels``, never a jet, so no result refers to
-itself. ``val`` is set on an operation's result, and kept on its first read
-otherwise; the level formulas permute derivative axes by the views
-``np.moveaxis`` would build.
+itself. Every jet's ``val`` is set when it is built; the level formulas
+permute derivative axes by the views ``np.moveaxis`` would build.
 """
 
 from __future__ import annotations
@@ -61,30 +60,26 @@ class Jet:
     derivative axes. ``batch`` counts the leading batch axes of every level.
     """
 
-    __slots__ = ("dim", "order", "levels", "batch", "_val")
+    __slots__ = ("dim", "order", "levels", "batch", "val")
 
     def __init__(self, dim: int, levels: Sequence[np.ndarray], batch: int = 0):
-        self.dim = dim
-        if not isinstance(levels, Levels):
-            levels = Levels([np.asarray(l, dtype=np.complex128) for l in levels])
-        self.levels = levels
-        self.order = len(levels) - 1
-        self.batch = batch
-        self._val = None    # level 0, kept on its first read
+        cells = [np.asarray(l, dtype=np.complex128) for l in levels]
+        self.dim, self.order, self.levels, self.batch = dim, len(cells) - 1, Levels(cells), batch
+        self.val = cells[0]
 
     # -- constructors ------------------------------------------------------
     # the first ``batch`` axes of ``value`` are batch axes, and a point's
     # leading axes are its batch, as a jet's are
 
     @classmethod
-    def const(cls, dim: int, value, order: int = 3, batch: int = 0) -> "Jet":
+    def const(cls, dim: int, value, order: int = MAX_ORDER, batch: int = 0) -> "Jet":
         v = np.asarray(value, dtype=np.complex128)
         levels = [v] + [np.zeros(v.shape + (dim,) * k, dtype=np.complex128)
                         for k in range(1, order + 1)]
         return cls(dim, levels, batch)
 
     @classmethod
-    def affine(cls, dim: int, value, d1, order: int = 3, batch: int = 0) -> "Jet":
+    def affine(cls, dim: int, value, d1, order: int = MAX_ORDER, batch: int = 0) -> "Jet":
         """Jet of a field affine in the chart coordinates: ``value`` with the
         constant first derivatives ``d1``, every higher level zero."""
         levels = [value, d1][: order + 1]
@@ -93,7 +88,7 @@ class Jet:
         return cls(dim, levels, batch)
 
     @classmethod
-    def coords(cls, dim: int, point, order: int = 3) -> "Jet":
+    def coords(cls, dim: int, point, order: int = MAX_ORDER) -> "Jet":
         """Jet of the identity chart map; shape (dim,)."""
         p, i = np.asarray(point, dtype=np.complex128), np.arange(dim)
         eye = np.zeros(p.shape + (dim,), dtype=np.complex128)
@@ -101,7 +96,7 @@ class Jet:
         return cls.affine(dim, p, eye, order, p.ndim - 1)
 
     @classmethod
-    def coordinate(cls, dim: int, point, k: int, order: int = 3) -> "Jet":
+    def coordinate(cls, dim: int, point, k: int, order: int = MAX_ORDER) -> "Jet":
         """Jet of the chart coordinate x^k; a scalar."""
         p = np.asarray(point, dtype=np.complex128)
         d1 = np.zeros(p.shape, dtype=np.complex128)
@@ -114,13 +109,6 @@ class Jet:
     def shape(self) -> tuple:
         """The tensor shape, without the batch axes."""
         return self.val.shape[self.batch:]
-
-    @property
-    def val(self) -> np.ndarray:
-        v = self._val
-        if v is None:
-            v = self._val = self.levels[0]
-        return v
 
     @property
     def value(self) -> complex:
@@ -272,13 +260,12 @@ class Jet:
     # -- structure ---------------------------------------------------------
 
     def grad(self) -> "Jet":
-        """Partial derivatives as one extra trailing tensor axis; order drops."""
+        """Partial derivatives as one extra trailing tensor axis; order drops:
+        level k is the parent's level k + 1, the same array."""
         if self.order < 1:
             raise JetDomainError("jet order exhausted, cannot differentiate")
-        j = _new(Jet)
-        j.dim, j.order, j.levels, j.batch, j._val = (self.dim, self.order - 1, self.levels[1:],
-                                                     self.batch, None)
-        return j
+        al = self.levels
+        return deferred_jet(self.dim, al[1], lambda k: al[k + 1], self.order - 1, self.batch)
 
     def conj(self) -> "Jet":
         # valid because chart coordinates are real
@@ -344,38 +331,31 @@ class Levels:
 
     A cell holds either its level's array or the function ``level`` of a
     deferred level k, which ``evaluate_level`` runs on the first read; the
-    array it returns then replaces it. A slice shares the cells, so a level
-    read through ``grad`` is kept for the jet it was taken from too.
+    array it returns then replaces it. An index is a plain ``int`` in range,
+    or a slice, which gives a list of the same arrays.
     """
 
-    __slots__ = ("_cells", "_start", "_stop")
+    __slots__ = ("_cells",)
 
-    def __init__(self, cells: list, start: int = 0, stop: Optional[int] = None):
-        self._cells, self._start = cells, start
-        self._stop = len(cells) if stop is None else stop
+    def __init__(self, cells: list):
+        self._cells = cells
 
     def __len__(self) -> int:
-        return self._stop - self._start
+        return len(self._cells)
 
     def __getitem__(self, k):
-        n = self._stop - self._start
-        if k.__class__ is int and 0 <= k < n:
-            i = self._start + k
-            cell = self._cells[i]
+        cells = self._cells
+        if k.__class__ is int and 0 <= k < len(cells):
+            cell = cells[k]
             if callable(cell):
-                cell = self._cells[i] = evaluate_level(i, cell)
+                cell = cells[k] = evaluate_level(k, cell)
             return cell
         if isinstance(k, slice):
-            start, stop, step = k.indices(n)
-            if step != 1:
-                raise ValueError("jet levels slice with step 1 only")
-            return Levels(self._cells, self._start + start, self._start + max(start, stop))
-        if not 0 <= k < n:
-            raise IndexError(f"jet level {k} of {n}")
-        return self[int(k)]         # a numpy integer
+            return [self[i] for i in range(*k.indices(len(cells)))]
+        raise IndexError(f"jet level {k!r} of {len(cells)}")
 
     def __iter__(self):
-        return (self[k] for k in range(self._stop - self._start))
+        return (self[k] for k in range(len(self._cells)))
 
 
 def evaluate_level(k: int, level: Callable[[int], np.ndarray]) -> np.ndarray:
@@ -391,9 +371,9 @@ def deferred_jet(dim: int, val, level: Callable[[int], np.ndarray], order: int,
     if val.__class__ is not np.ndarray or val.dtype is not _C128:     # e.g. a 0-d numpy scalar
         val = np.asarray(val, dtype=np.complex128)
     levels = _new(Levels)
-    levels._cells, levels._start, levels._stop = [val] + [level] * order, 0, order + 1
+    levels._cells = [val] + [level] * order
     j = _new(Jet)
-    j.dim, j.order, j.levels, j.batch, j._val = dim, order, levels, batch, val
+    j.dim, j.order, j.levels, j.batch, j.val = dim, order, levels, batch, val
     return j
 
 
@@ -526,5 +506,6 @@ class LJet(NamedTuple):
                     None if self.l is None else self.l.scale(complex(z)))
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
-        zero = np.zeros(self.c.val.shape, dtype=np.complex128)
-        return (self.c.val, self.l.val if self.l is not None else zero)
+        if self.l is None:
+            return self.c.val, np.zeros(self.c.val.shape, dtype=np.complex128)
+        return self.c.val, self.l.val
