@@ -151,7 +151,8 @@ def cmd_evolve(args) -> int:
     lines = []
     for pt in points:
         rate, dfc, res = finite(f"evolve at {pt}", adot.at(pt).c.value,
-                                defect.at(pt).c.val, ev.defect_two_route_residual(a, H, G, pt))
+                                defect.at(pt).c.val,
+                                ev.defect_two_route_residual(a, H, G, adot, defect, pt))
         lines += [f"at {pt}:", f"  adot = {rate}",
                   f"  (da)dot - d(adot) components = {np.array_str(dfc, precision=12)}",
                   f"  two-route residual = {res:.3e}"]

@@ -75,14 +75,12 @@ def evolution_defect(a: Field, H: Field, G: GeometryData) -> Field:
     return Field(fn)
 
 
-def defect_two_route_residual(a: Field, H: Field, G: GeometryData,
-                              point) -> float:
+def defect_two_route_residual(a: Field, H: Field, G: GeometryData, adot: Field,
+                              defect: Field, point) -> float:
     """Max-abs difference between -nabla_{ahat}(dH) and (da)dot - d(adot),
-    at a point or over a batch of points."""
-    direct = evolution_defect(a, H, G).at(point).c.val
-
+    at a point or over a batch of points, reading the caller's
+    ``adot = evolve_scalar(a, H, G)`` and ``defect = evolution_defect(a, H, G)``."""
     da = Field(lambda pt: LJet(a.at(pt).c.grad()))
     da_dot = evolve_oneform(da, H, G).at(point).c.val
-    adot = evolve_scalar(a, H, G)
     d_adot = adot.at(point).c.grad().val
-    return float(np.max(np.abs(direct - (da_dot - d_adot))))
+    return float(np.max(np.abs(defect.at(point).c.val - (da_dot - d_adot))))

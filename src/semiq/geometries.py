@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, EvalError, UnknownCheckError
 from .geometry import Field, GeometryData, PointFrame, per_frame
-from .lambda_core import MAX_ORDER, Jet, LJet, jet_einsum
+from .lambda_core import Jet, LJet, jet_einsum
 from .semiquant import (QTensor, g1_build, module_action, nabla_Q, otimes1, star_product,
                         wedge1)
 
@@ -91,74 +91,7 @@ def make_flat_torsion() -> GeometryData:
     )
 
 
-# -- CP^n -------------------------------------------------------------------------
-
-def _cpn_base(n: int, pt: tuple, order: int = MAX_ORDER):
-    """Common jets at a point, or over a batch of points: x, x_shift, t^2."""
-    d = 2 * n
-    x = Jet.coords(d, pt, order)
-    xs = jet_einsum("ab,b->a", _shift_matrix(n), x)          # x^{a+n}
-    s = jet_einsum("a,a->", x, x)
-    t2 = (Jet.const(d, 1.0, order) + s).reciprocal()
-    for at, v in zip(pt if t2.batch else [pt], t2.member_values()):
-        if v == 0:                                            # |x|^2 overflowed
-            raise EvalError(f"CP^{n} at {at} is out of floating-point range")
-    return x, xs, t2
-
-
-# the closed forms below take the base (x, x_shift, t^2) of _cpn_base
-
-def _cpn_g(x, xs, t2):
-    outer = jet_einsum("a,b->ab", x, x) + jet_einsum("a,b->ab", xs, xs)
-    return jet_einsum(",ab->ab", 2.0 * t2, np.eye(x.dim)) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), outer)
-
-
-def _cpn_ginv(x, xs, t2):
-    outer = jet_einsum("a,b->ab", x, x) + jet_einsum("a,b->ab", xs, xs)
-    half_inv_t2 = 0.5 * t2.reciprocal()
-    return jet_einsum(",ab->ab", half_inv_t2, np.eye(x.dim)) + jet_einsum(",ab->ab", half_inv_t2, outer)
-
-
-def _cpn_omega_upper(x, xs, t2):
-    KP = _shift_matrix(x.dim // 2)
-    anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
-    half_inv_t2 = 0.5 * t2.reciprocal()
-    return jet_einsum(",ab->ab", half_inv_t2, KP.T) + jet_einsum(",ab->ab", half_inv_t2, anti)
-
-
-def _cpn_gamma(x, xs, t2):
-    KP = _shift_matrix(x.dim // 2)
-    eye = np.eye(x.dim)
-    term = (jet_einsum("c,ab->abc", x, eye)
-            + jet_einsum("b,ac->abc", x, eye)
-            + jet_einsum("b,ac->abc", xs, KP)
-            + jet_einsum("c,ab->abc", xs, KP))
-    return jet_einsum(",abc->abc", -1.0 * t2, term)
-
-
-def make_cpn(n: int) -> GeometryData:
-    """CP^n with the Fubini-Study data on the standard affine chart."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-
-    def provider(formula):
-        # the frame's complex frame holds the one base its providers share
-        return lambda f: formula(*_cpn_point(f).base)
-
-    return GeometryData(
-        2 * n,
-        g_fn=provider(_cpn_g),
-        ginv_fn=provider(_cpn_ginv),
-        omega_fn=provider(_cpn_omega_upper),
-        gamma_fn=provider(_cpn_gamma),
-        levi_civita=True,
-        name=f"cpn(n={n})",
-        box=0.75,
-        suites=CPN_SUITES,
-    )
-
-
-# -- complex frame on CP^n --------------------------------------------------------
+# -- CP^n and its complex frame ----------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _cobasis(n: int) -> np.ndarray:
@@ -172,10 +105,12 @@ def _cobasis(n: int) -> np.ndarray:
 
 
 class CPnPoint:
-    """The complex frame of CP^n at one chart point, or over a frame's batch
-    of points, as jets of the frame's order, each built by one formula on
-    first use (Beggs-Majid, arXiv:1410.8191). One-form and tensor components
-    are in the real frame.
+    """The chart data and complex frame of CP^n at one chart point, or over a
+    frame's batch of points, as jets of the frame's order (Beggs-Majid,
+    arXiv:1410.8191). x, the shifted coordinates x_shift and t^2 are built
+    with the frame; every other jet by one formula on first use, so the
+    closed forms and the catalogue share each one. One-form and tensor
+    components are in the real frame.
 
         z^i = x^i + i x^{i+n},   t^2 = 1/(1 + |z|^2),   w^i = t z^i,
         tau = t^2 zbar^i dz^i,   gamma = t^2 dzbar^i (x) dz^i - taubar (x) tau,
@@ -188,15 +123,29 @@ class CPnPoint:
         self.G, self.pt, self.order = f.G, f.point, f.order
         self.n, self.d = f.dim // 2, f.dim
         self.cm = _cobasis(self.n)
-        self.base = _cpn_base(self.n, self.pt, self.order)     # (x, x_shift, t^2)
+        self.x = Jet.coords(self.d, self.pt, self.order)
+        self.xs = jet_einsum("ab,b->a", _shift_matrix(self.n), self.x)      # x^{a+n}
+        self.t2 = (1.0 + jet_einsum("a,a->", self.x, self.x)).reciprocal()
+        for at, v in zip(self.pt if self.t2.batch else [self.pt], self.t2.member_values()):
+            if v == 0:                                                  # |x|^2 overflowed
+                raise EvalError(f"CP^{self.n} at {at} is out of floating-point range")
+
+    @cached_property
+    def outer(self) -> Jet:
+        """x (x) x + x_shift (x) x_shift."""
+        return jet_einsum("a,b->ab", self.x, self.x) + jet_einsum("a,b->ab", self.xs, self.xs)
+
+    @cached_property
+    def inv_t2(self) -> Jet:
+        return self.t2.reciprocal()
+
+    @cached_property
+    def t4(self) -> Jet:
+        return self.t2 * self.t2
 
     @cached_property
     def z(self) -> Jet:
-        return jet_einsum("ia,a->i", self.cm, self.base[0])
-
-    @cached_property
-    def t2(self) -> Jet:
-        return self.base[2]
+        return jet_einsum("ia,a->i", self.cm, self.x)
 
     @cached_property
     def w(self) -> Jet:
@@ -217,12 +166,56 @@ class CPnPoint:
         """g_{i jbar}, shape (n, n)."""
         zbz = jet_einsum("i,j->ij", self.z.conj(), self.z)
         return (jet_einsum(",ij->ij", self.t2, np.eye(self.n))
-                - jet_einsum(",ij->ij", self.t2 * self.t2, zbz))
+                - jet_einsum(",ij->ij", self.t4, zbz))
 
 
 @per_frame
 def _cpn_point(f: PointFrame) -> CPnPoint:
     return CPnPoint(f)
+
+
+# the closed forms below read the complex frame of the calling frame
+
+def _cpn_g(c: CPnPoint) -> Jet:
+    return jet_einsum(",ab->ab", 2.0 * c.t2, np.eye(c.d)) - jet_einsum(",ab->ab", 2.0 * c.t4, c.outer)
+
+
+def _cpn_ginv(c: CPnPoint) -> Jet:
+    half_inv_t2 = 0.5 * c.inv_t2
+    return jet_einsum(",ab->ab", half_inv_t2, np.eye(c.d)) + jet_einsum(",ab->ab", half_inv_t2, c.outer)
+
+
+def _cpn_omega_upper(c: CPnPoint) -> Jet:
+    anti = jet_einsum("a,b->ab", c.x, c.xs) - jet_einsum("a,b->ab", c.xs, c.x)
+    half_inv_t2 = 0.5 * c.inv_t2
+    return (jet_einsum(",ab->ab", half_inv_t2, _shift_matrix(c.n).T)
+            + jet_einsum(",ab->ab", half_inv_t2, anti))
+
+
+def _cpn_gamma(c: CPnPoint) -> Jet:
+    KP, eye = _shift_matrix(c.n), np.eye(c.d)
+    term = (jet_einsum("c,ab->abc", c.x, eye)
+            + jet_einsum("b,ac->abc", c.x, eye)
+            + jet_einsum("b,ac->abc", c.xs, KP)
+            + jet_einsum("c,ab->abc", c.xs, KP))
+    return jet_einsum(",abc->abc", -1.0 * c.t2, term)
+
+
+def make_cpn(n: int) -> GeometryData:
+    """CP^n with the Fubini-Study data on the standard affine chart."""
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    return GeometryData(
+        2 * n,
+        g_fn=lambda f: _cpn_g(_cpn_point(f)),
+        ginv_fn=lambda f: _cpn_ginv(_cpn_point(f)),
+        omega_fn=lambda f: _cpn_omega_upper(_cpn_point(f)),
+        gamma_fn=lambda f: _cpn_gamma(_cpn_point(f)),
+        levi_civita=True,
+        name=f"cpn(n={n})",
+        box=0.75,
+        suites=CPN_SUITES,
+    )
 
 
 def cpn_at(G: GeometryData, pt) -> CPnPoint:
@@ -294,7 +287,7 @@ def _q_factor(x: CPnPoint, inverse: bool = False) -> Field:
     """q = 1 + i lam t^-2 (or its inverse) as a graded scalar field."""
     sgn = -1.0 if inverse else 1.0
     return Field(lambda p: LJet(Jet.const(x.d, 1.0, x.order),
-                                cpn_at(x.G, p).t2.reciprocal().scale(sgn * 1j)))
+                                cpn_at(x.G, p).inv_t2.scale(sgn * 1j)))
 
 
 # engines

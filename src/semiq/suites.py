@@ -229,10 +229,11 @@ def _suite_evolution(G: GeometryData, pts, rng) -> dict:
     # every point draws its own a, b and H, in that order, as in _suite_dga
     drawn = _drawn(G.dim, rng, 3, pts, G.order)        # read at pts only
     a, b, H = (Field(lambda p, k=k: LJet(drawn.take_index(k))) for k in range(3))
-    _acc(worst, "defect-two-routes", ev.defect_two_route_residual(a, H, G, pts), 0.0)
+    adot = ev.evolve_scalar(a, H, G)
+    _acc(worst, "defect-two-routes",
+         ev.defect_two_route_residual(a, H, G, adot, ev.evolution_defect(a, H, G), pts), 0.0)
     # hamiltonian field acts as a derivation on products
     prod = Field(lambda p: LJet(a.at(p).c * b.at(p).c))
-    adot = ev.evolve_scalar(a, H, G)
     bdot = ev.evolve_scalar(b, H, G)
     v = ev.evolve_scalar(prod, H, G).at(pts)
     rhs_c = a.at(pts).c * bdot.at(pts).c + b.at(pts).c * adot.at(pts).c

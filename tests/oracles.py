@@ -14,7 +14,7 @@ the formulas that permuted derivative axes with ``np.moveaxis``.
 
 import numpy as np
 
-from semiq.geometries import CPnPoint, _cpn_base, _cpn_g, _shift_matrix
+from semiq.geometries import CPnPoint, _cpn_g, _shift_matrix, cpn_at, make_cpn
 from semiq.geometry import Field, GeometryData, cov_deriv_jet
 from semiq.lambda_core import Jet, LJet, jet_apply, jet_einsum
 from semiq.semiquant import QTensor, _model, wedge1_map
@@ -46,15 +46,15 @@ def kappa(a: int, c: int, two_n: int) -> int:
 
 def cpn_omega_lower(n: int, pt, order: int = 3) -> Jet:
     """om_{ab}, the symplectic form of CP^n with lower indices."""
-    x, xs, t2 = _cpn_base(n, pt, order)
+    c = cpn_at(make_cpn(n).at_order(order), pt)
     KP = _shift_matrix(n)
-    anti = jet_einsum("a,b->ab", x, xs) - jet_einsum("a,b->ab", xs, x)
-    return jet_einsum(",ab->ab", 2.0 * t2, KP.T) - jet_einsum(",ab->ab", 2.0 * (t2 * t2), anti)
+    anti = jet_einsum("a,b->ab", c.x, c.xs) - jet_einsum("a,b->ab", c.xs, c.x)
+    return jet_einsum(",ab->ab", 2.0 * c.t2, KP.T) - jet_einsum(",ab->ab", 2.0 * c.t4, anti)
 
 
 def cpn_riemann(n: int, pt, order: int = 3) -> Jet:
     """Closed form R[p,c,q,b] for comparison against the derived curvature."""
-    g = _cpn_g(*_cpn_base(n, pt, order))
+    g = _cpn_g(cpn_at(make_cpn(n).at_order(order), pt))
     oml = cpn_omega_lower(n, pt, order)
     KP = _shift_matrix(n)
     eye = np.eye(2 * n)

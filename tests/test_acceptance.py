@@ -24,7 +24,7 @@ from conftest import maxabs, run_cli, sample
 from conftest import canonical_hamiltonian
 from oracles import cpn_omega_lower, cpn_riemann, gen_ricci, random_poly_field
 from semiq.geometry import Field, christoffel_jet, compat_residuals, curvature_jet
-from semiq.geometries import (CATALOGUE, _cpn_base, _cpn_gamma, cpn_catalogue_residual,
+from semiq.geometries import (CATALOGUE, _cpn_gamma, cpn_at, cpn_catalogue_residual,
                               make_cpn, make_flat, make_flat_torsion)
 from semiq.lambda_core import Jet, LJet
 from semiq.semiquant import (QTensor, g1_build, g_q_build, module_action, nabla_Q,
@@ -69,7 +69,7 @@ def test_criterion_02_cpn_classical_concordance():
         for pt in sample(G, 100, 2):
             f = G.frame(pt)
             gam = christoffel_jet(f.g, f.ginv)
-            worst = max(worst, maxabs(gam.val - _cpn_gamma(*_cpn_base(n, pt, 0)).val))
+            worst = max(worst, maxabs(gam.val - _cpn_gamma(cpn_at(G, pt)).val))
             worst = max(worst, maxabs(curvature_jet(gam).val - cpn_riemann(n, pt, 0).val))
     assert report(2, "derived connection and curvature match closed forms (n=1,2,3)",
                   worst, 1e-9)
@@ -198,7 +198,8 @@ def test_criterion_09_evolution_identities():
                 want[i + 2] = -da[i] / 1.7                       # -(1/m) da/dq^i dp^i
                 want[i] = sum(hv[i, j] * da[j + 2] for j in range(2))
             worst = max(worst, maxabs(got - want))
-            worst = max(worst, ev.defect_two_route_residual(a, H, G, pt))
+            worst = max(worst, ev.defect_two_route_residual(
+                a, H, G, ev.evolve_scalar(a, H, G), ev.evolution_defect(a, H, G), pt))
     exact = 0.0
     Gf, Hf = canonical_hamiltonian(1, mass=2.0, potential="x1^4")
     for k in range(2):

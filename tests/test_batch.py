@@ -344,7 +344,8 @@ def _evolution_routes(G, rng):
         "evolve_scalar": lambda p: ev.evolve_scalar(a, H, G).at(p),
         "evolve_oneform": lambda p: ev.evolve_oneform(xi, H, G).at(p),
         "evolution_defect": lambda p: ev.evolution_defect(a, H, G).at(p),
-    }, lambda p: ev.defect_two_route_residual(a, H, G, p)
+    }, lambda p: ev.defect_two_route_residual(a, H, G, ev.evolve_scalar(a, H, G),
+                                              ev.evolution_defect(a, H, G), p)
 
 
 @pytest.mark.parametrize("geometry", ["flat1", "cpn1", "cpn2", "flat-torsion", "exp-plane"])

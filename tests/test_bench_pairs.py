@@ -10,7 +10,8 @@ spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "b
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "op_wall_p50_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+METRICS = [{"name": "op_wall_p50_ms", "better": "lower", "bound": 0.2},
+           {"name": "ops_per_s", "better": "higher", "bound": 0.2}]
 
 
 def run(tree, pair, p50, ops, failed=0, seed=1):
@@ -39,6 +40,39 @@ def test_summary_counts_pairs_won_by_each_metric_direction():
     two = s["w seed 2"]
     assert two["pairs"] == 1 and two["op_wall_p50_ms"]["change_better_pairs"] == 0
     assert two["ops_per_s"]["ratio_of_medians"] == 1.0
+
+
+def verdicts(parent, change):
+    """The two metrics' (worse_by, verdict) over pairs of made-up p50 and
+    ops values."""
+    runs = [run(t, i, *v) for i, (p, c) in enumerate(zip(parent, change))
+            for t, v in (("parent", p), ("change", c))]
+    entry = bench_pairs.summarize(runs, METRICS)["w seed 1"]
+    return [(entry[m["name"]]["worse_by"], entry[m["name"]]["verdict"]) for m in METRICS]
+
+
+def test_summary_gives_each_metric_a_verdict_against_its_bound():
+    # the parent spreads (q3 - q1) / median = 0.1 on both metrics
+    parent = [(9.5, 9.5), (9.5, 9.5), (10.0, 10.0), (10.5, 10.5), (11.0, 11.0)]
+    # p50 15% slower and ops 15% fewer: within the 0.2 bound
+    (p50, p50_v), (ops, ops_v) = verdicts(parent, [(11.5, 8.5)] * 5)
+    assert (p50, ops) == (pytest.approx(0.15), pytest.approx(0.15))
+    assert p50_v == ops_v == "within bound"
+    # p50 30% slower is worse; ops 30% more is a move in the good direction
+    (p50, p50_v), (ops, ops_v) = verdicts(parent, [(13.0, 13.0)] * 5)
+    assert (p50, p50_v) == (pytest.approx(0.3), "worse")
+    assert (ops, ops_v) == (pytest.approx(-0.3), "within bound")
+    # a parent spread of (12 - 8) / 10 = 0.4 exceeds the bound: no verdict,
+    # unless every change run beats every parent run
+    wide = [(6.0, 6.0), (8.0, 8.0), (10.0, 10.0), (12.0, 12.0), (14.0, 14.0)]
+    (_, p50_v), (_, ops_v) = verdicts(wide, [(10.0, 10.0)] * 5)
+    assert p50_v == ops_v == "unresolved"
+    (p50, p50_v), (ops, ops_v) = verdicts(wide, [(5.0, 15.0)] * 5)
+    assert (p50, p50_v) == (pytest.approx(-0.5), "within bound")
+    assert (ops, ops_v) == (pytest.approx(-0.5), "within bound")
+    # one change run that does not beat the slowest parent run keeps it open
+    (_, p50_v), _ = verdicts(wide, [(5.0, 15.0)] * 4 + [(14.0, 15.0)])
+    assert p50_v == "unresolved"
 
 
 def test_run_once_gives_both_trees_one_bytecode_cache(monkeypatch, tmp_path):

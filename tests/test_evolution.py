@@ -3,6 +3,8 @@ import pytest
 
 from conftest import canonical_hamiltonian, maxabs, sample
 from oracles import random_poly_field
+from semiq import evolution as ev
+from semiq.cli import main
 from semiq.evolution import (defect_two_route_residual, evolution_defect, evolve_oneform,
                              evolve_scalar, ham_vf)
 from semiq.geometry import Field
@@ -82,7 +84,8 @@ class TestEvolutionDefect:
         G, H = canonical_hamiltonian(1, mass=m, potential=f"0.5*{m}*{omega}^2*x1^2")
         a = Field.from_expr(G.dim, "x2")    # p observable
         for pt in [(0.3, 0.2), (-0.5, 0.8)]:
-            assert defect_two_route_residual(a, H, G, pt) < 1e-12
+            assert defect_two_route_residual(a, H, G, evolve_scalar(a, H, G),
+                                             evolution_defect(a, H, G), pt) < 1e-12
             # display: V_,11 da/dp dq^1 with da/dp = 1
             v = evolution_defect(a, H, G).at(pt).c.val
             assert v[0] == pytest.approx(m * omega ** 2)
@@ -95,4 +98,32 @@ class TestEvolutionDefect:
                 a = random_poly_field(G.dim, rng)
                 H = random_poly_field(G.dim, rng)
                 pt = tuple(rng.uniform(-0.6, 0.6, size=G.dim))
-                assert defect_two_route_residual(a, H, G, pt) < 1e-9
+                assert defect_two_route_residual(a, H, G, evolve_scalar(a, H, G),
+                                                 evolution_defect(a, H, G), pt) < 1e-9
+
+    def test_rate_and_defect_evaluated_once_per_point(self, monkeypatch, capsys):
+        # evolve prints the rate, the defect and their two-route residual, and
+        # the evolution suite checks the residual beside the rate: each field
+        # of (a, H) is evaluated once per point or batch, by whichever reads it
+        rate, defect, evaluated = ev.evolve_scalar, ev.evolution_defect, []
+
+        def counted(build):
+            def make(a, H, G):
+                fn = build(a, H, G).fn
+                return Field(lambda p: evaluated.append((build, a, H, p)) or fn(p))
+            return make
+
+        monkeypatch.setattr(ev, "evolve_scalar", counted(rate))
+        monkeypatch.setattr(ev, "evolution_defect", counted(defect))
+        assert main(["evolve", "--geometry", "cpn", "--n", "2", "--H", "x1^2+x2*x3",
+                     "--a", "x4", "--at", "0.1,0.2,0.3,0.1;0.2,-0.1,0,0.3"]) == 0
+        # two points, each with its rate and its defect
+        assert [e[0] for e in evaluated] == [rate, defect] * 2
+        assert main(["check", "cpn", "--n", "1", "--points", "2", "--seed", "1",
+                     "--suite", "evolution"]) == 0
+        capsys.readouterr()
+        # one batch: the defect of (a, H) and the rates of a, b and a b
+        assert sorted(e[0] is rate for e in evaluated[4:]) == [False, True, True, True]
+        for e in evaluated:
+            assert sum(e[0] is f[0] and e[1] is f[1] and e[2] is f[2] and e[3] == f[3]
+                       for f in evaluated) == 1

@@ -10,7 +10,7 @@ from semiq.geometries import (CATALOGUE, CPnPoint, cpn_at, cpn_catalogue_residua
                               cpn_expected, make_cpn, make_flat,
                               make_flat_torsion, _shift_matrix)
 from semiq.geometry import cov_deriv_jet
-from semiq.lambda_core import jet_einsum
+from semiq.lambda_core import Jet, jet_einsum
 
 
 class TestIndexFolding:
@@ -215,20 +215,44 @@ class TestCatalogue:
         # one frame holds the suite's batch of both points
         assert len(built) == 1 and len(built[0]) == 2
 
-    def test_base_jets_built_once_per_frame(self, monkeypatch, capsys):
-        calls, base = [], geometries._cpn_base
+    def test_chart_factors_built_once_per_frame(self, monkeypatch, capsys):
+        # every default suite of check reads x (x) x + x_shift (x) x_shift,
+        # t^-2 and t^4 through the complex frame, which builds each once
+        points, built = [], []
+        init, einsum, mul, recip = (CPnPoint.__init__, geometries.jet_einsum,
+                                    Jet.__mul__, Jet.reciprocal)
 
-        def counted(n, pt, order=3):
-            calls.append((pt, order))
-            return base(n, pt, order)
+        def counted_init(self, f):
+            init(self, f)
+            points.append(self)
 
-        monkeypatch.setattr(geometries, "_cpn_base", counted)
-        for seed in range(1, 5):
-            assert main(["check", "cpn", "--n", "2", "--points", "2",
-                         "--seed", str(seed)]) == 0
+        def counted_einsum(spec, *ops):
+            built.append((spec, *ops))
+            return einsum(spec, *ops)
+
+        def counted_mul(self, other):
+            built.append(("*", self, other))
+            return mul(self, other)
+
+        def counted_recip(self):
+            built.append(("1/", self))
+            return recip(self)
+
+        monkeypatch.setattr(CPnPoint, "__init__", counted_init)
+        monkeypatch.setattr(geometries, "jet_einsum", counted_einsum)
+        monkeypatch.setattr(Jet, "__mul__", counted_mul)
+        monkeypatch.setattr(Jet, "reciprocal", counted_recip)
+        assert main(["check", "cpn", "--n", "2", "--points", "2", "--seed", "1"]) == 0
         capsys.readouterr()
-        # two points at order 1 (classical-compat) and two at order 2, per seed
-        assert len(calls) == len(set(calls)) <= 16
+        # the suites share one frame; its t^2 and t^-2 are the only reciprocals
+        (c,) = points
+        assert sum(b[0] == "1/" for b in built) == 2
+        for factor in [("a,b->ab", c.x, c.x), ("a,b->ab", c.xs, c.xs), ("1/", c.t2),
+                       ("*", c.t2, c.t2)]:
+            # operands by identity; every call's operands are held, so none is freed
+            assert sum(b[0] == factor[0] and len(b) == len(factor)
+                       and all(u is v for u, v in zip(b[1:], factor[1:]))
+                       for b in built) == 1, factor[0]
 
     def test_wedges_evaluated_once_per_family_and_frame(self, monkeypatch):
         # dz-dz-wedge reads one family wedge; both anticommutators share the

@@ -13,7 +13,7 @@ from semiq.evolution import evolve_scalar
 from semiq.geometry import (Field, GeometryData, PointFrame, christoffel_jet,
                             compat_residuals, component_jets, cov_deriv_jet,
                             geometry_from_config, torsion_jet)
-from semiq.geometries import _cpn_base, _cpn_gamma, make_cpn, make_flat
+from semiq.geometries import _cpn_gamma, cpn_at, make_cpn, make_flat
 from semiq.lambda_core import Jet, LJet, jet_einsum
 from semiq.semiquant import QTensor
 
@@ -66,7 +66,7 @@ class TestChristoffel:
         for pt in [(0.3, 0.1)] + sample(cpn1, 10, 2):
             f = cpn1.frame(pt)
             got = christoffel_jet(f.g, f.ginv).val
-            want = _cpn_gamma(*_cpn_base(1, pt)).val
+            want = _cpn_gamma(cpn_at(cpn1, pt)).val
             assert maxabs(got - want) < 1e-10
 
     def test_symmetric_lower_indices(self, cpn2):

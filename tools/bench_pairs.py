@@ -9,11 +9,15 @@ a time: the parent first when i is even, the change first when it is odd,
 so that a drift of the host falls on both sides alike. Each run's result
 line is kept in ``end_to_end_pairs``. ``summary`` gives, per workload and
 seed and per end-to-end metric of ``BENCHMARK.json``, each side's median
-and quartiles, the pairs the change won (ties apart) and the ratio of the
-change's median to the parent's. Pairs already in an existing OUT file are
-kept, so one file can gather runs made at different times: a new run's
-pairs are numbered on from the last one OUT holds for its workload and
-seed. ``--pairs 0`` only rewrites the summary (and ``about``, if given),
+and quartiles, the pairs the change won (ties apart), the ratio of the
+change's median to the parent's, ``worse_by``, the change median's
+relative move in the metric's bad direction, and a ``verdict`` against the
+metric's ``bound``: ``unresolved`` when the parent's (q3 - q1) / median
+exceeds the bound and not every change run beats every parent run, else
+``worse`` when ``worse_by`` exceeds the bound, else ``within bound``.
+Pairs already in an existing OUT file are kept, so one file can gather
+runs made at different times: a new run's pairs are numbered on from the
+last one OUT holds for its workload and seed. ``--pairs 0`` only rewrites the summary (and ``about``, if given),
 and needs no ``--workload`` or ``--seed``. ``about`` keeps the text OUT
 holds unless ``--about`` is given.
 
@@ -55,7 +59,8 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per workload and seed: each metric's quartiles, pairs won and ratio."""
+    """Per workload and seed: each metric's quartiles, pairs won, ratio and
+    bound verdict."""
     out = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
         mine = [r for r in runs if (r["workload"], r["seed"]) == key]
@@ -71,9 +76,18 @@ def summarize(runs: list, metrics: list) -> dict:
             won = sum((c < p) if lower else (c > p)
                       for p, c in zip(vals["parent"], vals["change"]))
             stats = {t: quartiles(v) for t, v in vals.items()}
+            pm, cm = stats["parent"]["median"], stats["change"]["median"]
+            worse_by = (cm - pm if lower else pm - cm) / pm
+            spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / pm
+            beats_all = (max(vals["change"]) < min(vals["parent"]) if lower
+                         else min(vals["change"]) > max(vals["parent"]))
+            if spread > m["bound"] and not beats_all:
+                verdict = "unresolved"
+            else:
+                verdict = "worse" if worse_by > m["bound"] else "within bound"
             entry[name] = {**stats, "change_better_pairs": won,
-                           "ratio_of_medians": stats["change"]["median"]
-                           / stats["parent"]["median"]}
+                           "ratio_of_medians": cm / pm, "worse_by": worse_by,
+                           "verdict": verdict}
         out[f"{key[0]} seed {key[1]}"] = entry
     return out
 
