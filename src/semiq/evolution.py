@@ -51,7 +51,7 @@ def evolve_oneform(xi: Field, H: Field, G: GeometryData) -> Field:
             cd = cov_deriv_jet(x, f.gam, 0, 1)      # [i, k]
             return jet_einsum("ik,k->i", cd, vk)
 
-        return LJet(rate(xv.c), None if xv.l is None else rate(xv.l))
+        return LJet(rate(xv.c), rate(xv.l) if xv.graded else None)
 
     return Field(fn)
 

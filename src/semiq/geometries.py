@@ -307,9 +307,11 @@ def _comm(left, right, q=None):
             return module_action(u, v) if isinstance(B, QTensor) else star_product(u, v, x.G)
 
         lhs = prod(A, B)
+        # a self-commutator's b_j . a_i is a_i . b_j, made on the same jets
+        ba = lhs if left is right and not q else prod(B, A)
         if q:
             lhs = prod(q(x), lhs)
-        return (lhs.at(x.pt) - _swapped(prod(B, A).at(x.pt))).values()
+        return (lhs.at(x.pt) - _swapped(ba.at(x.pt))).values()
     return eng
 
 

@@ -2,7 +2,8 @@
 
 The deformation parameter lam lives only in the truncated ring
 C[lam]/(lam^2), carried by ``LJet``: a classical jet plus a first-order
-jet, with lam^2 dropped in every product. First-order residuals are always
+jet, which may be computed on its first read, with lam^2 dropped in every
+product. First-order residuals are always
 read off the lam slot exactly, never by a numerical lam -> 0 limit.
 
 Jets carry the value of a field together with its partial derivatives up
@@ -32,7 +33,7 @@ permute derivative axes by the views ``np.moveaxis`` would build.
 from __future__ import annotations
 
 import cmath
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 # numpy's C einsum: np.einsum with its default optimize=False returns this
@@ -481,31 +482,59 @@ def jet_apply(name: str, u: Jet) -> Jet:
     return u.compose(table)
 
 
-class LJet(NamedTuple):
-    """A lam-graded jet: classical part plus optional first-order part."""
+class LJet:
+    """A lam-graded jet: classical part ``c`` plus optional first-order part ``l``.
 
-    c: Jet
-    l: Optional[Jet] = None
+    ``l`` may be given as a zero-argument function, run on the first read of
+    ``l`` and then kept, so a first-order part no caller reads is never
+    computed; ``graded`` says whether there is one without computing it. A
+    deferred ``l`` makes the numpy calls of the eager formula in the same
+    order, so it has the same bits. Its builder takes at once every ``grad``
+    of a classical part that the formula reads, so a refusal comes when the
+    LJet is built, and the function refers to no LJet it builds, so
+    reference counting frees it. ``l`` has at least the order of ``c`` less
+    one, as ``lam``'s zero does, so the grad of a deferred ``l`` is refused
+    only where that of ``c``'s gradient, taken at build, is.
+    """
+
+    __slots__ = ("c", "_l")
+
+    def __init__(self, c: Jet, l: Optional[Jet | Callable[[], Jet]] = None):
+        self.c, self._l = c, l
+
+    @property
+    def graded(self) -> bool:
+        return self._l is not None
+
+    @property
+    def l(self) -> Optional[Jet]:
+        l = self._l
+        if callable(l):
+            l = self._l = l()
+        return l
 
     def lam(self) -> Jet:
+        l = self.l
+        if l is not None:
+            return l
         c = self.c
-        return self.l if self.l is not None else Jet.const(
-            c.dim, np.zeros(c.val.shape, dtype=np.complex128), max(c.order - 1, 0), c.batch)
+        return Jet.const(c.dim, np.zeros(c.val.shape, dtype=np.complex128),
+                         max(c.order - 1, 0), c.batch)
 
     def __add__(self, other: "LJet") -> "LJet":
-        if self.l is None and other.l is None:
-            return LJet(self.c + other.c, None)
-        return LJet(self.c + other.c, self.lam() + other.lam())
+        if self._l is None and other._l is None:
+            return LJet(self.c + other.c)
+        return LJet(self.c + other.c, lambda: self.lam() + other.lam())
 
     def __sub__(self, other: "LJet") -> "LJet":
         return self + other.scale(-1.0)
 
     def scale(self, z: complex) -> "LJet":
         """Multiply by a constant complex number."""
-        return LJet(self.c.scale(complex(z)),
-                    None if self.l is None else self.l.scale(complex(z)))
+        z = complex(z)
+        return LJet(self.c.scale(z), None if self._l is None else lambda: self.l.scale(z))
 
     def values(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.l is None:
+        if self._l is None:
             return self.c.val, np.zeros(self.c.val.shape, dtype=np.complex128)
         return self.c.val, self.l.val

@@ -39,6 +39,17 @@ and derivative axes. Einsum specs here name family axes, slots and
 derivatives only; ``jet_einsum`` and ``Jet.reorder`` carry the batch in
 front, so each member's bits are those of its point evaluated alone, and
 a result that does not depend on the point may keep no batch axis.
+
+First order on first read
+-------------------------
+``_fstar``, ``_otimes``, ``_nabla_normal``, ``wedge1``, ``_model`` and
+``QTensor.from_oneform`` compute the classical part of their result at once
+and hand ``LJet`` the first-order part as a function, run on the first read
+of ``l``: a check that reads only the classical slot never builds it, and
+one read has the bits of the eager formula. Refusals stay eager: every
+``grad`` of a classical part that a first-order formula reads is taken
+when the result is built, so a jet too shallow for it is refused there,
+never on a later read of ``l``.
 """
 
 from __future__ import annotations
@@ -80,29 +91,33 @@ def _fstar(spec: str, A: LJet, B: LJet, om: Jet) -> LJet:
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     c = jet_einsum(spec, A.c, B.c)
-    terms = []
-    if A.l is not None:
-        terms.append(jet_einsum(spec, A.l, B.c))
-    if B.l is not None:
-        terms.append(jet_einsum(spec, A.c, B.l))
-    x, y = _pick_free(spec, 2)
     da, db = A.c.grad(), B.c.grad()
-    cross = jet_einsum(f"{sa}{x},{sb}{y}->{out}{x}{y}", da, db)
-    terms.append(0.5 * jet_einsum(f"{out}{x}{y},{x}{y}->{out}", cross, om))
-    l = terms[0]
-    for t in terms[1:]:
-        l = l + t
-    return LJet(c, l)
+
+    def lam():
+        terms = []
+        if A.graded:
+            terms.append(jet_einsum(spec, A.l, B.c))
+        if B.graded:
+            terms.append(jet_einsum(spec, A.c, B.l))
+        x, y = _pick_free(spec, 2)
+        cross = jet_einsum(f"{sa}{x},{sb}{y}->{out}{x}{y}", da, db)
+        terms.append(0.5 * jet_einsum(f"{out}{x}{y},{x}{y}->{out}", cross, om))
+        l = terms[0]
+        for t in terms[1:]:
+            l = l + t
+        return l
+    return LJet(c, lam)
 
 
-def _collect_correction(c0: Jet, f: PointFrame) -> Jet:
-    """(1/2) om^{st} Gam^u_{ta} d_s c0[u] of one-form coefficients c0[a].
+def _collect_correction(dc0: Jet, f: PointFrame) -> Jet:
+    """(1/2) om^{st} Gam^u_{ta} d_s c0[u] of one-form coefficients c0[a],
+    from their gradient dc0 = c0.grad().
 
     The first-order cost of collecting classical coefficients to the left
     of the cobasis.
     """
-    F = _FAM[: len(c0.shape) - 1]
-    half = jet_einsum(f"{F}uz,zt->{F}ut", c0.grad(), f.om)
+    F = _FAM[: len(dc0.shape) - 2]
+    half = jet_einsum(f"{F}uz,zt->{F}ut", dc0, f.om)
     return 0.5 * jet_einsum(f"uta,{F}ut->{F}a", f.gam, half)
 
 
@@ -138,9 +153,12 @@ class QTensor(Field):
 
         def fn(pt):
             v = comp_fn(tuple(pt))
-            f = G.frame(pt)
-            corr = _collect_correction(v.c, f)
-            return LJet(v.c, corr if v.l is None else v.l + corr)
+            f, dv = G.frame(pt), v.c.grad()
+
+            def lam():
+                corr = _collect_correction(dv, f)
+                return v.l + corr if v.graded else corr
+            return LJet(v.c, lam)
 
         return cls(G, 1, fn)
 
@@ -150,7 +168,7 @@ class QTensor(Field):
 
         def comps(pt):
             v = a.at(pt)
-            return LJet(v.c.grad(), None if v.l is None else v.l.grad())
+            return LJet(v.c.grad(), v.l.grad() if v.graded else None)
 
         return cls.from_oneform(G, comps)
 
@@ -175,8 +193,8 @@ def _model(xi: QTensor, pt) -> LJet:
         return v
     if xi.rank != 1:
         raise ValueError("expected a quantum form or a one-form")
-    corr = _collect_correction(v.c, xi.G.frame(pt))
-    return LJet(v.c, v.lam() - corr)
+    f, dv = xi.G.frame(pt), v.c.grad()
+    return LJet(v.c, lambda: v.lam() - _collect_correction(dv, f))
 
 
 # -- deformed products and actions ----------------------------------------------
@@ -189,11 +207,15 @@ def _otimes(A: LJet, B: LJet, f: PointFrame, ia: str, ib: str) -> LJet:
     base = _fstar(f"{fa}{ia},{fb}{ib}->{fa}{fb}{ia}{ib}", A, B, f.om)
     if not ia:
         return base
-    terms = gamma_slot_terms(A.c, f.gam, range(len(fa), len(fa) + len(ia)))
-    slot = sum(terms[1:], terms[0])             # Gam^u_{t m_j} A[.. u at j ..]
-    mov = jet_einsum(f"{fb}{ib}i,it->{fb}{ib}t", B.c.grad(), f.om)
-    corr = jet_einsum(f"{fa}{ia}t,{fb}{ib}t->{fa}{fb}{ia}{ib}", slot, mov)
-    return LJet(base.c, base.lam() + corr)
+    db = B.c.grad()
+
+    def lam():
+        terms = gamma_slot_terms(A.c, f.gam, range(len(fa), len(fa) + len(ia)))
+        slot = sum(terms[1:], terms[0])             # Gam^u_{t m_j} A[.. u at j ..]
+        mov = jet_einsum(f"{fb}{ib}i,it->{fb}{ib}t", db, f.om)
+        corr = jet_einsum(f"{fa}{ia}t,{fb}{ib}t->{fa}{fb}{ia}{ib}", slot, mov)
+        return base.lam() + corr
+    return LJet(base.c, lam)
 
 
 def star_product(a: Field, b: Field, G: GeometryData) -> Field:
@@ -265,20 +287,22 @@ def wedge1(xi: QTensor, eta: QTensor) -> QTensor:
         A, B = _model(xi, pt), _model(eta, pt)
         fa, fb = _fams(A.c, p, B.c, q)
         c = _wedge_arrays(A.c, B.c, p, q)
-        lam = _wedge_arrays(A.c, B.lam(), p, q) + _wedge_arrays(A.lam(), B.c, p, q)
         # functorial correction: (1/2) om^{ij} nabla_i A ^ nabla_j B
         dA = cov_deriv_jet(A.c, f.gam, 0, p)
         dB = cov_deriv_jet(B.c, f.gam, 0, q)
-        half = jet_einsum(f"{fa}{ia}i,ij->{fa}{ia}j", dA, f.om)
-        t = jet_einsum(f"{fa}{ia}j,{fb}{ib}j->{fa}{fb}{ia}{ib}", half, dB)
-        lam = lam + 0.5 * _antisym(t, p, q)
-        # quantum correction through the H family, H^{ij} ^ A_i ^ B_j: the sign
-        # pairing with the reported H is pinned by the graded Leibniz rule of d
-        # (and by the closed-form wedge anticommutator on the projective space)
-        sign = -1.0 if (p % 2 == 1) else 1.0
-        ab = jet_einsum(f"{fa}i{ra},{fb}j{rb}->{fa}{fb}ij{ra}{rb}", A.c, B.c)
-        hterm = jet_einsum(f"{fa}{fb}ij{ra}{rb},ijab->{fa}{fb}ab{ra}{rb}", ab, f.h_fam)
-        lam = lam + sign * _antisym(hterm, 2, p - 1, q - 1)
+
+        def lam():
+            l = _wedge_arrays(A.c, B.lam(), p, q) + _wedge_arrays(A.lam(), B.c, p, q)
+            half = jet_einsum(f"{fa}{ia}i,ij->{fa}{ia}j", dA, f.om)
+            t = jet_einsum(f"{fa}{ia}j,{fb}{ib}j->{fa}{fb}{ia}{ib}", half, dB)
+            l = l + 0.5 * _antisym(t, p, q)
+            # quantum correction through the H family, H^{ij} ^ A_i ^ B_j: the sign
+            # pairing with the reported H is pinned by the graded Leibniz rule of d
+            # (and by the closed-form wedge anticommutator on the projective space)
+            sign = -1.0 if (p % 2 == 1) else 1.0
+            ab = jet_einsum(f"{fa}i{ra},{fb}j{rb}->{fa}{fb}ij{ra}{rb}", A.c, B.c)
+            hterm = jet_einsum(f"{fa}{fb}ij{ra}{rb},ijab->{fa}{fb}ab{ra}{rb}", ab, f.h_fam)
+            return l + sign * _antisym(hterm, 2, p - 1, q - 1)
         return LJet(c, lam)
 
     return QTensor(G, p + q, fn, form=True)
@@ -383,10 +407,14 @@ def _nabla_normal(cf: LJet, conn: LJet, f: PointFrame, coeff: str, out: str,
     """
     base = _fstar(f"{fam}{coeff},{coeff}{out}->{fam}{out}", cf, conn, f.om)
     dc = cf.c.grad()                                    # [fam, coeff, k]
-    corr = 0.5 * jet_einsum(f"usk,{fam}{coeff}us->{fam}{coeff}k", f.om_gam, dc.grad())
-    dl = corr if cf.l is None else cf.lam().grad() + corr
+    ddc = dc.grad()                                     # at build: an order-1 cf is refused here
     flip = f"{fam}{coeff}k->{fam}k{coeff}"
-    return LJet(base.c + dc.reorder(flip), base.lam() + dl.reorder(flip))
+
+    def lam():
+        corr = 0.5 * jet_einsum(f"usk,{fam}{coeff}us->{fam}{coeff}k", f.om_gam, ddc)
+        dl = cf.lam().grad() + corr if cf.graded else corr
+        return base.lam() + dl.reorder(flip)
+    return LJet(base.c + dc.reorder(flip), lam)
 
 
 @per_frame

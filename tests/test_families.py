@@ -48,7 +48,7 @@ def _member(fn, k: int):
     """The provider of member k of the family that ``fn`` provides."""
     def one(pt):
         v = fn(pt)
-        return LJet(v.c.take_index(k), None if v.l is None else v.l.take_index(k))
+        return LJet(v.c.take_index(k), v.l.take_index(k) if v.graded else None)
     return one
 
 

@@ -31,7 +31,7 @@ CATALOGUE_DIGEST = "1fcde3aefc77ec7efce21270a536c9ffe40ce5821c49d29e943f9c4865cb
 def _feed(h, v) -> None:
     if isinstance(v, LJet):
         _feed(h, v.c)
-        if v.l is None:
+        if not v.graded:
             h.update(b"none")
         else:
             _feed(h, v.l)
